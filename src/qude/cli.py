@@ -484,7 +484,7 @@ def _loss_by_split(dev, source, experiments, t_tr_us, dt_internal_ns):
         x_pred = qcore.expand_many(pred.states[idx], basis)
         x_tgt = qcore.expand_many(np.stack([r.rho_hat for r in records]), basis)
         sq = np.einsum("sk,k->s", (x_pred - x_tgt) ** 2, weights)
-        mask = times <= t_tr_us * (1 + 1e-12)
+        mask = train.in_train_split(times, t_tr_us)
         train_loss += float(sq[mask].sum())
         val_loss += float(sq[~mask].sum())
     return train_loss, val_loss

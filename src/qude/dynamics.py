@@ -8,11 +8,20 @@ the ground-to-excited population to 1/(2p) us.
 
 Integration runs in the coefficient space of the elementary Hermitian basis:
 a Hermitian state maps to a real vector x with rho = sum_i x_i H_i, and the
-right-hand side becomes a real linear map A x (baseline and
-structure-preserving sources) or A x + net(x) (network sources). The
-classic four-stage Runge-Kutta step for the linear case collapses to a
-constant step matrix R = sum_{m<=4} (h A)^m / m!, which both engines below
-share with the training code.
+right-hand side becomes A x + W x + b for a source that is affine in the
+state (the structure-preserving source with b = 0, identity-activation
+networks) or A x + net(x) for a nonlinear network. Affine right-hand sides
+are made linear on the augmented state [x; 1] with the generator
+G = [[A + W, b], [0, 0]] (Van Loan's augmentation), so the base model and
+every linear source take one path. There the classic four-stage Runge-Kutta
+step collapses to a constant matrix R = sum_{m<=4} (h G)^m / m!, the
+sample-to-sample map is S = R^n_sub, and x_s = S^s x_0 is computed by
+doubling: block [m, 2m) of the sample states is S^m applied to block
+[0, m), so n samples cost about log2(n) batched matrix products. The
+adjoint recurrence lam_s = S^T lam_{s+1} + g_s of the training code runs
+over the same powers as a log-depth scan. Powers are carried as increments
+S^d - I so that the identity does not round away the small per-step
+change. Nonlinear networks keep the stage-by-stage step loop.
 """
 
 from __future__ import annotations
@@ -212,15 +221,40 @@ def base_generator(dev: DeviceModel, exp: Experiment) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def rk4_step_matrix(a: np.ndarray, h_us: float) -> np.ndarray:
-    """One RK4 step of a constant-coefficient linear system as a matrix."""
-    n = a.shape[0]
-    r = np.eye(n)
-    term = np.eye(n)
-    for m in range(1, 5):
+def augmented_generator(a_base: np.ndarray, source=None) -> np.ndarray:
+    """Generator [[A + W, b], [0, 0]] acting on the augmented state [x; 1].
+
+    ``source`` is None or a linear source with ``coeff_affine()`` = (W, b).
+    Batched over the leading axes of ``a_base`` (..., k, k).
+    """
+    k = a_base.shape[-1]
+    g = np.zeros(a_base.shape[:-2] + (k + 1, k + 1))
+    g[..., :k, :k] = a_base
+    if source is not None:
+        w, b = source.coeff_affine()
+        g[..., :k, :k] += w
+        g[..., :k, k] = b
+    return g
+
+
+def rk4_step_increment(a: np.ndarray, h_us: float) -> np.ndarray:
+    """D = R - I = sum_{1<=m<=4} (h A)^m / m! for one RK4 step of x' = A x.
+
+    Kept apart from the identity: rounding R itself would drop the low digits
+    of a short step, and that error repeats coherently on every step.
+    Batched over the leading axes of A.
+    """
+    term = h_us * a
+    d = term
+    for m in range(2, 5):
         term = (h_us / m) * (term @ a)
-        r = r + term
-    return r
+        d = d + term
+    return d
+
+
+def rk4_step_matrix(a: np.ndarray, h_us: float) -> np.ndarray:
+    """One RK4 step of x' = A x as the matrix R = I + D; batched over leading axes of A."""
+    return np.eye(a.shape[-1]) + rk4_step_increment(a, h_us)
 
 
 def integration_steps(exp: Experiment, dt_internal_ns: float) -> tuple[int, float]:
@@ -236,18 +270,64 @@ def integration_steps(exp: Experiment, dt_internal_ns: float) -> tuple[int, floa
     return int(round(ratio)), dt_internal_ns * 1e-3
 
 
-def _propagate_linear(
-    r_step: np.ndarray, x0: np.ndarray, n_samples: int, n_sub: int
-) -> np.ndarray:
-    """Iterate x -> R x, recording after every n_sub steps; returns (n_samples, k)."""
-    out = np.empty((n_samples, x0.size))
-    x = x0
+def power_increments(d_step: np.ndarray, n_sub: int, n_samples: int) -> list[np.ndarray]:
+    """Increments E_d = S^d - I, d = 2^i < n_samples (at least E_1), of the
+    sample map S = R^n_sub, from the step increment D = R - I.
+
+    Products are formed on increments, (I + E)(I + F) - I = E + F + E F, so
+    the identity never absorbs their low digits. Batched over the leading
+    axes of ``d_step``. Overflow is left to show up as non-finite states for
+    the caller's divergence check.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_samples):
-            for _ in range(n_sub):
-                x = r_step @ x
-            out[j] = x
+        e = d_step
+        for _ in range(n_sub - 1):
+            e = e + d_step + e @ d_step
+        increments = [e]
+        while 2 ** len(increments) < n_samples:
+            increments.append(2.0 * e + e @ e)
+            e = increments[-1]
+    return increments
+
+
+def propagate_linear(increments: list[np.ndarray], x0: np.ndarray, n_samples: int) -> np.ndarray:
+    """States x_s = S^s x0 for s = 1..n_samples, shape (..., n_samples, k).
+
+    Doubling: block [m, 2m) is S^m applied to block [0, m), with
+    S^m - I taken from ``power_increments``; x0 is (..., k) with the same
+    leading axes.
+    """
+    out = np.empty(x0.shape[:-1] + (n_samples, x0.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[..., 0, :] = x0 + (increments[0] @ x0[..., None])[..., 0]
+        m = 1
+        for e in increments:
+            if m >= n_samples:
+                break
+            count = min(m, n_samples - m)
+            block = out[..., :count, :]
+            out[..., m : m + count, :] = block + block @ np.swapaxes(e, -1, -2)
+            m *= 2
     return out
+
+
+def adjoint_scan(increments: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Solve lam_s = S^T lam_{s+1} + g_s backwards from lam_{n+1} = 0.
+
+    ``g`` is (..., n, k). A log-depth scan: after the round with shift d,
+    lam_s holds sum_{j < 2d} (S^T)^j g_{s+j}, by adding (S^T)^d times the
+    entry d samples later; S^d - I comes from ``power_increments``.
+    """
+    lam = g.copy()
+    n = g.shape[-2]
+    d = 1
+    for e in increments:
+        if d >= n:
+            break
+        later = lam[..., d:, :]
+        lam[..., : n - d, :] += later + later @ e
+        d *= 2
+    return lam
 
 
 def _propagate_network(
@@ -297,9 +377,9 @@ def integrate_rk4(
     a_base = base_generator(dev, exp)
 
     if source is None or source.is_linear:
-        a = a_base if source is None else a_base + source.coeff_generator()
-        r_step = rk4_step_matrix(a, h_us)
-        xs = _propagate_linear(r_step, x0, exp.n_samples, n_sub)
+        d_step = rk4_step_increment(augmented_generator(a_base, source), h_us)
+        increments = power_increments(d_step, n_sub, exp.n_samples)
+        xs = propagate_linear(increments, np.append(x0, 1.0), exp.n_samples)[:, :-1]
     else:
         xs = _propagate_network(a_base, source, x0, h_us, exp.n_samples, n_sub)
 

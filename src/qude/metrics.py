@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, qcore
+from . import dynamics, qcore, train
 from .dynamics import DeviceModel, Experiment, Trajectory
 from .tomography import TomographyRecord
 
@@ -181,7 +181,6 @@ def evaluate_model(
     pool; results are combined in experiment order, so the output does not
     depend on scheduling.
     """
-    boundary = train_horizon_us * (1.0 + 1e-12)
     per_experiment = []
     pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
     per_exp_means: dict[str, list[float]] = {"interpolation": [], "extrapolation": []}
@@ -200,10 +199,8 @@ def evaluate_model(
     for (exp, records), pred in zip(experiments, trajectories):
         predictions[exp.id] = pred
         times, dists = trace_distance_series(pred, records)
-        for split_tag, mask in (
-            ("interpolation", times <= boundary),
-            ("extrapolation", times > boundary),
-        ):
+        in_train = train.in_train_split(times, train_horizon_us)
+        for split_tag, mask in (("interpolation", in_train), ("extrapolation", ~in_train)):
             vals = dists[mask]
             if vals.size:
                 pooled[split_tag].append(vals)

@@ -3,7 +3,14 @@
 Three families share one protocol so the integrator and trainer can stay
 agnostic:
 
-* ``is_linear`` -- True when the source is a fixed linear map of the state.
+* ``is_linear`` -- True when the source is a fixed affine map W x + b of
+  the state's coefficient vector x: the structure-preserving source (b = 0)
+  and identity-activation networks, whose layers collapse to one affine map.
+  Such a source is linear in the augmented state [x; 1], with the generator
+  [[A + W, b], [0, 0]] for a base generator A, so it takes the base model's
+  integration and adjoint path (see qude.dynamics).
+* ``coeff_affine()`` / ``coeff_affine_vjp(g_w, g_b)`` -- for linear sources,
+  (W, b) and the pullback of dL/dW, dL/db to the packed parameters.
 * ``hermitian_shift()`` -- Hermitian operator folded into the commutator, or
   None.
 * ``residual_term(rho)`` -- whatever is added to the right-hand side beyond
@@ -111,6 +118,17 @@ class StructurePreservingSource:
         return np.einsum("j,jkl->kl", self.alpha, b_alpha) + np.einsum(
             "j,jkl->kl", self.gammas, b_gamma
         )
+
+    def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.coeff_generator(), np.zeros(self.dim * self.dim)
+
+    def coeff_affine_vjp(self, g_w: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+        """Parameter gradient from dL/dW through the constant generator blocks."""
+        b_alpha, b_gamma = sp_generator_blocks(self.dim)
+        g_alpha = np.einsum("jik,ik->j", b_alpha, g_w)
+        g_gamma = np.einsum("jik,ik->j", b_gamma, g_w)
+        g_raw = g_gamma if self.signed else 2.0 * self.gamma_raw * g_gamma
+        return np.concatenate([g_alpha, g_raw])
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.alpha, self.gamma_raw])
@@ -221,7 +239,9 @@ class NetworkSource:
         if self.activation not in (ACTIVATION_IDENTITY, ACTIVATION_TANH):
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    is_linear = False
+    @property
+    def is_linear(self) -> bool:
+        return self.activation == ACTIVATION_IDENTITY
 
     @property
     def kind(self) -> str:
@@ -243,6 +263,32 @@ class NetworkSource:
             if l < last and self.activation == ACTIVATION_TANH:
                 z = np.tanh(z)
         return z
+
+    def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, b) of the identity-activation net collapsed to x -> W x + b."""
+        if not self.is_linear:
+            raise ValueError(f"a {self.activation} network is not affine")
+        n2 = self.dim * self.dim
+        w_eff, b_eff = np.eye(n2), np.zeros(n2)
+        for w, b in zip(self.weights, self.biases):
+            w_eff, b_eff = w @ w_eff, w @ b_eff + b
+        return w_eff, b_eff
+
+    def coeff_affine_vjp(self, g_w: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+        """Per-layer gradients from dL/dW, dL/db of the collapsed map (chain rule).
+
+        Layer l maps the partial products (P, c) to (W_l P, W_l c + b_l).
+        """
+        n2 = self.dim * self.dim
+        partial = [(np.eye(n2), np.zeros(n2))]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            p, c = partial[-1]
+            partial.append((w @ p, w @ c + b))
+        flat = []
+        for w, (p, c) in zip(reversed(self.weights), reversed(partial)):
+            flat = [(g_w @ p.T + np.outer(g_b, c)).reshape(-1), g_b] + flat
+            g_w, g_b = w.T @ g_w, w.T @ g_b
+        return np.concatenate(flat)
 
     def residual_term(self, rho: np.ndarray) -> np.ndarray:
         return net_forward(self, rho)

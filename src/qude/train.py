@@ -7,12 +7,17 @@ fixed-step RK4 discretization used everywhere else (see qude.dynamics), and
 are not spectral-filtered during training.
 
 Gradients come from the discrete adjoint of the RK4 recursion, i.e. the
-exact gradient of the discretized loss. For the baseline and
-structure-preserving sources one step is a constant matrix R(theta), so the
-adjoint reduces to a reverse sweep with R^T plus a Frobenius contraction
-against dR/dtheta; network sources get a stage-by-stage reverse sweep with
-network vector-Jacobian products. Central finite differences are kept as an
-independent oracle and fallback (``grad_method="finite_difference"``).
+exact gradient of the discretized loss. For the base model and every linear
+source (structure-preserving, affine) one step on the augmented state
+[x; 1] is a constant matrix R(theta) and one sample a constant S = R^n_sub.
+The states come from doubling and the sample adjoints
+lam_s = S^T lam_{s+1} + dl/dx_s from a log-depth scan over the same powers
+of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
+back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
+``coeff_affine_vjp`` to the parameters. Nonlinear networks get a
+stage-by-stage reverse sweep with network vector-Jacobian products. Central
+finite differences are kept as an independent oracle and fallback
+(``grad_method="finite_difference"``).
 
 Training runs mini-batch ADAM over whole-experiment batches first, then
 full-batch L-BFGS (two-loop recursion, backtracking Armijo line search)
@@ -81,21 +86,26 @@ class Dataset:
         raise ValueError(f"no experiment with id {experiment_id!r} in dataset")
 
 
+def in_train_split(times_us, t_tr_us: float):
+    """True where a time belongs to the train split: t <= T_Tr.
+
+    The relative 1e-12 margin keeps a record that lies on T_Tr up to grid
+    round-off in the train split. Works on scalars and arrays.
+    """
+    return np.asarray(times_us) <= t_tr_us * (1.0 + 1e-12)
+
+
 def split(dataset: Dataset, t_tr_us: float) -> tuple[Dataset, Dataset]:
     """Disjoint train/validation views by time; t = T_Tr goes to train."""
     if not 0 < t_tr_us < dataset.total_horizon_us:
         raise ValueError(
             f"split horizon {t_tr_us} us must lie inside (0, {dataset.total_horizon_us})"
         )
-    boundary = t_tr_us * (1.0 + 1e-12)
-    train = [
-        (exp, [r for r in records if r.time_us <= boundary])
-        for exp, records in dataset.experiments
-    ]
-    val = [
-        (exp, [r for r in records if r.time_us > boundary])
-        for exp, records in dataset.experiments
-    ]
+    train, val = [], []
+    for exp, records in dataset.experiments:
+        keep = in_train_split([r.time_us for r in records], t_tr_us)
+        train.append((exp, [r for r, k in zip(records, keep) if k]))
+        val.append((exp, [r for r, k in zip(records, keep) if not k]))
     train_ds = Dataset(train, train_horizon_us=t_tr_us, total_horizon_us=t_tr_us)
     val_ds = Dataset(val, train_horizon_us=t_tr_us, total_horizon_us=dataset.total_horizon_us)
     return train_ds, val_ds
@@ -158,6 +168,7 @@ class _Group:
     targets: np.ndarray  # (E, S, k)
     n_sub: int
     h_us: float
+    dt_us: float  # sample spacing
     n_records: int
 
 
@@ -172,14 +183,14 @@ def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Comp
     basis = qcore.hermitian_basis(dev.dim)
     buckets: dict[tuple, list] = {}
     for exp, records in dataset.experiments:
-        train_records = [
-            r for r in records if r.time_us <= dataset.train_horizon_us * (1 + 1e-12)
-        ]
+        times = np.array([r.time_us for r in records])
+        keep = in_train_split(times, dataset.train_horizon_us)
+        train_records = [r for r, k in zip(records, keep) if k]
         if not train_records:
             raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
         n_sub, h_us = dynamics.integration_steps(exp, dt_internal_ns)
         dt_us = exp.sample_dt_ns * 1e-3
-        times = np.array([r.time_us for r in train_records])
+        times = times[keep]
         expected = np.arange(1, len(times) + 1) * dt_us
         if np.max(np.abs(times - expected)) > 1e-9 * (1.0 + times[-1]):
             raise ValueError(
@@ -189,7 +200,7 @@ def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Comp
         x0 = qcore.expand(exp.initial_density(dev.dim), basis, check=False)
         a = dynamics.base_generator(dev, exp)
         key = (len(train_records), n_sub, round(h_us, 12))
-        buckets.setdefault(key, []).append((exp.id, a, x0, targets, n_sub, h_us))
+        buckets.setdefault(key, []).append((exp.id, a, x0, targets, n_sub, h_us, dt_us))
     groups = []
     for key in sorted(buckets):
         entries = buckets[key]
@@ -201,6 +212,7 @@ def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Comp
                 targets=np.stack([e[3] for e in entries]),
                 n_sub=entries[0][4],
                 h_us=entries[0][5],
+                dt_us=entries[0][6],
                 n_records=key[0],
             )
         )
@@ -220,105 +232,93 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
         targets=group.targets[idx],
         n_sub=group.n_sub,
         h_us=group.h_us,
+        dt_us=group.dt_us,
         n_records=group.n_records,
     )
 
 
-def _check_finite_batch(x: np.ndarray, group: _Group, step: int, theta: np.ndarray) -> None:
-    if np.all(np.isfinite(x)):
+def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray, first_sample: int = 0) -> None:
+    """Raise DivergenceError at the first sample of x (E, S, K) that is not finite.
+
+    ``first_sample`` is the index of x's first sample on the record grid.
+    """
+    finite = np.all(np.isfinite(x), axis=-1)
+    if np.all(finite):
         return
-    e = int(np.argmax(~np.all(np.isfinite(x), axis=-1)))
+    s = int(np.argmax(~np.all(finite, axis=0)))
+    e = int(np.argmax(~finite[:, s]))
     raise DivergenceError(
         f"training trajectory diverged (|theta| = {np.linalg.norm(theta):.3g})",
-        step * group.h_us,
+        (first_sample + s + 1) * group.dt_us,
         group.exp_ids[e],
     )
 
 
-# -- linear engine (baseline and structure-preserving sources) -------------------
+# -- linear engine (base model and sources linear in [x; 1]) ----------------------
 
 
-def _linear_steps(group: _Group, source) -> tuple[np.ndarray, np.ndarray]:
-    """Per-experiment generators M and one-step RK4 matrices R."""
-    m = group.a_base.copy()
-    if source is not None:
-        m += source.coeff_generator()[None, :, :]
-    r = np.stack([dynamics.rk4_step_matrix(m[e], group.h_us) for e in range(m.shape[0])])
-    return m, r
-
-
-def _linear_forward(group: _Group, r_step: np.ndarray, keep_all: bool):
-    n_steps = group.n_records * group.n_sub
-    x = group.x0.copy()
-    samples = np.empty((group.n_records,) + x.shape)
-    all_states = np.empty((n_steps + 1,) + x.shape) if keep_all else None
-    if keep_all:
-        all_states[0] = x
-    for n in range(1, n_steps + 1):
-        x = np.einsum("eij,ej->ei", r_step, x)
-        if keep_all:
-            all_states[n] = x
-        if n % group.n_sub == 0:
-            samples[n // group.n_sub - 1] = x
-    return samples, all_states
+def _linear_forward(group: _Group, source, theta: np.ndarray):
+    """Augmented generators M, step increments D = R - I, the increments of the
+    doubling powers of S = R^n_sub, and the checked states [x_0, ..., x_S]
+    as (E, S+1, k+1)."""
+    m = dynamics.augmented_generator(group.a_base, source)
+    d = dynamics.rk4_step_increment(m, group.h_us)
+    increments = dynamics.power_increments(d, group.n_sub, group.n_records)
+    x0 = np.concatenate([group.x0, np.ones((group.x0.shape[0], 1))], axis=1)
+    samples = dynamics.propagate_linear(increments, x0, group.n_records)
+    _check_finite(samples, group, theta)
+    return m, d, increments, np.concatenate([x0[:, None, :], samples], axis=1)
 
 
 def _linear_group_loss(group: _Group, source, theta: np.ndarray, weights: np.ndarray) -> float:
-    _, r = _linear_steps(group, source)
-    samples, _ = _linear_forward(group, r, keep_all=False)
-    _check_finite_batch(samples[-1], group, group.n_records * group.n_sub, theta)
-    delta = samples - np.swapaxes(group.targets, 0, 1)
-    return float(np.einsum("sek,k->", delta * delta, weights))
+    *_, states = _linear_forward(group, source, theta)
+    delta = states[:, 1:, :-1] - group.targets
+    return float(np.einsum("esk,k->", delta * delta, weights))
 
 
 def _linear_group_loss_grad(
-    group: _Group, source: models.StructurePreservingSource, theta: np.ndarray, weights: np.ndarray
+    group: _Group, source, theta: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    m, r = _linear_steps(group, source)
-    samples, xs = _linear_forward(group, r, keep_all=True)
-    n_steps = group.n_records * group.n_sub
-    _check_finite_batch(samples[-1], group, n_steps, theta)
-    delta = samples - np.swapaxes(group.targets, 0, 1)  # (S, E, k)
-    loss = float(np.einsum("sek,k->", delta * delta, weights))
+    m, d, increments, states = _linear_forward(group, source, theta)
+    delta = states[:, 1:, :-1] - group.targets  # (E, S, k)
+    loss = float(np.einsum("esk,k->", delta * delta, weights))
 
-    # Reverse sweep lam_n = R^T lam_{n+1} + dl/dx_n; keeping every lam lets
-    # the dL/dR contraction P = sum_n lam_{n+1} x_n^T run as one einsum.
-    e_count, k = group.x0.shape
-    lams = np.empty((n_steps + 1, e_count, k))
-    lam = np.zeros((e_count, k))
-    for n in range(n_steps, 0, -1):
-        if n % group.n_sub == 0:
-            lam = lam + 2.0 * weights * delta[n // group.n_sub - 1]
-        lams[n] = lam
-        if n > 1:
-            lam = np.einsum("eij,ei->ej", r, lam)
-    p = np.einsum("nei,nej->eij", lams[1:], xs[:-1])
+    # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
+    # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
+    g = np.zeros(delta.shape[:-1] + (states.shape[-1],))
+    g[..., :-1] = 2.0 * weights * delta
+    lam = dynamics.adjoint_scan(increments, g)
+    p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
 
-    # Push dL/dR back to dL/dM through R = sum_m (hM)^m / m!, then contract
-    # with the constant per-parameter generator blocks.
-    powers = [np.broadcast_to(np.eye(k), (e_count, k, k)).copy()]
+    # dL/dR (= dL/dD) from S = R^n_sub: sum_j (R^T)^j dL/dS (R^T)^(n_sub-1-j).
+    e_count, kk = m.shape[:2]
+    r_t = np.eye(kk) + np.swapaxes(d, -1, -2)
+    r_t_powers = [np.broadcast_to(np.eye(kk), m.shape)]
+    for _ in range(group.n_sub - 1):
+        r_t_powers.append(r_t_powers[-1] @ r_t)
+    p = sum(
+        r_t_powers[j] @ p_s @ r_t_powers[group.n_sub - 1 - j] for j in range(group.n_sub)
+    )
+
+    # Push dL/dR back to dL/dM through R = sum_m (hM)^m / m!, then to the
+    # source parameters through M = [[A + W, b], [0, 0]].
+    powers_m = [np.broadcast_to(np.eye(kk), (e_count, kk, kk)).copy()]
     for _ in range(3):
-        powers.append(np.einsum("eij,ejk->eik", powers[-1], m))
+        powers_m.append(np.einsum("eij,ejk->eik", powers_m[-1], m))
     q = np.zeros_like(p)
     coeff = 1.0
     for order in range(1, 5):
         coeff *= group.h_us / order
         for j in range(order):
             q += coeff * np.einsum(
-                "eji,ejl,ekl->eik", powers[j], p, powers[order - 1 - j]
+                "eji,ejl,ekl->eik", powers_m[j], p, powers_m[order - 1 - j]
             )
     q_total = q.sum(axis=0)
-
-    b_alpha, b_gamma = models.sp_generator_blocks(source.dim)
-    g_alpha = np.einsum("jik,ik->j", b_alpha, q_total)
-    g_gamma = np.einsum("jik,ik->j", b_gamma, q_total)
-    n_gen = source.dim * source.dim - 1
-    raw = theta[n_gen:]
-    g_raw = g_gamma if source.signed else 2.0 * raw * g_gamma
-    return loss, np.concatenate([g_alpha, g_raw])
+    k = kk - 1
+    return loss, source.coeff_affine_vjp(q_total[:k, :k], q_total[:k, k])
 
 
-# -- network engine (affine and nonlinear sources) -------------------------------
+# -- network engine (nonlinear sources) -------------------------------------------
 
 
 def _net_forward_acts(source: models.NetworkSource, x: np.ndarray) -> list[np.ndarray]:
@@ -372,7 +372,7 @@ def _network_group_loss(
         k4 = f(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if n % group.n_sub == 0:
-            _check_finite_batch(x, group, n, theta)
+            _check_finite(x[:, None, :], group, theta, n // group.n_sub - 1)
             delta = x - group.targets[:, n // group.n_sub - 1, :]
             loss += float(np.einsum("ek,k->", delta * delta, weights))
     return loss
@@ -410,7 +410,7 @@ def _network_group_loss_grad(
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         xs[n] = x
         if n % group.n_sub == 0:
-            _check_finite_batch(x, group, n, theta)
+            _check_finite(x[:, None, :], group, theta, n // group.n_sub - 1)
             d = x - group.targets[:, n // group.n_sub - 1, :]
             deltas[n // group.n_sub - 1] = d
             loss += float(np.einsum("ek,k->", d * d, weights))
@@ -468,26 +468,20 @@ def _evaluate(
     source = None if template is None else template.with_params(theta)
     total = 0.0
     grad = np.zeros_like(theta) if want_grad and template is not None else None
+    if template is None or template.is_linear:
+        group_loss, group_loss_grad = _linear_group_loss, _linear_group_loss_grad
+    else:
+        group_loss, group_loss_grad = _network_group_loss, _network_group_loss_grad
     for group in compiled.groups:
         sub = _group_subset(group, subset)
         if sub is None:
             continue
-        if template is None:
-            total += _linear_group_loss(sub, None, theta, compiled.weights)
-        elif template.is_linear:
-            if want_grad:
-                l, g = _linear_group_loss_grad(sub, source, theta, compiled.weights)
-                total += l
-                grad += g
-            else:
-                total += _linear_group_loss(sub, source, theta, compiled.weights)
+        if grad is not None:
+            l, g = group_loss_grad(sub, source, theta, compiled.weights)
+            total += l
+            grad += g
         else:
-            if want_grad:
-                l, g = _network_group_loss_grad(sub, source, theta, compiled.weights)
-                total += l
-                grad += g
-            else:
-                total += _network_group_loss(sub, source, theta, compiled.weights)
+            total += group_loss(sub, source, theta, compiled.weights)
     if grad is not None and not np.all(np.isfinite(grad)):
         raise GradientFailureError("gradient has non-finite components")
     return total, grad
