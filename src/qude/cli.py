@@ -11,8 +11,9 @@ noiseless record whose counts hold exact probabilities), and RFC-4180 CSV
 with '.' decimals for tables. Everything is deterministic under a fixed
 seed; manifests record the seed, the config hash, and the toolkit version.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error. QUDE_THREADS overrides --threads.
+Exit codes: 0 success, 2 configuration or data error (a malformed or
+inconsistent config, manifest, model or record file, reported with the file,
+the line and the field), 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import configparser
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from . import __version__, dynamics, metrics, models, qcore, tomography, train
 from .dynamics import DeviceModel, Experiment
 from .models import UnphysicalRateError
 from .qcore import DegenerateSpectrumError
-from .tomography import TomographyRecord
+from .tomography import RecordBlock
 from .train import Dataset, TrainConfig
 
 TWO_PI = 2.0 * np.pi
@@ -179,10 +179,6 @@ class RunConfig:
 # -- helpers ------------------------------------------------------------------------
 
 
-def _float(x) -> float:
-    return float(x)
-
-
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
@@ -193,23 +189,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _thread_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("QUDE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"QUDE_THREADS must be an integer, got {env!r}") from err
-    return max(1, getattr(args, "threads", 1) or 1)
 
 
 def _device_to_json(dev: DeviceModel) -> dict:
@@ -223,15 +202,40 @@ def _device_to_json(dev: DeviceModel) -> dict:
     }
 
 
-def _device_from_json(data: dict, base_override: str | None = None) -> DeviceModel:
-    return DeviceModel(
-        omega01_GHz=_float(data["omega01_GHz"]),
-        omega_rot_GHz=_float(data["omega_rot_GHz"]),
-        T1_us=_float(data["T1_us"]),
-        T2_us=_float(data["T2_us"]),
-        base_kind=base_override or data["base_model"],
-        dim=int(data["dim"]),
-    )
+def _read_json(path: Path) -> dict:
+    """The JSON object in a file; malformed JSON is a data error."""
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: malformed JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return data
+
+
+def _required(data, key: str, path: Path, cast=float, where: str = ""):
+    """``cast(data[key])``; a missing key or a bad value is a data error naming both."""
+    if not isinstance(data, dict) or key not in data:
+        raise ConfigError(f"{path}: missing key {where + key!r}")
+    try:
+        return cast(data[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r}") from None
+
+
+def _device_from_json(data: dict, path: Path, base_override: str | None = None) -> DeviceModel:
+    device = data.get("device")
+    try:
+        return DeviceModel(
+            omega01_GHz=_required(device, "omega01_GHz", path, where="device."),
+            omega_rot_GHz=_required(device, "omega_rot_GHz", path, where="device."),
+            T1_us=_required(device, "T1_us", path, where="device."),
+            T2_us=_required(device, "T2_us", path, where="device."),
+            base_kind=base_override or _required(device, "base_model", path, str, "device."),
+            dim=_required(device, "dim", path, int, "device."),
+        )
+    except ValueError as err:
+        raise ConfigError(f"{path}: bad device: {err}") from None
 
 
 def save_model(
@@ -272,26 +276,29 @@ def load_model(path: str | Path):
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"model file not found: {path}")
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if data.get("schema") != MODEL_SCHEMA:
         raise ConfigError(f"{path} is not a {MODEL_SCHEMA} file")
-    kind = data["ansatz"]
-    dim = int(data["dim"])
-    theta = np.asarray(data["params"], dtype=float)
-    if kind == models.KIND_SP:
-        template = models.StructurePreservingSource(
-            dim=dim, signed=bool(data.get("signed_gamma", False))
-        )
-    else:
-        hidden = int(data.get("n_layers", 1)) - 1
-        template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0))
-    return template.with_params(theta), data
+    kind = _required(data, "ansatz", path, str)
+    dim = _required(data, "dim", path, int)
+    theta = _required(data, "params", path, lambda v: np.asarray(v, dtype=float))
+    try:
+        if kind == models.KIND_SP:
+            template = models.StructurePreservingSource(
+                dim=dim, signed=bool(data.get("signed_gamma", False))
+            )
+        else:
+            hidden = int(data.get("n_layers", 1)) - 1
+            template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0))
+        return template.with_params(theta), data
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def write_dataset(
     out_dir: Path,
     dev: DeviceModel,
-    experiments: list[tuple[Experiment, list[TomographyRecord]]],
+    experiments: list[tuple[Experiment, RecordBlock]],
     seed: int,
     config_sha: str,
     shots: int,
@@ -301,19 +308,22 @@ def write_dataset(
 ) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_entries = []
-    for exp, records in experiments:
+    for exp, block in experiments:
         fname = f"{exp.id}.jsonl"
+        columns = zip(
+            block.times_us.tolist(),
+            block.shots.tolist(),
+            block.counts.tolist(),
+            block.counts.astype(np.int64).tolist(),
+        )
         with (out_dir / fname).open("w") as fh:
-            for rec in records:
-                if rec.shots == 0:
-                    kx, ky, kz = (float(c) for c in rec.counts)
-                else:
-                    kx, ky, kz = (int(c) for c in rec.counts)
+            for time_us, shots_row, counts, int_counts in columns:
+                kx, ky, kz = counts if shots_row == 0 else int_counts
                 row = {
                     "exp_id": exp.id,
                     "amplitude_MHz": exp.amplitude_p_MHz,
-                    "time_us": rec.time_us,
-                    "shots": rec.shots,
+                    "time_us": time_us,
+                    "shots": shots_row,
                     "kx": kx,
                     "ky": ky,
                     "kz": kz,
@@ -327,7 +337,7 @@ def write_dataset(
                 "duration_us": exp.duration_us,
                 "sample_dt_ns": exp.sample_dt_ns,
                 "file": fname,
-                "n_records": len(records),
+                "n_records": len(block),
             }
         )
     manifest = {
@@ -347,6 +357,47 @@ def write_dataset(
     return manifest_path
 
 
+RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")
+
+
+def _read_records(path: Path) -> RecordBlock:
+    """The record block of one JSON Lines file, every row checked."""
+    rows, line_numbers = [], []
+    with path.open() as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except ValueError as err:
+                raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
+            line_numbers.append(number)
+            if not isinstance(rows[-1], dict):
+                raise ConfigError(f"{path}:{number}: expected a JSON object")
+
+    def reject(bad, field: str, problem: str) -> None:
+        bad = np.asarray(bad, dtype=bool)
+        if bad.any():
+            number = line_numbers[int(np.argmax(bad))]
+            raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
+
+    columns = {}
+    for field in RECORD_FIELDS:
+        values = [row.get(field) for row in rows]
+        reject([type(v) not in (int, float) for v in values], field, "is missing or not a number")
+        columns[field] = np.array(values, dtype=float)
+        reject(~np.isfinite(columns[field]), field, "is not finite")
+    shots = columns["shots"]
+    reject((shots < 0) | (shots != np.floor(shots)), "shots", "is not a non-negative integer")
+    limit = np.where(shots > 0, shots, 1.0)
+    for field in ("kx", "ky", "kz"):
+        count = columns[field]
+        problem = "is outside [0, shots] ([0, 1] when shots is 0)"
+        reject((count < 0) | (count > limit), field, problem)
+    counts = np.stack([columns["kx"], columns["ky"], columns["kz"]], axis=1)
+    return RecordBlock.from_counts(columns["time_us"], shots, counts)
+
+
 def load_dataset(
     manifest_path: str | Path,
     train_horizon_us: float | None = None,
@@ -355,49 +406,28 @@ def load_dataset(
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ConfigError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json(manifest_path)
     if manifest.get("schema") != DATASET_SCHEMA:
         raise ConfigError(f"{manifest_path} is not a {DATASET_SCHEMA} manifest")
-    dev = _device_from_json(manifest["device"], base_override)
-    root = manifest_path.parent
+    dev = _device_from_json(manifest, manifest_path, base_override)
     experiments = []
     total = 0.0
-    for entry in manifest["experiments"]:
-        exp = Experiment(
-            id=entry["id"],
-            amplitude_p_MHz=_float(entry["amplitude_p_MHz"]),
-            amplitude_q_MHz=_float(entry.get("amplitude_q_MHz", 0.0)),
-            duration_us=_float(entry["duration_us"]),
-            sample_dt_ns=_float(entry["sample_dt_ns"]),
-        )
-        rows = []
-        data_file = root / entry["file"]
+    for n, entry in enumerate(_required(manifest, "experiments", manifest_path, list)):
+        where = f"experiments[{n}]."
+        try:
+            exp = Experiment(
+                id=_required(entry, "id", manifest_path, str, where),
+                amplitude_p_MHz=_required(entry, "amplitude_p_MHz", manifest_path, where=where),
+                amplitude_q_MHz=float(entry.get("amplitude_q_MHz", 0.0)),
+                duration_us=_required(entry, "duration_us", manifest_path, where=where),
+                sample_dt_ns=_required(entry, "sample_dt_ns", manifest_path, where=where),
+            )
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{manifest_path}: bad {where[:-1]}: {err}") from None
+        data_file = manifest_path.parent / _required(entry, "file", manifest_path, str, where)
         if not data_file.is_file():
             raise ConfigError(f"dataset file missing: {data_file}")
-        with data_file.open() as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(json.loads(line))
-        rows.sort(key=lambda r: r["time_us"])
-        probs = np.empty((len(rows), 3))
-        for i, row in enumerate(rows):
-            shots = row["shots"]
-            counts = np.array([row["kx"], row["ky"], row["kz"]], dtype=float)
-            probs[i] = counts if shots == 0 else counts / shots
-        rho_hats = tomography.lie_reconstruct_many(
-            probs, np.array([r["time_us"] for r in rows])
-        )
-        records = [
-            TomographyRecord(
-                time_us=_float(row["time_us"]),
-                shots=int(row["shots"]),
-                counts=(row["kx"], row["ky"], row["kz"]),
-                probs_hat=tuple(probs[i]),
-                rho_hat=rho_hats[i],
-            )
-            for i, row in enumerate(rows)
-        ]
-        experiments.append((exp, records))
+        experiments.append((exp, _read_records(data_file)))
         total = max(total, exp.duration_us)
     horizon = train_horizon_us if train_horizon_us is not None else total
     dataset = Dataset(experiments, train_horizon_us=horizon, total_horizon_us=total)
@@ -409,7 +439,6 @@ def load_dataset(
 
 def cmd_generate(args) -> int:
     cfg = RunConfig.load(args.config)
-    threads = _resolve_threads(args)
     dev = cfg.device()
     latent = cfg.latent_source()
     seed = args.seed if args.seed is not None else cfg.get_int("experiments", "seed", default=0)
@@ -436,13 +465,12 @@ def cmd_generate(args) -> int:
         for i, a in enumerate(amplitudes)
     ]
 
-    def simulate(item):
-        i, exp = item
-        traj = dynamics.integrate_rk4(dev, exp, latent, dt_internal)
-        rng = np.random.default_rng([seed, 1 + i])
-        return exp, tomography.simulate_records(traj, shots, rng, shot_mode)
-
-    results = _thread_map(simulate, list(enumerate(exps)), threads)
+    trajectories = dynamics.integrate_many(dev, exps, latent, dt_internal)
+    results = [
+        (exp, tomography.simulate_records(traj, shots, np.random.default_rng([seed, 1 + i]),
+                                          shot_mode))
+        for i, (exp, traj) in enumerate(zip(exps, trajectories))
+    ]
 
     if latent is None:
         latent_info = {"ansatz": "none"}
@@ -471,25 +499,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _loss_by_split(dev, source, experiments, t_tr_us, dt_internal_ns):
-    """Unfiltered squared-Frobenius losses (train, validation)."""
-    basis = qcore.hermitian_basis(dev.dim)
-    weights = basis.gram_norms
-    train_loss = 0.0
-    val_loss = 0.0
-    for exp, records in experiments:
-        pred = dynamics.integrate_rk4(dev, exp, source, dt_internal_ns)
-        times = np.array([r.time_us for r in records])
-        idx = np.searchsorted(pred.times_us, times - 1e-12)
-        x_pred = qcore.expand_many(pred.states[idx], basis)
-        x_tgt = qcore.expand_many(np.stack([r.rho_hat for r in records]), basis)
-        sq = np.einsum("sk,k->s", (x_pred - x_tgt) ** 2, weights)
-        mask = train.in_train_split(times, t_tr_us)
-        train_loss += float(sq[mask].sum())
-        val_loss += float(sq[~mask].sum())
-    return train_loss, val_loss
-
-
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
     ansatz_kind = args.ansatz or cfg.get_str("training", "ansatz", default=models.KIND_SP)
@@ -516,14 +525,12 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out or cfg.get_str("output", "directory", default="out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    eval_experiments = (
-        dataset.restrict(config.experiment_id or dataset.experiments[0][0].id).experiments
+    eval_dataset = (
+        dataset.restrict(config.experiment_id or dataset.experiments[0][0].id)
         if config.mode == train.MODE_EXP_SPEC
-        else dataset.experiments
+        else dataset
     )
-    train_loss, val_loss = _loss_by_split(
-        dev, fitted, eval_experiments, horizon, config.dt_internal_ns
-    )
+    train_loss, val_loss = train.split_losses(eval_dataset, dev, fitted, config.dt_internal_ns)
 
     model_path = out_dir / "model.json"
     save_model(
@@ -553,21 +560,10 @@ def cmd_train(args) -> int:
 
 def _load_model_or_base(args, manifest_dev: DeviceModel):
     if args.model == "base":
-        dev = (
-            DeviceModel(
-                omega01_GHz=manifest_dev.omega01_GHz,
-                omega_rot_GHz=manifest_dev.omega_rot_GHz,
-                T1_us=manifest_dev.T1_us,
-                T2_us=manifest_dev.T2_us,
-                base_kind=args.base or manifest_dev.base_kind,
-                dim=manifest_dev.dim,
-            )
-            if args.base
-            else manifest_dev
-        )
+        dev = replace(manifest_dev, base_kind=args.base) if args.base else manifest_dev
         return None, dev, {"ansatz": "base", "train_horizon_us": None}
     source, data = load_model(args.model)
-    dev = _device_from_json(data["device"], args.base)
+    dev = _device_from_json(data, Path(args.model), args.base)
     return source, dev, data
 
 
@@ -575,19 +571,18 @@ def cmd_evaluate(args) -> int:
     dataset, manifest_dev, _ = load_dataset(args.dataset)
     source, dev, model_data = _load_model_or_base(args, manifest_dev)
     if dev.dim != manifest_dev.dim:
-        raise ValueError(
+        raise ConfigError(
             f"model dimension {dev.dim} does not match dataset dimension {manifest_dev.dim}"
         )
     horizon = args.train_horizon_us or model_data.get("train_horizon_us") or dataset.total_horizon_us
-    dt_internal = _float(model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS)
+    dt_internal = float(model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS)
     model_name = model_data.get("ansatz", "base")
-    threads = _resolve_threads(args)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report, predictions = metrics.evaluate_model(
-        model_name, dev, source, dataset.experiments, horizon, dt_internal, threads=threads
+        model_name, dev, source, dataset.experiments, horizon, dt_internal
     )
 
     _write_csv(
@@ -607,17 +602,16 @@ def cmd_evaluate(args) -> int:
         hist_rows,
     )
     energy_rows = []
-    for exp, records in dataset.experiments:
+    for exp, block in dataset.experiments:
         pred = predictions[exp.id]
         filtered = qcore.spectral_filter_many(pred.states, pred.times_us)
         e_pred = tomography.expected_energy_many(filtered)
-        times = np.array([r.time_us for r in records])
-        idx = np.searchsorted(pred.times_us, times - 1e-12)
-        e_tgt = tomography.expected_energy_many(np.stack([r.rho_hat for r in records]))
-        for j, rec_t in enumerate(times):
-            energy_rows.append(
-                [exp.id, float(rec_t), float(e_pred[idx[j]]), float(e_tgt[j])]
-            )
+        idx = np.searchsorted(pred.times_us, block.times_us - 1e-12)
+        e_tgt = tomography.expected_energy_many(block.rho_hat)
+        energy_rows.extend(
+            [exp.id, t, e, e_t]
+            for t, e, e_t in zip(block.times_us.tolist(), e_pred[idx].tolist(), e_tgt.tolist())
+        )
     _write_csv(
         out_dir / "energy.csv",
         ["exp_id", "time_us", "energy_pred", "energy_target"],
@@ -647,7 +641,7 @@ def cmd_characterize(args) -> int:
     if args.config:
         dev = RunConfig.load(args.config).device()
     else:
-        dev = _device_from_json(data["device"])
+        dev = _device_from_json(data, Path(args.model))
 
     s_h = models.sp_hermitian(source)
     to_khz = 1e3 / TWO_PI
@@ -719,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
 
     p_gen = sub.add_parser("generate", help="simulate a twin dataset")

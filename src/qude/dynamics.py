@@ -21,7 +21,11 @@ doubling: block [m, 2m) of the sample states is S^m applied to block
 adjoint recurrence lam_s = S^T lam_{s+1} + g_s of the training code runs
 over the same powers as a log-depth scan. Powers are carried as increments
 S^d - I so that the identity does not round away the small per-step
-change. Nonlinear networks keep the stage-by-stage step loop.
+change. Nonlinear networks take the stage-by-stage step loop.
+
+Both engines are batched over experiments: ``grid_groups`` stacks the base
+generators and initial states of the experiments that share a sample grid,
+and each group is propagated in one call.
 """
 
 from __future__ import annotations
@@ -252,11 +256,6 @@ def rk4_step_increment(a: np.ndarray, h_us: float) -> np.ndarray:
     return d
 
 
-def rk4_step_matrix(a: np.ndarray, h_us: float) -> np.ndarray:
-    """One RK4 step of x' = A x as the matrix R = I + D; batched over leading axes of A."""
-    return np.eye(a.shape[-1]) + rk4_step_increment(a, h_us)
-
-
 def integration_steps(exp: Experiment, dt_internal_ns: float) -> tuple[int, float]:
     """Validate the internal step and return (substeps per sample, h in us)."""
     if dt_internal_ns <= 0:
@@ -330,31 +329,114 @@ def adjoint_scan(increments: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _propagate_network(
-    a_base: np.ndarray,
-    source,
-    x0: np.ndarray,
-    h_us: float,
-    n_samples: int,
-    n_sub: int,
+def propagate_network(
+    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, n_steps: int
 ) -> np.ndarray:
-    """Stage-by-stage RK4 for x' = A x + net(x); returns (n_samples, k)."""
+    """Stage-by-stage RK4 for x' = A x + net(x), batched over experiments.
+
+    ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
+    internal step, (E, n_steps, k); non-finite states are kept for the
+    caller's divergence check.
+    """
 
     def f(x):
-        return a_base @ x + source.coeff_forward(x)
+        return (a_base @ x[..., None])[..., 0] + source.coeff_forward(x)
 
-    out = np.empty((n_samples, x0.size))
+    out = np.empty((n_steps,) + x0.shape)
     x = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_samples):
-            for _ in range(n_sub):
-                k1 = f(x)
-                k2 = f(x + 0.5 * h_us * k1)
-                k3 = f(x + 0.5 * h_us * k2)
-                k4 = f(x + h_us * k3)
-                x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            out[j] = x
-    return out
+        for n in range(n_steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h_us * k1)
+            k3 = f(x + 0.5 * h_us * k2)
+            k4 = f(x + h_us * k3)
+            x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            out[n] = x
+    return np.swapaxes(out, 0, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class GridGroup:
+    """Experiments that share one sample grid, stacked for batched propagation."""
+
+    indices: list[int]  # positions in the caller's experiment list
+    a_base: np.ndarray  # (E, k, k)
+    x0: np.ndarray  # (E, k)
+    n_samples: int
+    n_sub: int
+    h_us: float
+    dt_us: float  # sample spacing
+
+
+def grid_groups(
+    dev: DeviceModel,
+    experiments: list[Experiment],
+    dt_internal_ns: float,
+    n_samples: list[int] | None = None,
+) -> list[GridGroup]:
+    """Group experiments by (samples, substeps per sample, internal step).
+
+    ``n_samples`` overrides each experiment's own sample count (training
+    propagates over the train split only). Groups come in sorted grid order,
+    members in input order.
+    """
+    basis = qcore.hermitian_basis(dev.dim)
+    buckets: dict[tuple, list[int]] = {}
+    for i, exp in enumerate(experiments):
+        n_sub, h_us = integration_steps(exp, dt_internal_ns)
+        n = exp.n_samples if n_samples is None else n_samples[i]
+        buckets.setdefault((n, n_sub, round(h_us, 12)), []).append(i)
+    groups = []
+    for (n, n_sub, _), indices in sorted(buckets.items()):
+        members = [experiments[i] for i in indices]
+        groups.append(
+            GridGroup(
+                indices=indices,
+                a_base=np.stack([base_generator(dev, exp) for exp in members]),
+                x0=np.stack([
+                    qcore.expand(exp.initial_density(dev.dim), basis, check=False)
+                    for exp in members
+                ]),
+                n_samples=n,
+                n_sub=n_sub,
+                h_us=integration_steps(members[0], dt_internal_ns)[1],
+                dt_us=members[0].sample_dt_ns * 1e-3,
+            )
+        )
+    return groups
+
+
+def integrate_many(
+    dev: DeviceModel,
+    experiments: list[Experiment],
+    source=None,
+    dt_internal_ns: float = DEFAULT_DT_INTERNAL_NS,
+) -> list[Trajectory]:
+    """``integrate_rk4`` for each experiment, one batched propagation per grid group.
+
+    Sources linear in the state take the doubling engine, nonlinear networks
+    the batched step loop. Raises DivergenceError, with the experiment and the
+    time reached, if a state leaves the finite range.
+    """
+    basis = qcore.hermitian_basis(dev.dim)
+    trajectories: list[Trajectory] = [None] * len(experiments)
+    for g in grid_groups(dev, experiments, dt_internal_ns):
+        if source is None or source.is_linear:
+            d_step = rk4_step_increment(augmented_generator(g.a_base, source), g.h_us)
+            increments = power_increments(d_step, g.n_sub, g.n_samples)
+            x0 = np.concatenate([g.x0, np.ones((len(g.indices), 1))], axis=1)
+            xs = propagate_linear(increments, x0, g.n_samples)[..., :-1]
+        else:
+            steps = propagate_network(g.a_base, source, g.x0, g.h_us, g.n_samples * g.n_sub)
+            xs = steps[:, g.n_sub - 1 :: g.n_sub]
+        for i, x in zip(g.indices, xs):
+            times = experiments[i].times_us()
+            finite = np.all(np.isfinite(x), axis=1)
+            if not np.all(finite):
+                bad = float(times[np.argmin(finite)])
+                raise DivergenceError("state became non-finite", bad, experiments[i].id)
+            trajectories[i] = Trajectory(times_us=times, states=qcore.reconstruct_many(x, basis))
+    return trajectories
 
 
 def integrate_rk4(
@@ -370,26 +452,11 @@ def integrate_rk4(
     reached) if the state leaves the finite range, and ValueError if the
     internal step does not divide the sample step.
     """
-    n_sub, h_us = integration_steps(exp, dt_internal_ns)
-    basis = qcore.hermitian_basis(dev.dim)
-    rho0 = exp.initial_density(dev.dim)
-    x0 = qcore.expand(rho0, basis, check=False)
-    a_base = base_generator(dev, exp)
-
-    if source is None or source.is_linear:
-        d_step = rk4_step_increment(augmented_generator(a_base, source), h_us)
-        increments = power_increments(d_step, n_sub, exp.n_samples)
-        xs = propagate_linear(increments, np.append(x0, 1.0), exp.n_samples)[:, :-1]
-    else:
-        xs = _propagate_network(a_base, source, x0, h_us, exp.n_samples, n_sub)
-
-    times = exp.times_us(include_t0=False)
-    if not np.all(np.isfinite(xs)):
-        bad = int(np.argmax(~np.all(np.isfinite(xs), axis=1)))
-        raise DivergenceError("state became non-finite", float(times[bad]), exp.id)
-
-    states = qcore.reconstruct_many(xs, basis)
+    (traj,) = integrate_many(dev, [exp], source, dt_internal_ns)
     if include_t0:
-        times = np.concatenate(([0.0], times))
-        states = np.concatenate((rho0[None, :, :], states))
-    return Trajectory(times_us=times, states=states)
+        rho0 = exp.initial_density(dev.dim)
+        traj = Trajectory(
+            times_us=np.concatenate(([0.0], traj.times_us)),
+            states=np.concatenate((rho0[None, :, :], traj.states)),
+        )
+    return traj

@@ -10,14 +10,13 @@ time-averaged trace distance over the draws.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, qcore, train
 from .dynamics import DeviceModel, Experiment, Trajectory
-from .tomography import TomographyRecord
+from .tomography import RecordBlock
 
 POOL_PER_EXPERIMENT = "per-experiment"
 POOL_PER_RECORD = "per-record"
@@ -44,17 +43,15 @@ class EvalReport:
 
 
 def trace_distance_series(
-    prediction: Trajectory, records: list[TomographyRecord]
+    prediction: Trajectory, records: RecordBlock
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-time-step trace distance between filtered predictions and targets.
 
     The prediction grid must contain exactly the record times.
     """
-    rec_times = np.array([r.time_us for r in records])
-    idx = _match_grid(prediction.times_us, rec_times)
-    filtered = qcore.spectral_filter_many(prediction.states[idx], rec_times)
-    targets = np.stack([r.rho_hat for r in records])
-    return rec_times, qcore.trace_distance_many(filtered, targets)
+    idx = _match_grid(prediction.times_us, records.times_us)
+    filtered = qcore.spectral_filter_many(prediction.states[idx], records.times_us)
+    return records.times_us, qcore.trace_distance_many(filtered, records.rho_hat)
 
 
 def _match_grid(pred_times: np.ndarray, rec_times: np.ndarray) -> np.ndarray:
@@ -135,18 +132,20 @@ def expected_trace_distance(
     if pooling not in (POOL_PER_EXPERIMENT, POOL_PER_RECORD):
         raise ValueError(f"unknown pooling mode {pooling!r}")
     rng = np.random.default_rng(seed)
-    per_sample = []
-    pooled = []
-    for i in range(n_samples):
-        amp = p_max_MHz * (1.0 - rng.random())
-        exp = Experiment(
+    experiments = [
+        Experiment(
             id=f"mc-{i:04d}",
-            amplitude_p_MHz=float(amp),
+            amplitude_p_MHz=float(p_max_MHz * (1.0 - rng.random())),
             duration_us=duration_us,
             sample_dt_ns=sample_dt_ns,
         )
-        truth = dynamics.integrate_rk4(dev, exp, reference_source, dt_internal_ns)
-        pred = dynamics.integrate_rk4(dev, exp, candidate_source, dt_internal_ns)
+        for i in range(n_samples)
+    ]
+    truths = dynamics.integrate_many(dev, experiments, reference_source, dt_internal_ns)
+    preds = dynamics.integrate_many(dev, experiments, candidate_source, dt_internal_ns)
+    per_sample = []
+    pooled = []
+    for truth, pred in zip(truths, preds):
         filtered = qcore.spectral_filter_many(pred.states, pred.times_us)
         dists = qcore.trace_distance_many(filtered, truth.states)
         per_sample.append(float(dists.mean()))
@@ -164,37 +163,26 @@ def evaluate_model(
     model_name: str,
     dev: DeviceModel,
     source,
-    experiments: list[tuple[Experiment, list[TomographyRecord]]],
+    experiments: list[tuple[Experiment, RecordBlock]],
     train_horizon_us: float,
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
     bin_count: int = 50,
-    threads: int = 1,
 ) -> tuple[EvalReport, dict[str, Trajectory]]:
     """Full evaluation pass of one model against one dataset.
 
     Splits each experiment's records into interpolation (t <= T_Tr) and
     extrapolation (t > T_Tr), computes pooled moments and histograms per
     split, and the mean/standard-error of the per-experiment time-averaged
-    trace distance. Also returns the raw predictions for reuse.
-
-    With ``threads`` > 1 the per-experiment integrations run in a worker
-    pool; results are combined in experiment order, so the output does not
-    depend on scheduling.
+    trace distance. Also returns the raw predictions for reuse. All
+    experiments are predicted in one batched ``dynamics.integrate_many`` call.
     """
     per_experiment = []
     pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
     per_exp_means: dict[str, list[float]] = {"interpolation": [], "extrapolation": []}
 
-    def predict(item):
-        exp, _ = item
-        return dynamics.integrate_rk4(dev, exp, source, dt_internal_ns)
-
-    if threads > 1 and len(experiments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(predict, experiments))
-    else:
-        trajectories = [predict(item) for item in experiments]
-
+    trajectories = dynamics.integrate_many(
+        dev, [exp for exp, _ in experiments], source, dt_internal_ns
+    )
     predictions: dict[str, Trajectory] = {}
     for (exp, records), pred in zip(experiments, trajectories):
         predictions[exp.id] = pred

@@ -13,6 +13,9 @@ by three for sensitivity studies. Sampling for a whole trajectory consumes
 the stream in axis order x, y, z within each time step, times ascending,
 which pins the draws for a given seed. ``shots=0`` marks a noiseless
 record: the stored counts are then the exact probabilities.
+
+The records of one experiment are held as one ``RecordBlock`` of columns,
+one row per measured time step.
 """
 
 from __future__ import annotations
@@ -57,14 +60,42 @@ class MeasurementProbs:
 
 
 @dataclass(frozen=True, eq=False)
-class TomographyRecord:
-    """One measured time step: counts, empirical probabilities, reconstruction."""
+class RecordBlock:
+    """The tomography records of one experiment as columns, one row per time step.
 
-    time_us: float
-    shots: int
-    counts: tuple[float, float, float]
-    probs_hat: tuple[float, float, float]
-    rho_hat: np.ndarray
+    ``counts`` holds the successes per axis, or the exact probabilities on a
+    ``shots == 0`` row; ``probs`` the empirical probabilities and ``rho_hat``
+    their reconstruction.
+    """
+
+    times_us: np.ndarray  # (n,)
+    shots: np.ndarray  # (n,) int
+    counts: np.ndarray  # (n, 3)
+    probs: np.ndarray  # (n, 3)
+    rho_hat: np.ndarray  # (n, 2, 2) complex
+
+    def __len__(self) -> int:
+        return len(self.times_us)
+
+    @classmethod
+    def from_counts(cls, times_us, shots, counts) -> "RecordBlock":
+        """Rows from their counts: empirical probabilities and reconstructions."""
+        times_us = np.asarray(times_us, dtype=float)
+        shots = np.asarray(shots, dtype=np.int64)
+        counts = np.asarray(counts, dtype=float)
+        probs = np.divide(counts, shots[:, None], out=counts.copy(), where=shots[:, None] > 0)
+        return cls(times_us, shots, counts, probs, lie_reconstruct_many(probs, times_us))
+
+    def take(self, rows) -> "RecordBlock":
+        """The block of the given rows (an index array or a boolean mask)."""
+        columns = (self.times_us, self.shots, self.counts, self.probs, self.rho_hat)
+        return RecordBlock(*(column[rows] for column in columns))
+
+    def sorted(self) -> "RecordBlock":
+        """The rows in time order (stable); the block itself if already sorted."""
+        if np.all(np.diff(self.times_us) >= 0.0):
+            return self
+        return self.take(np.argsort(self.times_us, kind="stable"))
 
 
 def measurement_probs(rho: np.ndarray) -> MeasurementProbs:
@@ -160,17 +191,15 @@ def simulate_records(
     shots: int,
     rng: np.random.Generator,
     shot_mode: str = SHOT_MODE_PER_AXIS,
-) -> list[TomographyRecord]:
+) -> RecordBlock:
     """Measure every state of a trajectory; shots=0 keeps exact probabilities.
 
     Draw order is fixed (x, y, z per step, steps in time order) so a given
     generator state yields the same records regardless of the caller.
     """
     probs = measurement_probs_many(trajectory.states)
-    n = probs.shape[0]
     if shots == 0:
         per_axis = 0
-        probs_hat = probs
         counts = probs
     else:
         per_axis = axis_shot_budget(shots, shot_mode)
@@ -179,17 +208,4 @@ def simulate_records(
         # Element-wise binomial over a (n, 3) array consumes the stream in C
         # order, i.e. x, y, z per step with steps ascending.
         counts = rng.binomial(per_axis, probs).astype(float)
-        probs_hat = counts / per_axis
-    rho_hats = lie_reconstruct_many(probs_hat, trajectory.times_us)
-    records = []
-    for i in range(n):
-        records.append(
-            TomographyRecord(
-                time_us=float(trajectory.times_us[i]),
-                shots=per_axis,
-                counts=tuple(counts[i]),
-                probs_hat=tuple(probs_hat[i]),
-                rho_hat=rho_hats[i],
-            )
-        )
-    return records
+    return RecordBlock.from_counts(trajectory.times_us, np.full(len(probs), per_axis), counts)

@@ -14,8 +14,9 @@ The states come from doubling and the sample adjoints
 lam_s = S^T lam_{s+1} + dl/dx_s from a log-depth scan over the same powers
 of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
 back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
-``coeff_affine_vjp`` to the parameters. Nonlinear networks get a
-stage-by-stage reverse sweep with network vector-Jacobian products. Central
+``coeff_affine_vjp`` to the parameters. Nonlinear networks take the batched
+step loop ``dynamics.propagate_network`` forward and a stage-by-stage
+reverse sweep with network vector-Jacobian products. Central
 finite differences are kept as an independent oracle and fallback
 (``grad_method="finite_difference"``).
 
@@ -27,13 +28,13 @@ from ADAM's final iterate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dynamics, models, qcore
 from .dynamics import DeviceModel, DivergenceError, Experiment
-from .tomography import TomographyRecord
+from .tomography import RecordBlock
 
 MODE_EXP_GEN = "exp-gen"
 MODE_EXP_SPEC = "exp-spec"
@@ -52,9 +53,12 @@ class GradientFailureError(RuntimeError):
 
 @dataclass(eq=False)
 class Dataset:
-    """Tomography records per experiment plus the train/validation horizons."""
+    """One record block per experiment plus the train/validation horizons.
 
-    experiments: list[tuple[Experiment, list[TomographyRecord]]]
+    Blocks are put in time order on construction.
+    """
+
+    experiments: list[tuple[Experiment, RecordBlock]]
     train_horizon_us: float
     total_horizon_us: float
 
@@ -66,9 +70,7 @@ class Dataset:
                 f"train horizon {self.train_horizon_us} us must lie in "
                 f"(0, {self.total_horizon_us}]"
             )
-        self.experiments = [
-            (exp, sorted(records, key=lambda r: r.time_us)) for exp, records in self.experiments
-        ]
+        self.experiments = [(exp, block.sorted()) for exp, block in self.experiments]
 
     @property
     def n_experiments(self) -> int:
@@ -76,10 +78,10 @@ class Dataset:
 
     def restrict(self, experiment_id: str) -> "Dataset":
         """View containing a single experiment (Experiment-Specific mode)."""
-        for exp, records in self.experiments:
+        for exp, block in self.experiments:
             if exp.id == experiment_id:
                 return Dataset(
-                    [(exp, records)],
+                    [(exp, block)],
                     train_horizon_us=self.train_horizon_us,
                     total_horizon_us=self.total_horizon_us,
                 )
@@ -102,10 +104,10 @@ def split(dataset: Dataset, t_tr_us: float) -> tuple[Dataset, Dataset]:
             f"split horizon {t_tr_us} us must lie inside (0, {dataset.total_horizon_us})"
         )
     train, val = [], []
-    for exp, records in dataset.experiments:
-        keep = in_train_split([r.time_us for r in records], t_tr_us)
-        train.append((exp, [r for r, k in zip(records, keep) if k]))
-        val.append((exp, [r for r, k in zip(records, keep) if not k]))
+    for exp, block in dataset.experiments:
+        keep = in_train_split(block.times_us, t_tr_us)
+        train.append((exp, block.take(keep)))
+        val.append((exp, block.take(~keep)))
     train_ds = Dataset(train, train_horizon_us=t_tr_us, total_horizon_us=t_tr_us)
     val_ds = Dataset(val, train_horizon_us=t_tr_us, total_horizon_us=dataset.total_horizon_us)
     return train_ds, val_ds
@@ -158,65 +160,44 @@ class FitResult:
 # -- compiled forward problems --------------------------------------------------
 
 
-@dataclass(eq=False)
-class _Group:
-    """Experiments sharing one record grid, stacked for batched propagation."""
+@dataclass(frozen=True, eq=False)
+class _Group(dynamics.GridGroup):
+    """A grid group of the train split with its experiment ids and targets."""
 
     exp_ids: list[str]
-    a_base: np.ndarray  # (E, k, k)
-    x0: np.ndarray  # (E, k)
     targets: np.ndarray  # (E, S, k)
-    n_sub: int
-    h_us: float
-    dt_us: float  # sample spacing
-    n_records: int
 
 
 @dataclass(eq=False)
 class _Compiled:
-    dim: int
     groups: list[_Group]
     weights: np.ndarray  # (k,) Frobenius weights of the coefficient basis
 
 
 def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Compiled:
     basis = qcore.hermitian_basis(dev.dim)
-    buckets: dict[tuple, list] = {}
-    for exp, records in dataset.experiments:
-        times = np.array([r.time_us for r in records])
-        keep = in_train_split(times, dataset.train_horizon_us)
-        train_records = [r for r, k in zip(records, keep) if k]
-        if not train_records:
+    experiments = [exp for exp, _ in dataset.experiments]
+    targets = []
+    for exp, block in dataset.experiments:
+        keep = in_train_split(block.times_us, dataset.train_horizon_us)
+        times = block.times_us[keep]
+        if not times.size:
             raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
-        n_sub, h_us = dynamics.integration_steps(exp, dt_internal_ns)
-        dt_us = exp.sample_dt_ns * 1e-3
-        times = times[keep]
-        expected = np.arange(1, len(times) + 1) * dt_us
+        expected = np.arange(1, len(times) + 1) * (exp.sample_dt_ns * 1e-3)
         if np.max(np.abs(times - expected)) > 1e-9 * (1.0 + times[-1]):
             raise ValueError(
                 f"experiment {exp.id} records are not a contiguous sample grid from t = dt"
             )
-        targets = qcore.expand_many(np.stack([r.rho_hat for r in train_records]), basis)
-        x0 = qcore.expand(exp.initial_density(dev.dim), basis, check=False)
-        a = dynamics.base_generator(dev, exp)
-        key = (len(train_records), n_sub, round(h_us, 12))
-        buckets.setdefault(key, []).append((exp.id, a, x0, targets, n_sub, h_us, dt_us))
-    groups = []
-    for key in sorted(buckets):
-        entries = buckets[key]
-        groups.append(
-            _Group(
-                exp_ids=[e[0] for e in entries],
-                a_base=np.stack([e[1] for e in entries]),
-                x0=np.stack([e[2] for e in entries]),
-                targets=np.stack([e[3] for e in entries]),
-                n_sub=entries[0][4],
-                h_us=entries[0][5],
-                dt_us=entries[0][6],
-                n_records=key[0],
-            )
+        targets.append(qcore.expand_many(block.rho_hat[keep], basis))
+    groups = [
+        _Group(
+            **vars(g),
+            exp_ids=[experiments[i].id for i in g.indices],
+            targets=np.stack([targets[i] for i in g.indices]),
         )
-    return _Compiled(dim=dev.dim, groups=groups, weights=basis.gram_norms.astype(float))
+        for g in dynamics.grid_groups(dev, experiments, dt_internal_ns, [len(t) for t in targets])
+    ]
+    return _Compiled(groups=groups, weights=basis.gram_norms.astype(float))
 
 
 def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
@@ -225,23 +206,18 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
     idx = [i for i, eid in enumerate(group.exp_ids) if eid in wanted]
     if not idx:
         return None
-    return _Group(
+    return replace(
+        group,
+        indices=[group.indices[i] for i in idx],
         exp_ids=[group.exp_ids[i] for i in idx],
         a_base=group.a_base[idx],
         x0=group.x0[idx],
         targets=group.targets[idx],
-        n_sub=group.n_sub,
-        h_us=group.h_us,
-        dt_us=group.dt_us,
-        n_records=group.n_records,
     )
 
 
-def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray, first_sample: int = 0) -> None:
-    """Raise DivergenceError at the first sample of x (E, S, K) that is not finite.
-
-    ``first_sample`` is the index of x's first sample on the record grid.
-    """
+def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray) -> None:
+    """Raise DivergenceError at the first sample of x (E, S, K) that is not finite."""
     finite = np.all(np.isfinite(x), axis=-1)
     if np.all(finite):
         return
@@ -249,7 +225,7 @@ def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray, first_sample:
     e = int(np.argmax(~finite[:, s]))
     raise DivergenceError(
         f"training trajectory diverged (|theta| = {np.linalg.norm(theta):.3g})",
-        (first_sample + s + 1) * group.dt_us,
+        (s + 1) * group.dt_us,
         group.exp_ids[e],
     )
 
@@ -263,17 +239,11 @@ def _linear_forward(group: _Group, source, theta: np.ndarray):
     as (E, S+1, k+1)."""
     m = dynamics.augmented_generator(group.a_base, source)
     d = dynamics.rk4_step_increment(m, group.h_us)
-    increments = dynamics.power_increments(d, group.n_sub, group.n_records)
+    increments = dynamics.power_increments(d, group.n_sub, group.n_samples)
     x0 = np.concatenate([group.x0, np.ones((group.x0.shape[0], 1))], axis=1)
-    samples = dynamics.propagate_linear(increments, x0, group.n_records)
+    samples = dynamics.propagate_linear(increments, x0, group.n_samples)
     _check_finite(samples, group, theta)
     return m, d, increments, np.concatenate([x0[:, None, :], samples], axis=1)
-
-
-def _linear_group_loss(group: _Group, source, theta: np.ndarray, weights: np.ndarray) -> float:
-    *_, states = _linear_forward(group, source, theta)
-    delta = states[:, 1:, :-1] - group.targets
-    return float(np.einsum("esk,k->", delta * delta, weights))
 
 
 def _linear_group_loss_grad(
@@ -354,66 +324,41 @@ def _net_vjp(
     return delta
 
 
-def _network_group_loss(
-    group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray
-) -> float:
-    h = group.h_us
+def _network_forward(group: _Group, source: models.NetworkSource, theta: np.ndarray) -> np.ndarray:
+    """Checked states [x_0, x_1, ..., x_N] after every internal step, (E, N+1, k)."""
+    steps = dynamics.propagate_network(
+        group.a_base, source, group.x0, group.h_us, group.n_samples * group.n_sub
+    )
+    _check_finite(steps[:, group.n_sub - 1 :: group.n_sub], group, theta)
+    return np.concatenate([group.x0[:, None, :], steps], axis=1)
 
-    def f(x):
-        return np.einsum("eij,ej->ei", group.a_base, x) + source.coeff_forward(x)
 
-    n_steps = group.n_records * group.n_sub
-    x = group.x0.copy()
-    loss = 0.0
-    for n in range(1, n_steps + 1):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if n % group.n_sub == 0:
-            _check_finite(x[:, None, :], group, theta, n // group.n_sub - 1)
-            delta = x - group.targets[:, n // group.n_sub - 1, :]
-            loss += float(np.einsum("ek,k->", delta * delta, weights))
-    return loss
+def _group_samples(group: _Group, source, theta: np.ndarray) -> np.ndarray:
+    """Predicted coefficient states on the record grid, (E, S, k)."""
+    if source is None or source.is_linear:
+        return _linear_forward(group, source, theta)[-1][:, 1:, :-1]
+    return _network_forward(group, source, theta)[:, group.n_sub :: group.n_sub]
+
+
+def _group_loss(group: _Group, source, theta: np.ndarray, weights: np.ndarray) -> float:
+    delta = _group_samples(group, source, theta) - group.targets
+    return float(np.einsum("esk,k->", delta * delta, weights))
 
 
 def _network_group_loss_grad(
     group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
     h = group.h_us
-    n_steps = group.n_records * group.n_sub
+    n_steps = group.n_samples * group.n_sub
     e_count, k = group.x0.shape
     a_t = np.swapaxes(group.a_base, -2, -1)
 
     def f_from_acts(c, acts):
         return np.einsum("eij,ej->ei", group.a_base, c) + acts[-1]
 
-    # Forward pass, storing the state at every internal step.
-    xs = np.empty((n_steps + 1, e_count, k))
-    xs[0] = group.x0
-    x = group.x0.copy()
-    loss = 0.0
-    deltas = np.empty((group.n_records, e_count, k))
-    for n in range(1, n_steps + 1):
-        acts1 = _net_forward_acts(source, x)
-        k1 = f_from_acts(x, acts1)
-        c2 = x + 0.5 * h * k1
-        acts2 = _net_forward_acts(source, c2)
-        k2 = f_from_acts(c2, acts2)
-        c3 = x + 0.5 * h * k2
-        acts3 = _net_forward_acts(source, c3)
-        k3 = f_from_acts(c3, acts3)
-        c4 = x + h * k3
-        acts4 = _net_forward_acts(source, c4)
-        k4 = f_from_acts(c4, acts4)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        xs[n] = x
-        if n % group.n_sub == 0:
-            _check_finite(x[:, None, :], group, theta, n // group.n_sub - 1)
-            d = x - group.targets[:, n // group.n_sub - 1, :]
-            deltas[n // group.n_sub - 1] = d
-            loss += float(np.einsum("ek,k->", d * d, weights))
+    xs = _network_forward(group, source, theta)
+    deltas = xs[:, group.n_sub :: group.n_sub] - group.targets  # (E, S, k)
+    loss = float(np.einsum("esk,k->", deltas * deltas, weights))
 
     grad_w = [np.zeros_like(w) for w in source.weights]
     grad_b = [np.zeros_like(b) for b in source.biases]
@@ -428,8 +373,8 @@ def _network_group_loss_grad(
     lam = np.zeros((e_count, k))
     for n in range(n_steps, 0, -1):
         if n % group.n_sub == 0:
-            lam = lam + 2.0 * weights * deltas[n // group.n_sub - 1]
-        x = xs[n - 1]
+            lam = lam + 2.0 * weights * deltas[:, n // group.n_sub - 1]
+        x = xs[:, n - 1]
         acts1 = _net_forward_acts(source, x)
         k1 = f_from_acts(x, acts1)
         c2 = x + 0.5 * h * k1
@@ -469,9 +414,9 @@ def _evaluate(
     total = 0.0
     grad = np.zeros_like(theta) if want_grad and template is not None else None
     if template is None or template.is_linear:
-        group_loss, group_loss_grad = _linear_group_loss, _linear_group_loss_grad
+        group_loss_grad = _linear_group_loss_grad
     else:
-        group_loss, group_loss_grad = _network_group_loss, _network_group_loss_grad
+        group_loss_grad = _network_group_loss_grad
     for group in compiled.groups:
         sub = _group_subset(group, subset)
         if sub is None:
@@ -481,7 +426,7 @@ def _evaluate(
             total += l
             grad += g
         else:
-            total += group_loss(sub, source, theta, compiled.weights)
+            total += _group_loss(sub, source, theta, compiled.weights)
     if grad is not None and not np.all(np.isfinite(grad)):
         raise GradientFailureError("gradient has non-finite components")
     return total, grad
@@ -499,6 +444,27 @@ def loss(
     theta = np.asarray(theta, dtype=float)
     value, _ = _evaluate(compiled, theta, ansatz, None, want_grad=False)
     return value
+
+
+def split_losses(
+    dataset: Dataset,
+    dev: DeviceModel,
+    source,
+    dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
+) -> tuple[float, float]:
+    """Unfiltered squared-Frobenius losses of ``source`` over the train and
+    the validation records, from the training engine run over all records."""
+    whole = Dataset(dataset.experiments, dataset.total_horizon_us, dataset.total_horizon_us)
+    compiled = _compile(whole, dev, dt_internal_ns)
+    train_loss = val_loss = 0.0
+    for group in compiled.groups:
+        delta = _group_samples(group, source, source.pack()) - group.targets
+        sq = np.einsum("esk,k->es", delta * delta, compiled.weights)
+        times = group.dt_us * np.arange(1, group.n_samples + 1)
+        in_train = in_train_split(times, dataset.train_horizon_us)
+        train_loss += float(sq[:, in_train].sum())
+        val_loss += float(sq[:, ~in_train].sum())
+    return train_loss, val_loss
 
 
 def _fd_gradient(value_fn, theta: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""Step-by-step RK4 recurrences for sources that are linear in the state.
+"""Step-by-step RK4 recurrences, one experiment at a time.
 
-The reference implementation the log-depth engine (doubling propagation and
-the adjoint scan in qude.dynamics / qude.train) is checked against: one
-matrix-vector product per internal step forward, one per internal step in
-the reverse sweep, with nothing shared with the engine beyond the problem
-data. Generators act on the augmented state [x; 1], so the base model, the
-structure-preserving source and single-layer affine sources all run here.
+The reference implementation the engines in qude.dynamics / qude.train are
+checked against. For sources linear in the state (doubling propagation and
+the adjoint scan): one matrix-vector product per internal step forward, one
+per internal step in the reverse sweep, with nothing shared with the engine
+beyond the problem data. Generators act on the augmented state [x; 1], so the
+base model, the structure-preserving source and single-layer affine sources
+all run here. For nonlinear networks (the batched ``propagate_network``):
+the stage-by-stage step loop of one experiment. ``loss_by_split`` is the
+per-experiment train/validation loss report the CLI's ``train`` verb gave
+before it used the training engine.
 """
 
 from __future__ import annotations
@@ -53,14 +57,56 @@ def step_loop(r_step: np.ndarray, x0: np.ndarray, n_samples: int, n_sub: int) ->
     return out
 
 
+def network_step_loop(
+    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, n_samples: int, n_sub: int
+) -> np.ndarray:
+    """Stage-by-stage RK4 for x' = A x + net(x); returns (n_samples, k)."""
+
+    def f(x):
+        return a_base @ x + source.coeff_forward(x)
+
+    out = np.empty((n_samples, x0.size))
+    x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_samples):
+            for _ in range(n_sub):
+                k1 = f(x)
+                k2 = f(x + 0.5 * h_us * k1)
+                k3 = f(x + 0.5 * h_us * k2)
+                k4 = f(x + h_us * k3)
+                x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            out[j] = x
+    return out
+
+
 def integrate(dev, exp, source, dt_internal_ns: float) -> np.ndarray:
     """Coefficient states (n_samples, k) of one experiment, non-finite rows kept."""
     n_sub, h_us = dynamics.integration_steps(exp, dt_internal_ns)
     basis = qcore.hermitian_basis(dev.dim)
     x0 = qcore.expand(exp.initial_density(dev.dim), basis, check=False)
-    g = augmented_generator(dynamics.base_generator(dev, exp), source)
+    a_base = dynamics.base_generator(dev, exp)
+    if source is not None and not source.is_linear:
+        return network_step_loop(a_base, source, x0, h_us, exp.n_samples, n_sub)
+    g = augmented_generator(a_base, source)
     xs = step_loop(rk4_step_matrix(g, h_us), np.append(x0, 1.0), exp.n_samples, n_sub)
     return xs[:, :-1]
+
+
+def loss_by_split(dev, source, experiments, t_tr_us: float, dt_internal_ns: float):
+    """Unfiltered squared-Frobenius losses (train, validation), experiment by experiment."""
+    basis = qcore.hermitian_basis(dev.dim)
+    weights = basis.gram_norms
+    train_loss = 0.0
+    val_loss = 0.0
+    for exp, block in experiments:
+        x_pred = integrate(dev, exp, source, dt_internal_ns)
+        idx = np.searchsorted(exp.times_us(), block.times_us - 1e-12)
+        x_tgt = qcore.expand_many(block.rho_hat, basis)
+        sq = np.einsum("sk,k->s", (x_pred[idx] - x_tgt) ** 2, weights)
+        mask = block.times_us <= t_tr_us * (1.0 + 1e-12)
+        train_loss += float(sq[mask].sum())
+        val_loss += float(sq[~mask].sum())
+    return train_loss, val_loss
 
 
 def first_non_finite(xs: np.ndarray) -> int | None:

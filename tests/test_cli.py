@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qude import cli, models, qcore, tomography
+from qude import cli, dynamics, models, qcore, tomography
+
+import loop_oracle
 
 BASE_CONFIG = """\
 [device]
@@ -128,14 +130,34 @@ class TestGenerate:
         dataset, dev, manifest = cli.load_dataset(out / "manifest.json")
         assert dataset.n_experiments == 2
         assert dev.T1_us == 214.0
-        exp, records = dataset.experiments[0]
-        assert len(records) == 50
-        qcore.assert_density_matrix(records[0].rho_hat)
+        exp, block = dataset.experiments[0]
+        assert len(block) == 50
+        qcore.assert_density_matrix(block.rho_hat[0])
         # reconstruction matches a fresh linear inversion of the stored counts
-        probs = np.array(records[0].counts) / records[0].shots
+        probs = block.counts[0] / block.shots[0]
         np.testing.assert_allclose(
-            records[0].rho_hat, tomography.lie_reconstruct(tuple(probs)), atol=1e-12
+            block.rho_hat[0], tomography.lie_reconstruct(tuple(probs)), atol=1e-12
         )
+
+
+class TestDatasetRoundTrip:
+    @pytest.mark.parametrize("shots", [500, 0])
+    def test_load_returns_the_simulated_arrays(self, config_path, tmp_path, shots):
+        dev = cli.RunConfig.load(config_path).device()
+        exps = [dynamics.Experiment(f"exp-{i:03d}", amp, duration_us=1.0, sample_dt_ns=20.0)
+                for i, amp in enumerate([0.7, 2.9])]
+        blocks = [
+            tomography.simulate_records(dynamics.integrate_rk4(dev, exp), shots,
+                                        np.random.default_rng(i))
+            for i, exp in enumerate(exps)
+        ]
+        manifest = cli.write_dataset(tmp_path / "data", dev, list(zip(exps, blocks)), seed=0,
+                                     config_sha="0" * 64, shots=shots, shot_mode="per-axis",
+                                     dt_internal_ns=4.0, latent_info={"ansatz": "none"})
+        dataset, _, _ = cli.load_dataset(manifest)
+        for block, (exp, loaded) in zip(blocks, dataset.experiments):
+            for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
+                np.testing.assert_array_equal(getattr(loaded, column), getattr(block, column))
 
 
 class TestTrainEvaluate:
@@ -227,6 +249,16 @@ class TestTrainEvaluate:
         assert len(model["params"]) == 20
         assert model["n_layers"] == 1
 
+    def test_reported_losses_match_per_experiment_report(self, config_path, dataset_dir, tmp_path):
+        fit_dir = tmp_path / "fit"
+        manifest = dataset_dir / "manifest.json"
+        assert run("train", "--config", config_path, "--dataset", manifest, "--out", fit_dir) == 0
+        source, data = cli.load_model(fit_dir / "model.json")
+        dataset, dev, _ = cli.load_dataset(manifest, train_horizon_us=0.5)
+        ref = loop_oracle.loss_by_split(dev, source, dataset.experiments, 0.5, 4.0)
+        got = (data["final_train_loss"], data["final_validation_loss"])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
     def test_exp_spec_mode(self, config_path, dataset_dir, tmp_path):
         fit_dir = tmp_path / "fit-spec"
         assert (
@@ -306,21 +338,6 @@ class TestReport:
         assert (rep / "characterization.json").is_file()
 
 
-class TestThreads:
-    def test_env_override_must_be_integer(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUDE_THREADS", "many")
-        assert run("generate", "--config", config_path, "--out", tmp_path / "x") == 2
-
-    def test_threaded_generate_matches_serial(self, config_path, tmp_path, monkeypatch):
-        run("generate", "--config", config_path, "--out", tmp_path / "serial")
-        monkeypatch.setenv("QUDE_THREADS", "4")
-        run("generate", "--config", config_path, "--out", tmp_path / "threaded")
-        for name in ("manifest.json", "exp-000.jsonl", "exp-001.jsonl"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "threaded" / name
-            ).read_bytes()
-
-
 class TestErrors:
     def test_missing_dataset_is_config_error(self, config_path, tmp_path):
         assert (
@@ -334,21 +351,97 @@ class TestErrors:
         assert run("characterize", "--model", bad) == 2
 
 
+def rewrite_line(path: Path, number: int, edit) -> None:
+    lines = path.read_text().splitlines()
+    lines[number - 1] = edit(lines[number - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def set_fields(**changes):
+    def edit(line):
+        row = json.loads(line)
+        for key, value in changes.items():
+            if value is None:
+                del row[key]
+            else:
+                row[key] = value(row) if callable(value) else value
+        return json.dumps(row)
+
+    return edit
+
+
+# fault -> (edit of line 3 of exp-001.jsonl, field the message must name)
+RECORD_FAULTS = {
+    "truncated-row": (lambda line: line[: len(line) // 2], "malformed JSON"),
+    "missing-field": (set_fields(ky=None), "'ky'"),
+    "not-a-number": (set_fields(time_us="0.06"), "'time_us'"),
+    "non-finite": (set_fields(kz=float("nan")), "'kz'"),
+    "non-integer-shots": (set_fields(shots=500.5), "'shots'"),
+    "negative-shots": (set_fields(shots=-500), "'shots'"),
+    "count-above-shots": (set_fields(kx=lambda row: row["shots"] + 400), "'kx'"),
+    "negative-count": (set_fields(ky=-1), "'ky'"),
+    "noiseless-count-above-one": (set_fields(shots=0, kx=1.5, ky=0.5, kz=0.0), "'kx'"),
+}
+
+
+class TestDataValidation:
+    """Corrupt data on disk is a data error (exit 2) naming the file, line and field."""
+
+    @pytest.fixture()
+    def dataset_dir(self, config_path, tmp_path) -> Path:
+        out = tmp_path / "data"
+        assert run("generate", "--config", config_path, "--out", out) == 0
+        return out
+
+    def train(self, config_path, dataset_dir, tmp_path) -> int:
+        return run("train", "--config", config_path, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "fit")
+
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    def test_corrupt_record_is_rejected(self, fault, config_path, dataset_dir, tmp_path, capsys):
+        edit, names = RECORD_FAULTS[fault]
+        rewrite_line(dataset_dir / "exp-001.jsonl", 3, edit)
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "exp-001.jsonl:3:" in err and names in err
+        assert not (tmp_path / "fit" / "model.json").exists()
+
+    def test_malformed_manifest(self, config_path, dataset_dir, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        manifest.write_text(manifest.read_text()[:40])
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "malformed JSON" in err
+
+    def test_manifest_missing_device_key(self, config_path, dataset_dir, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        del data["device"]["T1_us"]
+        manifest.write_text(json.dumps(data))
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'device.T1_us'" in err
+
+    def test_malformed_model_json(self, dataset_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"schema": "qude-model-v1", "params": [0.1,')
+        assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert "model.json" in err and "malformed JSON" in err
+
+    def test_model_dataset_dimension_mismatch(self, config_path, dataset_dir, tmp_path, capsys):
+        dev3 = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad", dim=3)
+        model = tmp_path / "qutrit.json"
+        cli.save_model(model, models.StructurePreservingSource(dim=3), dev3, "exp-gen", 0.5,
+                       4.0, 0)
+        assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval") == 2
+        assert "dimension" in capsys.readouterr().err
+
+
 class TestIOErrors:
     def test_output_path_collides_with_file(self, config_path, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         assert run("generate", "--config", config_path, "--out", blocker) == 4
-
-    def test_threaded_evaluate_matches_serial(self, config_path, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        run("generate", "--config", config_path, "--out", data)
-        run("evaluate", "--model", "base", "--dataset", data / "manifest.json",
-            "--out", tmp_path / "serial")
-        monkeypatch.setenv("QUDE_THREADS", "3")
-        run("evaluate", "--model", "base", "--dataset", data / "manifest.json",
-            "--out", tmp_path / "threaded")
-        for name in ("moments.csv", "histogram.csv", "energy.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "threaded" / name
-            ).read_bytes()

@@ -1,8 +1,8 @@
-"""The log-depth linear engine against the step-loop oracle (tests/loop_oracle.py).
+"""The engines against the step-loop oracle (tests/loop_oracle.py).
 
-Doubling propagation and the adjoint scan reorder floating-point work, so
-states, losses and gradients must agree with the loops to 1e-12 relative
-(max-norm), not bit for bit.
+Doubling propagation, the adjoint scan and batching over experiments reorder
+floating-point work, so states, losses and gradients must agree with the
+loops to 1e-12 relative (max-norm), not bit for bit.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ class TestBatchedStepMatrix:
     def test_stack_matches_single_matrices(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((2, 3, 5, 5))
-        batched = dynamics.rk4_step_matrix(a, 0.01)
+        batched = np.eye(5) + dynamics.rk4_step_increment(a, 0.01)
         for idx in np.ndindex(2, 3):
             ref = loop_oracle.rk4_step_matrix(a[idx], 0.01)
             np.testing.assert_allclose(batched[idx], ref, rtol=0, atol=1e-15)
@@ -96,6 +96,89 @@ class TestPropagation:
         assert relative(lam, ref) <= TOL
 
 
+class TestBatchedPrediction:
+    """``integrate_many`` and ``propagate_network`` against per-experiment loops."""
+
+    @staticmethod
+    def experiments(grids):
+        """Three experiments per (sample dt, duration) grid, interleaved across grids."""
+        rng = np.random.default_rng(5)
+        exps = []
+        for i in range(3):
+            for g, (sample_dt, duration) in enumerate(grids):
+                exps.append(dynamics.Experiment(f"g{g}-{i}", float(3.47 * (1.0 - rng.random())),
+                                                duration_us=duration, sample_dt_ns=sample_dt))
+        return exps
+
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
+    def test_integrate_many_matches_loop(self, kind):
+        exps = self.experiments([(4.0, 1.5)])
+        src = make_case(kind)
+        basis = qcore.hermitian_basis(2)
+        for exp, traj in zip(exps, dynamics.integrate_many(DEV1, exps, src, 4.0)):
+            np.testing.assert_array_equal(traj.times_us, exp.times_us())
+            xs = qcore.expand_many(traj.states, basis)
+            assert relative(xs, loop_oracle.integrate(DEV1, exp, src, 4.0)) <= TOL
+
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
+    def test_mixed_grids_are_grouped(self, kind):
+        exps = self.experiments([(4.0, 1.0), (20.0, 2.0)])
+        groups = dynamics.grid_groups(DEV1, exps, 4.0)
+        assert [(g.n_samples, g.n_sub, g.indices) for g in groups] == [
+            (100, 5, [1, 3, 5]), (250, 1, [0, 2, 4])]
+        src = make_case(kind)
+        basis = qcore.hermitian_basis(2)
+        for exp, traj in zip(exps, dynamics.integrate_many(DEV1, exps, src, 4.0)):
+            xs = qcore.expand_many(traj.states, basis)
+            assert relative(xs, loop_oracle.integrate(DEV1, exp, src, 4.0)) <= TOL
+
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_propagate_network_matches_step_loop(self, n_sub):
+        sample_dt, dt_internal = N_SUB_CASES[n_sub]
+        (group,) = dynamics.grid_groups(DEV1, self.experiments([(sample_dt, 1.0)]), dt_internal)
+        src = make_case("nonlinear")
+        steps = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                           group.n_samples * n_sub)
+        assert steps.shape == (3, group.n_samples * n_sub, 4)
+        for e in range(3):
+            ref = loop_oracle.network_step_loop(group.a_base[e], src, group.x0[e], group.h_us,
+                                                group.n_samples, n_sub)
+            assert relative(steps[e, n_sub - 1 :: n_sub], ref) <= TOL
+
+    # RK4 at h = 100 ns is unstable for a 10 MHz drive (|h lambda| ~ 12.6), so
+    # the state overflows after about 100 steps whatever the bounded tanh net adds.
+    UNSTABLE = dict(p_max=10.0, duration_us=20.0, sample_dt_ns=100.0, dt_internal_ns=100.0)
+
+    def test_network_divergence_time_matches_loop(self):
+        c = self.UNSTABLE
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
+        exp = dynamics.Experiment("e", c["p_max"], duration_us=c["duration_us"],
+                                  sample_dt_ns=c["sample_dt_ns"])
+        src = make_case("nonlinear")
+        xs = loop_oracle.integrate(dev, exp, src, c["dt_internal_ns"])
+        bad = loop_oracle.first_non_finite(xs)
+        assert bad is not None and exp.times_us()[bad] < c["duration_us"]
+        with pytest.raises(dynamics.DivergenceError) as err:
+            dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
+        assert err.value.time_us == exp.times_us()[bad]
+
+    def test_network_training_divergence_time_matches_loop(self):
+        c = self.UNSTABLE
+        ds = make_twin_dataset(seed=3, n_experiments=3, duration_us=c["duration_us"],
+                               sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
+        src = make_case("nonlinear")
+        first = [
+            loop_oracle.first_non_finite(loop_oracle.integrate(DEV1, exp, src, c["dt_internal_ns"]))
+            for exp, _ in ds.experiments
+        ]
+        bad = min(i for i in first if i is not None)
+        with pytest.raises(dynamics.DivergenceError) as err:
+            train.loss(src.pack(), ds, DEV1, src, c["dt_internal_ns"])
+        exp = ds.experiments[first.index(bad)][0]
+        assert err.value.time_us == exp.times_us()[bad] < c["duration_us"]
+        assert err.value.experiment_id == exp.id
+
+
 class TestTrainingEngine:
     @pytest.mark.parametrize("n_experiments", [1, 3])
     @pytest.mark.parametrize("n_sub", [1, 5])
@@ -129,8 +212,7 @@ class TestTrainingEngine:
         lin_loss, lin_grad = train._linear_group_loss_grad(group, src, theta, compiled.weights)
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
-        assert relative(train._linear_group_loss(group, src, theta, compiled.weights),
-                        train._network_group_loss(group, src, theta, compiled.weights)) <= TOL
+        assert relative(train._group_loss(group, src, theta, compiled.weights), net_loss) <= TOL
 
     def test_deep_identity_net_collapses_with_chain_rule_gradients(self):
         ds, dt_internal = twin(5, 2)

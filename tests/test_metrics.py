@@ -27,11 +27,9 @@ class TestTraceDistanceSeries:
             times_us=np.array([0.1]),
             states=np.diag([0.75, 0.25]).astype(complex)[None],
         )
-        rec = tomography.TomographyRecord(
-            time_us=0.1, shots=0, counts=(0, 0, 0), probs_hat=(0, 0, 0),
-            rho_hat=qcore.maximally_mixed(2),
-        )
-        _, dists = metrics.trace_distance_series(pred, [rec])
+        rec = tomography.RecordBlock.from_counts([0.1], [0], [[0.5, 0.5, 0.5]])
+        np.testing.assert_allclose(rec.rho_hat[0], qcore.maximally_mixed(2), atol=1e-15)
+        _, dists = metrics.trace_distance_series(pred, rec)
         assert dists[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_grid_mismatch_rejected(self):

@@ -170,36 +170,39 @@ class TestSimulateRecords:
 
     def test_noiseless_records_hold_exact_probabilities(self):
         traj = self._trajectory()
-        records = tomography.simulate_records(traj, 0, np.random.default_rng(0))
-        for rec, state in zip(records, traj.states):
+        block = tomography.simulate_records(traj, 0, np.random.default_rng(0))
+        assert len(block) == len(traj)
+        np.testing.assert_array_equal(block.times_us, traj.times_us)
+        np.testing.assert_array_equal(block.shots, 0)
+        for i, state in enumerate(traj.states):
             probs = tomography.measurement_probs(state)
-            assert rec.shots == 0
-            np.testing.assert_allclose(rec.probs_hat, probs.as_array(), atol=1e-12)
-            assert qcore.trace_distance(rec.rho_hat, state) <= 1e-12
+            np.testing.assert_allclose(block.probs[i], probs.as_array(), atol=1e-12)
+            assert qcore.trace_distance(block.rho_hat[i], state) <= 1e-12
 
     def test_draw_order_contract(self):
         # stream order is x, y, z within a step, steps ascending
         traj = self._trajectory()
-        records = tomography.simulate_records(traj, 500, np.random.default_rng(321))
+        block = tomography.simulate_records(traj, 500, np.random.default_rng(321))
         rng = np.random.default_rng(321)
-        for rec, state in zip(records, traj.states):
+        for counts, state in zip(block.counts, traj.states):
             probs = tomography.measurement_probs(state)
             expected = tomography.sample_counts(probs, 500, rng)
-            assert tuple(rec.counts) == expected
+            assert tuple(counts) == expected
 
     def test_record_fields(self):
         traj = self._trajectory()
-        records = tomography.simulate_records(traj, 200, np.random.default_rng(5))
-        for rec in records:
-            assert rec.shots == 200
-            for k, p in zip(rec.counts, rec.probs_hat):
-                assert 0 <= k <= 200
-                assert p == k / 200
-            qcore.assert_density_matrix(rec.rho_hat)
+        block = tomography.simulate_records(traj, 200, np.random.default_rng(5))
+        np.testing.assert_array_equal(block.shots, 200)
+        assert block.counts.shape == block.probs.shape == (len(traj), 3)
+        assert np.all((0 <= block.counts) & (block.counts <= 200))
+        np.testing.assert_array_equal(block.counts, np.round(block.counts))
+        np.testing.assert_array_equal(block.probs, block.counts / 200)
+        for rho in block.rho_hat:
+            qcore.assert_density_matrix(rho)
 
     def test_split_mode_budget(self):
         traj = self._trajectory()
-        records = tomography.simulate_records(
+        block = tomography.simulate_records(
             traj, 5000, np.random.default_rng(6), shot_mode="split"
         )
-        assert all(rec.shots == 1666 for rec in records)
+        np.testing.assert_array_equal(block.shots, 1666)

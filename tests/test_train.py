@@ -29,14 +29,14 @@ class TestSplit:
             ds.experiments, tr.experiments, val.experiments
         ):
             assert len(r_tr) + len(r_val) == len(r_all)
-            assert all(r.time_us <= 0.5 + 1e-12 for r in r_tr)
-            assert all(r.time_us > 0.5 for r in r_val)
+            assert np.all(r_tr.times_us <= 0.5 + 1e-12)
+            assert np.all(r_val.times_us > 0.5)
 
     def test_boundary_record_goes_to_train(self):
         ds = self._dataset()
         tr, val = train.split(ds, 0.5)  # 0.5 us lies exactly on the 100 ns grid
-        assert any(abs(r.time_us - 0.5) < 1e-12 for r in tr.experiments[0][1])
-        assert not any(abs(r.time_us - 0.5) < 1e-12 for r in val.experiments[0][1])
+        assert np.any(np.abs(tr.experiments[0][1].times_us - 0.5) < 1e-12)
+        assert not np.any(np.abs(val.experiments[0][1].times_us - 0.5) < 1e-12)
 
     def test_grid_arithmetic(self):
         ds = make_twin_dataset(seed=5, n_experiments=1, duration_us=2.0,
@@ -244,12 +244,12 @@ class TestDataset:
     def test_records_sorted_on_construction(self):
         exp = dynamics.Experiment("e", 1.0, duration_us=0.3, sample_dt_ns=100.0)
         traj = dynamics.integrate_rk4(DEV1, exp, None, 4.0)
-        records = tomography.simulate_records(traj, 0, np.random.default_rng(0))
-        ds = train.Dataset(
-            [(exp, list(reversed(records)))], train_horizon_us=0.3, total_horizon_us=0.3
-        )
-        times = [r.time_us for r in ds.experiments[0][1]]
-        assert times == sorted(times)
+        block = tomography.simulate_records(traj, 0, np.random.default_rng(0))
+        reversed_block = block.take(np.arange(len(block))[::-1])
+        ds = train.Dataset([(exp, reversed_block)], train_horizon_us=0.3, total_horizon_us=0.3)
+        sorted_block = ds.experiments[0][1]
+        np.testing.assert_array_equal(sorted_block.times_us, block.times_us)
+        np.testing.assert_array_equal(sorted_block.rho_hat, block.rho_hat)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
