@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, metrics, models, qcore, tomography, train
+from . import __version__, dynamics, metrics, models, tomography, train
 from .dynamics import DeviceModel, Experiment
 from .models import UnphysicalRateError
 from .qcore import DegenerateSpectrumError
@@ -310,6 +310,11 @@ def write_dataset(
     manifest_entries = []
     for exp, block in experiments:
         fname = f"{exp.id}.jsonl"
+        # The bytes json.dumps gives for each row's dict, with the exp_id and
+        # amplitude prefix encoded once per file.
+        prefix = '{"exp_id": %s, "amplitude_MHz": %s, ' % (
+            json.dumps(exp.id), json.dumps(exp.amplitude_p_MHz)
+        )
         columns = zip(
             block.times_us.tolist(),
             block.shots.tolist(),
@@ -319,16 +324,10 @@ def write_dataset(
         with (out_dir / fname).open("w") as fh:
             for time_us, shots_row, counts, int_counts in columns:
                 kx, ky, kz = counts if shots_row == 0 else int_counts
-                row = {
-                    "exp_id": exp.id,
-                    "amplitude_MHz": exp.amplitude_p_MHz,
-                    "time_us": time_us,
-                    "shots": shots_row,
-                    "kx": kx,
-                    "ky": ky,
-                    "kz": kz,
-                }
-                fh.write(json.dumps(row) + "\n")
+                fh.write(
+                    f'{prefix}"time_us": {time_us!r}, "shots": {shots_row!r}, '
+                    f'"kx": {kx!r}, "ky": {ky!r}, "kz": {kz!r}}}\n'
+                )
         manifest_entries.append(
             {
                 "id": exp.id,
@@ -360,8 +359,9 @@ def write_dataset(
 RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")
 
 
-def _read_records(path: Path) -> RecordBlock:
-    """The record block of one JSON Lines file, every row checked."""
+def _read_records(path: Path, exp: Experiment) -> RecordBlock:
+    """The record block of one JSON Lines file, every row checked against
+    itself and against the manifest entry ``exp``."""
     rows, line_numbers = [], []
     with path.open() as fh:
         for number, line in enumerate(fh, 1):
@@ -381,6 +381,9 @@ def _read_records(path: Path) -> RecordBlock:
             number = line_numbers[int(np.argmax(bad))]
             raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
 
+    for field, expected in (("exp_id", exp.id), ("amplitude_MHz", exp.amplitude_p_MHz)):
+        reject([row.get(field) != expected for row in rows], field,
+               f"does not match the manifest entry ({expected!r})")
     columns = {}
     for field in RECORD_FIELDS:
         values = [row.get(field) for row in rows]
@@ -427,7 +430,7 @@ def load_dataset(
         data_file = manifest_path.parent / _required(entry, "file", manifest_path, str, where)
         if not data_file.is_file():
             raise ConfigError(f"dataset file missing: {data_file}")
-        experiments.append((exp, _read_records(data_file)))
+        experiments.append((exp, _read_records(data_file, exp)))
         total = max(total, exp.duration_us)
     horizon = train_horizon_us if train_horizon_us is not None else total
     dataset = Dataset(experiments, train_horizon_us=horizon, total_horizon_us=total)
@@ -603,14 +606,11 @@ def cmd_evaluate(args) -> int:
     )
     energy_rows = []
     for exp, block in dataset.experiments:
-        pred = predictions[exp.id]
-        filtered = qcore.spectral_filter_many(pred.states, pred.times_us)
-        e_pred = tomography.expected_energy_many(filtered)
-        idx = np.searchsorted(pred.times_us, block.times_us - 1e-12)
+        e_pred = tomography.expected_energy_many(predictions[exp.id].states)
         e_tgt = tomography.expected_energy_many(block.rho_hat)
         energy_rows.extend(
             [exp.id, t, e, e_t]
-            for t, e, e_t in zip(block.times_us.tolist(), e_pred[idx].tolist(), e_tgt.tolist())
+            for t, e, e_t in zip(block.times_us.tolist(), e_pred.tolist(), e_tgt.tolist())
         )
     _write_csv(
         out_dir / "energy.csv",

@@ -44,14 +44,16 @@ class EvalReport:
 
 def trace_distance_series(
     prediction: Trajectory, records: RecordBlock
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Trajectory, np.ndarray]:
     """Per-time-step trace distance between filtered predictions and targets.
 
-    The prediction grid must contain exactly the record times.
+    The prediction grid must contain exactly the record times. Returns the
+    filtered predictions at the record times and the distances.
     """
     idx = _match_grid(prediction.times_us, records.times_us)
     filtered = qcore.spectral_filter_many(prediction.states[idx], records.times_us)
-    return records.times_us, qcore.trace_distance_many(filtered, records.rho_hat)
+    distances = qcore.trace_distance_many(filtered, records.rho_hat)
+    return Trajectory(times_us=records.times_us, states=filtered), distances
 
 
 def _match_grid(pred_times: np.ndarray, rec_times: np.ndarray) -> np.ndarray:
@@ -173,8 +175,9 @@ def evaluate_model(
     Splits each experiment's records into interpolation (t <= T_Tr) and
     extrapolation (t > T_Tr), computes pooled moments and histograms per
     split, and the mean/standard-error of the per-experiment time-averaged
-    trace distance. Also returns the raw predictions for reuse. All
-    experiments are predicted in one batched ``dynamics.integrate_many`` call.
+    trace distance. Also returns, per experiment id, the spectral-filtered
+    predictions at the record times for reuse. All experiments are predicted
+    in one batched ``dynamics.integrate_many`` call.
     """
     per_experiment = []
     pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
@@ -185,9 +188,8 @@ def evaluate_model(
     )
     predictions: dict[str, Trajectory] = {}
     for (exp, records), pred in zip(experiments, trajectories):
-        predictions[exp.id] = pred
-        times, dists = trace_distance_series(pred, records)
-        in_train = train.in_train_split(times, train_horizon_us)
+        predictions[exp.id], dists = trace_distance_series(pred, records)
+        in_train = train.in_train_split(records.times_us, train_horizon_us)
         for split_tag, mask in (("interpolation", in_train), ("extrapolation", ~in_train)):
             vals = dists[mask]
             if vals.size:

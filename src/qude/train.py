@@ -14,15 +14,27 @@ The states come from doubling and the sample adjoints
 lam_s = S^T lam_{s+1} + dl/dx_s from a log-depth scan over the same powers
 of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
 back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
-``coeff_affine_vjp`` to the parameters. Nonlinear networks take the batched
-step loop ``dynamics.propagate_network`` forward and a stage-by-stage
-reverse sweep with network vector-Jacobian products. Central
+``coeff_affine_vjp`` to the parameters.
+
+Nonlinear networks run the batched step loop ``dynamics.propagate_network``
+forward in chunks of FORWARD_CHUNK_SAMPLES samples, each from the last
+state of the one before, adding each chunk's part of the loss as it goes.
+The reverse sweep walks back REVERSE_CHUNK_STEPS steps at a time. From the
+stored states it rebuilds, in bulk, the four RK4 stages' layer inputs and
+tanh derivatives and each step's Jacobian increment D_n = dx_n/dx_{n-1} - I;
+then lam_{n-1} = lam_n + D_n^T lam_n (plus dl/dx on sample steps) runs step
+by step, and the stage adjoints are pushed through the network and
+contracted with the layer inputs for the whole chunk at once. Central
 finite differences are kept as an independent oracle and fallback
 (``grad_method="finite_difference"``).
 
 Training runs mini-batch ADAM over whole-experiment batches first, then
 full-batch L-BFGS (two-loop recursion, backtracking Armijo line search)
-from ADAM's final iterate.
+from ADAM's final iterate. The line search evaluates each candidate with
+its Armijo bound: the loss is a sum of non-negative terms, so once the
+running total is past the bound the candidate is rejected without
+finishing the horizon. A candidate that stays inside gets the same loss as
+an unbounded evaluation, so the accepted steps do not change.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ GRAD_FINITE_DIFFERENCE = "finite_difference"
 FD_RELATIVE_STEP = 1e-6
 LBFGS_GRAD_TOL = 1e-13
 LBFGS_PROGRESS_TOL = 1e-15  # relative decrease below this counts as converged
+BOUND_MARGIN = 1e-9  # relative slack before a bounded loss gives up, far above rounding
 
 
 class GradientFailureError(RuntimeError):
@@ -216,8 +229,9 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
     )
 
 
-def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray) -> None:
-    """Raise DivergenceError at the first sample of x (E, S, K) that is not finite."""
+def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray, first: int = 0) -> None:
+    """Raise DivergenceError at the first sample of x (E, S, K) that is not
+    finite; x starts at sample index ``first``."""
     finite = np.all(np.isfinite(x), axis=-1)
     if np.all(finite):
         return
@@ -225,9 +239,14 @@ def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray) -> None:
     e = int(np.argmax(~finite[:, s]))
     raise DivergenceError(
         f"training trajectory diverged (|theta| = {np.linalg.norm(theta):.3g})",
-        (s + 1) * group.dt_us,
+        (first + s + 1) * group.dt_us,
         group.exp_ids[e],
     )
+
+
+def _sq_loss(delta: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted squared Frobenius distance summed over (E, S, k) residuals."""
+    return float(np.einsum("esk,k->", delta * delta, weights))
 
 
 # -- linear engine (base model and sources linear in [x; 1]) ----------------------
@@ -251,7 +270,7 @@ def _linear_group_loss_grad(
 ) -> tuple[float, np.ndarray]:
     m, d, increments, states = _linear_forward(group, source, theta)
     delta = states[:, 1:, :-1] - group.targets  # (E, S, k)
-    loss = float(np.einsum("esk,k->", delta * delta, weights))
+    loss = _sq_loss(delta, weights)
 
     # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
     # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
@@ -290,114 +309,147 @@ def _linear_group_loss_grad(
 
 # -- network engine (nonlinear sources) -------------------------------------------
 
+FORWARD_CHUNK_SAMPLES = 64  # samples propagated between running-loss checks
+REVERSE_CHUNK_STEPS = 256  # steps whose stage activations are rebuilt at once
 
-def _net_forward_acts(source: models.NetworkSource, x: np.ndarray) -> list[np.ndarray]:
-    """Layer outputs [input, layer1, ..., output] for batched inputs (E, k)."""
-    acts = [x]
+
+def _network_forward(
+    group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray,
+    limit: float = np.inf,
+) -> np.ndarray | None:
+    """Checked states [x_0, x_1, ..., x_N] after every internal step, (E, N+1, k).
+
+    Propagates FORWARD_CHUNK_SAMPLES samples at a time, each chunk from the
+    last state of the one before, and returns None as soon as the running
+    loss of the samples so far passes ``limit``.
+    """
+    n_sub = group.n_sub
+    xs = np.empty((group.x0.shape[0], group.n_samples * n_sub + 1, group.x0.shape[1]))
+    xs[:, 0] = x = group.x0
+    running = 0.0
+    for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
+        hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
+        steps = dynamics.propagate_network(
+            group.a_base, source, x, group.h_us, (hi - lo) * n_sub
+        )
+        xs[:, lo * n_sub + 1 : hi * n_sub + 1] = steps
+        x = steps[:, -1]
+        samples = steps[:, n_sub - 1 :: n_sub]
+        _check_finite(samples, group, theta, first=lo)
+        with np.errstate(over="ignore"):  # an overflowing square is past any bound
+            running += _sq_loss(samples - group.targets[:, lo:hi], weights)
+        if running > limit:
+            return None
+    return xs
+
+
+def _rk4_stages(group: _Group, source: models.NetworkSource, x: np.ndarray):
+    """The four RK4 stages of the steps leaving the states x (E, C, k), in bulk.
+
+    Returns, per stage, the inputs of every layer and the tanh derivatives
+    (None for the identity activation), and D = dx_n/dx_{n-1} - I of each
+    step as (E, C, k, k).
+    """
+    h = group.h_us
+    a = group.a_base[:, None]  # (E, 1, k, k)
     last = source.n_layers - 1
     tanh = source.activation == models.ACTIVATION_TANH
-    z = x
-    for l, (w, b) in enumerate(zip(source.weights, source.biases)):
-        z = z @ w.T + b
-        if l < last and tanh:
-            z = np.tanh(z)
-        acts.append(z)
-    return acts
-
-
-def _net_vjp(
-    source: models.NetworkSource,
-    acts: list[np.ndarray],
-    delta: np.ndarray,
-    grad_w: list[np.ndarray],
-    grad_b: list[np.ndarray],
-) -> np.ndarray:
-    """Backprop ``delta`` through the net; accumulates parameter gradients."""
-    last = source.n_layers - 1
-    tanh = source.activation == models.ACTIVATION_TANH
-    for l in range(last, -1, -1):
-        if l < last and tanh:
-            delta = delta * (1.0 - acts[l + 1] * acts[l + 1])
-        grad_w[l] += delta.T @ acts[l]
-        grad_b[l] += delta.sum(axis=0)
-        delta = delta @ source.weights[l]
-    return delta
-
-
-def _network_forward(group: _Group, source: models.NetworkSource, theta: np.ndarray) -> np.ndarray:
-    """Checked states [x_0, x_1, ..., x_N] after every internal step, (E, N+1, k)."""
-    steps = dynamics.propagate_network(
-        group.a_base, source, group.x0, group.h_us, group.n_samples * group.n_sub
-    )
-    _check_finite(steps[:, group.n_sub - 1 :: group.n_sub], group, theta)
-    return np.concatenate([group.x0[:, None, :], steps], axis=1)
-
-
-def _group_samples(group: _Group, source, theta: np.ndarray) -> np.ndarray:
-    """Predicted coefficient states on the record grid, (E, S, k)."""
-    if source is None or source.is_linear:
-        return _linear_forward(group, source, theta)[-1][:, 1:, :-1]
-    return _network_forward(group, source, theta)[:, group.n_sub :: group.n_sub]
-
-
-def _group_loss(group: _Group, source, theta: np.ndarray, weights: np.ndarray) -> float:
-    delta = _group_samples(group, source, theta) - group.targets
-    return float(np.einsum("esk,k->", delta * delta, weights))
+    coefs = (0.5 * h, 0.5 * h, h)  # stage input c_{s+1} = x + coef_s k_s
+    stages, slopes = [], []
+    c = x
+    for s in range(4):
+        ins, derivs = [c], []
+        z = c
+        for l, (w, b) in enumerate(zip(source.weights, source.biases)):
+            z = z @ w.T + b
+            if l < last:
+                if tanh:
+                    z = np.tanh(z)
+                    derivs.append(1.0 - z * z)
+                ins.append(z)
+        stages.append((ins, derivs if tanh else None))
+        # Jacobian of F(c) = A c + net(c): A + W_last diag(d_last-1) ... diag(d_0) W_0.
+        jac = source.weights[0]
+        for l in range(1, last + 1):
+            jac = source.weights[l] @ (derivs[l - 1][..., None] * jac if tanh else jac)
+        jac = a + jac
+        # dk_s/dx = J_s (I + coef_{s-1} dk_{s-1}/dx).
+        slopes.append(jac if s == 0 else jac + coefs[s - 1] * (jac @ slopes[-1]))
+        if s < 3:
+            c = x + coefs[s] * ((a @ c[..., None])[..., 0] + z)
+    k1, k2, k3, k4 = slopes
+    d_step = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return stages, np.broadcast_to(d_step, x.shape + x.shape[-1:])
 
 
 def _network_group_loss_grad(
     group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    h = group.h_us
-    n_steps = group.n_samples * group.n_sub
-    e_count, k = group.x0.shape
-    a_t = np.swapaxes(group.a_base, -2, -1)
+    h, n_sub = group.h_us, group.n_sub
+    xs = _network_forward(group, source, theta, weights)
+    deltas = xs[:, n_sub::n_sub] - group.targets  # (E, S, k)
+    loss = _sq_loss(deltas, weights)
+    g = 2.0 * weights * deltas
 
-    def f_from_acts(c, acts):
-        return np.einsum("eij,ej->ei", group.a_base, c) + acts[-1]
-
-    xs = _network_forward(group, source, theta)
-    deltas = xs[:, group.n_sub :: group.n_sub] - group.targets  # (E, S, k)
-    loss = float(np.einsum("esk,k->", deltas * deltas, weights))
-
+    last = source.n_layers - 1
     grad_w = [np.zeros_like(w) for w in source.weights]
     grad_b = [np.zeros_like(b) for b in source.biases]
+    a_t = np.swapaxes(group.a_base, -2, -1)[:, None]  # (E, 1, k, k)
+    lam = np.zeros_like(group.x0)
+    for hi in range(xs.shape[1] - 1, 0, -REVERSE_CHUNK_STEPS):
+        lo = max(hi - REVERSE_CHUNK_STEPS, 0)
+        stages, d_step = _rk4_stages(group, source, xs[:, lo:hi])
+        d_step = np.ascontiguousarray(np.moveaxis(d_step, 1, 0))  # (C, E, k, k)
 
-    def f_vjp(c, u):
-        """VJP of F(x) = A x + net(x) at c; accumulates parameter grads."""
-        acts = _net_forward_acts(source, c)
-        gx = np.einsum("eij,ej->ei", a_t, u)
-        return gx + _net_vjp(source, acts, u, grad_w, grad_b)
+        # lam_n = dL/dx_n for the chunk's steps n = lo+1..hi, walking back by
+        # lam_{n-1} = lam_n + D_n^T lam_n plus dl/dx_{n-1} on sample steps.
+        lams = np.empty((hi - lo,) + lam.shape)
+        for n in range(hi, lo, -1):
+            if n % n_sub == 0:
+                lam = lam + g[:, n // n_sub - 1]
+            lams[n - lo - 1] = lam
+            lam = lam + (lam[:, None, :] @ d_step[n - lo - 1])[:, 0]
+        lams = np.swapaxes(lams, 0, 1)  # (E, C, k)
 
-    # Reverse sweep with per-stage adjoints of the RK4 update.
-    lam = np.zeros((e_count, k))
-    for n in range(n_steps, 0, -1):
-        if n % group.n_sub == 0:
-            lam = lam + 2.0 * weights * deltas[:, n // group.n_sub - 1]
-        x = xs[:, n - 1]
-        acts1 = _net_forward_acts(source, x)
-        k1 = f_from_acts(x, acts1)
-        c2 = x + 0.5 * h * k1
-        acts2 = _net_forward_acts(source, c2)
-        k2 = f_from_acts(c2, acts2)
-        c3 = x + 0.5 * h * k2
-        c4 = x + h * f_from_acts(c3, _net_forward_acts(source, c3))
-
-        b4 = (h / 6.0) * lam
-        q4 = f_vjp(c4, b4)
-        b3 = (h / 3.0) * lam + h * q4
-        q3 = f_vjp(c3, b3)
-        b2 = (h / 3.0) * lam + 0.5 * h * q3
-        q2 = f_vjp(c2, b2)
-        b1 = (h / 6.0) * lam + 0.5 * h * q2
-        q1 = f_vjp(x, b1)
-        lam = lam + q1 + q2 + q3 + q4
+        # Stage adjoints of the RK4 update, last stage first, and each layer's
+        # output gradient contracted with its inputs over the whole chunk.
+        q = None
+        for (ins, derivs), c_lam, c_q in zip(
+            reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
+        ):
+            u = c_lam * lams if q is None else c_lam * lams + c_q * q
+            delta = u
+            for l in range(last, -1, -1):
+                if l < last and derivs is not None:
+                    delta = delta * derivs[l]
+                grad_w[l] += np.einsum("eci,ecj->ij", delta, ins[l])
+                grad_b[l] += delta.sum(axis=(0, 1))
+                delta = delta @ source.weights[l]
+            q = delta + (a_t @ u[..., None])[..., 0]
 
     parts = []
     for gw, gb in zip(grad_w, grad_b):
         parts.append(gw.reshape(-1))
         parts.append(gb)
     return loss, np.concatenate(parts)
+
+
+def _group_samples(
+    group: _Group, source, theta: np.ndarray, weights: np.ndarray, limit: float = np.inf
+) -> np.ndarray | None:
+    """Predicted coefficient states on the record grid, (E, S, k); None once a
+    network forward's running loss passes ``limit``."""
+    if source is None or source.is_linear:
+        return _linear_forward(group, source, theta)[-1][:, 1:, :-1]
+    xs = _network_forward(group, source, theta, weights, limit)
+    return None if xs is None else xs[:, group.n_sub :: group.n_sub]
+
+
+def _group_loss(
+    group: _Group, source, theta: np.ndarray, weights: np.ndarray, limit: float = np.inf
+) -> float:
+    samples = _group_samples(group, source, theta, weights, limit)
+    return np.inf if samples is None else _sq_loss(samples - group.targets, weights)
 
 
 # -- public loss / gradient ------------------------------------------------------
@@ -409,8 +461,19 @@ def _evaluate(
     template,
     subset: set[str] | None,
     want_grad: bool,
+    bound: float = np.inf,
 ) -> tuple[float, np.ndarray | None]:
+    """Loss (and gradient) summed over the groups.
+
+    A loss evaluation returns inf as soon as its running total, a sum of
+    non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
+    the full loss is then above the bound too, whatever the rounding of the
+    partial sums. The linear engine checks between groups, the network
+    engine every FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
+    computed exactly as without a bound.
+    """
     source = None if template is None else template.with_params(theta)
+    limit = bound + BOUND_MARGIN * abs(bound)
     total = 0.0
     grad = np.zeros_like(theta) if want_grad and template is not None else None
     if template is None or template.is_linear:
@@ -426,7 +489,9 @@ def _evaluate(
             total += l
             grad += g
         else:
-            total += _group_loss(sub, source, theta, compiled.weights)
+            total += _group_loss(sub, source, theta, compiled.weights, limit - total)
+            if total > limit:
+                return np.inf, None
     if grad is not None and not np.all(np.isfinite(grad)):
         raise GradientFailureError("gradient has non-finite components")
     return total, grad
@@ -458,7 +523,7 @@ def split_losses(
     compiled = _compile(whole, dev, dt_internal_ns)
     train_loss = val_loss = 0.0
     for group in compiled.groups:
-        delta = _group_samples(group, source, source.pack()) - group.targets
+        delta = _group_samples(group, source, source.pack(), compiled.weights) - group.targets
         sq = np.einsum("esk,k->es", delta * delta, compiled.weights)
         times = group.dt_us * np.arange(1, group.n_samples + 1)
         in_train = in_train_split(times, dataset.train_horizon_us)
@@ -546,8 +611,8 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
 
     use_fd = config.grad_method == GRAD_FINITE_DIFFERENCE
 
-    def eval_loss(th, subset=None):
-        value, _ = _evaluate(compiled, th, ansatz, subset, want_grad=False)
+    def eval_loss(th, subset=None, bound=np.inf):
+        value, _ = _evaluate(compiled, th, ansatz, subset, want_grad=False, bound=bound)
         return value
 
     def eval_subset(th, subset):
@@ -611,12 +676,13 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         accepted = False
         while step >= config.min_step:
             cand = theta + step * direction
+            armijo = f_cur + config.armijo_c * step * slope
             try:
-                f_new = eval_loss(cand)
+                f_new = eval_loss(cand, bound=armijo)
             except DivergenceError:
                 step *= 0.5
                 continue
-            if f_new <= f_cur + config.armijo_c * step * slope:
+            if f_new <= armijo:
                 accepted = True
                 break
             step *= 0.5

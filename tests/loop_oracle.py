@@ -7,7 +7,10 @@ per internal step in the reverse sweep, with nothing shared with the engine
 beyond the problem data. Generators act on the augmented state [x; 1], so the
 base model, the structure-preserving source and single-layer affine sources
 all run here. For nonlinear networks (the batched ``propagate_network``):
-the stage-by-stage step loop of one experiment. ``loss_by_split`` is the
+the stage-by-stage step loop of one experiment; for their training loss and
+gradient, a forward loop storing every internal state and the per-step
+reverse sweep that recomputes the network at each stage and backpropagates
+through it (``network_group_loss_grad``). ``loss_by_split`` is the
 per-experiment train/validation loss report the CLI's ``train`` verb gave
 before it used the training engine.
 """
@@ -175,3 +178,91 @@ def param_grad(source, q: np.ndarray) -> np.ndarray:
         g_raw = g_gamma if source.signed else 2.0 * source.gamma_raw * g_gamma
         return np.concatenate([g_alpha, g_raw])
     return np.concatenate([q[:k, :k].reshape(-1), q[:k, k]])
+
+
+def _net_acts(source, x: np.ndarray) -> list[np.ndarray]:
+    """Layer outputs [input, layer1, ..., output] for batched inputs (E, k)."""
+    acts = [x]
+    last = source.n_layers - 1
+    tanh = source.activation == models.ACTIVATION_TANH
+    z = x
+    for l, (w, b) in enumerate(zip(source.weights, source.biases)):
+        z = z @ w.T + b
+        if l < last and tanh:
+            z = np.tanh(z)
+        acts.append(z)
+    return acts
+
+
+def _net_vjp(source, acts, delta, grad_w, grad_b) -> np.ndarray:
+    """Backprop ``delta`` through the net; accumulates parameter gradients."""
+    last = source.n_layers - 1
+    tanh = source.activation == models.ACTIVATION_TANH
+    for l in range(last, -1, -1):
+        if l < last and tanh:
+            delta = delta * (1.0 - acts[l + 1] * acts[l + 1])
+        grad_w[l] += delta.T @ acts[l]
+        grad_b[l] += delta.sum(axis=0)
+        delta = delta @ source.weights[l]
+    return delta
+
+
+def network_group_loss_grad(
+    a_base: np.ndarray,
+    x0: np.ndarray,
+    targets: np.ndarray,
+    n_sub: int,
+    h_us: float,
+    source,
+    weights: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Loss and packed-parameter gradient for a network source, batched over E.
+
+    ``a_base`` is (E, k, k), ``x0`` (E, k), ``targets`` (E, S, k). Each step
+    of the reverse sweep recomputes the four stage inputs and backpropagates
+    the stage adjoints through the network one at a time.
+    """
+    e_count, k = x0.shape
+    n_steps = targets.shape[1] * n_sub
+    a_t = np.swapaxes(a_base, -2, -1)
+
+    def f(c):
+        return np.einsum("eij,ej->ei", a_base, c) + _net_acts(source, c)[-1]
+
+    xs = np.empty((n_steps + 1, e_count, k))
+    xs[0] = x = x0
+    for n in range(1, n_steps + 1):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h_us * k1)
+        k3 = f(x + 0.5 * h_us * k2)
+        k4 = f(x + h_us * k3)
+        xs[n] = x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    deltas = xs[n_sub::n_sub] - np.swapaxes(targets, 0, 1)  # (S, E, k)
+    loss = float(np.einsum("sek,k->", deltas * deltas, weights))
+
+    grad_w = [np.zeros_like(w) for w in source.weights]
+    grad_b = [np.zeros_like(b) for b in source.biases]
+
+    def f_vjp(c, u):
+        gx = np.einsum("eij,ej->ei", a_t, u)
+        return gx + _net_vjp(source, _net_acts(source, c), u, grad_w, grad_b)
+
+    h = h_us
+    lam = np.zeros((e_count, k))
+    for n in range(n_steps, 0, -1):
+        if n % n_sub == 0:
+            lam = lam + 2.0 * weights * deltas[n // n_sub - 1]
+        x = xs[n - 1]
+        c2 = x + 0.5 * h * f(x)
+        c3 = x + 0.5 * h * f(c2)
+        c4 = x + h * f(c3)
+        q4 = f_vjp(c4, (h / 6.0) * lam)
+        q3 = f_vjp(c3, (h / 3.0) * lam + h * q4)
+        q2 = f_vjp(c2, (h / 3.0) * lam + 0.5 * h * q3)
+        q1 = f_vjp(x, (h / 6.0) * lam + 0.5 * h * q2)
+        lam = lam + q1 + q2 + q3 + q4
+
+    parts = []
+    for gw, gb in zip(grad_w, grad_b):
+        parts += [gw.reshape(-1), gb]
+    return loss, np.concatenate(parts)

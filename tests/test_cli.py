@@ -159,6 +159,25 @@ class TestDatasetRoundTrip:
             for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
                 np.testing.assert_array_equal(getattr(loaded, column), getattr(block, column))
 
+    @pytest.mark.parametrize("shots", [500, 0])
+    def test_rows_are_json_dumps_of_each_record(self, config_path, tmp_path, shots):
+        dev = cli.RunConfig.load(config_path).device()
+        exp = dynamics.Experiment("exp-007", 1.0 / 3.0, duration_us=1.0, sample_dt_ns=20.0)
+        block = tomography.simulate_records(dynamics.integrate_rk4(dev, exp), shots,
+                                            np.random.default_rng(3))
+        cli.write_dataset(tmp_path / "data", dev, [(exp, block)], seed=0, config_sha="0" * 64,
+                          shots=shots, shot_mode="per-axis", dt_internal_ns=4.0,
+                          latent_info={"ansatz": "none"})
+        expected = "".join(
+            json.dumps({"exp_id": exp.id, "amplitude_MHz": exp.amplitude_p_MHz,
+                        "time_us": t, "shots": n, "kx": kx, "ky": ky, "kz": kz}) + "\n"
+            for t, n, (kx, ky, kz) in zip(
+                block.times_us.tolist(), block.shots.tolist(),
+                (block.counts if shots == 0 else block.counts.astype(np.int64)).tolist(),
+            )
+        )
+        assert (tmp_path / "data" / "exp-007.jsonl").read_bytes() == expected.encode()
+
 
 class TestTrainEvaluate:
     @pytest.fixture()
@@ -381,6 +400,10 @@ RECORD_FAULTS = {
     "count-above-shots": (set_fields(kx=lambda row: row["shots"] + 400), "'kx'"),
     "negative-count": (set_fields(ky=-1), "'ky'"),
     "noiseless-count-above-one": (set_fields(shots=0, kx=1.5, ky=0.5, kz=0.0), "'kx'"),
+    "exp-id-mismatch": (set_fields(exp_id="exp-000"), "'exp_id'"),
+    "amplitude-mismatch": (
+        set_fields(amplitude_MHz=lambda row: row["amplitude_MHz"] + 0.25), "'amplitude_MHz'"
+    ),
 }
 
 

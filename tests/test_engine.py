@@ -5,6 +5,8 @@ floating-point work, so states, losses and gradients must agree with the
 loops to 1e-12 relative (max-norm), not bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,24 +184,46 @@ class TestBatchedPrediction:
 class TestTrainingEngine:
     @pytest.mark.parametrize("n_experiments", [1, 3])
     @pytest.mark.parametrize("n_sub", [1, 5])
-    @pytest.mark.parametrize("kind", ["base", "sp", "affine"])
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
     def test_loss_and_gradient_match_loop(self, kind, n_sub, n_experiments):
         ds, dt_internal = twin(n_sub, n_experiments)
         compiled = train._compile(ds, DEV1, dt_internal)
         (group,) = compiled.groups
         src = make_case(kind)
-        m = loop_oracle.augmented_generator(group.a_base, src)
-        x0 = np.concatenate([group.x0, np.ones((n_experiments, 1))], axis=1)
-        ref_loss, q = loop_oracle.group_loss_grad(
-            m, x0, group.targets, group.n_sub, group.h_us, compiled.weights
-        )
-        if src is None:
-            assert relative(train.loss(np.zeros(0), ds, DEV1, None, dt_internal), ref_loss) <= TOL
-            return
-        theta = src.pack()
+        if kind == "nonlinear":
+            ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
+                group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src,
+                compiled.weights,
+            )
+        else:
+            m = loop_oracle.augmented_generator(group.a_base, src)
+            x0 = np.concatenate([group.x0, np.ones((n_experiments, 1))], axis=1)
+            ref_loss, q = loop_oracle.group_loss_grad(
+                m, x0, group.targets, group.n_sub, group.h_us, compiled.weights
+            )
+            ref_grad = None if src is None else loop_oracle.param_grad(src, q)
+        theta = np.zeros(0) if src is None else src.pack()
         assert relative(train.loss(theta, ds, DEV1, src, dt_internal), ref_loss) <= TOL
-        grad = train.gradient(theta, ds, DEV1, src, dt_internal)
-        assert relative(grad, loop_oracle.param_grad(src, q)) <= TOL
+        if src is not None:
+            grad = train.gradient(theta, ds, DEV1, src, dt_internal)
+            assert relative(grad, ref_grad) <= TOL
+
+    def test_network_chunk_edges_change_nothing(self, monkeypatch):
+        """Forward and reverse chunks that end mid-sample and leave a ragged tail."""
+        ds, dt_internal = twin(5, 3)
+        compiled = train._compile(ds, DEV1, dt_internal)
+        (group,) = compiled.groups
+        src = make_case("nonlinear")
+        theta = src.pack()
+        whole_loss, _ = train._network_group_loss_grad(group, src, theta, compiled.weights)
+        monkeypatch.setattr(train, "FORWARD_CHUNK_SAMPLES", 4)
+        monkeypatch.setattr(train, "REVERSE_CHUNK_STEPS", 7)
+        loss, grad = train._network_group_loss_grad(group, src, theta, compiled.weights)
+        assert loss == whole_loss
+        _, ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
+        )
+        assert relative(grad, ref_grad) <= TOL
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_affine_matches_network_path(self, n_sub):
@@ -279,3 +303,74 @@ class TestDivergenceTime:
         exp = ds.experiments[first.index(bad)][0]
         assert err.value.time_us == exp.times_us()[bad] < c["duration_us"]
         assert err.value.experiment_id == exp.id
+
+
+def two_grids() -> tuple[train.Dataset, float]:
+    """Two experiments on each of the n_sub = 1 and n_sub = 5 grids: two groups."""
+    pairs = []
+    for n_sub in N_SUB_CASES:
+        ds, dt_internal = twin(n_sub, 2, seed=30 + n_sub)
+        pairs += [(replace(exp, id=f"{exp.id}-{n_sub}"), block) for exp, block in ds.experiments]
+    return train.Dataset(pairs, ds.train_horizon_us, ds.total_horizon_us), dt_internal
+
+
+class TestBoundedLoss:
+    """A bounded evaluation stops once the running loss is past the Armijo bound."""
+
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
+    def test_bound_gives_the_loss_or_inf_above_it(self, kind):
+        ds, dt_internal = two_grids()
+        compiled = train._compile(ds, DEV1, dt_internal)
+        assert len(compiled.groups) == 2
+        src = make_case(kind)
+        theta = np.zeros(0) if src is None else src.pack()
+        full, _ = train._evaluate(compiled, theta, src, None, want_grad=False)
+        for bound in (0.0, 1e-3 * full, 0.5 * full, full * (1 - 1e-6), full * (1 - 1e-12),
+                      full, full * (1 + 1e-12), 2.0 * full, np.inf):
+            value, grad = train._evaluate(compiled, theta, src, None, False, bound=bound)
+            assert grad is None
+            assert value == full or (value == np.inf and full > bound), bound
+        assert train._evaluate(compiled, theta, src, None, False, bound=0.0)[0] == np.inf
+        assert train._evaluate(compiled, theta, src, None, False, bound=full)[0] == full
+
+    def test_diverging_candidate(self):
+        c = TestBatchedPrediction.UNSTABLE
+        ds = make_twin_dataset(seed=3, n_experiments=3, duration_us=c["duration_us"],
+                               sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
+        compiled = train._compile(ds, DEV1, c["dt_internal_ns"])
+        src = make_case("nonlinear")
+        with pytest.raises(dynamics.DivergenceError) as unbounded:
+            train._evaluate(compiled, src.pack(), src, None, want_grad=False)
+        for bound in (1e-3, 1e300):
+            try:
+                value, _ = train._evaluate(compiled, src.pack(), src, None, False, bound=bound)
+            except dynamics.DivergenceError as err:
+                assert err.time_us == unbounded.value.time_us
+            else:
+                assert value == np.inf
+        assert train._evaluate(compiled, src.pack(), src, None, False, bound=0.0)[0] == np.inf
+
+    @pytest.mark.parametrize("kind", ["sp", "affine", "nonlinear"])
+    def test_line_search_accepts_the_same_steps(self, kind, monkeypatch):
+        ds, dt_internal = two_grids()
+        template = models.make_source(kind, seed=1)
+        config = train.TrainConfig(adam_epochs=2, adam_batch=2, lbfgs_max_iters=4,
+                                   dt_internal_ns=dt_internal, seed=0)
+        original = train._evaluate
+        cut = []
+
+        def counting(*args, **kwargs):
+            value, grad = original(*args, **kwargs)
+            cut.append(value == np.inf)
+            return value, grad
+
+        monkeypatch.setattr(train, "_evaluate", counting)
+        bounded = train.fit(ds, DEV1, template, config)
+        monkeypatch.setattr(train, "_evaluate",
+                            lambda *args, bound=np.inf, **kwargs: original(*args, **kwargs))
+        free = train.fit(ds, DEV1, template, config)
+        np.testing.assert_array_equal(bounded.theta_star, free.theta_star)
+        assert bounded.loss_history == free.loss_history
+        assert bounded.phases == free.phases
+        if kind == "nonlinear":
+            assert any(cut)

@@ -45,7 +45,7 @@ class TestTraceDistanceSeries:
         truth = dynamics.integrate_rk4(DEV1, exp, None, 4.0)
         records = tomography.simulate_records(truth, 0, np.random.default_rng(2))
         pred = dynamics.integrate_rk4(lvn, exp, None, 4.0)
-        times, dists = metrics.trace_distance_series(pred, records)
+        _, dists = metrics.trace_distance_series(pred, records)
         third = len(dists) // 3
         assert dists[:third].mean() < dists[-third:].mean()
 
