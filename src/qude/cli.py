@@ -12,8 +12,10 @@ with '.' decimals for tables. Everything is deterministic under a fixed
 seed; manifests record the seed, the config hash, and the toolkit version.
 
 Exit codes: 0 success, 2 configuration or data error (a malformed or
-inconsistent config, manifest, model or record file, reported with the file,
-the line and the field), 3 numerical failure, 4 I/O error.
+inconsistent config, manifest, model or record file; faults found while
+reading name the file, the line and the field), 3 numerical failure
+(divergence, a non-finite gradient, a degenerate spectrum, an unphysical
+rate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,34 +146,20 @@ class RunConfig:
         )
 
     def train_config(self, args) -> TrainConfig:
-        mode = getattr(args, "mode", None) or self.get_str(
-            "training", "mode", default=train.MODE_EXP_GEN
-        )
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = self.get_int("training", "seed", default=0)
+        """The ``[training]`` keys that are set, each cast by the type of its
+        ``TrainConfig`` default; ``--mode`` and ``--seed`` override."""
+        values = {}
+        for f in fields(TrainConfig):
+            cast = type(f.default) if isinstance(f.default, (int, float)) else str.strip
+            value = self._get("training", f.name, cast)
+            if value is not None:
+                values[f.name] = value
+        if getattr(args, "mode", None):
+            values["mode"] = args.mode
+        if getattr(args, "seed", None) is not None:
+            values["seed"] = args.seed
         try:
-            return TrainConfig(
-                mode=mode,
-                experiment_id=self.get_str("training", "experiment_id", default=None),
-                adam_lr=self.get_float("training", "adam_lr", default=1e-3),
-                adam_epochs=self.get_int("training", "adam_epochs", default=300),
-                adam_batch=self.get_int("training", "adam_batch", default=1),
-                adam_beta1=self.get_float("training", "adam_beta1", default=0.9),
-                adam_beta2=self.get_float("training", "adam_beta2", default=0.999),
-                adam_eps=self.get_float("training", "adam_eps", default=1e-8),
-                lbfgs_memory=self.get_int("training", "lbfgs_memory", default=10),
-                lbfgs_max_iters=self.get_int("training", "lbfgs_max_iters", default=200),
-                armijo_c=self.get_float("training", "armijo_c", default=1e-4),
-                min_step=self.get_float("training", "min_step", default=1e-14),
-                grad_method=self.get_str(
-                    "training", "grad_method", default=train.GRAD_DISCRETE_ADJOINT
-                ),
-                dt_internal_ns=self.get_float(
-                    "training", "dt_internal_ns", default=dynamics.DEFAULT_DT_INTERNAL_NS
-                ),
-                seed=seed,
-            )
+            return TrainConfig(**values)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -772,12 +760,14 @@ def main(argv: list[str] | None = None) -> int:
     except (
         dynamics.DivergenceError,
         train.GradientFailureError,
-        DegenerateSpectrumError,
-        UnphysicalRateError,
-        ValueError,
+        DegenerateSpectrumError,  # a ValueError, so caught before the next clause
+        UnphysicalRateError,  # likewise
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as err:  # inconsistent config or data found past the loaders
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

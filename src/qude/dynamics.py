@@ -21,11 +21,14 @@ doubling: block [m, 2m) of the sample states is S^m applied to block
 adjoint recurrence lam_s = S^T lam_{s+1} + g_s of the training code runs
 over the same powers as a log-depth scan. Powers are carried as increments
 S^d - I so that the identity does not round away the small per-step
-change. Nonlinear networks take the stage-by-stage step loop.
+change. Nonlinear networks take the stage-by-stage step loop, run
+FORWARD_CHUNK_SAMPLES samples at a time.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
-generators and initial states of the experiments that share a sample grid,
-and each group is propagated in one call.
+generators and initial states of the experiments that share a sample grid.
+``linear_forward`` and ``network_chunks`` are the only forwards of a group;
+prediction (``integrate_many``) and training (qude.train) both run them,
+and ``check_finite`` is their one divergence check.
 """
 
 from __future__ import annotations
@@ -355,11 +358,15 @@ def propagate_network(
     return np.swapaxes(out, 0, 1)
 
 
+FORWARD_CHUNK_SAMPLES = 64  # samples a network forward propagates per chunk
+
+
 @dataclass(frozen=True, eq=False)
 class GridGroup:
     """Experiments that share one sample grid, stacked for batched propagation."""
 
     indices: list[int]  # positions in the caller's experiment list
+    exp_ids: list[str]
     a_base: np.ndarray  # (E, k, k)
     x0: np.ndarray  # (E, k)
     n_samples: int
@@ -392,6 +399,7 @@ def grid_groups(
         groups.append(
             GridGroup(
                 indices=indices,
+                exp_ids=[exp.id for exp in members],
                 a_base=np.stack([base_generator(dev, exp) for exp in members]),
                 x0=np.stack([
                     qcore.expand(exp.initial_density(dev.dim), basis, check=False)
@@ -406,6 +414,62 @@ def grid_groups(
     return groups
 
 
+def check_finite(samples: np.ndarray, group: GridGroup, first: int = 0) -> None:
+    """Raise DivergenceError at the earliest sample of ``samples`` (E, S, k)
+    that is not finite, naming the first experiment non-finite there;
+    ``samples`` starts at sample index ``first``."""
+    finite = np.all(np.isfinite(samples), axis=-1)
+    if np.all(finite):
+        return
+    s = int(np.argmax(~np.all(finite, axis=0)))
+    e = int(np.argmax(~finite[:, s]))
+    raise DivergenceError("state became non-finite", (first + s + 1) * group.dt_us,
+                          group.exp_ids[e])
+
+
+def linear_forward(group: GridGroup, source=None):
+    """The doubling forward of the base model or a linear source over a group.
+
+    Returns the augmented generators M (E, k+1, k+1), the step increments
+    D = R - I, the increments of the doubling powers of S = R^n_sub and the
+    checked sample states [x_s; 1], s = 1..n_samples, as (E, n_samples, k+1).
+    """
+    m = augmented_generator(group.a_base, source)
+    d = rk4_step_increment(m, group.h_us)
+    increments = power_increments(d, group.n_sub, group.n_samples)
+    x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
+    samples = propagate_linear(increments, x0, group.n_samples)
+    check_finite(samples, group)
+    return m, d, increments, samples
+
+
+def network_chunks(group: GridGroup, source):
+    """The step-loop forward of a nonlinear source over a group, in chunks.
+
+    Yields (lo, hi, steps) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
+    time: ``steps`` (E, (hi - lo) n_sub, k) holds the state after every
+    internal step, each chunk starting from the last state of the one before.
+    Every chunk's samples are checked before it is yielded.
+    """
+    x = group.x0
+    for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
+        hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
+        steps = propagate_network(group.a_base, source, x, group.h_us, (hi - lo) * group.n_sub)
+        check_finite(steps[:, group.n_sub - 1 :: group.n_sub], group, first=lo)
+        x = steps[:, -1]
+        yield lo, hi, steps
+
+
+def group_samples(group: GridGroup, source=None) -> np.ndarray:
+    """Checked coefficient states on the sample grid of a group, (E, n_samples, k)."""
+    if source is None or source.is_linear:
+        return linear_forward(group, source)[-1][..., :-1]
+    return np.concatenate(
+        [steps[:, group.n_sub - 1 :: group.n_sub] for _, _, steps in network_chunks(group, source)],
+        axis=1,
+    )
+
+
 def integrate_many(
     dev: DeviceModel,
     experiments: list[Experiment],
@@ -414,27 +478,14 @@ def integrate_many(
 ) -> list[Trajectory]:
     """``integrate_rk4`` for each experiment, one batched propagation per grid group.
 
-    Sources linear in the state take the doubling engine, nonlinear networks
-    the batched step loop. Raises DivergenceError, with the experiment and the
-    time reached, if a state leaves the finite range.
+    Raises DivergenceError, with the experiment and the time of the earliest
+    non-finite sample of its group, if a state leaves the finite range.
     """
     basis = qcore.hermitian_basis(dev.dim)
     trajectories: list[Trajectory] = [None] * len(experiments)
     for g in grid_groups(dev, experiments, dt_internal_ns):
-        if source is None or source.is_linear:
-            d_step = rk4_step_increment(augmented_generator(g.a_base, source), g.h_us)
-            increments = power_increments(d_step, g.n_sub, g.n_samples)
-            x0 = np.concatenate([g.x0, np.ones((len(g.indices), 1))], axis=1)
-            xs = propagate_linear(increments, x0, g.n_samples)[..., :-1]
-        else:
-            steps = propagate_network(g.a_base, source, g.x0, g.h_us, g.n_samples * g.n_sub)
-            xs = steps[:, g.n_sub - 1 :: g.n_sub]
-        for i, x in zip(g.indices, xs):
+        for i, x in zip(g.indices, group_samples(g, source)):
             times = experiments[i].times_us()
-            finite = np.all(np.isfinite(x), axis=1)
-            if not np.all(finite):
-                bad = float(times[np.argmin(finite)])
-                raise DivergenceError("state became non-finite", bad, experiments[i].id)
             trajectories[i] = Trajectory(times_us=times, states=qcore.reconstruct_many(x, basis))
     return trajectories
 

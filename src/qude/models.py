@@ -331,16 +331,6 @@ def net_forward(src: NetworkSource, rho: np.ndarray) -> np.ndarray:
     return qcore.reconstruct(src.coeff_forward(coeffs), basis)
 
 
-def pack_params(src) -> np.ndarray:
-    """Flat parameter vector; inverse of ``unpack_params`` on the same template."""
-    return src.pack()
-
-
-def unpack_params(template, theta: np.ndarray):
-    """Rebuild a source of the template's architecture from a flat vector."""
-    return template.with_params(theta)
-
-
 def make_source(
     kind: str,
     dim: int = 2,

@@ -50,10 +50,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
 def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
     dev = float(np.max(np.abs(a - dagger(a))))
     if dev > tol:
@@ -237,11 +233,6 @@ def reconstruct(coeffs: np.ndarray, basis: HermitianBasis) -> np.ndarray:
 
 def reconstruct_many(coeffs: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return np.einsum("mi,ikl->mkl", np.asarray(coeffs, dtype=float), basis.elements)
-
-
-def frobenius_weights(basis: HermitianBasis) -> np.ndarray:
-    """Weights w with ||h||_F^2 = sum_i w_i c_i^2 for h = sum_i c_i H_i."""
-    return basis.gram_norms
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -164,8 +164,17 @@ def lie_reconstruct(probs_hat) -> np.ndarray:
 
 
 def lie_reconstruct_many(probs_hat: np.ndarray, times_us: np.ndarray | None = None) -> np.ndarray:
-    """Batched linear inversion + filtering; probs_hat has shape (m, 3)."""
+    """Batched linear inversion + filtering; probs_hat has shape (m, 3).
+
+    Like ``lie_reconstruct``, rejects probabilities outside [0, 1], naming
+    the first such row and its time when ``times_us`` is given.
+    """
     probs = np.asarray(probs_hat, dtype=float)
+    outside = np.any((probs < 0.0) | (probs > 1.0), axis=1)
+    if np.any(outside):
+        row = int(np.argmax(outside))
+        at = "" if times_us is None else f" (t = {times_us[row]:.6g} us)"
+        raise ValueError(f"empirical probabilities {probs[row]} of row {row}{at} outside [0, 1]")
     m = probs.shape[0]
     p = np.empty((m, 4))
     p[:, 0] = 1.0

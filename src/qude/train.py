@@ -16,17 +16,21 @@ of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
 back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
 ``coeff_affine_vjp`` to the parameters.
 
-Nonlinear networks run the batched step loop ``dynamics.propagate_network``
-forward in chunks of FORWARD_CHUNK_SAMPLES samples, each from the last
-state of the one before, adding each chunk's part of the loss as it goes.
-The reverse sweep walks back REVERSE_CHUNK_STEPS steps at a time. From the
-stored states it rebuilds, in bulk, the four RK4 stages' layer inputs and
-tanh derivatives and each step's Jacobian increment D_n = dx_n/dx_{n-1} - I;
-then lam_{n-1} = lam_n + D_n^T lam_n (plus dl/dx on sample steps) runs step
-by step, and the stage adjoints are pushed through the network and
-contracted with the layer inputs for the whole chunk at once. Central
-finite differences are kept as an independent oracle and fallback
-(``grad_method="finite_difference"``).
+Nonlinear networks run ``dynamics.network_chunks``, the batched step loop
+in chunks of dynamics.FORWARD_CHUNK_SAMPLES samples, adding each chunk's
+part of the loss as it goes. The reverse sweep walks back
+REVERSE_CHUNK_STEPS steps at a time. From the stored states it rebuilds, in
+bulk, the four RK4 stages' layer inputs and tanh derivatives and each
+step's Jacobian increment D_n = dx_n/dx_{n-1} - I; then
+lam_{n-1} = lam_n + D_n^T lam_n (plus dl/dx on sample steps) runs step by
+step, and the stage adjoints are pushed through the network and contracted
+with the layer inputs for the whole chunk at once. Central finite
+differences are kept as an independent oracle
+(``gradient(method="finite_difference")``).
+
+Both engines take their forward from qude.dynamics, the one prediction
+uses, so evaluating a group is that forward followed by the adjoint on its
+states.
 
 Training runs mini-batch ADAM over whole-experiment batches first, then
 full-batch L-BFGS (two-loop recursion, backtracking Armijo line search)
@@ -34,7 +38,8 @@ from ADAM's final iterate. The line search evaluates each candidate with
 its Armijo bound: the loss is a sum of non-negative terms, so once the
 running total is past the bound the candidate is rejected without
 finishing the horizon. A candidate that stays inside gets the same loss as
-an unbounded evaluation, so the accepted steps do not change.
+an unbounded evaluation, so the accepted steps do not change, and an
+accepted candidate's gradient comes from the same evaluation.
 """
 
 from __future__ import annotations
@@ -140,15 +145,12 @@ class TrainConfig:
     lbfgs_max_iters: int = 200
     armijo_c: float = 1e-4
     min_step: float = 1e-14
-    grad_method: str = GRAD_DISCRETE_ADJOINT
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (MODE_EXP_GEN, MODE_EXP_SPEC):
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.grad_method not in (GRAD_DISCRETE_ADJOINT, GRAD_FINITE_DIFFERENCE):
-            raise ValueError(f"unknown grad_method {self.grad_method!r}")
         if self.adam_lr <= 0:
             raise ValueError("adam_lr must be positive")
         if self.adam_batch < 1:
@@ -175,9 +177,8 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class _Group(dynamics.GridGroup):
-    """A grid group of the train split with its experiment ids and targets."""
+    """A grid group of the train split with its targets."""
 
-    exp_ids: list[str]
     targets: np.ndarray  # (E, S, k)
 
 
@@ -203,11 +204,7 @@ def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Comp
             )
         targets.append(qcore.expand_many(block.rho_hat[keep], basis))
     groups = [
-        _Group(
-            **vars(g),
-            exp_ids=[experiments[i].id for i in g.indices],
-            targets=np.stack([targets[i] for i in g.indices]),
-        )
+        _Group(**vars(g), targets=np.stack([targets[i] for i in g.indices]))
         for g in dynamics.grid_groups(dev, experiments, dt_internal_ns, [len(t) for t in targets])
     ]
     return _Compiled(groups=groups, weights=basis.gram_norms.astype(float))
@@ -229,48 +226,27 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
     )
 
 
-def _check_finite(x: np.ndarray, group: _Group, theta: np.ndarray, first: int = 0) -> None:
-    """Raise DivergenceError at the first sample of x (E, S, K) that is not
-    finite; x starts at sample index ``first``."""
-    finite = np.all(np.isfinite(x), axis=-1)
-    if np.all(finite):
-        return
-    s = int(np.argmax(~np.all(finite, axis=0)))
-    e = int(np.argmax(~finite[:, s]))
-    raise DivergenceError(
-        f"training trajectory diverged (|theta| = {np.linalg.norm(theta):.3g})",
-        (first + s + 1) * group.dt_us,
-        group.exp_ids[e],
-    )
-
-
 def _sq_loss(delta: np.ndarray, weights: np.ndarray) -> float:
     """Weighted squared Frobenius distance summed over (E, S, k) residuals."""
-    return float(np.einsum("esk,k->", delta * delta, weights))
+    with np.errstate(over="ignore"):  # an overflowing square is past any bound
+        return float(np.einsum("esk,k->", delta * delta, weights))
 
 
 # -- linear engine (base model and sources linear in [x; 1]) ----------------------
 
 
-def _linear_forward(group: _Group, source, theta: np.ndarray):
-    """Augmented generators M, step increments D = R - I, the increments of the
-    doubling powers of S = R^n_sub, and the checked states [x_0, ..., x_S]
-    as (E, S+1, k+1)."""
-    m = dynamics.augmented_generator(group.a_base, source)
-    d = dynamics.rk4_step_increment(m, group.h_us)
-    increments = dynamics.power_increments(d, group.n_sub, group.n_samples)
-    x0 = np.concatenate([group.x0, np.ones((group.x0.shape[0], 1))], axis=1)
-    samples = dynamics.propagate_linear(increments, x0, group.n_samples)
-    _check_finite(samples, group, theta)
-    return m, d, increments, np.concatenate([x0[:, None, :], samples], axis=1)
+def _linear_loss(group: _Group, source, weights: np.ndarray, limit: float = np.inf):
+    """Loss of a group and its forward. The linear forward is one chain of
+    matrix products, so ``limit`` is checked by the caller between groups."""
+    forward = dynamics.linear_forward(group, source)
+    return _sq_loss(forward[-1][..., :-1] - group.targets, weights), forward
 
 
-def _linear_group_loss_grad(
-    group: _Group, source, theta: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    m, d, increments, states = _linear_forward(group, source, theta)
-    delta = states[:, 1:, :-1] - group.targets  # (E, S, k)
-    loss = _sq_loss(delta, weights)
+def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndarray:
+    m, d, increments, samples = forward
+    delta = samples[..., :-1] - group.targets  # (E, S, k)
+    x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
+    states = np.concatenate([x0[:, None, :], samples], axis=1)
 
     # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
     # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
@@ -304,43 +280,30 @@ def _linear_group_loss_grad(
             )
     q_total = q.sum(axis=0)
     k = kk - 1
-    return loss, source.coeff_affine_vjp(q_total[:k, :k], q_total[:k, k])
+    return source.coeff_affine_vjp(q_total[:k, :k], q_total[:k, k])
 
 
 # -- network engine (nonlinear sources) -------------------------------------------
 
-FORWARD_CHUNK_SAMPLES = 64  # samples propagated between running-loss checks
 REVERSE_CHUNK_STEPS = 256  # steps whose stage activations are rebuilt at once
 
 
-def _network_forward(
-    group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray,
-    limit: float = np.inf,
-) -> np.ndarray | None:
-    """Checked states [x_0, x_1, ..., x_N] after every internal step, (E, N+1, k).
-
-    Propagates FORWARD_CHUNK_SAMPLES samples at a time, each chunk from the
-    last state of the one before, and returns None as soon as the running
-    loss of the samples so far passes ``limit``.
-    """
+def _network_loss(
+    group: _Group, source: models.NetworkSource, weights: np.ndarray, limit: float = np.inf
+):
+    """Loss of a group and its states [x_0, x_1, ..., x_N] after every internal
+    step, (E, N+1, k); (inf, None) as soon as the running loss of the samples
+    so far passes ``limit``."""
     n_sub = group.n_sub
     xs = np.empty((group.x0.shape[0], group.n_samples * n_sub + 1, group.x0.shape[1]))
-    xs[:, 0] = x = group.x0
+    xs[:, 0] = group.x0
     running = 0.0
-    for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
-        hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
-        steps = dynamics.propagate_network(
-            group.a_base, source, x, group.h_us, (hi - lo) * n_sub
-        )
+    for lo, hi, steps in dynamics.network_chunks(group, source):
         xs[:, lo * n_sub + 1 : hi * n_sub + 1] = steps
-        x = steps[:, -1]
-        samples = steps[:, n_sub - 1 :: n_sub]
-        _check_finite(samples, group, theta, first=lo)
-        with np.errstate(over="ignore"):  # an overflowing square is past any bound
-            running += _sq_loss(samples - group.targets[:, lo:hi], weights)
+        running += _sq_loss(steps[:, n_sub - 1 :: n_sub] - group.targets[:, lo:hi], weights)
         if running > limit:
-            return None
-    return xs
+            return np.inf, None
+    return _sq_loss(xs[:, n_sub::n_sub] - group.targets, weights), xs
 
 
 def _rk4_stages(group: _Group, source: models.NetworkSource, x: np.ndarray):
@@ -382,14 +345,11 @@ def _rk4_stages(group: _Group, source: models.NetworkSource, x: np.ndarray):
     return stages, np.broadcast_to(d_step, x.shape + x.shape[-1:])
 
 
-def _network_group_loss_grad(
-    group: _Group, source: models.NetworkSource, theta: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
+def _network_grad(
+    group: _Group, source: models.NetworkSource, weights: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
     h, n_sub = group.h_us, group.n_sub
-    xs = _network_forward(group, source, theta, weights)
-    deltas = xs[:, n_sub::n_sub] - group.targets  # (E, S, k)
-    loss = _sq_loss(deltas, weights)
-    g = 2.0 * weights * deltas
+    g = 2.0 * weights * (xs[:, n_sub::n_sub] - group.targets)  # (E, S, k)
 
     last = source.n_layers - 1
     grad_w = [np.zeros_like(w) for w in source.weights]
@@ -431,25 +391,7 @@ def _network_group_loss_grad(
     for gw, gb in zip(grad_w, grad_b):
         parts.append(gw.reshape(-1))
         parts.append(gb)
-    return loss, np.concatenate(parts)
-
-
-def _group_samples(
-    group: _Group, source, theta: np.ndarray, weights: np.ndarray, limit: float = np.inf
-) -> np.ndarray | None:
-    """Predicted coefficient states on the record grid, (E, S, k); None once a
-    network forward's running loss passes ``limit``."""
-    if source is None or source.is_linear:
-        return _linear_forward(group, source, theta)[-1][:, 1:, :-1]
-    xs = _network_forward(group, source, theta, weights, limit)
-    return None if xs is None else xs[:, group.n_sub :: group.n_sub]
-
-
-def _group_loss(
-    group: _Group, source, theta: np.ndarray, weights: np.ndarray, limit: float = np.inf
-) -> float:
-    samples = _group_samples(group, source, theta, weights, limit)
-    return np.inf if samples is None else _sq_loss(samples - group.targets, weights)
+    return np.concatenate(parts)
 
 
 # -- public loss / gradient ------------------------------------------------------
@@ -460,39 +402,42 @@ def _evaluate(
     theta: np.ndarray,
     template,
     subset: set[str] | None,
-    want_grad: bool,
+    want_grad: bool = True,
     bound: float = np.inf,
 ) -> tuple[float, np.ndarray | None]:
-    """Loss (and gradient) summed over the groups.
+    """Loss and gradient summed over the groups, each group propagated once.
 
     A loss evaluation returns inf as soon as its running total, a sum of
     non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
     the full loss is then above the bound too, whatever the rounding of the
     partial sums. The linear engine checks between groups, the network
-    engine every FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
-    computed exactly as without a bound.
+    engine every dynamics.FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
+    computed exactly as without a bound. The gradient comes from the adjoint
+    on the same forwards, and only when the loss is not above ``bound``, so
+    a rejected line-search candidate pays no adjoint.
     """
     source = None if template is None else template.with_params(theta)
+    linear = template is None or template.is_linear
+    group_loss = _linear_loss if linear else _network_loss
     limit = bound + BOUND_MARGIN * abs(bound)
     total = 0.0
-    grad = np.zeros_like(theta) if want_grad and template is not None else None
-    if template is None or template.is_linear:
-        group_loss_grad = _linear_group_loss_grad
-    else:
-        group_loss_grad = _network_group_loss_grad
+    forwards = []
     for group in compiled.groups:
         sub = _group_subset(group, subset)
         if sub is None:
             continue
-        if grad is not None:
-            l, g = group_loss_grad(sub, source, theta, compiled.weights)
-            total += l
-            grad += g
-        else:
-            total += _group_loss(sub, source, theta, compiled.weights, limit - total)
-            if total > limit:
-                return np.inf, None
-    if grad is not None and not np.all(np.isfinite(grad)):
+        value, forward = group_loss(sub, source, compiled.weights, limit - total)
+        total += value
+        if total > limit:
+            return np.inf, None
+        forwards.append((sub, forward))
+    if not want_grad or template is None or total > bound:
+        return total, None
+    group_grad = _linear_grad if linear else _network_grad
+    grad = np.zeros_like(theta)
+    for sub, forward in forwards:
+        grad += group_grad(sub, source, compiled.weights, forward)
+    if not np.all(np.isfinite(grad)):
         raise GradientFailureError("gradient has non-finite components")
     return total, grad
 
@@ -523,25 +468,13 @@ def split_losses(
     compiled = _compile(whole, dev, dt_internal_ns)
     train_loss = val_loss = 0.0
     for group in compiled.groups:
-        delta = _group_samples(group, source, source.pack(), compiled.weights) - group.targets
+        delta = dynamics.group_samples(group, source) - group.targets
         sq = np.einsum("esk,k->es", delta * delta, compiled.weights)
         times = group.dt_us * np.arange(1, group.n_samples + 1)
         in_train = in_train_split(times, dataset.train_horizon_us)
         train_loss += float(sq[:, in_train].sum())
         val_loss += float(sq[:, ~in_train].sum())
     return train_loss, val_loss
-
-
-def _fd_gradient(value_fn, theta: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = FD_RELATIVE_STEP * (1.0 + abs(theta[i]))
-        up = theta.copy()
-        up[i] += step
-        down = theta.copy()
-        down[i] -= step
-        grad[i] = (value_fn(up) - value_fn(down)) / (2.0 * step)
-    return grad
 
 
 def gradient(
@@ -558,12 +491,18 @@ def gradient(
     compiled = _compile(dataset, dev, dt_internal_ns)
     theta = np.asarray(theta, dtype=float)
     if method == GRAD_DISCRETE_ADJOINT:
-        _, grad = _evaluate(compiled, theta, ansatz, None, want_grad=True)
-        return grad
+        return _evaluate(compiled, theta, ansatz, None)[1]
     if method == GRAD_FINITE_DIFFERENCE:
-        grad = _fd_gradient(
-            lambda th: _evaluate(compiled, th, ansatz, None, want_grad=False)[0], theta
-        )
+        grad = np.empty_like(theta)
+        for i in range(theta.size):
+            step = FD_RELATIVE_STEP * (1.0 + abs(theta[i]))
+            up = theta.copy()
+            up[i] += step
+            down = theta.copy()
+            down[i] -= step
+            up_loss, down_loss = (_evaluate(compiled, th, ansatz, None, want_grad=False)[0]
+                                  for th in (up, down))
+            grad[i] = (up_loss - down_loss) / (2.0 * step)
         if not np.all(np.isfinite(grad)):
             raise GradientFailureError("gradient has non-finite components")
         return grad
@@ -609,18 +548,8 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
     exp_ids = [exp.id for exp, _ in dataset.experiments]
     theta = ansatz.pack().astype(float)
 
-    use_fd = config.grad_method == GRAD_FINITE_DIFFERENCE
-
-    def eval_loss(th, subset=None, bound=np.inf):
-        value, _ = _evaluate(compiled, th, ansatz, subset, want_grad=False, bound=bound)
-        return value
-
-    def eval_subset(th, subset):
-        if use_fd:
-            value = eval_loss(th, subset)
-            grad = _fd_gradient(lambda q: eval_loss(q, subset), th)
-            return value, grad
-        return _evaluate(compiled, th, ansatz, subset, want_grad=True)
+    def evaluate(th, subset=None, bound=np.inf):
+        return _evaluate(compiled, th, ansatz, subset, bound=bound)
 
     losses: list[float] = []
     grad_norms: list[float] = []
@@ -644,7 +573,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         order = rng.permutation(len(exp_ids))
         for lo in range(0, len(exp_ids), batch_size):
             subset = {exp_ids[i] for i in order[lo : lo + batch_size]}
-            value, grad = eval_subset(theta, subset)
+            value, grad = evaluate(theta, subset)
             step_count += 1
             m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
             v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad * grad
@@ -654,7 +583,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             record("adam", value, grad)
 
     # Hand off on a full-batch evaluation so the phase boundary is comparable.
-    f_cur, g_cur = eval_subset(theta, None)
+    f_cur, g_cur = evaluate(theta)
     record("adam", f_cur, g_cur)
 
     # Phase 2: full-batch L-BFGS with backtracking line search.
@@ -678,7 +607,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             cand = theta + step * direction
             armijo = f_cur + config.armijo_c * step * slope
             try:
-                f_new = eval_loss(cand, bound=armijo)
+                f_new, g_new = evaluate(cand, bound=armijo)
             except DivergenceError:
                 step *= 0.5
                 continue
@@ -690,7 +619,6 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             stalled = True
             break
         progress = f_cur - f_new
-        _, g_new = eval_subset(cand, None)
         s = step * direction
         y = g_new - g_cur
         if float(np.dot(s, y)) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
@@ -707,10 +635,6 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         record("lbfgs", f_cur, g_cur)
         if progress <= LBFGS_PROGRESS_TOL * (1.0 + abs(f_cur)):
             break
-
-    if f_cur < best_f:
-        best_f = f_cur
-        best_theta = theta.copy()
 
     return FitResult(
         theta_star=best_theta,

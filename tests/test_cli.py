@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qude import cli, dynamics, models, qcore, tomography
+from qude import cli, dynamics, models, qcore, tomography, train
 
 import loop_oracle
 
@@ -83,6 +85,26 @@ class TestConfig:
             src.alpha, 2 * np.pi * 1e-3 * np.array([0.15, 2.18, 5.66])
         )
         np.testing.assert_allclose(src.gammas, [1 / 1686, 1 / 1686, 1 / 688], rtol=1e-12)
+
+    NO_OVERRIDES = SimpleNamespace(mode=None, seed=None)
+
+    def test_training_defaults_are_train_config_defaults(self, tmp_path):
+        path = tmp_path / "plain.cfg"
+        path.write_text("[training]\nansatz = affine\ntrain_horizon_us = 0.5\n")
+        assert cli.RunConfig.load(path).train_config(self.NO_OVERRIDES) == train.TrainConfig()
+
+    def test_every_training_key_is_read(self, tmp_path):
+        values = dict(mode="exp-spec", experiment_id="exp-001", adam_lr=0.02, adam_epochs=7,
+                      adam_batch=3, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7,
+                      lbfgs_memory=4, lbfgs_max_iters=9, armijo_c=0.001, min_step=1e-10,
+                      dt_internal_ns=2.0, seed=5)
+        assert set(values) == {f.name for f in fields(train.TrainConfig)}
+        path = tmp_path / "full.cfg"
+        path.write_text("[training]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        cfg = cli.RunConfig.load(path)
+        assert cfg.train_config(self.NO_OVERRIDES) == train.TrainConfig(**values)
+        overridden = cfg.train_config(SimpleNamespace(mode="exp-gen", seed=8))
+        assert overridden == replace(train.TrainConfig(**values), mode="exp-gen", seed=8)
 
 
 class TestGenerate:
@@ -461,6 +483,39 @@ class TestDataValidation:
         assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
                    "--out", tmp_path / "eval") == 2
         assert "dimension" in capsys.readouterr().err
+
+
+# fault -> (verb, config edit (old, new), extra train arguments, record line to delete)
+INCONSISTENT_INPUTS = {
+    "internal-step-not-dividing": (
+        "generate", ("dt_internal_ns = 4.0", "dt_internal_ns = 3.0"), (), None),
+    "unknown-shot-mode": ("generate", ("shots = 500", "shots = 500\nshot_mode = perr-axis"), (), None),
+    "record-row-missing": ("train", None, (), 3),
+    "train-horizon-past-data": ("train", None, ("--train-horizon-us", 5), None),
+    "unknown-experiment-id": (
+        "train", ("mode = exp-gen", "mode = exp-spec\nexperiment_id = nope"), (), None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INCONSISTENT_INPUTS))
+def test_inconsistent_input_is_config_error(fault, config_path, tmp_path, capsys):
+    """Faults that surface as a ValueError past the loaders exit 2, not 3."""
+    verb, edit, extra, drop = INCONSISTENT_INPUTS[fault]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
+    data = tmp_path / "data"
+    if verb == "generate":
+        code = run("generate", "--config", bad, "--out", data)
+    else:
+        assert run("generate", "--config", config_path, "--out", data) == 0
+        if drop is not None:
+            records = data / "exp-001.jsonl"
+            lines = records.read_text().splitlines(keepends=True)
+            records.write_text("".join(lines[: drop - 1] + lines[drop:]))
+        code = run("train", "--config", bad, "--dataset", data / "manifest.json",
+                   "--out", tmp_path / "fit", *extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestIOErrors:

@@ -33,6 +33,15 @@ def make_case(kind: str):
     return tmpl.with_params(tmpl.pack() + 0.05 * rng.standard_normal(tmpl.pack().shape))
 
 
+def group_loss_grad(group, src, weights, linear: bool):
+    """One group's loss and gradient through the linear or the network engine."""
+    if linear:
+        loss, forward = train._linear_loss(group, src, weights)
+        return loss, train._linear_grad(group, src, weights, forward)
+    loss, xs = train._network_loss(group, src, weights)
+    return loss, train._network_grad(group, src, weights, xs)
+
+
 def twin(n_sub: int, n_experiments: int, seed: int = 31) -> tuple[train.Dataset, float]:
     sample_dt, dt_internal = N_SUB_CASES[n_sub]
     ds = make_twin_dataset(seed=seed, n_experiments=n_experiments, duration_us=0.74,
@@ -147,6 +156,14 @@ class TestBatchedPrediction:
                                                 group.n_samples, n_sub)
             assert relative(steps[e, n_sub - 1 :: n_sub], ref) <= TOL
 
+    def test_network_chunks_change_no_prediction(self, monkeypatch):
+        exps = self.experiments([(20.0, 1.0)])  # 50 samples: one chunk, or 12 and a tail
+        src = make_case("nonlinear")
+        whole = dynamics.integrate_many(DEV1, exps, src, 4.0)
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
+        for ref, traj in zip(whole, dynamics.integrate_many(DEV1, exps, src, 4.0)):
+            np.testing.assert_array_equal(traj.states, ref.states)
+
     # RK4 at h = 100 ns is unstable for a 10 MHz drive (|h lambda| ~ 12.6), so
     # the state overflows after about 100 steps whatever the bounded tanh net adds.
     UNSTABLE = dict(p_max=10.0, duration_us=20.0, sample_dt_ns=100.0, dt_internal_ns=100.0)
@@ -163,6 +180,24 @@ class TestBatchedPrediction:
         with pytest.raises(dynamics.DivergenceError) as err:
             dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
+
+    def test_group_divergence_reports_the_earliest_sample(self):
+        """The experiment that leaves the finite range first, not the first listed."""
+        c = self.UNSTABLE
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
+        exps = [dynamics.Experiment(f"e{i}", p, duration_us=c["duration_us"],
+                                    sample_dt_ns=c["sample_dt_ns"])
+                for i, p in enumerate((6.0, 12.0, 8.0))]
+        src = make_case("nonlinear")
+        first = [loop_oracle.first_non_finite(loop_oracle.integrate(dev, exp, src,
+                                                                    c["dt_internal_ns"]))
+                 for exp in exps]
+        bad = min(first)
+        assert first.index(bad) == 1 and first[0] > bad
+        with pytest.raises(dynamics.DivergenceError) as err:
+            dynamics.integrate_many(dev, exps, src, c["dt_internal_ns"])
+        assert err.value.experiment_id == "e1"
+        assert err.value.time_us == exps[1].times_us()[bad]
 
     def test_network_training_divergence_time_matches_loop(self):
         c = self.UNSTABLE
@@ -214,11 +249,10 @@ class TestTrainingEngine:
         compiled = train._compile(ds, DEV1, dt_internal)
         (group,) = compiled.groups
         src = make_case("nonlinear")
-        theta = src.pack()
-        whole_loss, _ = train._network_group_loss_grad(group, src, theta, compiled.weights)
-        monkeypatch.setattr(train, "FORWARD_CHUNK_SAMPLES", 4)
+        whole_loss, _ = group_loss_grad(group, src, compiled.weights, linear=False)
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
         monkeypatch.setattr(train, "REVERSE_CHUNK_STEPS", 7)
-        loss, grad = train._network_group_loss_grad(group, src, theta, compiled.weights)
+        loss, grad = group_loss_grad(group, src, compiled.weights, linear=False)
         assert loss == whole_loss
         _, ref_grad = loop_oracle.network_group_loss_grad(
             group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
@@ -231,12 +265,11 @@ class TestTrainingEngine:
         compiled = train._compile(ds, DEV1, dt_internal)
         (group,) = compiled.groups
         src = make_case("affine")
-        theta = src.pack()
-        net_loss, net_grad = train._network_group_loss_grad(group, src, theta, compiled.weights)
-        lin_loss, lin_grad = train._linear_group_loss_grad(group, src, theta, compiled.weights)
+        net_loss, net_grad = group_loss_grad(group, src, compiled.weights, linear=False)
+        lin_loss, lin_grad = group_loss_grad(group, src, compiled.weights, linear=True)
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
-        assert relative(train._group_loss(group, src, theta, compiled.weights), net_loss) <= TOL
+        assert relative(train.loss(src.pack(), ds, DEV1, src, dt_internal), net_loss) <= TOL
 
     def test_deep_identity_net_collapses_with_chain_rule_gradients(self):
         ds, dt_internal = twin(5, 2)
@@ -249,9 +282,8 @@ class TestTrainingEngine:
         x = rng.standard_normal((6, 4))
         w_eff, b_eff = src.coeff_affine()
         np.testing.assert_allclose(x @ w_eff.T + b_eff, src.coeff_forward(x), rtol=1e-13)
-        theta = src.pack()
-        net_loss, net_grad = train._network_group_loss_grad(group, src, theta, compiled.weights)
-        lin_loss, lin_grad = train._linear_group_loss_grad(group, src, theta, compiled.weights)
+        net_loss, net_grad = group_loss_grad(group, src, compiled.weights, linear=False)
+        lin_loss, lin_grad = group_loss_grad(group, src, compiled.weights, linear=True)
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
 
@@ -374,3 +406,17 @@ class TestBoundedLoss:
         assert bounded.phases == free.phases
         if kind == "nonlinear":
             assert any(cut)
+
+    @pytest.mark.parametrize("kind", ["sp", "nonlinear"])
+    def test_accepted_candidate_is_propagated_once(self, kind, monkeypatch):
+        """The line search's evaluation of the accepted step also gives its gradient."""
+        ds, dt_internal = two_grids()
+        template = models.make_source(kind, seed=1)
+        evaluated = []
+        with_params = type(template).with_params
+        monkeypatch.setattr(type(template), "with_params", lambda self, theta: (
+            evaluated.append(np.asarray(theta).tobytes()) or with_params(self, theta)))
+        config = train.TrainConfig(adam_epochs=0, lbfgs_max_iters=4, dt_internal_ns=dt_internal)
+        fit = train.fit(ds, DEV1, template, config)
+        assert fit.phases.count("lbfgs") >= 2
+        assert len(evaluated) - len(set(evaluated)) == 0  # no parameter vector twice

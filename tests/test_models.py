@@ -169,14 +169,14 @@ class TestPackUnpack:
         template = models.make_source(kind, seed=1)
         rng = np.random.default_rng(9)
         theta = rng.standard_normal(template.pack().shape)
-        rebuilt = models.unpack_params(template, theta)
-        np.testing.assert_array_equal(models.pack_params(rebuilt), theta)
+        rebuilt = template.with_params(theta)
+        np.testing.assert_array_equal(rebuilt.pack(), theta)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            models.unpack_params(sp(), np.zeros(5))
+            sp().with_params(np.zeros(5))
         with pytest.raises(ValueError):
-            models.unpack_params(models.make_source("affine"), np.zeros(19))
+            models.make_source("affine").with_params(np.zeros(19))
 
 
 class TestMakeSource:

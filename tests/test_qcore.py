@@ -123,7 +123,7 @@ class TestExpandReconstruct:
         h = qcore.hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         coeffs = qcore.expand(h, hb)
         frob = np.sum(np.abs(h) ** 2)
-        assert abs(np.dot(qcore.frobenius_weights(hb), coeffs**2) - frob) < 1e-12
+        assert abs(np.dot(hb.gram_norms, coeffs**2) - frob) < 1e-12
 
 
 class TestTraceDistance:

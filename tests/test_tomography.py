@@ -122,6 +122,12 @@ class TestLieReconstruct:
         with pytest.raises(ValueError):
             tomography.lie_reconstruct((1.2, 0.5, 0.5))
 
+    def test_batched_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"row 0 \(t = 0.004 us\) outside"):
+            tomography.RecordBlock.from_counts([0.004], [100], [[150, 50, 0]])
+        with pytest.raises(ValueError, match=r"row 1 outside"):
+            tomography.lie_reconstruct_many(np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]]))
+
     def test_batched_matches_single(self):
         rng = np.random.default_rng(7)
         probs = rng.uniform(0.2, 0.8, size=(8, 3))
