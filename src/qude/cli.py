@@ -57,11 +57,33 @@ class ConfigError(Exception):
 
 
 class RunConfig:
-    """Typed view over the INI run configuration."""
+    """Typed view over the INI run configuration.
+
+    KEYS holds every section and key the getters below read; ``load``
+    rejects any other, so a misspelled or retired key is an error rather
+    than a silent default.
+    """
+
+    KEYS = {
+        "device": {"base_model", "omega01_GHz", "omega_rot_GHz", "T1_us", "T2_us", "dim"},
+        "latent": {"ansatz", "model_file", "alpha_kHz", "gamma_inv_us"},
+        "experiments": {"seed", "n_experiments", "p_max_MHz", "duration_us", "sample_dt_ns",
+                        "shots", "shot_mode"},
+        "training": {"ansatz", "train_horizon_us", "hidden_layers", "gamma_mode"}
+        | {f.name for f in fields(TrainConfig)},
+        "output": {"directory"},
+    }
 
     def __init__(self, parser: configparser.ConfigParser, path: Path):
         self._cp = parser
         self.path = path
+        for section in parser.sections():
+            if section not in self.KEYS:
+                raise ConfigError(f"unknown section [{section}] in {path}")
+            known = {parser.optionxform(key) for key in self.KEYS[section]}
+            for key in parser.options(section):
+                if key not in known:
+                    raise ConfigError(f"unknown key [{section}] {key} in {path}")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -79,6 +101,8 @@ class RunConfig:
         return hashlib.sha256(self.path.read_bytes()).hexdigest()
 
     def _get(self, section: str, key: str, cast, default=None, required: bool = False):
+        if key not in self.KEYS[section]:
+            raise LookupError(f"[{section}] {key} is missing from RunConfig.KEYS")
         if not self._cp.has_option(section, key):
             if required:
                 raise ConfigError(f"missing [{section}] {key} in {self.path}")

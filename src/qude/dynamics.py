@@ -21,8 +21,23 @@ doubling: block [m, 2m) of the sample states is S^m applied to block
 adjoint recurrence lam_s = S^T lam_{s+1} + g_s of the training code runs
 over the same powers as a log-depth scan. Powers are carried as increments
 S^d - I so that the identity does not round away the small per-step
-change. Nonlinear networks take the stage-by-stage step loop, run
-FORWARD_CHUNK_SAMPLES samples at a time.
+change.
+
+Nonlinear networks are solved by Newton's method in time (DEER: Lim et
+al., ICLR 2024), one window of FORWARD_CHUNK_SAMPLES samples at a time.
+Every step x_n = F(x_{n-1}) of the current iterate and its Jacobian
+increment D_n = dF/dx - I are evaluated in bulk (``rk4_stages``,
+``rk4_increment``), and the tangent recurrence
+delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
+The first iterate is the base-model trajectory from the window's start
+state, propagated by doubling, and the window is done once
+max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state.
+A window that does not converge in NEWTON_MAX_ITERS evaluations, or whose
+iterate is not finite, is run again by the stage-by-stage step loop
+``propagate_network`` from the same start state (the fallback of Gonzalez et
+al., NeurIPS 2024), so a diverging trajectory is reported at the loop's
+sample. The converged states agree with the step loop to rounding, not bit
+for bit.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
 generators and initial states of the experiments that share a sample grid.
@@ -337,6 +352,7 @@ def propagate_network(
 ) -> np.ndarray:
     """Stage-by-stage RK4 for x' = A x + net(x), batched over experiments.
 
+    The reference step loop, and the fallback of ``newton_window``.
     ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
     internal step, (E, n_steps, k); non-finite states are kept for the
     caller's divergence check.
@@ -356,6 +372,135 @@ def propagate_network(
             x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             out[n] = x
     return np.swapaxes(out, 0, 1)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """Contiguous transpose of the last two axes; numpy's matmul takes a
+    slow path for a transposed view as its second operand."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
+def _rows(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z @ w for the last axis of z, as one 2-D product over all leading axes."""
+    return (z.reshape(-1, z.shape[-1]) @ w).reshape(z.shape[:-1] + w.shape[-1:])
+
+
+_RK4_STAGE_STEPS = (0.5, 0.5, 1.0)  # stage input c_{s+1} = x + step_s h k_s
+
+
+def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
+    """One RK4 step of x' = A x + net(x) from every state of x (E, C, k) at once.
+
+    Returns F(x), the state after each step, and per stage the inputs of
+    every layer and the tanh derivatives (None for the identity
+    activation); ``rk4_increment`` takes the stages to the step Jacobians.
+    """
+    a_t = _transposed(a_base)
+    w_t = [_transposed(w) for w in source.weights]
+    last = len(w_t) - 1
+    tanh = not source.is_linear
+    stages, slopes = [], []
+    c = x
+    for s in range(4):
+        ins, derivs = [c], []
+        z = c
+        for l, b in enumerate(source.biases):
+            z = _rows(z, w_t[l]) + b
+            if l < last:
+                if tanh:
+                    z = np.tanh(z)
+                    derivs.append(1.0 - z * z)
+                ins.append(z)
+        stages.append((ins, derivs if tanh else None))
+        slopes.append(c @ a_t + z)
+        if s < 3:
+            c = x + (_RK4_STAGE_STEPS[s] * h_us) * slopes[-1]
+    k1, k2, k3, k4 = slopes
+    return x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), stages
+
+
+def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray:
+    """D = dF/dx - I of every step of ``rk4_stages``, (E, C, k, k).
+
+    Stage s has the Jacobian J_s = A + W_L diag(d_{L-1}) W_{L-1} ... diag(d_0) W_0
+    and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx.
+    They are formed transposed, P^T J^T, and laid out (E, k_in, C, k_out):
+    each shared weight then multiplies the rows of one 2-D array over all
+    steps, and each diag(d) scales contiguous (C, k_out) blocks.
+    """
+    a_t = _transposed(a_base)
+    w_t = [_transposed(w) for w in source.weights]
+    e, c, k = stages[0][0][0].shape
+    eye = np.zeros((e, k, c, k))
+    diag = np.arange(k)
+    eye[:, diag, :, diag] = 1.0
+    slopes = []
+    for s, (_, derivs) in enumerate(stages):
+        p = eye if s == 0 else (_RK4_STAGE_STEPS[s - 1] * h_us) * slopes[-1] + eye
+        q = _rows(p, w_t[0])
+        for l in range(1, len(w_t)):
+            if derivs is not None:
+                q = q * derivs[l - 1][:, None]
+            q = _rows(q, w_t[l])
+        slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
+    k1, k2, k3, k4 = slopes
+    return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (0, 2, 3, 1))
+
+
+def tangent_recurrence(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """y_0 = r_0 and y_i = (I + d_{i-1}) y_{i-1} + r_i, step-major.
+
+    ``d`` is (n-1, E, k, k) and ``r`` (n, E, k); returns y (n, E, k). One
+    batched matrix-vector product per step, written in place.
+    """
+    y = np.empty(r.shape + (1,))
+    r = r[..., None]
+    y[0] = r[0]
+    prev = y[0]
+    for di, ri, cur in zip(d, r[1:], y[1:]):
+        np.matmul(di, prev, out=cur)
+        cur += prev
+        cur += ri
+        prev = cur
+    return y[..., 0]
+
+
+NEWTON_MAX_ITERS = 8  # residual evaluations per window before the step loop takes over
+NEWTON_TOL_ULPS = 4.0  # converged once max |F(x_{n-1}) - x_n| <= this many ulp of max |x|
+
+
+def newton_window(
+    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, guess: np.ndarray
+) -> np.ndarray | None:
+    """The states of ``propagate_network`` over one window, by Newton's method
+    in time from ``guess`` (E, L, k); None if it does not converge.
+
+    Each iteration evaluates every step x_n = F(x_{n-1}) of the current
+    iterate at once (``rk4_stages``) and stops when the residual
+    max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state;
+    otherwise it adds the solution of the tangent recurrence
+    delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n, delta_0 = 0. A
+    non-finite iterate, or no convergence in NEWTON_MAX_ITERS evaluations,
+    gives None.
+    """
+    e, n, k = guess.shape
+    xs = np.empty((e, n + 1, k))
+    xs[:, 0] = x0
+    xs[:, 1:] = guess
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITERS):
+            f, stages = rk4_stages(a_base, source, h_us, xs[:, :-1])
+            residual = f - xs[:, 1:]
+            err = np.max(np.abs(residual))
+            if not np.isfinite(err):
+                return None
+            if err <= NEWTON_TOL_ULPS * np.finfo(float).eps * np.max(np.abs(xs)):
+                return xs[:, 1:]
+            d = np.moveaxis(rk4_increment(a_base, source, h_us, stages), 1, 0)
+            delta = tangent_recurrence(np.ascontiguousarray(d[1:]),
+                                       np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
+            xs[:, 1:] += np.moveaxis(delta, 0, 1)
+    return None
 
 
 FORWARD_CHUNK_SAMPLES = 64  # samples a network forward propagates per chunk
@@ -444,17 +589,26 @@ def linear_forward(group: GridGroup, source=None):
 
 
 def network_chunks(group: GridGroup, source):
-    """The step-loop forward of a nonlinear source over a group, in chunks.
+    """The forward of a nonlinear source over a group, one Newton window per chunk.
 
     Yields (lo, hi, steps) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
     time: ``steps`` (E, (hi - lo) n_sub, k) holds the state after every
     internal step, each chunk starting from the last state of the one before.
+    A chunk is solved by ``newton_window`` from the base-model trajectory of
+    its start state, or, if that does not converge, by ``propagate_network``.
     Every chunk's samples are checked before it is yielded.
     """
+    increments = power_increments(
+        rk4_step_increment(group.a_base, group.h_us), 1, FORWARD_CHUNK_SAMPLES * group.n_sub
+    )
     x = group.x0
     for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
         hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
-        steps = propagate_network(group.a_base, source, x, group.h_us, (hi - lo) * group.n_sub)
+        n_steps = (hi - lo) * group.n_sub
+        guess = propagate_linear(increments, x, n_steps)
+        steps = newton_window(group.a_base, source, x, group.h_us, guess)
+        if steps is None:
+            steps = propagate_network(group.a_base, source, x, group.h_us, n_steps)
         check_finite(steps[:, group.n_sub - 1 :: group.n_sub], group, first=lo)
         x = steps[:, -1]
         yield lo, hi, steps

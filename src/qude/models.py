@@ -238,6 +238,9 @@ class NetworkSource:
                 raise ValueError(f"layers must be {n2}x{n2} with length-{n2} biases")
         if self.activation not in (ACTIVATION_IDENTITY, ACTIVATION_TANH):
             raise ValueError(f"unknown activation {self.activation!r}")
+        # Resolved once for coeff_forward, which the step loop calls per stage.
+        object.__setattr__(self, "_hidden", tuple(zip(self.weights[:-1], self.biases[:-1])))
+        object.__setattr__(self, "_tanh", self.activation == ACTIVATION_TANH)
 
     @property
     def is_linear(self) -> bool:
@@ -257,12 +260,11 @@ class NetworkSource:
     def coeff_forward(self, x: np.ndarray) -> np.ndarray:
         """Network output for coefficient vectors; batched over leading axes."""
         z = x
-        last = self.n_layers - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b in self._hidden:
             z = z @ w.T + b
-            if l < last and self.activation == ACTIVATION_TANH:
+            if self._tanh:
                 z = np.tanh(z)
-        return z
+        return z @ self.weights[-1].T + self.biases[-1]
 
     def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(W, b) of the identity-activation net collapsed to x -> W x + b."""

@@ -16,17 +16,17 @@ of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
 back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
 ``coeff_affine_vjp`` to the parameters.
 
-Nonlinear networks run ``dynamics.network_chunks``, the batched step loop
-in chunks of dynamics.FORWARD_CHUNK_SAMPLES samples, adding each chunk's
-part of the loss as it goes. The reverse sweep walks back
-REVERSE_CHUNK_STEPS steps at a time. From the stored states it rebuilds, in
-bulk, the four RK4 stages' layer inputs and tanh derivatives and each
-step's Jacobian increment D_n = dx_n/dx_{n-1} - I; then
-lam_{n-1} = lam_n + D_n^T lam_n (plus dl/dx on sample steps) runs step by
-step, and the stage adjoints are pushed through the network and contracted
-with the layer inputs for the whole chunk at once. Central finite
-differences are kept as an independent oracle
-(``gradient(method="finite_difference")``).
+Nonlinear networks run ``dynamics.network_chunks``, one Newton window per
+dynamics.FORWARD_CHUNK_SAMPLES samples, adding each chunk's part of the
+loss as it goes. The reverse sweep walks back REVERSE_CHUNK_STEPS steps at
+a time. From the stored states the bulk RK4 step of the forward
+(``dynamics.rk4_stages`` / ``rk4_increment``) rebuilds the four stages'
+layer inputs and tanh derivatives and each step's Jacobian increment
+D_n = dx_n/dx_{n-1} - I; then lam_{n-1} = (I + D_n^T) lam_n (plus dl/dx on
+sample steps) runs step by step (``dynamics.tangent_recurrence``), and the
+stage adjoints are pushed through the network and contracted with the
+layer inputs for the whole chunk at once. Central finite differences are
+kept as an independent oracle (``gradient(method="finite_difference")``).
 
 Both engines take their forward from qude.dynamics, the one prediction
 uses, so evaluating a group is that forward followed by the adjoint on its
@@ -306,70 +306,33 @@ def _network_loss(
     return _sq_loss(xs[:, n_sub::n_sub] - group.targets, weights), xs
 
 
-def _rk4_stages(group: _Group, source: models.NetworkSource, x: np.ndarray):
-    """The four RK4 stages of the steps leaving the states x (E, C, k), in bulk.
-
-    Returns, per stage, the inputs of every layer and the tanh derivatives
-    (None for the identity activation), and D = dx_n/dx_{n-1} - I of each
-    step as (E, C, k, k).
-    """
-    h = group.h_us
-    a = group.a_base[:, None]  # (E, 1, k, k)
-    last = source.n_layers - 1
-    tanh = source.activation == models.ACTIVATION_TANH
-    coefs = (0.5 * h, 0.5 * h, h)  # stage input c_{s+1} = x + coef_s k_s
-    stages, slopes = [], []
-    c = x
-    for s in range(4):
-        ins, derivs = [c], []
-        z = c
-        for l, (w, b) in enumerate(zip(source.weights, source.biases)):
-            z = z @ w.T + b
-            if l < last:
-                if tanh:
-                    z = np.tanh(z)
-                    derivs.append(1.0 - z * z)
-                ins.append(z)
-        stages.append((ins, derivs if tanh else None))
-        # Jacobian of F(c) = A c + net(c): A + W_last diag(d_last-1) ... diag(d_0) W_0.
-        jac = source.weights[0]
-        for l in range(1, last + 1):
-            jac = source.weights[l] @ (derivs[l - 1][..., None] * jac if tanh else jac)
-        jac = a + jac
-        # dk_s/dx = J_s (I + coef_{s-1} dk_{s-1}/dx).
-        slopes.append(jac if s == 0 else jac + coefs[s - 1] * (jac @ slopes[-1]))
-        if s < 3:
-            c = x + coefs[s] * ((a @ c[..., None])[..., 0] + z)
-    k1, k2, k3, k4 = slopes
-    d_step = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return stages, np.broadcast_to(d_step, x.shape + x.shape[-1:])
-
-
 def _network_grad(
     group: _Group, source: models.NetworkSource, weights: np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     h, n_sub = group.h_us, group.n_sub
-    g = 2.0 * weights * (xs[:, n_sub::n_sub] - group.targets)  # (E, S, k)
+    # dl/dx_n of every step n = 1..N, nonzero on sample steps, step-major.
+    g = np.zeros((xs.shape[1] - 1,) + group.x0.shape)
+    g[n_sub - 1 :: n_sub] = np.swapaxes(2.0 * weights * (xs[:, n_sub::n_sub] - group.targets), 0, 1)
 
-    last = source.n_layers - 1
+    last, k = source.n_layers - 1, group.x0.shape[-1]
     grad_w = [np.zeros_like(w) for w in source.weights]
     grad_b = [np.zeros_like(b) for b in source.biases]
-    a_t = np.swapaxes(group.a_base, -2, -1)[:, None]  # (E, 1, k, k)
     lam = np.zeros_like(group.x0)
     for hi in range(xs.shape[1] - 1, 0, -REVERSE_CHUNK_STEPS):
         lo = max(hi - REVERSE_CHUNK_STEPS, 0)
-        stages, d_step = _rk4_stages(group, source, xs[:, lo:hi])
-        d_step = np.ascontiguousarray(np.moveaxis(d_step, 1, 0))  # (C, E, k, k)
+        _, stages = dynamics.rk4_stages(group.a_base, source, h, xs[:, lo:hi])
+        d_step = dynamics.rk4_increment(group.a_base, source, h, stages)
+        # D_n^T of the chunk's steps n = hi, hi-1, ..., lo+1.
+        d_t = np.ascontiguousarray(np.swapaxes(np.moveaxis(d_step, 1, 0), -1, -2)[::-1])
 
-        # lam_n = dL/dx_n for the chunk's steps n = lo+1..hi, walking back by
-        # lam_{n-1} = lam_n + D_n^T lam_n plus dl/dx_{n-1} on sample steps.
-        lams = np.empty((hi - lo,) + lam.shape)
-        for n in range(hi, lo, -1):
-            if n % n_sub == 0:
-                lam = lam + g[:, n // n_sub - 1]
-            lams[n - lo - 1] = lam
-            lam = lam + (lam[:, None, :] @ d_step[n - lo - 1])[:, 0]
-        lams = np.swapaxes(lams, 0, 1)  # (E, C, k)
+        # lam_n = dL/dx_n for the chunk's steps, walking back by
+        # lam_{n-1} = (I + D_n^T) lam_n + dl/dx_{n-1}; lam carries
+        # (I + D_{hi+1}^T) lam_{hi+1} in from the chunk after.
+        r = g[lo:hi][::-1].copy()
+        r[0] += lam
+        lams = dynamics.tangent_recurrence(d_t[:-1], r)
+        lam = lams[-1] + (d_t[-1] @ lams[-1][..., None])[..., 0]
+        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), steps lo+1..hi
 
         # Stage adjoints of the RK4 update, last stage first, and each layer's
         # output gradient contracted with its inputs over the whole chunk.
@@ -382,10 +345,10 @@ def _network_grad(
             for l in range(last, -1, -1):
                 if l < last and derivs is not None:
                     delta = delta * derivs[l]
-                grad_w[l] += np.einsum("eci,ecj->ij", delta, ins[l])
+                grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
                 grad_b[l] += delta.sum(axis=(0, 1))
                 delta = delta @ source.weights[l]
-            q = delta + (a_t @ u[..., None])[..., 0]
+            q = delta + u @ group.a_base  # A^T u, row-wise
 
     parts = []
     for gw, gb in zip(grad_w, grad_b):

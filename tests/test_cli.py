@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -105,6 +108,46 @@ class TestConfig:
         assert cfg.train_config(self.NO_OVERRIDES) == train.TrainConfig(**values)
         overridden = cfg.train_config(SimpleNamespace(mode="exp-gen", seed=8))
         assert overridden == replace(train.TrainConfig(**values), mode="exp-gen", seed=8)
+
+
+    @pytest.mark.parametrize("verb, section, key", [
+        ("train", "training", "adam_epoch"),
+        ("train", "training", "grad_method"),
+        ("generate", "device", "T3_us"),
+        ("generate", "experiments", "n_experiment"),
+        ("generate", "latent", "alpha"),
+        ("generate", "output", "dir"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, verb, section, key):
+        path = tmp_path / "typo.cfg"
+        path.write_text(BASE_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"))
+        extra = ["--dataset", tmp_path / "manifest.json"] if verb == "train" else []
+        assert run(verb, "--config", path, "--out", tmp_path / "o", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"unknown key [{section}] {key.lower()}" in err
+
+    def test_unknown_section_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(BASE_CONFIG.replace("[training]", "[trainig]"))
+        assert run("generate", "--config", path, "--out", tmp_path / "o") == 2
+        assert "unknown section [trainig]" in capsys.readouterr().err
+
+    def test_known_keys_are_the_keys_read(self, config_path, tmp_path, monkeypatch):
+        """generate and train without overrides read every key of RunConfig.KEYS."""
+        read = set()
+        original = cli.RunConfig._get
+
+        def spy(self, section, key, *args, **kwargs):
+            read.add((section, key))
+            return original(self, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(cli.RunConfig, "_get", spy)
+        monkeypatch.chdir(tmp_path)  # [output] directory is relative
+        assert run("generate", "--config", config_path) == 0
+        assert run("train", "--config", config_path, "--dataset", "out/manifest.json") == 0
+        assert read == {(section, key) for section, keys in cli.RunConfig.KEYS.items()
+                        for key in keys}
 
 
 class TestGenerate:
@@ -523,3 +566,23 @@ class TestIOErrors:
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         assert run("generate", "--config", config_path, "--out", blocker) == 4
+
+
+class TestEntryPoint:
+    @staticmethod
+    def python(*args) -> subprocess.CompletedProcess:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_module_run_does_not_warn(self):
+        proc = self.python("-m", "qude.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: qude" in proc.stdout
+
+    def test_package_attribute_loads_cli(self):
+        proc = self.python("-c", "import sys, qude; assert 'qude.cli' not in sys.modules; "
+                                 "assert callable(qude.cli.main)")
+        assert proc.returncode == 0, proc.stderr

@@ -157,12 +157,16 @@ class TestBatchedPrediction:
             assert relative(steps[e, n_sub - 1 :: n_sub], ref) <= TOL
 
     def test_network_chunks_change_no_prediction(self, monkeypatch):
+        """Each chunk is its own Newton window, so chunk edges move only rounding."""
         exps = self.experiments([(20.0, 1.0)])  # 50 samples: one chunk, or 12 and a tail
         src = make_case("nonlinear")
+        basis = qcore.hermitian_basis(2)
         whole = dynamics.integrate_many(DEV1, exps, src, 4.0)
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
-        for ref, traj in zip(whole, dynamics.integrate_many(DEV1, exps, src, 4.0)):
-            np.testing.assert_array_equal(traj.states, ref.states)
+        for exp, ref, traj in zip(exps, whole, dynamics.integrate_many(DEV1, exps, src, 4.0)):
+            assert relative(traj.states, ref.states) <= TOL
+            xs = qcore.expand_many(traj.states, basis)
+            assert relative(xs, loop_oracle.integrate(DEV1, exp, src, 4.0)) <= TOL
 
     # RK4 at h = 100 ns is unstable for a 10 MHz drive (|h lambda| ~ 12.6), so
     # the state overflows after about 100 steps whatever the bounded tanh net adds.
@@ -253,10 +257,11 @@ class TestTrainingEngine:
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
         monkeypatch.setattr(train, "REVERSE_CHUNK_STEPS", 7)
         loss, grad = group_loss_grad(group, src, compiled.weights, linear=False)
-        assert loss == whole_loss
-        _, ref_grad = loop_oracle.network_group_loss_grad(
+        assert relative(loss, whole_loss) <= TOL
+        ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
             group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
         )
+        assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
 
     @pytest.mark.parametrize("n_sub", [1, 5])
@@ -292,6 +297,105 @@ class TestTrainingEngine:
         assert not src.is_linear
         with pytest.raises(ValueError):
             src.coeff_affine()
+
+
+def scaled_template(scale: float) -> models.NetworkSource:
+    """The nonlinear template (seed 3) with every parameter multiplied by ``scale``."""
+    tmpl = models.make_source("nonlinear", seed=3)
+    return tmpl.with_params(scale * tmpl.pack())
+
+
+def loop_samples(group, src) -> np.ndarray:
+    return np.stack([
+        loop_oracle.network_step_loop(group.a_base[e], src, group.x0[e], group.h_us,
+                                      group.n_samples, group.n_sub)
+        for e in range(len(group.x0))
+    ])
+
+
+def spy_newton(monkeypatch) -> list[bool]:
+    """Record, per Newton window, whether it fell back to the step loop."""
+    fell_back = []
+    original = dynamics.newton_window
+
+    def spy(*args):
+        steps = original(*args)
+        fell_back.append(steps is None)
+        return steps
+
+    monkeypatch.setattr(dynamics, "newton_window", spy)
+    return fell_back
+
+
+class TestNewtonForward:
+    """The Newton-in-time network forward against the step loop, and its fallback."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n_experiments", [1, 3])
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_matches_loop(self, scale, n_sub, n_experiments, monkeypatch):
+        ds, dt_internal = twin(n_sub, n_experiments)
+        compiled = train._compile(ds, DEV1, dt_internal)
+        (group,) = compiled.groups
+        src = scaled_template(scale)
+        ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
+        )
+        ref_samples = loop_samples(group, src)
+        fell_back = spy_newton(monkeypatch)
+        assert relative(dynamics.group_samples(group, src), ref_samples) <= TOL
+        assert relative(train.loss(src.pack(), ds, DEV1, src, dt_internal), ref_loss) <= TOL
+        assert relative(train.gradient(src.pack(), ds, DEV1, src, dt_internal), ref_grad) <= TOL
+        windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
+        assert fell_back == [False] * 3 * windows  # three forwards, every window converged
+
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
+        ds, dt_internal = twin(n_sub, 3)
+        (group,) = train._compile(ds, DEV1, dt_internal).groups
+        src = scaled_template(1.0)
+        ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                         group.n_samples * n_sub)
+        monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 0)
+        steps = np.concatenate([s for _, _, s in dynamics.network_chunks(group, src)], axis=1)
+        np.testing.assert_array_equal(steps, ref)
+
+    def test_unconverged_window_is_the_step_loop(self, monkeypatch):
+        """At 1000 times the template the iterates of the one 185-step window
+        do not settle, and the window is the step loop's, bit for bit."""
+        ds, dt_internal = twin(5, 3)
+        (group,) = train._compile(ds, DEV1, dt_internal).groups
+        src = scaled_template(1000.0)
+        ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                         group.n_samples * group.n_sub)
+        fell_back = spy_newton(monkeypatch)
+        np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 4::5])
+        assert fell_back == [True]
+        assert relative(ref[:, 4::5], loop_samples(group, src)) <= TOL
+
+    def test_divergence_after_converged_windows(self, monkeypatch):
+        """The window that overflows falls back, so the reported time is the loop's."""
+        c = TestBatchedPrediction.UNSTABLE
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
+        exp = dynamics.Experiment("e", c["p_max"], duration_us=c["duration_us"],
+                                  sample_dt_ns=c["sample_dt_ns"])
+        src = make_case("nonlinear")
+        bad = loop_oracle.first_non_finite(loop_oracle.integrate(dev, exp, src,
+                                                                 c["dt_internal_ns"]))
+        fell_back = spy_newton(monkeypatch)
+        with pytest.raises(dynamics.DivergenceError) as err:
+            dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
+        assert err.value.time_us == exp.times_us()[bad]
+        assert fell_back == [False, True]
+
+    def test_loss_is_a_function_of_theta(self):
+        """No state is carried between evaluations: the same theta, the same bits."""
+        ds, dt_internal = twin(1, 3)
+        src = scaled_template(10.0)
+        first = train.loss(src.pack(), ds, DEV1, src, dt_internal)
+        other = scaled_template(100.0)
+        train.loss(other.pack(), ds, DEV1, other, dt_internal)
+        assert train.loss(src.pack(), ds, DEV1, src, dt_internal) == first
 
 
 class TestDivergenceTime:
