@@ -373,6 +373,20 @@ class TestNewtonForward:
         assert fell_back == [True]
         assert relative(ref[:, 4::5], loop_samples(group, src)) <= TOL
 
+    def test_each_experiment_converges_on_its_own_scale(self, monkeypatch):
+        """A state 1e12 times larger in the group does not loosen the others' tolerance."""
+        exps = [dynamics.Experiment(f"e{i}", 2.3, duration_us=0.5, sample_dt_ns=4.0,
+                                    initial_state=np.diag([scale, 0.0]))
+                for i, scale in enumerate((1.0, 1e12))]
+        (group,) = dynamics.grid_groups(DEV1, exps, 4.0)
+        src = scaled_template(10.0)
+        ref = loop_samples(group, src)
+        fell_back = spy_newton(monkeypatch)
+        samples = dynamics.group_samples(group, src)
+        assert not any(fell_back)
+        for e in range(2):
+            assert relative(samples[e], ref[e]) <= TOL
+
     def test_divergence_after_converged_windows(self, monkeypatch):
         """The window that overflows falls back, so the reported time is the loop's."""
         c = TestBatchedPrediction.UNSTABLE
