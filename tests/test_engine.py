@@ -388,7 +388,8 @@ class TestNewtonForward:
             assert relative(samples[e], ref[e]) <= TOL
 
     def test_divergence_after_converged_windows(self, monkeypatch):
-        """The window that overflows falls back, so the reported time is the loop's."""
+        """The window that overflows falls back, so integrate_rk4 and train.loss
+        report the loop's time."""
         c = TestBatchedPrediction.UNSTABLE
         dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
         exp = dynamics.Experiment("e", c["p_max"], duration_us=c["duration_us"],
@@ -401,6 +402,17 @@ class TestNewtonForward:
             dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
         assert fell_back == [False, True]
+
+        ds = make_twin_dataset(seed=3, n_experiments=1, duration_us=c["duration_us"],
+                               sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
+        ((exp, _),) = ds.experiments
+        bad = loop_oracle.first_non_finite(loop_oracle.integrate(DEV1, exp, src,
+                                                                 c["dt_internal_ns"]))
+        fell_back.clear()
+        with pytest.raises(dynamics.DivergenceError) as err:
+            train.loss(src.pack(), ds, DEV1, src, c["dt_internal_ns"])
+        assert err.value.time_us == exp.times_us()[bad]
+        assert fell_back[0] is False and fell_back[-1] is True
 
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""

@@ -143,6 +143,22 @@ class TestNetworkSource:
             assert np.max(np.abs(out - out.conj().T)) < 1e-14
             assert np.max(np.abs(out)) <= coeff_bound + 1e-12
 
+    @pytest.mark.parametrize("activation", [models.ACTIVATION_IDENTITY, models.ACTIVATION_TANH])
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_coeff_forward_is_the_layer_loop(self, activation, n_layers):
+        """Bit for bit x -> act(W x + b) layer by layer, identity on the last layer."""
+        rng = np.random.default_rng(n_layers)
+        src = models.NetworkSource(
+            dim=2, weights=tuple(rng.standard_normal((4, 4)) for _ in range(n_layers)),
+            biases=tuple(rng.standard_normal(4) for _ in range(n_layers)), activation=activation)
+        x = rng.standard_normal((3, 5, 4))
+        z = x
+        for l, (w, b) in enumerate(zip(src.weights, src.biases)):
+            z = z @ w.T + b
+            if l < n_layers - 1 and activation == models.ACTIVATION_TANH:
+                z = np.tanh(z)
+        np.testing.assert_array_equal(src.coeff_forward(x), z)
+
     def test_kind_follows_activation(self):
         assert models.make_source("affine").kind == "affine"
         assert models.make_source("nonlinear").kind == "nonlinear"
