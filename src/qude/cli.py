@@ -59,9 +59,9 @@ class ConfigError(Exception):
 class RunConfig:
     """Typed view over the INI run configuration.
 
-    KEYS holds every section and key the getters below read; ``load``
-    rejects any other, so a misspelled or retired key is an error rather
-    than a silent default.
+    KEYS holds every section and key the getters below read (a test checks
+    the two agree); ``load`` rejects any other, so a misspelled or retired
+    key is an error rather than a silent default.
     """
 
     KEYS = {
@@ -101,8 +101,6 @@ class RunConfig:
         return hashlib.sha256(self.path.read_bytes()).hexdigest()
 
     def _get(self, section: str, key: str, cast, default=None, required: bool = False):
-        if key not in self.KEYS[section]:
-            raise LookupError(f"[{section}] {key} is missing from RunConfig.KEYS")
         if not self._cp.has_option(section, key):
             if required:
                 raise ConfigError(f"missing [{section}] {key} in {self.path}")

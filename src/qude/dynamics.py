@@ -431,7 +431,7 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
     """
     a_t = _transposed(a_base)
     w_t = [_transposed(w) for w in source.weights]
-    e, c, k = stages[0][0][0].shape
+    e, c, k = stages[0][0][0].shape  # the first stage's first layer input is x
     eye = np.zeros((e, k, c, k))
     diag = np.arange(k)
     eye[:, diag, :, diag] = 1.0

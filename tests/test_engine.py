@@ -349,6 +349,27 @@ class TestNewtonForward:
         windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
         assert fell_back == [False] * 3 * windows  # three forwards, every window converged
 
+    @pytest.mark.parametrize("dim, hidden_layers", [(2, 0), (2, 3), (3, 1)])
+    def test_any_depth_and_dimension(self, dim, hidden_layers, monkeypatch):
+        dev = replace(DEV1, dim=dim)
+        exps = [dynamics.Experiment(f"e{i}", p, duration_us=0.6, sample_dt_ns=20.0)
+                for i, p in enumerate((1.3, 3.1))]
+        (group,) = dynamics.grid_groups(dev, exps, 4.0)
+        tmpl = models.make_source("nonlinear", dim=dim, hidden_layers=hidden_layers, seed=2)
+        src = tmpl.with_params(30.0 * tmpl.pack())
+        ref = loop_samples(group, src)
+        weights = qcore.hermitian_basis(dim).gram_norms.astype(float)
+        targets = ref + 0.01 * np.random.default_rng(dim).standard_normal(ref.shape)
+        ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, targets, group.n_sub, group.h_us, src, weights)
+        fell_back = spy_newton(monkeypatch)
+        assert relative(dynamics.group_samples(group, src), ref) <= TOL
+        loss, grad = group_loss_grad(train._Group(**vars(group), targets=targets), src, weights,
+                                     linear=False)
+        assert relative(loss, ref_loss) <= TOL
+        assert relative(grad, ref_grad) <= TOL
+        assert fell_back == [False, False]
+
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
         ds, dt_internal = twin(n_sub, 3)

@@ -1,5 +1,5 @@
 """Property tests: the Newton-in-time network forward against the step loop
-over random parameter scales, grid lengths and substep counts."""
+over random parameter scales, grid lengths, substep counts and depths."""
 
 import numpy as np
 import pytest
@@ -19,15 +19,16 @@ st = hypothesis.strategies
     scale=st.floats(0.5, 100.0),
     n_samples=st.integers(1, 150),
     n_sub=st.sampled_from([1, 2, 5]),
+    hidden_layers=st.integers(0, 3),
     seed=st.integers(0, 2**16),
 )
-def test_network_engine_matches_loop(scale, n_samples, n_sub, seed):
+def test_network_engine_matches_loop(scale, n_samples, n_sub, hidden_layers, seed):
     sample_dt = 4.0 * n_sub
     ds = make_twin_dataset(seed=seed, n_experiments=2, duration_us=n_samples * sample_dt * 1e-3,
                            sample_dt_ns=sample_dt)
     compiled = train._compile(ds, DEV1, 4.0)
     (group,) = compiled.groups
-    tmpl = models.make_source("nonlinear", seed=seed)
+    tmpl = models.make_source("nonlinear", hidden_layers=hidden_layers, seed=seed)
     src = tmpl.with_params(scale * tmpl.pack())
     ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
         group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
