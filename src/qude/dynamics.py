@@ -32,13 +32,11 @@ delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
 The first iterate is the base-model trajectory from the window's start
 state, propagated by doubling, and the window is done once
 max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state,
-experiment by experiment.
-A window that does not converge in NEWTON_MAX_ITERS evaluations, or whose
-iterate is not finite, is run again by the stage-by-stage step loop
-``propagate_network`` from the same start state (the fallback of Gonzalez et
-al., NeurIPS 2024), so a diverging trajectory is reported at the loop's
-sample. The converged states agree with the step loop to rounding, not bit
-for bit.
+experiment by experiment. A window that does not converge in
+NEWTON_MAX_ITERS evaluations, or whose iterate is not finite, is run again
+by the stage-by-stage step loop ``propagate_network`` from the same start
+state, so a diverging trajectory is reported at the loop's sample. The
+converged states agree with the step loop to rounding, not bit for bit.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
 generators and initial states of the experiments that share a sample grid.
