@@ -351,7 +351,8 @@ def propagate_network(
 ) -> np.ndarray:
     """Stage-by-stage RK4 for x' = A x + net(x), batched over experiments.
 
-    The reference step loop, and the fallback of ``newton_window``.
+    The reference step loop, and what ``network_chunks`` runs for a window
+    that ``newton_window`` does not solve.
     ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
     internal step, (E, n_steps, k); non-finite states are kept for the
     caller's divergence check.
