@@ -1,17 +1,15 @@
 """Property tests: the Newton-in-time network forward against the step loop
 over random parameter scales, grid lengths, substep counts and depths."""
 
+import hypothesis
 import numpy as np
-import pytest
+from hypothesis import strategies as st
 
 from qude import dynamics, models, train
 
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
 from test_engine import TOL, loop_samples, relative
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
