@@ -233,6 +233,14 @@ def _required(data, key: str, path: Path, cast=float, where: str = ""):
         raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r}") from None
 
 
+def _positive(value) -> float:
+    """``value`` as a positive finite float; ValueError otherwise."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{value!r} is not a positive finite number")
+    return value
+
+
 def _device_from_json(data: dict, path: Path, base_override: str | None = None) -> DeviceModel:
     device = data.get("device")
     try:
@@ -292,6 +300,8 @@ def load_model(path: str | Path):
     kind = _required(data, "ansatz", path, str)
     dim = _required(data, "dim", path, int)
     theta = _required(data, "params", path, lambda v: np.asarray(v, dtype=float))
+    for key in ("train_horizon_us", "dt_internal_ns"):
+        data[key] = _required(data, key, path, _positive)
     try:
         if kind == models.KIND_SP:
             template = models.StructurePreservingSource(
@@ -539,7 +549,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.get_str("output", "directory", default="out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_dataset = (
-        dataset.restrict(config.experiment_id or dataset.experiments[0][0].id)
+        dataset.restrict(config.experiment_id)
         if config.mode == train.MODE_EXP_SPEC
         else dataset
     )
@@ -587,8 +597,11 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"model dimension {dev.dim} does not match dataset dimension {manifest_dev.dim}"
         )
-    horizon = args.train_horizon_us or model_data.get("train_horizon_us") or dataset.total_horizon_us
-    dt_internal = float(model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS)
+    if args.train_horizon_us is not None and not 0.0 < args.train_horizon_us < np.inf:
+        raise ConfigError(f"--train-horizon-us must be a positive finite number, "
+                          f"got {args.train_horizon_us!r}")
+    horizon = args.train_horizon_us or model_data["train_horizon_us"] or dataset.total_horizon_us
+    dt_internal = model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS
     model_name = model_data.get("ansatz", "base")
 
     out_dir = Path(args.out)

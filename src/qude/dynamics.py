@@ -136,10 +136,9 @@ class Experiment:
     def n_samples(self) -> int:
         return int(round(self.duration_us / (self.sample_dt_ns * 1e-3)))
 
-    def times_us(self, include_t0: bool = False) -> np.ndarray:
-        """Output grid; starts at sample_dt unless t=0 is requested."""
-        start = 0 if include_t0 else 1
-        return np.arange(start, self.n_samples + 1) * (self.sample_dt_ns * 1e-3)
+    def times_us(self) -> np.ndarray:
+        """Output grid sample_dt, 2 sample_dt, ..., duration; t=0 is not a sample."""
+        return np.arange(1, self.n_samples + 1) * (self.sample_dt_ns * 1e-3)
 
     def initial_density(self, dim: int) -> np.ndarray:
         if self.initial_state is None:
@@ -205,25 +204,16 @@ def lindblad_dissipator(dev: DeviceModel, rho: np.ndarray) -> np.ndarray:
     return dev.tau1 * dissipator(a, rho) + dev.tau2 * dissipator(n, rho)
 
 
-def rhs(dev: DeviceModel, exp: Experiment, source, rho: np.ndarray, t_us: float = 0.0) -> np.ndarray:
-    """Time derivative of rho under the (possibly augmented) master equation.
+def rhs(dev: DeviceModel, exp: Experiment, rho: np.ndarray) -> np.ndarray:
+    """Time derivative of rho under the baseline master equation.
 
-    ``source`` is None for the base model, or any object from qude.models. A
-    structure-preserving source folds its Hermitian part into the commutator
-    and adds its dissipator; network sources add their output directly. Both
-    are expressed through the source protocol ``hermitian_shift()`` /
-    ``residual_term(rho)``.
+    The physics definition -i[H, rho] + lindblad_dissipator(rho) that
+    ``base_generator`` expands column by column. A source enters only in
+    coefficient space (qude.models).
     """
     qcore.assert_hermitian(rho, 1e-9, "rhs() state")
     h = hamiltonian(dev, exp)
-    if source is not None:
-        shift = source.hermitian_shift()
-        if shift is not None:
-            h = h + shift
-    out = -1j * (h @ rho - rho @ h) + lindblad_dissipator(dev, rho)
-    if source is not None:
-        out = out + source.residual_term(rho)
-    return out
+    return -1j * (h @ rho - rho @ h) + lindblad_dissipator(dev, rho)
 
 
 # -- coefficient-space engines ------------------------------------------------
@@ -238,7 +228,7 @@ def base_generator(dev: DeviceModel, exp: Experiment) -> np.ndarray:
     basis = qcore.hermitian_basis(dev.dim)
     cols = []
     for el in basis.elements:
-        cols.append(qcore.expand(rhs(dev, exp, None, el), basis, check=False))
+        cols.append(qcore.expand(rhs(dev, exp, el), basis, check=False))
     return np.stack(cols, axis=1)
 
 
@@ -654,7 +644,6 @@ def integrate_rk4(
     exp: Experiment,
     source=None,
     dt_internal_ns: float = DEFAULT_DT_INTERNAL_NS,
-    include_t0: bool = False,
 ) -> Trajectory:
     """Fixed-step RK4 from t=0, recording states at every sample instant.
 
@@ -663,10 +652,4 @@ def integrate_rk4(
     internal step does not divide the sample step.
     """
     (traj,) = integrate_many(dev, [exp], source, dt_internal_ns)
-    if include_t0:
-        rho0 = exp.initial_density(dev.dim)
-        traj = Trajectory(
-            times_us=np.concatenate(([0.0], traj.times_us)),
-            states=np.concatenate((rho0[None, :, :], traj.states)),
-        )
     return traj

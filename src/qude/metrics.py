@@ -18,9 +18,6 @@ from . import dynamics, qcore, train
 from .dynamics import DeviceModel, Experiment, Trajectory
 from .tomography import RecordBlock
 
-POOL_PER_EXPERIMENT = "per-experiment"
-POOL_PER_RECORD = "per-record"
-
 
 @dataclass(frozen=True)
 class MomentRow:
@@ -36,7 +33,6 @@ class EvalReport:
     """Summary statistics for one model over one dataset."""
 
     model: str
-    per_experiment: list[tuple[str, str, float, float]]  # (exp id, split, mean, std)
     moments: list[MomentRow]
     histogram: dict[str, tuple[np.ndarray, np.ndarray]]  # split -> (edges, densities)
     expected_trace_distance: dict[str, tuple[float, float, int]]  # split -> (mean, se, n)
@@ -70,17 +66,15 @@ def _match_grid(pred_times: np.ndarray, rec_times: np.ndarray) -> np.ndarray:
 
 def moment_table(
     entries: list[tuple[str, str, np.ndarray]],
-) -> tuple[list[MomentRow], list[str]]:
+) -> list[MomentRow]:
     """Pooled mean/population-stddev rows, ordered by model then split.
 
-    Empty pools are omitted and reported in the returned warning list.
+    Empty pools are omitted.
     """
     rows = []
-    warnings = []
     for model, split_tag, values in sorted(entries, key=lambda e: (e[0], e[1])):
         values = np.asarray(values, dtype=float)
         if values.size == 0:
-            warnings.append(f"empty split {split_tag!r} for model {model!r}; row omitted")
             continue
         rows.append(
             MomentRow(
@@ -91,7 +85,7 @@ def moment_table(
                 count=int(values.size),
             )
         )
-    return rows, warnings
+    return rows
 
 
 def histogram_density(values: np.ndarray, bin_count: int = 50) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +115,6 @@ def expected_trace_distance(
     n_samples: int,
     seed: int,
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
-    pooling: str = POOL_PER_EXPERIMENT,
 ) -> tuple[float, float]:
     """Monte Carlo expected trace distance between two models of one device.
 
@@ -131,8 +124,6 @@ def expected_trace_distance(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if pooling not in (POOL_PER_EXPERIMENT, POOL_PER_RECORD):
-        raise ValueError(f"unknown pooling mode {pooling!r}")
     rng = np.random.default_rng(seed)
     experiments = [
         Experiment(
@@ -146,17 +137,11 @@ def expected_trace_distance(
     truths = dynamics.integrate_many(dev, experiments, reference_source, dt_internal_ns)
     preds = dynamics.integrate_many(dev, experiments, candidate_source, dt_internal_ns)
     per_sample = []
-    pooled = []
     for truth, pred in zip(truths, preds):
         filtered = qcore.spectral_filter_many(pred.states, pred.times_us)
         dists = qcore.trace_distance_many(filtered, truth.states)
         per_sample.append(float(dists.mean()))
-        if pooling == POOL_PER_RECORD:
-            pooled.append(dists)
-    if pooling == POOL_PER_RECORD:
-        values = np.concatenate(pooled)
-    else:
-        values = np.asarray(per_sample)
+    values = np.asarray(per_sample)
     se = float(values.std() / np.sqrt(values.size))
     return float(values.mean()), se
 
@@ -168,7 +153,6 @@ def evaluate_model(
     experiments: list[tuple[Experiment, RecordBlock]],
     train_horizon_us: float,
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
-    bin_count: int = 50,
 ) -> tuple[EvalReport, dict[str, Trajectory]]:
     """Full evaluation pass of one model against one dataset.
 
@@ -179,7 +163,6 @@ def evaluate_model(
     predictions at the record times for reuse. All experiments are predicted
     in one batched ``dynamics.integrate_many`` call.
     """
-    per_experiment = []
     pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
     per_exp_means: dict[str, list[float]] = {"interpolation": [], "extrapolation": []}
 
@@ -195,21 +178,18 @@ def evaluate_model(
             if vals.size:
                 pooled[split_tag].append(vals)
                 per_exp_means[split_tag].append(float(vals.mean()))
-                per_experiment.append(
-                    (exp.id, split_tag, float(vals.mean()), float(vals.std()))
-                )
     entries = [
         (model_name, split_tag, np.concatenate(vals) if vals else np.array([]))
         for split_tag, vals in pooled.items()
     ]
-    moments, _ = moment_table(entries)
+    moments = moment_table(entries)
     histogram = {}
     expected = {}
     for split_tag, vals in pooled.items():
         if not vals:
             continue
         allvals = np.concatenate(vals)
-        histogram[split_tag] = histogram_density(allvals, bin_count)
+        histogram[split_tag] = histogram_density(allvals)
         means = np.asarray(per_exp_means[split_tag])
         expected[split_tag] = (
             float(means.mean()),
@@ -218,7 +198,6 @@ def evaluate_model(
         )
     report = EvalReport(
         model=model_name,
-        per_experiment=per_experiment,
         moments=moments,
         histogram=histogram,
         expected_trace_distance=expected,

@@ -11,20 +11,17 @@ agnostic:
   integration and adjoint path (see qude.dynamics).
 * ``coeff_affine()`` / ``coeff_affine_vjp(g_w, g_b)`` -- for linear sources,
   (W, b) and the pullback of dL/dW, dL/db to the packed parameters.
-* ``hermitian_shift()`` -- Hermitian operator folded into the commutator, or
-  None.
-* ``residual_term(rho)`` -- whatever is added to the right-hand side beyond
-  that shift (dissipator for the structure-preserving source, the full
-  network output for network sources).
-* ``coeff_generator()`` / ``coeff_forward(x)`` -- the same maps expressed in
-  the real coefficient space of the elementary Hermitian basis.
+* ``coeff_generator()`` / ``coeff_forward(x)`` -- the source as a map on the
+  real coefficient space of the elementary Hermitian basis: the constant
+  generator of the structure-preserving source, the network output of a
+  network source.
 * ``pack()`` / ``with_params(theta)`` -- flat parameter vector round trip.
 
 The structure-preserving source keeps its rates non-negative by training
 gamma_raw with gamma = gamma_raw**2 (a ``signed`` mode exposes raw rates for
-diagnostics, at the cost of the CPTP guarantee). Network sources act on the
-coefficient vector of the state and reconstruct a Hermitian matrix, so their
-output is Hermitian for any parameters.
+diagnostics, at the cost of the CPTP guarantee). Network sources map the
+real coefficient vector of the state to real coefficients, so the matrix
+they add is Hermitian for any parameters.
 """
 
 from __future__ import annotations
@@ -103,16 +100,6 @@ class StructurePreservingSource:
             return self.gamma_raw
         return self.gamma_raw**2
 
-    def hermitian_shift(self) -> np.ndarray:
-        return sp_hermitian(self)
-
-    def residual_term(self, rho: np.ndarray) -> np.ndarray:
-        return sp_dissipator(self, rho)
-
-    def source_term(self, rho: np.ndarray) -> np.ndarray:
-        sh = self.hermitian_shift()
-        return -1j * (sh @ rho - rho @ sh) + sp_dissipator(self, rho)
-
     def coeff_generator(self) -> np.ndarray:
         b_alpha, b_gamma = sp_generator_blocks(self.dim)
         return np.einsum("j,jkl->kl", self.alpha, b_alpha) + np.einsum(
@@ -150,15 +137,6 @@ def sp_hermitian(src: StructurePreservingSource) -> np.ndarray:
     eye = np.eye(src.dim)
     shifted = basis.elements - basis.elements[:, 0, 0].real[:, None, None] * eye
     return np.einsum("j,jkl->kl", src.alpha, shifted)
-
-
-def sp_dissipator(src: StructurePreservingSource, rho: np.ndarray) -> np.ndarray:
-    """sum_j gamma_j D[U_j](rho) with U_j the generator upper triangles."""
-    out = np.zeros((src.dim, src.dim), dtype=complex)
-    for g, jump in zip(src.gammas, src.basis.uppers):
-        if g != 0.0:
-            out = out + g * dynamics.dissipator(jump, rho)
-    return out
 
 
 _SP_BLOCK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -254,9 +232,6 @@ class NetworkSource:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def hermitian_shift(self) -> None:
-        return None
-
     def coeff_forward(self, x: np.ndarray) -> np.ndarray:
         """Network output for coefficient vectors; batched over leading axes."""
         z = x
@@ -292,11 +267,6 @@ class NetworkSource:
             g_w, g_b = w.T @ g_w, w.T @ g_b
         return np.concatenate(flat)
 
-    def residual_term(self, rho: np.ndarray) -> np.ndarray:
-        return net_forward(self, rho)
-
-    source_term = residual_term
-
     def pack(self) -> np.ndarray:
         parts = []
         for w, b in zip(self.weights, self.biases):
@@ -321,16 +291,6 @@ class NetworkSource:
             biases.append(theta[pos : pos + n2].copy())
             pos += n2
         return replace(self, weights=tuple(weights), biases=tuple(biases))
-
-
-def net_forward(src: NetworkSource, rho: np.ndarray) -> np.ndarray:
-    """Map a state to a Hermitian source matrix through the network."""
-    basis = qcore.hermitian_basis(src.dim)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (src.dim, src.dim):
-        raise ValueError(f"expected a {src.dim}x{src.dim} state, got {rho.shape}")
-    coeffs = qcore.expand(rho, basis, check=False)
-    return qcore.reconstruct(src.coeff_forward(coeffs), basis)
 
 
 def make_source(

@@ -7,7 +7,8 @@ used throughout the package to keep per-record work vectorized.
 
 Conventions fixed here and relied on everywhere else:
 
-* ``vec(rho)`` flattens row-major: for n=2, ``(rho00, rho01, rho10, rho11)``.
+* A matrix flattens row-major: for n=2, ``(rho00, rho01, rho10, rho11)``,
+  the layout that ``tomography.M_MATRIX`` acts on.
 * ``gell_mann_basis(n)`` orders the n^2-1 traceless Hermitian generators as
   all symmetric off-diagonal pairs (j<k lexicographic), then all
   antisymmetric pairs, then the diagonal ones. For n=2 this is exactly
@@ -26,8 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
 
 
 class DegenerateSpectrumError(ValueError):
@@ -56,22 +55,6 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "m
         raise ValueError(f"{what} is not Hermitian: max |A - A^dagger| = {dev:.3e} > {tol:.1e}")
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = EIGENVALUE_TOL,
-) -> None:
-    """Validate the density-matrix contract: Hermitian, unit trace, PSD."""
-    assert_hermitian(rho, herm_tol, "density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by more than {trace_tol:.1e}")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if float(w.min()) < -eig_tol:
-        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below -{eig_tol:.1e}")
-
-
 def basis_projector(dim: int, k: int) -> np.ndarray:
     """Projector |k><k| in the computational basis."""
     p = np.zeros((dim, dim), dtype=complex)
@@ -81,29 +64,6 @@ def basis_projector(dim: int, k: int) -> np.ndarray:
 
 def ground_state(dim: int) -> np.ndarray:
     return basis_projector(dim, 0)
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix, rho = G G^dagger / Tr(G G^dagger)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: (rho00, rho01, rho10, rho11) for n=2."""
-    return np.asarray(rho).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    v = np.asarray(v)
-    if v.size != dim * dim:
-        raise ValueError(f"expected a length-{dim * dim} vector, got {v.size}")
-    return v.reshape(dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,32 +181,13 @@ def expand_many(states: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return coeffs.real / basis.gram_norms
 
 
-def reconstruct(coeffs: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Sum_i c_i H_i; exactly Hermitian for real coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.dim * basis.dim,):
-        raise ValueError(
-            f"expected {basis.dim * basis.dim} coefficients, got shape {coeffs.shape}"
-        )
-    return np.einsum("i,ikl->kl", coeffs, basis.elements)
-
-
 def reconstruct_many(coeffs: np.ndarray, basis: HermitianBasis) -> np.ndarray:
+    """Sum_i c_i H_i per row of (m, dim^2) coefficients; exactly Hermitian for real ones."""
     return np.einsum("mi,ikl->mkl", np.asarray(coeffs, dtype=float), basis.elements)
 
 
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Half the sum of singular values of rho1 - rho2."""
-    rho1 = np.asarray(rho1)
-    rho2 = np.asarray(rho2)
-    if rho1.shape != rho2.shape:
-        raise ValueError(f"shape mismatch: {rho1.shape} vs {rho2.shape}")
-    w = np.linalg.eigvalsh(hermitize(rho1 - rho2))
-    return 0.5 * float(np.sum(np.abs(w)))
-
-
 def trace_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched trace distance over a leading sample axis."""
+    """Half the summed absolute eigenvalues of a - b, over a leading sample axis."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -255,26 +196,15 @@ def trace_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.abs(w), axis=-1)
 
 
-def spectral_filter(rho: np.ndarray, time_us: float | None = None) -> np.ndarray:
-    """Project a Hermitian matrix onto the valid-state manifold.
+def spectral_filter_many(states: np.ndarray, times_us: np.ndarray | None = None) -> np.ndarray:
+    """Project Hermitian matrices onto the valid-state manifold, over a leading sample axis.
 
     Eigen-decomposes, zeroes non-positive eigenvalues, renormalizes the
     retained ones to unit sum and reassembles. Identity (to rounding) on
-    matrices that are already valid density matrices, and idempotent.
+    matrices that are already valid density matrices, and idempotent. A
+    sample with no positive eigenvalue raises DegenerateSpectrumError, with
+    its time when ``times_us`` is given.
     """
-    rho = np.asarray(rho, dtype=complex)
-    assert_hermitian(rho, 1e-10, "spectral_filter() input")
-    w, v = np.linalg.eigh(hermitize(rho))
-    w = np.where(w > 0.0, w, 0.0)
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateSpectrumError("all eigenvalues non-positive; cannot renormalize", time_us)
-    w /= total
-    return hermitize((v * w) @ dagger(v))
-
-
-def spectral_filter_many(states: np.ndarray, times_us: np.ndarray | None = None) -> np.ndarray:
-    """Batched spectral filter over a leading sample axis."""
     states = hermitize(np.asarray(states, dtype=complex))
     w, v = np.linalg.eigh(states)
     w = np.where(w > 0.0, w, 0.0)

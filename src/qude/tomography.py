@@ -1,11 +1,11 @@
 """Forward measurement model, shot sampling, and linear inversion.
 
-The forward model is p = M vec(rho) with the fixed 4x4 inversion matrix
-below and vec(rho) = (rho00, rho01, rho10, rho11); the population vector is
-p = (1, 2P(x)-1, 2P(y)-1, 2P(z)-1). Reconstruction inverts the same
-relation, hermitizes defensively, and applies the spectral filter, so
-generation and inversion are self-consistent by construction. P(z) is the
-excited-state population.
+The forward model is p = M v with the fixed 4x4 inversion matrix below and
+v = (rho00, rho01, rho10, rho11) the row-major flattening of rho; the
+population vector is p = (1, 2P(x)-1, 2P(y)-1, 2P(z)-1). Reconstruction
+inverts the same relation, hermitizes defensively, and applies the spectral
+filter, so generation and inversion are self-consistent by construction.
+P(z) is the excited-state population.
 
 Shot sampling draws an independent binomial per measurement axis. The
 default budget is the full shot count per axis; ``split`` mode divides it
@@ -47,18 +47,6 @@ M_MATRIX_INV = np.linalg.inv(M_MATRIX)
 M_MATRIX_INV.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class MeasurementProbs:
-    """Per-axis outcome probabilities at one time step."""
-
-    px: float
-    py: float
-    pz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
-
 @dataclass(frozen=True, eq=False)
 class RecordBlock:
     """The tomography records of one experiment as columns, one row per time step.
@@ -98,21 +86,11 @@ class RecordBlock:
         return self.take(np.argsort(self.times_us, kind="stable"))
 
 
-def measurement_probs(rho: np.ndarray) -> MeasurementProbs:
-    """Axis probabilities of a single-qubit state via the forward model."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"measurement model is single-qubit; got shape {rho.shape}")
-    p = M_MATRIX @ qcore.vec(rho)
-    probs = (p[1:].real + 1.0) / 2.0
-    if np.any(probs < -PROB_TOL) or np.any(probs > 1.0 + PROB_TOL):
-        raise ValueError(f"probabilities {probs} outside [0, 1]; state is invalid")
-    probs = np.clip(probs, 0.0, 1.0)
-    return MeasurementProbs(px=float(probs[0]), py=float(probs[1]), pz=float(probs[2]))
-
-
 def measurement_probs_many(states: np.ndarray) -> np.ndarray:
-    """Batched axis probabilities, shape (m, 3)."""
+    """Axis probabilities (P(x), P(y), P(z)) of stacked qubit states, shape (m, 3).
+
+    Rejects a state whose probabilities leave [0, 1] by more than PROB_TOL.
+    """
     vecs = np.asarray(states, dtype=complex).reshape(-1, 4)
     p = vecs @ M_MATRIX.T
     probs = (p[:, 1:].real + 1.0) / 2.0
@@ -131,43 +109,12 @@ def axis_shot_budget(shots: int, mode: str = SHOT_MODE_PER_AXIS) -> int:
     raise ValueError(f"unknown shot mode {mode!r}")
 
 
-def sample_counts(
-    probs: MeasurementProbs, shots: int, rng: np.random.Generator
-) -> tuple[int, int, int]:
-    """Binomial successes per axis, drawn in x, y, z order."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    kx = int(rng.binomial(shots, probs.px))
-    ky = int(rng.binomial(shots, probs.py))
-    kz = int(rng.binomial(shots, probs.pz))
-    return kx, ky, kz
-
-
-def lie_reconstruct(probs_hat) -> np.ndarray:
-    """Linear inversion estimate followed by spectral filtering.
-
-    Accepts a MeasurementProbs or any (px, py, pz) triple of empirical
-    probabilities in [0, 1]. Exact probabilities of a valid state are
-    recovered exactly (the filter is the identity there).
-    """
-    if isinstance(probs_hat, MeasurementProbs):
-        probs = probs_hat.as_array()
-    else:
-        probs = np.asarray(probs_hat, dtype=float)
-    if probs.shape != (3,):
-        raise ValueError("expected three axis probabilities")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError(f"empirical probabilities {probs} outside [0, 1]")
-    p = np.concatenate(([1.0], 2.0 * probs - 1.0))
-    rho = qcore.unvec(M_MATRIX_INV @ p, 2)
-    return qcore.spectral_filter(qcore.hermitize(rho))
-
-
 def lie_reconstruct_many(probs_hat: np.ndarray, times_us: np.ndarray | None = None) -> np.ndarray:
-    """Batched linear inversion + filtering; probs_hat has shape (m, 3).
+    """Linear inversion followed by spectral filtering; probs_hat has shape (m, 3).
 
-    Like ``lie_reconstruct``, rejects probabilities outside [0, 1], naming
-    the first such row and its time when ``times_us`` is given.
+    Exact probabilities of a valid state are recovered exactly (the filter
+    is the identity there). Rejects probabilities outside [0, 1], naming the
+    first such row and its time when ``times_us`` is given.
     """
     probs = np.asarray(probs_hat, dtype=float)
     outside = np.any((probs < 0.0) | (probs > 1.0), axis=1)
@@ -183,13 +130,8 @@ def lie_reconstruct_many(probs_hat: np.ndarray, times_us: np.ndarray | None = No
     return qcore.spectral_filter_many(raw, times_us)
 
 
-def expected_energy(rho: np.ndarray) -> float:
-    """Tr(rho a^dag a); the excited-state population for a qubit."""
-    rho = np.asarray(rho)
-    return float(np.sum(np.arange(rho.shape[0]) * np.diag(rho).real))
-
-
 def expected_energy_many(states: np.ndarray) -> np.ndarray:
+    """Tr(rho a^dag a) of stacked states; the excited-state population for a qubit."""
     states = np.asarray(states)
     levels = np.arange(states.shape[-1])
     return np.einsum("k,mkk->m", levels, states.real)

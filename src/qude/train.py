@@ -90,14 +90,13 @@ class Dataset:
             )
         self.experiments = [(exp, block.sorted()) for exp, block in self.experiments]
 
-    @property
-    def n_experiments(self) -> int:
-        return len(self.experiments)
+    def restrict(self, experiment_id: str | None) -> "Dataset":
+        """View containing a single experiment (Experiment-Specific mode).
 
-    def restrict(self, experiment_id: str) -> "Dataset":
-        """View containing a single experiment (Experiment-Specific mode)."""
+        No id (None or empty) picks the first experiment.
+        """
         for exp, block in self.experiments:
-            if exp.id == experiment_id:
+            if not experiment_id or exp.id == experiment_id:
                 return Dataset(
                     [(exp, block)],
                     train_horizon_us=self.train_horizon_us,
@@ -113,22 +112,6 @@ def in_train_split(times_us, t_tr_us: float):
     round-off in the train split. Works on scalars and arrays.
     """
     return np.asarray(times_us) <= t_tr_us * (1.0 + 1e-12)
-
-
-def split(dataset: Dataset, t_tr_us: float) -> tuple[Dataset, Dataset]:
-    """Disjoint train/validation views by time; t = T_Tr goes to train."""
-    if not 0 < t_tr_us < dataset.total_horizon_us:
-        raise ValueError(
-            f"split horizon {t_tr_us} us must lie inside (0, {dataset.total_horizon_us})"
-        )
-    train, val = [], []
-    for exp, block in dataset.experiments:
-        keep = in_train_split(block.times_us, t_tr_us)
-        train.append((exp, block.take(keep)))
-        val.append((exp, block.take(~keep)))
-    train_ds = Dataset(train, train_horizon_us=t_tr_us, total_horizon_us=t_tr_us)
-    val_ds = Dataset(val, train_horizon_us=t_tr_us, total_horizon_us=dataset.total_horizon_us)
-    return train_ds, val_ds
 
 
 @dataclass(frozen=True)
@@ -504,8 +487,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
     if ansatz is None:
         raise ValueError("fit requires a trainable source ansatz")
     if config.mode == MODE_EXP_SPEC:
-        target = config.experiment_id or dataset.experiments[0][0].id
-        dataset = dataset.restrict(target)
+        dataset = dataset.restrict(config.experiment_id)
 
     compiled = _compile(dataset, dev, config.dt_internal_ns)
     exp_ids = [exp.id for exp, _ in dataset.experiments]

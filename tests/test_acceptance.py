@@ -12,6 +12,7 @@ import pytest
 
 from qude import cli, dynamics, metrics, models, qcore, tomography, train
 
+import states
 from conftest import (
     DEV1,
     DEV2,
@@ -69,7 +70,7 @@ def test_criterion_02_footnote_identity():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        rho = qcore.random_density_matrix(2, rng)
+        rho = states.random_density_matrix(2, rng)
         lhs = dynamics.dissipator(gm.uppers[2], rho)
         rhs = 4.0 * dynamics.dissipator(n_op, rho)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -81,10 +82,10 @@ def test_criterion_03_tomography_round_trip():
     t0 = time.perf_counter()
     inv_err = float(np.max(np.abs(tomography.M_MATRIX @ tomography.M_MATRIX_INV - np.eye(4))))
     rng = np.random.default_rng(3)
-    states = np.stack([qcore.random_density_matrix(2, rng) for _ in range(1000)])
-    probs = tomography.measurement_probs_many(states)
+    rhos = np.stack([states.random_density_matrix(2, rng) for _ in range(1000)])
+    probs = tomography.measurement_probs_many(rhos)
     recon = tomography.lie_reconstruct_many(probs)
-    worst = float(np.max(qcore.trace_distance_many(recon, states)))
+    worst = float(np.max(qcore.trace_distance_many(recon, rhos)))
     elapsed = time.perf_counter() - t0
     check(
         3,
@@ -231,16 +232,15 @@ def test_criterion_08_cptp_suite():
     assert worst_eig >= -1e-8, worst_eig
 
     rng = np.random.default_rng(8)
-    ident_err = 0.0
-    idem_err = 0.0
+    rhos, hs = [], []
     for _ in range(50):
-        rho = qcore.random_density_matrix(2, rng)
-        ident_err = max(ident_err, float(np.max(np.abs(qcore.spectral_filter(rho) - rho))))
-        h = qcore.hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        if np.max(np.linalg.eigvalsh(h)) <= 0.0:
-            continue
-        once = qcore.spectral_filter(h)
-        idem_err = max(idem_err, float(np.max(np.abs(qcore.spectral_filter(once) - once))))
+        rhos.append(states.random_density_matrix(2, rng))
+        hs.append(qcore.hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+    rhos = np.stack(rhos)
+    hs = np.stack([h for h in hs if np.max(np.linalg.eigvalsh(h)) > 0.0])
+    ident_err = float(np.max(np.abs(qcore.spectral_filter_many(rhos) - rhos)))
+    once = qcore.spectral_filter_many(hs)
+    idem_err = float(np.max(np.abs(qcore.spectral_filter_many(once) - once)))
     assert ident_err <= 1e-12, ident_err
     assert idem_err <= 1e-12, idem_err
 

@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qude import cli, dynamics, models, qcore, tomography, train
+from qude import cli, dynamics, models, tomography, train
 
 import loop_oracle
+import states
 
 BASE_CONFIG = """\
 [device]
@@ -193,15 +194,15 @@ class TestGenerate:
         out = tmp_path / "data"
         run("generate", "--config", config_path, "--out", out)
         dataset, dev, manifest = cli.load_dataset(out / "manifest.json")
-        assert dataset.n_experiments == 2
+        assert len(dataset.experiments) == 2
         assert dev.T1_us == 214.0
         exp, block = dataset.experiments[0]
         assert len(block) == 50
-        qcore.assert_density_matrix(block.rho_hat[0])
+        states.assert_density_matrix(block.rho_hat[0])
         # reconstruction matches a fresh linear inversion of the stored counts
         probs = block.counts[0] / block.shots[0]
         np.testing.assert_allclose(
-            block.rho_hat[0], tomography.lie_reconstruct(tuple(probs)), atol=1e-12
+            block.rho_hat[0], tomography.lie_reconstruct_many(probs[None])[0], atol=1e-12
         )
 
 
@@ -472,6 +473,19 @@ RECORD_FAULTS = {
 }
 
 
+# fault -> (verb, model-file changes, extra arguments, texts the message must name)
+MODEL_FAULTS = {
+    "horizon-not-a-number": (
+        "evaluate", {"train_horizon_us": "soon"}, (), ("model.json", "'train_horizon_us'")),
+    "horizon-negative": (
+        "evaluate", {"train_horizon_us": -1.0}, (), ("model.json", "'train_horizon_us'")),
+    "step-not-a-number": (
+        "evaluate", {"dt_internal_ns": "soon"}, (), ("model.json", "'dt_internal_ns'")),
+    "evaluate-flag-zero": ("evaluate", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
+    "report-flag-negative": ("report", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
+}
+
+
 class TestDataValidation:
     """Corrupt data on disk is a data error (exit 2) naming the file, line and field."""
 
@@ -517,6 +531,20 @@ class TestDataValidation:
                    "--out", tmp_path / "eval") == 2
         err = capsys.readouterr().err
         assert "model.json" in err and "malformed JSON" in err
+
+    @pytest.mark.parametrize("fault", sorted(MODEL_FAULTS))
+    def test_bad_horizon_or_step_is_rejected(self, fault, config_path, dataset_dir, tmp_path,
+                                             capsys):
+        verb, changes, extra, names = MODEL_FAULTS[fault]
+        assert self.train(config_path, dataset_dir, tmp_path) == 0
+        model = tmp_path / "fit" / "model.json"
+        model.write_text(json.dumps({**json.loads(model.read_text()), **changes}))
+        capsys.readouterr()
+        assert run(verb, "--model", model, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval", *extra) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "eval" / "moments.csv").exists()
 
     def test_model_dataset_dimension_mismatch(self, config_path, dataset_dir, tmp_path, capsys):
         dev3 = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad", dim=3)

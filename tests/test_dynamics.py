@@ -3,6 +3,8 @@ import pytest
 
 from qude import dynamics, models, qcore
 
+import states
+
 TWO_PI = 2.0 * np.pi
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,10 +50,6 @@ class TestExperiment:
         assert times[0] == pytest.approx(0.004)
         assert times[-1] == pytest.approx(50.0)
         assert np.all(np.diff(times) > 0)
-
-    def test_times_with_t0(self):
-        exp = dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=100.0)
-        assert exp.times_us(include_t0=True)[0] == 0.0
 
     def test_non_integer_grid_rejected(self):
         with pytest.raises(ValueError, match="integer"):
@@ -113,8 +111,16 @@ class TestLindbladDissipator:
         dev = lindblad_device()
         rng = np.random.default_rng(2)
         for _ in range(20):
-            rho = qcore.random_density_matrix(2, rng)
+            rho = states.random_density_matrix(2, rng)
             assert abs(np.trace(dynamics.lindblad_dissipator(dev, rho))) < 1e-12
+
+
+def augmented_rhs(dev, exp, source, rho):
+    """d(rho)/dt through the augmented generator [[A + W, b], [0, 0]] acting on [x; 1]."""
+    basis = qcore.hermitian_basis(dev.dim)
+    g = dynamics.augmented_generator(dynamics.base_generator(dev, exp), source)
+    x = np.append(qcore.expand(rho, basis), 1.0)
+    return qcore.reconstruct_many((g @ x)[None, :-1], basis)[0]
 
 
 class TestRhs:
@@ -124,16 +130,16 @@ class TestRhs:
         rho = qcore.ground_state(2)
         h = TWO_PI * 1.2 * SX
         expected = -1j * (h @ rho - rho @ h)
-        np.testing.assert_allclose(dynamics.rhs(dev, exp, None, rho), expected, atol=1e-13)
+        np.testing.assert_allclose(dynamics.rhs(dev, exp, rho), expected, atol=1e-13)
 
     def test_zero_source_equals_base(self):
         dev = lindblad_device()
         exp = dynamics.Experiment("e", 0.9, 1.0, 4.0)
         src = models.StructurePreservingSource(dim=2, alpha=np.zeros(3), gamma_raw=np.zeros(3))
         rng = np.random.default_rng(3)
-        rho = qcore.random_density_matrix(2, rng)
+        rho = states.random_density_matrix(2, rng)
         np.testing.assert_array_equal(
-            dynamics.rhs(dev, exp, src, rho), dynamics.rhs(dev, exp, None, rho)
+            augmented_rhs(dev, exp, src, rho), augmented_rhs(dev, exp, None, rho)
         )
 
     def test_trace_free(self):
@@ -144,8 +150,8 @@ class TestRhs:
         )
         rng = np.random.default_rng(4)
         for _ in range(20):
-            rho = qcore.random_density_matrix(2, rng)
-            out = dynamics.rhs(dev, exp, src, rho)
+            rho = states.random_density_matrix(2, rng)
+            out = augmented_rhs(dev, exp, src, rho)
             assert abs(np.trace(out)) < 1e-11
             assert np.max(np.abs(out - out.conj().T)) < 1e-11
 
@@ -159,10 +165,10 @@ class TestBaseGenerator:
         a = dynamics.base_generator(dev, exp)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            rho = qcore.random_density_matrix(2, rng)
+            rho = states.random_density_matrix(2, rng)
             x = qcore.expand(rho, basis)
-            lhs = qcore.reconstruct(a @ x, basis)
-            rhs_matrix = dynamics.rhs(dev, exp, None, rho)
+            lhs = qcore.reconstruct_many((a @ x)[None], basis)[0]
+            rhs_matrix = dynamics.rhs(dev, exp, rho)
             assert np.max(np.abs(lhs - rhs_matrix)) < 1e-12
 
 
@@ -230,14 +236,6 @@ class TestIntegrateRk4:
         traj = dynamics.integrate_rk4(dev, exp, src, dt_internal_ns=4.0)
         eigs = np.linalg.eigvalsh(traj.states)
         assert eigs.min() >= -1e-8
-
-    def test_include_t0(self):
-        dev = lvn_device()
-        exp = dynamics.Experiment("e", 1.0, 1.0, 100.0)
-        traj = dynamics.integrate_rk4(dev, exp, None, 4.0, include_t0=True)
-        assert traj.times_us[0] == 0.0
-        np.testing.assert_allclose(traj.states[0], qcore.ground_state(2))
-        assert len(traj) == exp.n_samples + 1
 
     def test_step_mismatch_rejected(self):
         dev = lvn_device()

@@ -3,6 +3,7 @@ import pytest
 
 from qude import dynamics, metrics, qcore, tomography
 
+import states
 from conftest import DEV1, make_twin_dataset, planted_source
 
 # chi-square critical value at the 5% level for 49 degrees of freedom
@@ -28,7 +29,7 @@ class TestTraceDistanceSeries:
             states=np.diag([0.75, 0.25]).astype(complex)[None],
         )
         rec = tomography.RecordBlock.from_counts([0.1], [0], [[0.5, 0.5, 0.5]])
-        np.testing.assert_allclose(rec.rho_hat[0], qcore.maximally_mixed(2), atol=1e-15)
+        np.testing.assert_allclose(rec.rho_hat[0], states.maximally_mixed(2), atol=1e-15)
         _, dists = metrics.trace_distance_series(pred, rec)
         assert dists[0] == pytest.approx(0.25, abs=1e-12)
 
@@ -52,19 +53,18 @@ class TestTraceDistanceSeries:
 
 class TestMomentTable:
     def test_single_record(self):
-        rows, warnings = metrics.moment_table([("m", "interpolation", np.array([0.25]))])
-        assert not warnings
+        rows = metrics.moment_table([("m", "interpolation", np.array([0.25]))])
         assert rows[0].mean == pytest.approx(0.25)
         assert rows[0].stddev == 0.0
         assert rows[0].count == 1
 
     def test_two_records_closed_form(self):
-        rows, _ = metrics.moment_table([("m", "s", np.array([0.1, 0.3]))])
+        rows = metrics.moment_table([("m", "s", np.array([0.1, 0.3]))])
         assert rows[0].mean == pytest.approx(0.2)
         assert rows[0].stddev == pytest.approx(0.1)  # population stddev
 
     def test_ordering_and_warnings(self):
-        rows, warnings = metrics.moment_table(
+        rows = metrics.moment_table(
             [
                 ("zeta", "extrapolation", np.array([0.2])),
                 ("alpha", "interpolation", np.array([0.1])),
@@ -74,8 +74,7 @@ class TestMomentTable:
         assert [(r.model, r.split) for r in rows] == [
             ("alpha", "interpolation"),
             ("zeta", "extrapolation"),
-        ]
-        assert len(warnings) == 1 and "omitted" in warnings[0]
+        ]  # the empty split's row is omitted
 
 
 class TestHistogramDensity:
@@ -172,10 +171,6 @@ class TestExpectedTraceDistance:
     def test_validation(self):
         with pytest.raises(ValueError):
             metrics.expected_trace_distance(DEV1, None, None, 1.0, 1.0, 100.0, 0, 0)
-        with pytest.raises(ValueError):
-            metrics.expected_trace_distance(
-                DEV1, None, None, 1.0, 1.0, 100.0, 1, 0, pooling="per-batch"
-            )
 
 
 class TestEvaluateModel:

@@ -1,11 +1,15 @@
 """Property tests: the Newton-in-time network forward against the step loop
-over random parameter scales, grid lengths, substep counts and depths."""
+over random parameter scales, grid lengths, substep counts and depths, and
+the exact round trips of the coefficient expansion and the parameter
+packing."""
 
 import hypothesis
+import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from qude import dynamics, models, train
+from qude import dynamics, models, qcore, train
 
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
@@ -34,3 +38,28 @@ def test_network_engine_matches_loop(scale, n_samples, n_sub, hidden_layers, see
     assert relative(train.loss(src.pack(), ds, DEV1, src, 4.0), ref_loss) <= TOL
     assert relative(train.gradient(src.pack(), ds, DEV1, src, 4.0), ref_grad) <= TOL
     assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
+
+
+ROUND_TRIP = hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@ROUND_TRIP
+@hypothesis.given(data=st.data())
+def test_expand_reconstruct_round_trip(dim, data):
+    m = data.draw(st.integers(1, 8))
+    g = data.draw(hnp.arrays(np.float64, (m, 2, dim, dim), elements=st.floats(-5.0, 5.0)))
+    h = qcore.hermitize(g[:, 0] + 1j * g[:, 1])
+    hb = qcore.hermitian_basis(dim)
+    back = qcore.reconstruct_many(qcore.expand_many(h, hb), hb)
+    assert np.max(np.abs(back - h)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sp", "affine", "nonlinear"])
+@ROUND_TRIP
+@hypothesis.given(data=st.data())
+def test_pack_round_trip(kind, data):
+    template = models.make_source(kind, seed=1)
+    theta = data.draw(hnp.arrays(np.float64, template.pack().shape,
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+    np.testing.assert_array_equal(template.with_params(theta).pack(), theta)

@@ -25,33 +25,30 @@ class TestSplit:
                                  sample_dt_ns=100.0, shots=0)
 
     def test_counts_are_exhaustive(self):
-        ds = self._dataset()
-        tr, val = train.split(ds, 0.5)
-        for (_, r_all), (_, r_tr), (_, r_val) in zip(
-            ds.experiments, tr.experiments, val.experiments
-        ):
-            assert len(r_tr) + len(r_val) == len(r_all)
+        for _, block in self._dataset().experiments:
+            keep = train.in_train_split(block.times_us, 0.5)
+            r_tr, r_val = block.take(keep), block.take(~keep)
+            assert len(r_tr) + len(r_val) == len(block)
             assert np.all(r_tr.times_us <= 0.5 + 1e-12)
             assert np.all(r_val.times_us > 0.5)
 
     def test_boundary_record_goes_to_train(self):
-        ds = self._dataset()
-        tr, val = train.split(ds, 0.5)  # 0.5 us lies exactly on the 100 ns grid
-        assert np.any(np.abs(tr.experiments[0][1].times_us - 0.5) < 1e-12)
-        assert not np.any(np.abs(val.experiments[0][1].times_us - 0.5) < 1e-12)
+        times = self._dataset().experiments[0][1].times_us
+        on_boundary = np.abs(times - 0.5) < 1e-12  # 0.5 us lies exactly on the 100 ns grid
+        assert np.any(on_boundary)
+        assert np.all(train.in_train_split(times[on_boundary], 0.5))
 
     def test_grid_arithmetic(self):
         ds = make_twin_dataset(seed=5, n_experiments=1, duration_us=2.0,
                                sample_dt_ns=4.0, shots=0)
-        tr, _ = train.split(ds, 1.0)
-        assert len(tr.experiments[0][1]) == 250
+        assert np.count_nonzero(train.in_train_split(ds.experiments[0][1].times_us, 1.0)) == 250
 
     def test_out_of_range(self):
-        ds = self._dataset()
+        experiments = self._dataset().experiments
         with pytest.raises(ValueError):
-            train.split(ds, 0.0)
+            train.Dataset(experiments, train_horizon_us=0.0, total_horizon_us=1.0)
         with pytest.raises(ValueError):
-            train.split(ds, 1.0)
+            train.Dataset(experiments, train_horizon_us=1.5, total_horizon_us=1.0)
 
 
 class TestLoss:
@@ -258,3 +255,10 @@ class TestDataset:
                                sample_dt_ns=100.0, shots=0)
         with pytest.raises(ValueError):
             ds.restrict("nope")
+
+    def test_restrict_without_id_picks_the_first(self):
+        ds = make_twin_dataset(seed=17, n_experiments=2, duration_us=0.3,
+                               sample_dt_ns=100.0, shots=0)
+        for missing in (None, ""):
+            (only,) = ds.restrict(missing).experiments
+            assert only[0].id == "exp-000"
