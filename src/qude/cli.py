@@ -35,7 +35,7 @@ from . import __version__, dynamics, metrics, models, tomography, train
 from .dynamics import DeviceModel, Experiment
 from .models import UnphysicalRateError
 from .qcore import DegenerateSpectrumError
-from .tomography import RecordBlock
+from .tomography import SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT, RecordBlock
 from .train import Dataset, TrainConfig
 
 TWO_PI = 2.0 * np.pi
@@ -48,6 +48,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+REQUIRED = object()  # the schema default of a key that must be set
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -56,34 +58,89 @@ class ConfigError(Exception):
 # -- configuration ----------------------------------------------------------------
 
 
+def _field(data, key: str, path: Path, cast=float, where: str = "", default=REQUIRED):
+    """``cast(data[key])`` of a config section or a JSON object, ``default`` if absent;
+    a missing required key or a bad value is a data error naming file and key."""
+    if not isinstance(data, dict) or key not in data:
+        if default is REQUIRED:
+            raise ConfigError(f"{path}: missing key {where + key!r}")
+        return default
+    try:
+        return cast(data[key])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r} ({err})") from None
+
+
+def _choices(*values: str) -> tuple:
+    """The SCHEMA row of a key that takes one of ``values``, the first by default."""
+
+    def cast(raw: str) -> str:
+        if raw not in values:
+            raise ValueError(f"not one of {', '.join(values)}")
+        return raw
+
+    return cast, values[0]
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(part) for part in raw.replace(",", " ").split()]
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("not a JSON boolean")
+    return value
+
+
+def _integral(value) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError("not an integral number")
+
+
 class RunConfig:
     """Typed view over the INI run configuration.
 
-    KEYS holds every section and key the getters below read (a test checks
-    the two agree); ``load`` rejects any other, so a misspelled or retired
-    key is an error rather than a silent default.
+    SCHEMA maps each section and key to its cast and default (REQUIRED keys
+    must be set where read; ``TrainConfig``'s fields give theirs). ``load``
+    rejects any other section or key and casts every key that is set.
     """
 
-    KEYS = {
-        "device": {"base_model", "omega01_GHz", "omega_rot_GHz", "T1_us", "T2_us", "dim"},
-        "latent": {"ansatz", "model_file", "alpha_kHz", "gamma_inv_us"},
-        "experiments": {"seed", "n_experiments", "p_max_MHz", "duration_us", "sample_dt_ns",
-                        "shots", "shot_mode"},
-        "training": {"ansatz", "train_horizon_us", "hidden_layers", "gamma_mode"}
-        | {f.name for f in fields(TrainConfig)},
-        "output": {"directory"},
+    SCHEMA = {
+        "device": {"base_model": (str, "lindblad"), "omega01_GHz": (float, REQUIRED),
+                   "omega_rot_GHz": (float, None), "T1_us": (float, REQUIRED),
+                   "T2_us": (float, REQUIRED), "dim": (int, 2)},
+        "latent": {"ansatz": (str, "none"), "model_file": (str, None),
+                   "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
+        "experiments": {"seed": (int, 0), "n_experiments": (int, 5),
+                        "p_max_MHz": (float, REQUIRED), "duration_us": (float, REQUIRED),
+                        "sample_dt_ns": (float, 4.0), "shots": (int, 5000),
+                        "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
+        "training": {
+            "ansatz": _choices(models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR),
+            "train_horizon_us": (float, None), "hidden_layers": (int, 2),
+            "gamma_mode": _choices("squared", "signed"),
+            **{f.name: (type(f.default) if isinstance(f.default, (int, float)) else str, f.default)
+               for f in fields(TrainConfig)},
+        },
+        "output": {"directory": (str, "out")},
     }
 
     def __init__(self, parser: configparser.ConfigParser, path: Path):
-        self._cp = parser
         self.path = path
+        self._raw = {}  # section -> {declared key: text}
         for section in parser.sections():
-            if section not in self.KEYS:
+            if section not in self.SCHEMA:
                 raise ConfigError(f"unknown section [{section}] in {path}")
-            known = {parser.optionxform(key) for key in self.KEYS[section]}
-            for key in parser.options(section):
-                if key not in known:
+            declared = {parser.optionxform(key): key for key in self.SCHEMA[section]}
+            raw = self._raw[section] = {}
+            for key, text in parser.items(section):
+                if key not in declared:
                     raise ConfigError(f"unknown key [{section}] {key} in {path}")
+                key = declared[key]
+                raw[key] = text
+                _field(raw, key, path, self.SCHEMA[section][key][0], f"[{section}] ")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -93,56 +150,36 @@ class RunConfig:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
             parser.read(path)
+            return cls(parser, path)  # reading a value can raise an interpolation error
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {path}: {err}") from err
-        return cls(parser, path)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.path.read_bytes()).hexdigest()
 
-    def _get(self, section: str, key: str, cast, default=None, required: bool = False):
-        if not self._cp.has_option(section, key):
-            if required:
-                raise ConfigError(f"missing [{section}] {key} in {self.path}")
-            return default
-        raw = self._cp.get(section, key)
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({err})") from err
-
-    def get_float(self, section, key, default=None, required=False):
-        return self._get(section, key, float, default, required)
-
-    def get_int(self, section, key, default=None, required=False):
-        return self._get(section, key, int, default, required)
-
-    def get_str(self, section, key, default=None, required=False):
-        return self._get(section, key, lambda s: s.strip(), default, required)
-
-    def get_floats(self, section, key, default=None, required=False):
-        def cast(raw):
-            return [float(part) for part in raw.replace(",", " ").split()]
-
-        return self._get(section, key, cast, default, required)
+    def get(self, section: str, key: str, override=None):
+        """``[section] key`` cast by its SCHEMA row, or the row's default when
+        unset; an ``override`` that is not None (a command-line flag) wins."""
+        if override is not None:
+            return override
+        cast, default = self.SCHEMA[section][key]
+        return _field(self._raw.get(section, {}), key, self.path, cast, f"[{section}] ", default)
 
     def device(self, base_override: str | None = None) -> DeviceModel:
-        base = base_override or self.get_str("device", "base_model", default="lindblad")
-        omega = self.get_float("device", "omega01_GHz", required=True)
         return DeviceModel(
-            omega01_GHz=omega,
-            omega_rot_GHz=self.get_float("device", "omega_rot_GHz", default=None),
-            T1_us=self.get_float("device", "T1_us", required=True),
-            T2_us=self.get_float("device", "T2_us", required=True),
-            base_kind=base,
-            dim=self.get_int("device", "dim", default=2),
+            omega01_GHz=self.get("device", "omega01_GHz"),
+            omega_rot_GHz=self.get("device", "omega_rot_GHz"),
+            T1_us=self.get("device", "T1_us"),
+            T2_us=self.get("device", "T2_us"),
+            base_kind=base_override or self.get("device", "base_model"),
+            dim=self.get("device", "dim"),
         )
 
     def latent_source(self):
-        kind = self.get_str("latent", "ansatz", default="none")
+        kind = self.get("latent", "ansatz")
         if kind in ("none", ""):
             return None
-        model_file = self.get_str("latent", "model_file", default=None)
+        model_file = self.get("latent", "model_file")
         if model_file is not None:
             source, _ = load_model(Path(self.path).parent / model_file)
             return source
@@ -150,15 +187,15 @@ class RunConfig:
             raise ConfigError(
                 f"latent ansatz {kind!r} needs a model_file with its parameters"
             )
-        dim = self.get_int("device", "dim", default=2)
+        dim = self.get("device", "dim")
         n = dim * dim - 1
-        alpha_khz = self.get_floats("latent", "alpha_kHz", default=[0.0] * n)
-        gamma_inv = self.get_floats("latent", "gamma_inv_us", default=[])
-        if len(alpha_khz) != n:
+        alpha_khz = self.get("latent", "alpha_kHz")
+        gamma_inv = self.get("latent", "gamma_inv_us")
+        if alpha_khz and len(alpha_khz) != n:
             raise ConfigError(f"[latent] alpha_kHz needs {n} entries")
         if gamma_inv and len(gamma_inv) != n:
             raise ConfigError(f"[latent] gamma_inv_us needs {n} entries")
-        alpha = TWO_PI * 1e-3 * np.asarray(alpha_khz)
+        alpha = TWO_PI * 1e-3 * np.asarray(alpha_khz) if alpha_khz else np.zeros(n)
         if gamma_inv:
             gammas = np.array([1.0 / g if g > 0 else 0.0 for g in gamma_inv])
         else:
@@ -168,22 +205,10 @@ class RunConfig:
         )
 
     def train_config(self, args) -> TrainConfig:
-        """The ``[training]`` keys that are set, each cast by the type of its
-        ``TrainConfig`` default; ``--mode`` and ``--seed`` override."""
-        values = {}
-        for f in fields(TrainConfig):
-            cast = type(f.default) if isinstance(f.default, (int, float)) else str.strip
-            value = self._get("training", f.name, cast)
-            if value is not None:
-                values[f.name] = value
-        if getattr(args, "mode", None):
-            values["mode"] = args.mode
-        if getattr(args, "seed", None) is not None:
-            values["seed"] = args.seed
-        try:
-            return TrainConfig(**values)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        """The ``[training]`` values of ``TrainConfig``'s fields; a flag of the
+        same name (``--mode``, ``--seed``) overrides."""
+        return TrainConfig(**{f.name: self.get("training", f.name, getattr(args, f.name, None))
+                              for f in fields(TrainConfig)})
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -223,16 +248,6 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _required(data, key: str, path: Path, cast=float, where: str = ""):
-    """``cast(data[key])``; a missing key or a bad value is a data error naming both."""
-    if not isinstance(data, dict) or key not in data:
-        raise ConfigError(f"{path}: missing key {where + key!r}")
-    try:
-        return cast(data[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r}") from None
-
-
 def _positive(value) -> float:
     """``value`` as a positive finite float; ValueError otherwise."""
     value = float(value)
@@ -245,12 +260,12 @@ def _device_from_json(data: dict, path: Path, base_override: str | None = None) 
     device = data.get("device")
     try:
         return DeviceModel(
-            omega01_GHz=_required(device, "omega01_GHz", path, where="device."),
-            omega_rot_GHz=_required(device, "omega_rot_GHz", path, where="device."),
-            T1_us=_required(device, "T1_us", path, where="device."),
-            T2_us=_required(device, "T2_us", path, where="device."),
-            base_kind=base_override or _required(device, "base_model", path, str, "device."),
-            dim=_required(device, "dim", path, int, "device."),
+            omega01_GHz=_field(device, "omega01_GHz", path, where="device."),
+            omega_rot_GHz=_field(device, "omega_rot_GHz", path, where="device."),
+            T1_us=_field(device, "T1_us", path, where="device."),
+            T2_us=_field(device, "T2_us", path, where="device."),
+            base_kind=base_override or _field(device, "base_model", path, str, "device."),
+            dim=_field(device, "dim", path, _integral, "device."),
         )
     except ValueError as err:
         raise ConfigError(f"{path}: bad device: {err}") from None
@@ -297,19 +312,15 @@ def load_model(path: str | Path):
     data = _read_json(path)
     if data.get("schema") != MODEL_SCHEMA:
         raise ConfigError(f"{path} is not a {MODEL_SCHEMA} file")
-    kind = _required(data, "ansatz", path, str)
-    dim = _required(data, "dim", path, int)
-    theta = _required(data, "params", path, lambda v: np.asarray(v, dtype=float))
+    kind = _field(data, "ansatz", path, str)
+    dim = _field(data, "dim", path, _integral)
+    theta = _field(data, "params", path, lambda v: np.asarray(v, dtype=float))
     for key in ("train_horizon_us", "dt_internal_ns"):
-        data[key] = _required(data, key, path, _positive)
+        data[key] = _field(data, key, path, _positive)
+    signed = _field(data, "signed_gamma", path, _json_bool, default=False)
+    hidden = _field(data, "n_layers", path, _integral, default=1) - 1
     try:
-        if kind == models.KIND_SP:
-            template = models.StructurePreservingSource(
-                dim=dim, signed=bool(data.get("signed_gamma", False))
-            )
-        else:
-            hidden = int(data.get("n_layers", 1)) - 1
-            template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0))
+        template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0), signed=signed)
         return template.with_params(theta), data
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
@@ -435,19 +446,19 @@ def load_dataset(
     dev = _device_from_json(manifest, manifest_path, base_override)
     experiments = []
     total = 0.0
-    for n, entry in enumerate(_required(manifest, "experiments", manifest_path, list)):
+    for n, entry in enumerate(_field(manifest, "experiments", manifest_path, list)):
         where = f"experiments[{n}]."
         try:
             exp = Experiment(
-                id=_required(entry, "id", manifest_path, str, where),
-                amplitude_p_MHz=_required(entry, "amplitude_p_MHz", manifest_path, where=where),
-                amplitude_q_MHz=float(entry.get("amplitude_q_MHz", 0.0)),
-                duration_us=_required(entry, "duration_us", manifest_path, where=where),
-                sample_dt_ns=_required(entry, "sample_dt_ns", manifest_path, where=where),
+                id=_field(entry, "id", manifest_path, str, where),
+                amplitude_p_MHz=_field(entry, "amplitude_p_MHz", manifest_path, where=where),
+                amplitude_q_MHz=_field(entry, "amplitude_q_MHz", manifest_path, float, where, 0.0),
+                duration_us=_field(entry, "duration_us", manifest_path, where=where),
+                sample_dt_ns=_field(entry, "sample_dt_ns", manifest_path, where=where),
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{manifest_path}: bad {where[:-1]}: {err}") from None
-        data_file = manifest_path.parent / _required(entry, "file", manifest_path, str, where)
+        data_file = manifest_path.parent / _field(entry, "file", manifest_path, str, where)
         if not data_file.is_file():
             raise ConfigError(f"dataset file missing: {data_file}")
         experiments.append((exp, _read_records(data_file, exp)))
@@ -464,17 +475,15 @@ def cmd_generate(args) -> int:
     cfg = RunConfig.load(args.config)
     dev = cfg.device()
     latent = cfg.latent_source()
-    seed = args.seed if args.seed is not None else cfg.get_int("experiments", "seed", default=0)
-    n_exp = cfg.get_int("experiments", "n_experiments", default=5)
-    p_max = cfg.get_float("experiments", "p_max_MHz", required=True)
-    duration = cfg.get_float("experiments", "duration_us", required=True)
-    sample_dt = cfg.get_float("experiments", "sample_dt_ns", default=4.0)
-    shots = cfg.get_int("experiments", "shots", default=5000)
-    shot_mode = cfg.get_str("experiments", "shot_mode", default=tomography.SHOT_MODE_PER_AXIS)
-    dt_internal = cfg.get_float(
-        "training", "dt_internal_ns", default=dynamics.DEFAULT_DT_INTERNAL_NS
-    )
-    out_dir = Path(args.out or cfg.get_str("output", "directory", default="out"))
+    seed = cfg.get("experiments", "seed", args.seed)
+    n_exp = cfg.get("experiments", "n_experiments")
+    p_max = cfg.get("experiments", "p_max_MHz")
+    duration = cfg.get("experiments", "duration_us")
+    sample_dt = cfg.get("experiments", "sample_dt_ns")
+    shots = cfg.get("experiments", "shots")
+    shot_mode = cfg.get("experiments", "shot_mode")
+    dt_internal = cfg.get("training", "dt_internal_ns")
+    out_dir = Path(cfg.get("output", "directory", args.out))
 
     amp_rng = np.random.default_rng([seed, 0])
     amplitudes = [p_max * (1.0 - amp_rng.random()) for _ in range(n_exp)]
@@ -524,29 +533,22 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
-    ansatz_kind = args.ansatz or cfg.get_str("training", "ansatz", default=models.KIND_SP)
-    base = args.base or None
-    horizon = args.train_horizon_us or cfg.get_float(
-        "training", "train_horizon_us", default=None
-    )
-    dataset, dev, _ = load_dataset(args.dataset, train_horizon_us=horizon, base_override=base)
-    if horizon is None:
-        horizon = dataset.train_horizon_us
+    ansatz_kind = cfg.get("training", "ansatz", args.ansatz)
+    horizon = cfg.get("training", "train_horizon_us", args.train_horizon_us)
+    dataset, dev, _ = load_dataset(args.dataset, train_horizon_us=horizon, base_override=args.base)
     config = cfg.train_config(args)
-    if ansatz_kind not in (models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR):
-        raise ConfigError(f"unknown ansatz {ansatz_kind!r}")
     template = models.make_source(
         ansatz_kind,
         dim=dev.dim,
-        hidden_layers=cfg.get_int("training", "hidden_layers", default=2),
+        hidden_layers=cfg.get("training", "hidden_layers"),
         seed=config.seed,
-        signed=cfg.get_str("training", "gamma_mode", default="squared") == "signed",
+        signed=cfg.get("training", "gamma_mode") == "signed",
     )
 
     result = train.fit(dataset, dev, template, config)
     fitted = template.with_params(result.theta_star)
 
-    out_dir = Path(args.out or cfg.get_str("output", "directory", default="out"))
+    out_dir = Path(cfg.get("output", "directory", args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_dataset = (
         dataset.restrict(config.experiment_id)
@@ -561,7 +563,7 @@ def cmd_train(args) -> int:
         fitted,
         dev,
         mode=config.mode,
-        train_horizon_us=horizon,
+        train_horizon_us=dataset.train_horizon_us,
         dt_internal_ns=config.dt_internal_ns,
         seed=config.seed,
         extra={
@@ -597,10 +599,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"model dimension {dev.dim} does not match dataset dimension {manifest_dev.dim}"
         )
-    if args.train_horizon_us is not None and not 0.0 < args.train_horizon_us < np.inf:
-        raise ConfigError(f"--train-horizon-us must be a positive finite number, "
-                          f"got {args.train_horizon_us!r}")
-    horizon = args.train_horizon_us or model_data["train_horizon_us"] or dataset.total_horizon_us
+    horizon = args.train_horizon_us
+    if horizon is None:
+        horizon = model_data["train_horizon_us"] or dataset.total_horizon_us
     dt_internal = model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS
     model_name = model_data.get("ansatz", "base")
 
@@ -735,13 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-
     p_gen = sub.add_parser("generate", help="simulate a twin dataset")
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", default=None)
-    add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="fit a source term to a dataset")
@@ -752,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--base", choices=["lvn", "lindblad"], default=None)
     p_train.add_argument("--mode", choices=["exp-gen", "exp-spec"], default=None)
     p_train.add_argument("--train-horizon-us", type=float, default=None)
-    add_common(p_train)
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a model against a dataset")
@@ -761,14 +759,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--base", choices=["lvn", "lindblad"], default=None)
     p_eval.add_argument("--train-horizon-us", type=float, default=None)
-    add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_char = sub.add_parser("characterize", help="interpret a structure-preserving model")
     p_char.add_argument("--model", required=True)
     p_char.add_argument("--config", default=None, help="optional device config override")
     p_char.add_argument("--out", default=None)
-    add_common(p_char)
     p_char.set_defaults(func=cmd_characterize)
 
     p_rep = sub.add_parser("report", help="evaluate and characterize into one directory")
@@ -778,7 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--base", choices=["lvn", "lindblad"], default=None)
     p_rep.add_argument("--train-horizon-us", type=float, default=None)
     p_rep.add_argument("--config", default=None)
-    add_common(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -788,6 +783,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        horizon = getattr(args, "train_horizon_us", None)
+        if horizon is not None and not 0.0 < horizon < np.inf:
+            raise ConfigError(f"--train-horizon-us must be positive and finite, got {horizon!r}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

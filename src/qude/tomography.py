@@ -89,9 +89,13 @@ class RecordBlock:
 def measurement_probs_many(states: np.ndarray) -> np.ndarray:
     """Axis probabilities (P(x), P(y), P(z)) of stacked qubit states, shape (m, 3).
 
-    Rejects a state whose probabilities leave [0, 1] by more than PROB_TOL.
+    Rejects states that are not 2x2 and a state whose probabilities leave
+    [0, 1] by more than PROB_TOL.
     """
-    vecs = np.asarray(states, dtype=complex).reshape(-1, 4)
+    states = np.asarray(states, dtype=complex)
+    if states.shape[-2:] != (2, 2):
+        raise ValueError(f"tomography measures qubits (dim 2), got dim {states.shape[-1]}")
+    vecs = states.reshape(-1, 4)
     p = vecs @ M_MATRIX.T
     probs = (p[:, 1:].real + 1.0) / 2.0
     if np.any(probs < -PROB_TOL) or np.any(probs > 1.0 + PROB_TOL):

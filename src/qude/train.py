@@ -60,6 +60,8 @@ GRAD_DISCRETE_ADJOINT = "discrete_adjoint"
 GRAD_FINITE_DIFFERENCE = "finite_difference"
 
 FD_RELATIVE_STEP = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
+LBFGS_MEMORY, ARMIJO_C, MIN_STEP = 10, 1e-4, 1e-14  # pairs kept, Armijo fraction, least step
 LBFGS_GRAD_TOL = 1e-13
 LBFGS_PROGRESS_TOL = 1e-15  # relative decrease below this counts as converged
 BOUND_MARGIN = 1e-9  # relative slack before a bounded loss gives up, far above rounding
@@ -121,13 +123,7 @@ class TrainConfig:
     adam_lr: float = 1e-3
     adam_epochs: int = 300
     adam_batch: int = 1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    lbfgs_memory: int = 10
     lbfgs_max_iters: int = 200
-    armijo_c: float = 1e-4
-    min_step: float = 1e-14
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS
     seed: int = 0
 
@@ -520,11 +516,11 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             subset = {exp_ids[i] for i in order[lo : lo + batch_size]}
             value, grad = evaluate(theta, subset)
             step_count += 1
-            m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
-            v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad * grad
-            m_hat = m / (1.0 - config.adam_beta1**step_count)
-            v_hat = v / (1.0 - config.adam_beta2**step_count)
-            theta = theta - config.adam_lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**step_count)
+            v_hat = v / (1.0 - ADAM_BETA2**step_count)
+            theta = theta - config.adam_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             record("adam", value, grad)
 
     # Hand off on a full-batch evaluation so the phase boundary is comparable.
@@ -548,9 +544,9 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             slope = -float(np.dot(g_cur, g_cur))
         step = 1.0
         accepted = False
-        while step >= config.min_step:
+        while step >= MIN_STEP:
             cand = theta + step * direction
-            armijo = f_cur + config.armijo_c * step * slope
+            armijo = f_cur + ARMIJO_C * step * slope
             try:
                 f_new, g_new = evaluate(cand, bound=armijo)
             except DivergenceError:
@@ -569,7 +565,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         if float(np.dot(s, y)) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             s_hist.append(s)
             y_hist.append(y)
-            if len(s_hist) > config.lbfgs_memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         theta = cand

@@ -60,6 +60,28 @@ def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def write_config(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+# fault -> (verb, config edit (old, new), key the message must name): values
+# that are cast when the config is loaded, whether or not the verb reads them
+BAD_VALUES = {
+    "gamma-mode-typo": ("train", ("mode = exp-gen", "mode = exp-gen\ngamma_mode = sigend"),
+                        "gamma_mode"),
+    "unknown-ansatz": ("train", ("ansatz = sp\nmode", "ansatz = sigma\nmode"), "ansatz"),
+    "shots-not-a-number": ("train", ("shots = 500", "shots = many"), "shots"),
+    "dim-not-a-number": ("train", ("base_model = lindblad", "base_model = lindblad\ndim = two"),
+                         "dim"),
+    "epochs-not-an-integer": ("generate", ("adam_epochs = 5", "adam_epochs = 5.5"), "adam_epochs"),
+    "shot-mode-typo-noiseless": ("generate", ("shots = 500", "shots = 0\nshot_mode = perr-axis"),
+                                 "shot_mode"),
+    "bare-percent-sign": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = 3.47%"), "'%'"),
+}
+
+
 class TestConfig:
     def test_missing_file(self, tmp_path):
         assert run("generate", "--config", tmp_path / "nope.cfg", "--out", tmp_path) == 2
@@ -99,9 +121,7 @@ class TestConfig:
 
     def test_every_training_key_is_read(self, tmp_path):
         values = dict(mode="exp-spec", experiment_id="exp-001", adam_lr=0.02, adam_epochs=7,
-                      adam_batch=3, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-7,
-                      lbfgs_memory=4, lbfgs_max_iters=9, armijo_c=0.001, min_step=1e-10,
-                      dt_internal_ns=2.0, seed=5)
+                      adam_batch=3, lbfgs_max_iters=9, dt_internal_ns=2.0, seed=5)
         assert set(values) == {f.name for f in fields(train.TrainConfig)}
         path = tmp_path / "full.cfg"
         path.write_text("[training]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
@@ -110,6 +130,27 @@ class TestConfig:
         overridden = cfg.train_config(SimpleNamespace(mode="exp-gen", seed=8))
         assert overridden == replace(train.TrainConfig(**values), mode="exp-gen", seed=8)
 
+    @pytest.mark.parametrize("fault", sorted(BAD_VALUES))
+    def test_bad_value_exits_2(self, config_path, tmp_path, capsys, fault):
+        verb, edit, key = BAD_VALUES[fault]
+        extra = []
+        if verb == "train":
+            assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+            extra = ["--dataset", tmp_path / "data" / "manifest.json"]
+        bad = write_config(tmp_path, BASE_CONFIG.replace(*edit), "bad.cfg")
+        capsys.readouterr()
+        assert run(verb, "--config", bad, "--out", tmp_path / "o", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bad.cfg" in err and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = cli.RunConfig.load(write_config(tmp_path, block))
+        assert cfg.device().T1_us == 214.0
+        assert cfg.latent_source().kind == models.KIND_SP
+        assert cfg.train_config(self.NO_OVERRIDES).adam_epochs == 300
 
     @pytest.mark.parametrize("verb, section, key", [
         ("train", "training", "adam_epoch"),
@@ -135,19 +176,19 @@ class TestConfig:
         assert "unknown section [trainig]" in capsys.readouterr().err
 
     def test_known_keys_are_the_keys_read(self, config_path, tmp_path, monkeypatch):
-        """generate and train without overrides read every key of RunConfig.KEYS."""
+        """generate and train without overrides read every key of RunConfig.SCHEMA."""
         read = set()
-        original = cli.RunConfig._get
+        original = cli.RunConfig.get
 
-        def spy(self, section, key, *args, **kwargs):
+        def spy(self, section, key, *args):
             read.add((section, key))
-            return original(self, section, key, *args, **kwargs)
+            return original(self, section, key, *args)
 
-        monkeypatch.setattr(cli.RunConfig, "_get", spy)
+        monkeypatch.setattr(cli.RunConfig, "get", spy)
         monkeypatch.chdir(tmp_path)  # [output] directory is relative
         assert run("generate", "--config", config_path) == 0
         assert run("train", "--config", config_path, "--dataset", "out/manifest.json") == 0
-        assert read == {(section, key) for section, keys in cli.RunConfig.KEYS.items()
+        assert read == {(section, key) for section, keys in cli.RunConfig.SCHEMA.items()
                         for key in keys}
 
 
@@ -167,6 +208,17 @@ class TestGenerate:
             row = json.loads(lines[0])
             assert set(row) == {"exp_id", "amplitude_MHz", "time_us", "shots", "kx", "ky", "kz"}
             assert row["shots"] == 500
+
+    def test_qutrit_device_is_rejected(self, tmp_path, capsys):
+        """Tomography measures qubits: 4 samples of 3x3 states must not pass as 9 records."""
+        text = (BASE_CONFIG.replace("base_model = lindblad", "base_model = lindblad\ndim = 3")
+                .replace("ansatz = sp\nalpha_kHz", "ansatz = none\nalpha_kHz")
+                .replace("n_experiments = 2", "n_experiments = 1")
+                .replace("duration_us = 1.0", "duration_us = 0.08"))
+        out = tmp_path / "data"
+        assert run("generate", "--config", write_config(tmp_path, text), "--out", out) == 2
+        assert "dim 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_amplitudes_in_range(self, config_path, tmp_path):
         out = tmp_path / "data"
@@ -483,6 +535,16 @@ MODEL_FAULTS = {
         "evaluate", {"dt_internal_ns": "soon"}, (), ("model.json", "'dt_internal_ns'")),
     "evaluate-flag-zero": ("evaluate", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
     "report-flag-negative": ("report", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
+    "train-flag-zero": ("train", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
+    "train-flag-negative": ("train", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
+}
+
+
+# fault -> (source kind, model-file changes, key the message must name)
+MODEL_FIELD_FAULTS = {
+    "signed-gamma-string": ("sp", {"signed_gamma": "false"}, "'signed_gamma'"),
+    "n-layers-fractional": ("nonlinear", {"n_layers": 3.7}, "'n_layers'"),
+    "dim-fractional": ("sp", {"dim": 2.5}, "'dim'"),
 }
 
 
@@ -536,15 +598,32 @@ class TestDataValidation:
     def test_bad_horizon_or_step_is_rejected(self, fault, config_path, dataset_dir, tmp_path,
                                              capsys):
         verb, changes, extra, names = MODEL_FAULTS[fault]
-        assert self.train(config_path, dataset_dir, tmp_path) == 0
-        model = tmp_path / "fit" / "model.json"
-        model.write_text(json.dumps({**json.loads(model.read_text()), **changes}))
+        if verb == "train":
+            inputs = ["--config", config_path]
+        else:
+            assert self.train(config_path, dataset_dir, tmp_path) == 0
+            model = tmp_path / "fit" / "model.json"
+            model.write_text(json.dumps({**json.loads(model.read_text()), **changes}))
+            inputs = ["--model", model]
         capsys.readouterr()
-        assert run(verb, "--model", model, "--dataset", dataset_dir / "manifest.json",
+        assert run(verb, *inputs, "--dataset", dataset_dir / "manifest.json",
                    "--out", tmp_path / "eval", *extra) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
-        assert not (tmp_path / "eval" / "moments.csv").exists()
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("fault", sorted(MODEL_FIELD_FAULTS))
+    def test_bad_model_field_is_rejected(self, fault, dataset_dir, tmp_path, capsys):
+        kind, changes, name = MODEL_FIELD_FAULTS[fault]
+        model = tmp_path / "model.json"
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad")
+        cli.save_model(model, models.make_source(kind), dev, "exp-gen", 0.5, 4.0, 0)
+        model.write_text(json.dumps({**json.loads(model.read_text()), **changes}))
+        assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert "model.json" in err and name in err, err
+        assert not (tmp_path / "eval").exists()
 
     def test_model_dataset_dimension_mismatch(self, config_path, dataset_dir, tmp_path, capsys):
         dev3 = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad", dim=3)

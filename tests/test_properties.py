@@ -1,7 +1,10 @@
 """Property tests: the Newton-in-time network forward against the step loop
 over random parameter scales, grid lengths, substep counts and depths, and
-the exact round trips of the coefficient expansion and the parameter
-packing."""
+the exact round trips of the coefficient expansion, the parameter packing
+and the record files."""
+
+import tempfile
+from pathlib import Path
 
 import hypothesis
 import hypothesis.extra.numpy as hnp
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qude import dynamics, models, qcore, train
+from qude import cli, dynamics, models, qcore, tomography, train
 
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
@@ -63,3 +66,29 @@ def test_pack_round_trip(kind, data):
     theta = data.draw(hnp.arrays(np.float64, template.pack().shape,
                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
     np.testing.assert_array_equal(template.with_params(theta).pack(), theta)
+
+
+@ROUND_TRIP
+@hypothesis.given(data=st.data())
+def test_record_write_load_round_trip(data):
+    """write_dataset -> load_dataset returns times, shots and counts bit for bit,
+    on counted rows and on noiseless (shots == 0) rows of exact probabilities."""
+    n = data.draw(st.integers(1, 30))
+    times = np.sort(data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e3),
+                                         unique=True)))
+    shots = data.draw(hnp.arrays(np.int64, n,
+                                 elements=st.one_of(st.just(0), st.integers(1, 10**6))))
+    fractions = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(0.0, 1.0)))
+    counts = np.where(shots[:, None] > 0, np.floor(fractions * shots[:, None]), fractions)
+    block = tomography.RecordBlock.from_counts(times, shots, counts)
+    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=data.draw(st.floats(0.0, 10.0)),
+                              duration_us=1e3, sample_dt_ns=4.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = cli.write_dataset(Path(tmp), DEV1, [(exp, block)], seed=0, config_sha="",
+                                     shots=0, shot_mode="per-axis", dt_internal_ns=4.0,
+                                     latent_info={"ansatz": "none"})
+        dataset, _, _ = cli.load_dataset(manifest)
+    ((_, loaded),) = dataset.experiments
+    for column in ("times_us", "shots", "counts"):
+        original, back = getattr(block, column), getattr(loaded, column)
+        assert back.dtype == original.dtype and back.tobytes() == original.tobytes(), column
