@@ -421,6 +421,8 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
         reject([type(v) not in (int, float) for v in values], field, "is missing or not a number")
         columns[field] = np.array(values, dtype=float)
         reject(~np.isfinite(columns[field]), field, "is not finite")
+    reject(exp.off_grid(columns["time_us"]), "time_us", f"is off the {exp.sample_dt_ns} ns "
+           f"sample grid, repeated, after a gap or past {exp.duration_us} us")
     shots = columns["shots"]
     reject((shots < 0) | (shots != np.floor(shots)), "shots", "is not a non-negative integer")
     limit = np.where(shots > 0, shots, 1.0)

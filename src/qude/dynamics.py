@@ -140,6 +140,17 @@ class Experiment:
         """Output grid sample_dt, 2 sample_dt, ..., duration; t=0 is not a sample."""
         return np.arange(1, self.n_samples + 1) * (self.sample_dt_ns * 1e-3)
 
+    def off_grid(self, times_us: np.ndarray) -> np.ndarray:
+        """True at each record time whose place in sorted order is not its grid
+        point: the sorted times must be sample_dt, 2 sample_dt, ... (to 1e-9 of
+        the last), so a gap, a repeat or a time past n_samples is flagged."""
+        order = np.argsort(times_us, kind="stable")
+        grid = np.arange(1, len(order) + 1) * (self.sample_dt_ns * 1e-3)
+        bad = np.empty(len(order), dtype=bool)
+        bad[order] = np.abs(times_us[order] - grid) > 1e-9 * grid[-1:]
+        bad[order[self.n_samples:]] = True
+        return bad
+
     def initial_density(self, dim: int) -> np.ndarray:
         if self.initial_state is None:
             return qcore.ground_state(dim)

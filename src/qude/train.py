@@ -28,9 +28,11 @@ stage adjoints are pushed through the network and contracted with the
 layer inputs for the whole chunk at once. Central finite differences are
 kept as an independent oracle (``gradient(method="finite_difference")``).
 
-Both engines take their forward from qude.dynamics, the one prediction
-uses, so evaluating a group is that forward followed by the adjoint on its
-states.
+A ``Problem`` compiles the train split once into grid groups with their
+targets, and each of ``fit``, ``loss``, ``gradient`` and ``split_losses``
+builds one. Both engines take their forward from qude.dynamics, the one
+prediction uses, so evaluating a group is that forward followed by the
+adjoint on its states.
 
 Training runs mini-batch ADAM over whole-experiment batches first, then
 full-batch L-BFGS (two-loop recursion, backtracking Armijo line search)
@@ -143,7 +145,6 @@ class FitResult:
     grad_norm_history: list[float]
     phases: list[str]
     elapsed_s: list[float]
-    wall_time_s: float
     stalled: bool = False
 
     @property
@@ -159,34 +160,6 @@ class _Group(dynamics.GridGroup):
     """A grid group of the train split with its targets."""
 
     targets: np.ndarray  # (E, S, k)
-
-
-@dataclass(eq=False)
-class _Compiled:
-    groups: list[_Group]
-    weights: np.ndarray  # (k,) Frobenius weights of the coefficient basis
-
-
-def _compile(dataset: Dataset, dev: DeviceModel, dt_internal_ns: float) -> _Compiled:
-    basis = qcore.hermitian_basis(dev.dim)
-    experiments = [exp for exp, _ in dataset.experiments]
-    targets = []
-    for exp, block in dataset.experiments:
-        keep = in_train_split(block.times_us, dataset.train_horizon_us)
-        times = block.times_us[keep]
-        if not times.size:
-            raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
-        expected = np.arange(1, len(times) + 1) * (exp.sample_dt_ns * 1e-3)
-        if np.max(np.abs(times - expected)) > 1e-9 * (1.0 + times[-1]):
-            raise ValueError(
-                f"experiment {exp.id} records are not a contiguous sample grid from t = dt"
-            )
-        targets.append(qcore.expand_many(block.rho_hat[keep], basis))
-    groups = [
-        _Group(**vars(g), targets=np.stack([targets[i] for i in g.indices]))
-        for g in dynamics.grid_groups(dev, experiments, dt_internal_ns, [len(t) for t in targets])
-    ]
-    return _Compiled(groups=groups, weights=basis.gram_norms.astype(float))
 
 
 def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
@@ -336,52 +309,103 @@ def _network_grad(
     return np.concatenate(parts)
 
 
-# -- public loss / gradient ------------------------------------------------------
+# -- the compiled problem and the public loss / gradient -------------------------
 
 
-def _evaluate(
-    compiled: _Compiled,
-    theta: np.ndarray,
-    template,
-    subset: set[str] | None,
-    want_grad: bool = True,
-    bound: float = np.inf,
-) -> tuple[float, np.ndarray | None]:
-    """Loss and gradient summed over the groups, each group propagated once.
+class Problem:
+    """The training loss of one dataset, compiled once: ``groups``, the train
+    split's grid groups with their targets, and ``weights``, the Frobenius
+    weights of the coefficient basis. Evaluating leaves nothing behind, so one
+    Problem serves every loss and gradient of a fit, an oracle or a probe."""
 
-    A loss evaluation returns inf as soon as its running total, a sum of
-    non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
-    the full loss is then above the bound too, whatever the rounding of the
-    partial sums. The linear engine checks between groups, the network
-    engine every dynamics.FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
-    computed exactly as without a bound. The gradient comes from the adjoint
-    on the same forwards, and only when the loss is not above ``bound``, so
-    a rejected line-search candidate pays no adjoint.
-    """
-    source = None if template is None else template.with_params(theta)
-    linear = template is None or template.is_linear
-    group_loss = _linear_loss if linear else _network_loss
-    limit = bound + BOUND_MARGIN * abs(bound)
-    total = 0.0
-    forwards = []
-    for group in compiled.groups:
-        sub = _group_subset(group, subset)
-        if sub is None:
-            continue
-        value, forward = group_loss(sub, source, compiled.weights, limit - total)
-        total += value
-        if total > limit:
-            return np.inf, None
-        forwards.append((sub, forward))
-    if not want_grad or template is None or total > bound:
-        return total, None
-    group_grad = _linear_grad if linear else _network_grad
-    grad = np.zeros_like(theta)
-    for sub, forward in forwards:
-        grad += group_grad(sub, source, compiled.weights, forward)
-    if not np.all(np.isfinite(grad)):
-        raise GradientFailureError("gradient has non-finite components")
-    return total, grad
+    def __init__(self, dataset: Dataset, dev: DeviceModel,
+                 dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS):
+        basis = qcore.hermitian_basis(dev.dim)
+        experiments = [exp for exp, _ in dataset.experiments]
+        targets = []
+        for exp, block in dataset.experiments:
+            keep = in_train_split(block.times_us, dataset.train_horizon_us)
+            if not keep.any():
+                raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
+            if exp.off_grid(block.times_us[keep]).any():
+                raise ValueError(
+                    f"experiment {exp.id} records are not a contiguous sample grid from t = dt"
+                )
+            targets.append(qcore.expand_many(block.rho_hat[keep], basis))
+        self.groups = [
+            _Group(**vars(g), targets=np.stack([targets[i] for i in g.indices]))
+            for g in dynamics.grid_groups(dev, experiments, dt_internal_ns, [len(t) for t in targets])
+        ]
+        self.weights = basis.gram_norms.astype(float)  # (k,)
+
+    def evaluate(
+        self,
+        theta: np.ndarray,
+        template,
+        subset: set[str] | None = None,
+        want_grad: bool = True,
+        bound: float = np.inf,
+    ) -> tuple[float, np.ndarray | None]:
+        """Loss and gradient summed over the groups, each group propagated
+        once; ``subset`` names the experiments to include (all if None).
+
+        A loss evaluation returns inf as soon as its running total, a sum of
+        non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
+        the full loss is then above the bound too, whatever the rounding of the
+        partial sums. The linear engine checks between groups, the network
+        engine every dynamics.FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
+        computed exactly as without a bound. The gradient comes from the adjoint
+        on the same forwards, and only when the loss is not above ``bound``, so
+        a rejected line-search candidate pays no adjoint.
+        """
+        theta = np.asarray(theta, dtype=float)
+        source = None if template is None else template.with_params(theta)
+        linear = template is None or template.is_linear
+        group_loss = _linear_loss if linear else _network_loss
+        limit = bound + BOUND_MARGIN * abs(bound)
+        total = 0.0
+        forwards = []
+        for group in self.groups:
+            sub = _group_subset(group, subset)
+            if sub is None:
+                continue
+            value, forward = group_loss(sub, source, self.weights, limit - total)
+            total += value
+            if total > limit:
+                return np.inf, None
+            forwards.append((sub, forward))
+        if not want_grad or template is None or total > bound:
+            return total, None
+        group_grad = _linear_grad if linear else _network_grad
+        grad = np.zeros_like(theta)
+        for sub, forward in forwards:
+            grad += group_grad(sub, source, self.weights, forward)
+        if not np.all(np.isfinite(grad)):
+            raise GradientFailureError("gradient has non-finite components")
+        return total, grad
+
+    def gradient(self, theta: np.ndarray, template,
+                 method: str = GRAD_DISCRETE_ADJOINT) -> np.ndarray:
+        """The discrete-adjoint gradient, or central finite differences as its oracle."""
+        if template is None:
+            raise ValueError("the base model has no trainable parameters")
+        theta = np.asarray(theta, dtype=float)
+        if method == GRAD_DISCRETE_ADJOINT:
+            return self.evaluate(theta, template)[1]
+        if method != GRAD_FINITE_DIFFERENCE:
+            raise ValueError(f"unknown gradient method {method!r}")
+        grad = np.empty_like(theta)
+        for i in range(theta.size):
+            step = FD_RELATIVE_STEP * (1.0 + abs(theta[i]))
+            up, down = theta.copy(), theta.copy()
+            up[i] += step
+            down[i] -= step
+            up_loss, down_loss = (self.evaluate(th, template, want_grad=False)[0]
+                                  for th in (up, down))
+            grad[i] = (up_loss - down_loss) / (2.0 * step)
+        if not np.all(np.isfinite(grad)):
+            raise GradientFailureError("gradient has non-finite components")
+        return grad
 
 
 def loss(
@@ -392,31 +416,7 @@ def loss(
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
 ) -> float:
     """Training loss at ``theta``; ``ansatz`` is a source template or None."""
-    compiled = _compile(dataset, dev, dt_internal_ns)
-    theta = np.asarray(theta, dtype=float)
-    value, _ = _evaluate(compiled, theta, ansatz, None, want_grad=False)
-    return value
-
-
-def split_losses(
-    dataset: Dataset,
-    dev: DeviceModel,
-    source,
-    dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
-) -> tuple[float, float]:
-    """Unfiltered squared-Frobenius losses of ``source`` over the train and
-    the validation records, from the training engine run over all records."""
-    whole = Dataset(dataset.experiments, dataset.total_horizon_us, dataset.total_horizon_us)
-    compiled = _compile(whole, dev, dt_internal_ns)
-    train_loss = val_loss = 0.0
-    for group in compiled.groups:
-        delta = dynamics.group_samples(group, source) - group.targets
-        sq = np.einsum("esk,k->es", delta * delta, compiled.weights)
-        times = group.dt_us * np.arange(1, group.n_samples + 1)
-        in_train = in_train_split(times, dataset.train_horizon_us)
-        train_loss += float(sq[:, in_train].sum())
-        val_loss += float(sq[:, ~in_train].sum())
-    return train_loss, val_loss
+    return Problem(dataset, dev, dt_internal_ns).evaluate(theta, ansatz, want_grad=False)[0]
 
 
 def gradient(
@@ -428,27 +428,28 @@ def gradient(
     method: str = GRAD_DISCRETE_ADJOINT,
 ) -> np.ndarray:
     """Gradient of the training loss with respect to the packed parameters."""
-    if ansatz is None:
-        raise ValueError("the base model has no trainable parameters")
-    compiled = _compile(dataset, dev, dt_internal_ns)
-    theta = np.asarray(theta, dtype=float)
-    if method == GRAD_DISCRETE_ADJOINT:
-        return _evaluate(compiled, theta, ansatz, None)[1]
-    if method == GRAD_FINITE_DIFFERENCE:
-        grad = np.empty_like(theta)
-        for i in range(theta.size):
-            step = FD_RELATIVE_STEP * (1.0 + abs(theta[i]))
-            up = theta.copy()
-            up[i] += step
-            down = theta.copy()
-            down[i] -= step
-            up_loss, down_loss = (_evaluate(compiled, th, ansatz, None, want_grad=False)[0]
-                                  for th in (up, down))
-            grad[i] = (up_loss - down_loss) / (2.0 * step)
-        if not np.all(np.isfinite(grad)):
-            raise GradientFailureError("gradient has non-finite components")
-        return grad
-    raise ValueError(f"unknown gradient method {method!r}")
+    return Problem(dataset, dev, dt_internal_ns).gradient(theta, ansatz, method)
+
+
+def split_losses(
+    dataset: Dataset,
+    dev: DeviceModel,
+    source,
+    dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
+) -> tuple[float, float]:
+    """Unfiltered squared-Frobenius losses of ``source`` over the train and
+    the validation records, from the training engine run over all records."""
+    whole = Dataset(dataset.experiments, dataset.total_horizon_us, dataset.total_horizon_us)
+    problem = Problem(whole, dev, dt_internal_ns)
+    train_loss = val_loss = 0.0
+    for group in problem.groups:
+        delta = dynamics.group_samples(group, source) - group.targets
+        sq = np.einsum("esk,k->es", delta * delta, problem.weights)
+        times = group.dt_us * np.arange(1, group.n_samples + 1)
+        in_train = in_train_split(times, dataset.train_horizon_us)
+        train_loss += float(sq[:, in_train].sum())
+        val_loss += float(sq[:, ~in_train].sum())
+    return train_loss, val_loss
 
 
 # -- optimizers -------------------------------------------------------------------
@@ -485,12 +486,9 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
     if config.mode == MODE_EXP_SPEC:
         dataset = dataset.restrict(config.experiment_id)
 
-    compiled = _compile(dataset, dev, config.dt_internal_ns)
+    problem = Problem(dataset, dev, config.dt_internal_ns)
     exp_ids = [exp.id for exp, _ in dataset.experiments]
     theta = ansatz.pack().astype(float)
-
-    def evaluate(th, subset=None, bound=np.inf):
-        return _evaluate(compiled, th, ansatz, subset, bound=bound)
 
     losses: list[float] = []
     grad_norms: list[float] = []
@@ -514,7 +512,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         order = rng.permutation(len(exp_ids))
         for lo in range(0, len(exp_ids), batch_size):
             subset = {exp_ids[i] for i in order[lo : lo + batch_size]}
-            value, grad = evaluate(theta, subset)
+            value, grad = problem.evaluate(theta, ansatz, subset)
             step_count += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
@@ -524,7 +522,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             record("adam", value, grad)
 
     # Hand off on a full-batch evaluation so the phase boundary is comparable.
-    f_cur, g_cur = evaluate(theta)
+    f_cur, g_cur = problem.evaluate(theta, ansatz)
     record("adam", f_cur, g_cur)
 
     # Phase 2: full-batch L-BFGS with backtracking line search.
@@ -548,7 +546,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
             cand = theta + step * direction
             armijo = f_cur + ARMIJO_C * step * slope
             try:
-                f_new, g_new = evaluate(cand, bound=armijo)
+                f_new, g_new = problem.evaluate(cand, ansatz, bound=armijo)
             except DivergenceError:
                 step *= 0.5
                 continue
@@ -583,6 +581,5 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         grad_norm_history=grad_norms,
         phases=phases,
         elapsed_s=elapsed,
-        wall_time_s=time.perf_counter() - t_start,
         stalled=stalled,
     )

@@ -137,8 +137,9 @@ def test_criterion_05_gradient_correctness(smoke_dataset):
         tmpl = models.make_source(kind, seed=3)
         rng = np.random.default_rng(11)
         theta = tmpl.pack() + 0.05 * rng.standard_normal(tmpl.pack().shape)
-        g_adj = train.gradient(theta, smoke_dataset, DEV1, tmpl)
-        g_fd = train.gradient(theta, smoke_dataset, DEV1, tmpl, method="finite_difference")
+        problem = train.Problem(smoke_dataset, DEV1)
+        g_adj = problem.gradient(theta, tmpl)
+        g_fd = problem.gradient(theta, tmpl, method="finite_difference")
         # componentwise relative error; components that vanish relative to the
         # gradient norm are measured against the oracle's own rounding floor
         scale = np.maximum(np.abs(g_fd), 1e-3 * np.max(np.abs(g_fd)))

@@ -144,6 +144,16 @@ class TestConfig:
         assert err.startswith("config error: ") and "bad.cfg" in err and key in err
         assert not (tmp_path / "o").exists()
 
+    def test_readme_library_block_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert isinstance(namespace["problem"], train.Problem)
+        assert namespace["report"].model == "sp"
+        assert "T1" in capsys.readouterr().out
+
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -489,13 +499,14 @@ class TestErrors:
 
 
 def rewrite_line(path: Path, number: int, edit) -> None:
+    """Replace line ``number`` by ``edit(line, line before it)``."""
     lines = path.read_text().splitlines()
-    lines[number - 1] = edit(lines[number - 1])
+    lines[number - 1] = edit(lines[number - 1], lines[number - 2])
     path.write_text("\n".join(lines) + "\n")
 
 
 def set_fields(**changes):
-    def edit(line):
+    def edit(line, _previous):
         row = json.loads(line)
         for key, value in changes.items():
             if value is None:
@@ -509,7 +520,7 @@ def set_fields(**changes):
 
 # fault -> (edit of line 3 of exp-001.jsonl, field the message must name)
 RECORD_FAULTS = {
-    "truncated-row": (lambda line: line[: len(line) // 2], "malformed JSON"),
+    "truncated-row": (lambda line, _: line[: len(line) // 2], "malformed JSON"),
     "missing-field": (set_fields(ky=None), "'ky'"),
     "not-a-number": (set_fields(time_us="0.06"), "'time_us'"),
     "non-finite": (set_fields(kz=float("nan")), "'kz'"),
@@ -522,6 +533,10 @@ RECORD_FAULTS = {
     "amplitude-mismatch": (
         set_fields(amplitude_MHz=lambda row: row["amplitude_MHz"] + 0.25), "'amplitude_MHz'"
     ),
+    # the records sit on a 20 ns grid: line 2 at 0.04 us, line 3 at 0.06 us
+    "off-grid-time": (set_fields(time_us=0.065), "'time_us'"),
+    "repeated-time": (set_fields(time_us=0.04), "'time_us'"),
+    "row-repeated": (lambda _, previous: previous, "'time_us'"),
 }
 
 

@@ -55,6 +55,20 @@ class TestExperiment:
         with pytest.raises(ValueError, match="integer"):
             dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=3.0)
 
+    def test_off_grid_flags_the_rows_that_break_the_grid(self):
+        exp = dynamics.Experiment("e", 1.0, duration_us=0.1, sample_dt_ns=20.0)
+        grid = exp.times_us()
+        assert not exp.off_grid(grid[::-1]).any()  # any order, any prefix
+        assert not exp.off_grid(grid[:2]).any()
+        assert not exp.off_grid(np.array([0.02, 0.04, 0.06])).any()  # decimals, not products
+        repeat = np.array([grid[0], grid[1], grid[1], grid[3]])
+        np.testing.assert_array_equal(exp.off_grid(repeat), [False, False, True, False])
+        np.testing.assert_array_equal(exp.off_grid(grid[[0, 2]]), [False, True])  # gap
+        np.testing.assert_array_equal(exp.off_grid(grid * (1 + 1e-6)), [True] * 5)
+        past = np.append(grid, grid[-1] + grid[0])
+        np.testing.assert_array_equal(exp.off_grid(past), [False] * 5 + [True])
+        assert not exp.off_grid(np.zeros(0)).size
+
 
 class TestHamiltonian:
     def test_resonant_drive_free_frame_is_zero(self):

@@ -226,40 +226,39 @@ class TestTrainingEngine:
     @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
     def test_loss_and_gradient_match_loop(self, kind, n_sub, n_experiments):
         ds, dt_internal = twin(n_sub, n_experiments)
-        compiled = train._compile(ds, DEV1, dt_internal)
-        (group,) = compiled.groups
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
         src = make_case(kind)
         if kind == "nonlinear":
             ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
                 group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src,
-                compiled.weights,
+                problem.weights,
             )
         else:
             m = loop_oracle.augmented_generator(group.a_base, src)
             x0 = np.concatenate([group.x0, np.ones((n_experiments, 1))], axis=1)
             ref_loss, q = loop_oracle.group_loss_grad(
-                m, x0, group.targets, group.n_sub, group.h_us, compiled.weights
+                m, x0, group.targets, group.n_sub, group.h_us, problem.weights
             )
             ref_grad = None if src is None else loop_oracle.param_grad(src, q)
         theta = np.zeros(0) if src is None else src.pack()
-        assert relative(train.loss(theta, ds, DEV1, src, dt_internal), ref_loss) <= TOL
+        assert relative(problem.evaluate(theta, src, want_grad=False)[0], ref_loss) <= TOL
         if src is not None:
-            grad = train.gradient(theta, ds, DEV1, src, dt_internal)
-            assert relative(grad, ref_grad) <= TOL
+            assert relative(problem.gradient(theta, src), ref_grad) <= TOL
 
     def test_network_chunk_edges_change_nothing(self, monkeypatch):
         """Forward and reverse chunks that end mid-sample and leave a ragged tail."""
         ds, dt_internal = twin(5, 3)
-        compiled = train._compile(ds, DEV1, dt_internal)
-        (group,) = compiled.groups
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
         src = make_case("nonlinear")
-        whole_loss, _ = group_loss_grad(group, src, compiled.weights, linear=False)
+        whole_loss, _ = group_loss_grad(group, src, problem.weights, linear=False)
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
         monkeypatch.setattr(train, "REVERSE_CHUNK_STEPS", 7)
-        loss, grad = group_loss_grad(group, src, compiled.weights, linear=False)
+        loss, grad = group_loss_grad(group, src, problem.weights, linear=False)
         assert relative(loss, whole_loss) <= TOL
         ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
-            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
         )
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
@@ -267,19 +266,19 @@ class TestTrainingEngine:
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_affine_matches_network_path(self, n_sub):
         ds, dt_internal = twin(n_sub, 3)
-        compiled = train._compile(ds, DEV1, dt_internal)
-        (group,) = compiled.groups
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
         src = make_case("affine")
-        net_loss, net_grad = group_loss_grad(group, src, compiled.weights, linear=False)
-        lin_loss, lin_grad = group_loss_grad(group, src, compiled.weights, linear=True)
+        net_loss, net_grad = group_loss_grad(group, src, problem.weights, linear=False)
+        lin_loss, lin_grad = group_loss_grad(group, src, problem.weights, linear=True)
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
-        assert relative(train.loss(src.pack(), ds, DEV1, src, dt_internal), net_loss) <= TOL
+        assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], net_loss) <= TOL
 
     def test_deep_identity_net_collapses_with_chain_rule_gradients(self):
         ds, dt_internal = twin(5, 2)
-        compiled = train._compile(ds, DEV1, dt_internal)
-        (group,) = compiled.groups
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
         rng = np.random.default_rng(4)
         weights = tuple(np.eye(4) + 0.2 * rng.standard_normal((4, 4)) for _ in range(3))
         biases = tuple(0.05 * rng.standard_normal(4) for _ in range(3))
@@ -287,8 +286,8 @@ class TestTrainingEngine:
         x = rng.standard_normal((6, 4))
         w_eff, b_eff = src.coeff_affine()
         np.testing.assert_allclose(x @ w_eff.T + b_eff, src.coeff_forward(x), rtol=1e-13)
-        net_loss, net_grad = group_loss_grad(group, src, compiled.weights, linear=False)
-        lin_loss, lin_grad = group_loss_grad(group, src, compiled.weights, linear=True)
+        net_loss, net_grad = group_loss_grad(group, src, problem.weights, linear=False)
+        lin_loss, lin_grad = group_loss_grad(group, src, problem.weights, linear=True)
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
 
@@ -335,17 +334,17 @@ class TestNewtonForward:
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_matches_loop(self, scale, n_sub, n_experiments, monkeypatch):
         ds, dt_internal = twin(n_sub, n_experiments)
-        compiled = train._compile(ds, DEV1, dt_internal)
-        (group,) = compiled.groups
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
         src = scaled_template(scale)
         ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
-            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
         )
         ref_samples = loop_samples(group, src)
         fell_back = spy_newton(monkeypatch)
         assert relative(dynamics.group_samples(group, src), ref_samples) <= TOL
-        assert relative(train.loss(src.pack(), ds, DEV1, src, dt_internal), ref_loss) <= TOL
-        assert relative(train.gradient(src.pack(), ds, DEV1, src, dt_internal), ref_grad) <= TOL
+        assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], ref_loss) <= TOL
+        assert relative(problem.gradient(src.pack(), src), ref_grad) <= TOL
         windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
         assert fell_back == [False] * 3 * windows  # three forwards, every window converged
 
@@ -373,7 +372,7 @@ class TestNewtonForward:
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
         ds, dt_internal = twin(n_sub, 3)
-        (group,) = train._compile(ds, DEV1, dt_internal).groups
+        (group,) = train.Problem(ds, DEV1, dt_internal).groups
         src = scaled_template(1.0)
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * n_sub)
@@ -385,7 +384,7 @@ class TestNewtonForward:
         """At 1000 times the template the iterates of the one 185-step window
         do not settle, and the window is the step loop's, bit for bit."""
         ds, dt_internal = twin(5, 3)
-        (group,) = train._compile(ds, DEV1, dt_internal).groups
+        (group,) = train.Problem(ds, DEV1, dt_internal).groups
         src = scaled_template(1000.0)
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * group.n_sub)
@@ -438,11 +437,12 @@ class TestNewtonForward:
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""
         ds, dt_internal = twin(1, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
         src = scaled_template(10.0)
-        first = train.loss(src.pack(), ds, DEV1, src, dt_internal)
+        first = problem.evaluate(src.pack(), src, want_grad=False)[0]
         other = scaled_template(100.0)
-        train.loss(other.pack(), ds, DEV1, other, dt_internal)
-        assert train.loss(src.pack(), ds, DEV1, src, dt_internal) == first
+        problem.evaluate(other.pack(), other, want_grad=False)
+        assert problem.evaluate(src.pack(), src, want_grad=False)[0] == first
 
 
 class TestDivergenceTime:
@@ -503,35 +503,35 @@ class TestBoundedLoss:
     @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
     def test_bound_gives_the_loss_or_inf_above_it(self, kind):
         ds, dt_internal = two_grids()
-        compiled = train._compile(ds, DEV1, dt_internal)
-        assert len(compiled.groups) == 2
+        problem = train.Problem(ds, DEV1, dt_internal)
+        assert len(problem.groups) == 2
         src = make_case(kind)
         theta = np.zeros(0) if src is None else src.pack()
-        full, _ = train._evaluate(compiled, theta, src, None, want_grad=False)
+        full, _ = problem.evaluate(theta, src, want_grad=False)
         for bound in (0.0, 1e-3 * full, 0.5 * full, full * (1 - 1e-6), full * (1 - 1e-12),
                       full, full * (1 + 1e-12), 2.0 * full, np.inf):
-            value, grad = train._evaluate(compiled, theta, src, None, False, bound=bound)
+            value, grad = problem.evaluate(theta, src, want_grad=False, bound=bound)
             assert grad is None
             assert value == full or (value == np.inf and full > bound), bound
-        assert train._evaluate(compiled, theta, src, None, False, bound=0.0)[0] == np.inf
-        assert train._evaluate(compiled, theta, src, None, False, bound=full)[0] == full
+        assert problem.evaluate(theta, src, want_grad=False, bound=0.0)[0] == np.inf
+        assert problem.evaluate(theta, src, want_grad=False, bound=full)[0] == full
 
     def test_diverging_candidate(self):
         c = TestBatchedPrediction.UNSTABLE
         ds = make_twin_dataset(seed=3, n_experiments=3, duration_us=c["duration_us"],
                                sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
-        compiled = train._compile(ds, DEV1, c["dt_internal_ns"])
+        problem = train.Problem(ds, DEV1, c["dt_internal_ns"])
         src = make_case("nonlinear")
         with pytest.raises(dynamics.DivergenceError) as unbounded:
-            train._evaluate(compiled, src.pack(), src, None, want_grad=False)
+            problem.evaluate(src.pack(), src, want_grad=False)
         for bound in (1e-3, 1e300):
             try:
-                value, _ = train._evaluate(compiled, src.pack(), src, None, False, bound=bound)
+                value, _ = problem.evaluate(src.pack(), src, want_grad=False, bound=bound)
             except dynamics.DivergenceError as err:
                 assert err.time_us == unbounded.value.time_us
             else:
                 assert value == np.inf
-        assert train._evaluate(compiled, src.pack(), src, None, False, bound=0.0)[0] == np.inf
+        assert problem.evaluate(src.pack(), src, want_grad=False, bound=0.0)[0] == np.inf
 
     @pytest.mark.parametrize("kind", ["sp", "affine", "nonlinear"])
     def test_line_search_accepts_the_same_steps(self, kind, monkeypatch):
@@ -539,7 +539,7 @@ class TestBoundedLoss:
         template = models.make_source(kind, seed=1)
         config = train.TrainConfig(adam_epochs=2, adam_batch=2, lbfgs_max_iters=4,
                                    dt_internal_ns=dt_internal, seed=0)
-        original = train._evaluate
+        original = train.Problem.evaluate
         cut = []
 
         def counting(*args, **kwargs):
@@ -547,9 +547,9 @@ class TestBoundedLoss:
             cut.append(value == np.inf)
             return value, grad
 
-        monkeypatch.setattr(train, "_evaluate", counting)
+        monkeypatch.setattr(train.Problem, "evaluate", counting)
         bounded = train.fit(ds, DEV1, template, config)
-        monkeypatch.setattr(train, "_evaluate",
+        monkeypatch.setattr(train.Problem, "evaluate",
                             lambda *args, bound=np.inf, **kwargs: original(*args, **kwargs))
         free = train.fit(ds, DEV1, template, config)
         np.testing.assert_array_equal(bounded.theta_star, free.theta_star)

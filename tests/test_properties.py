@@ -31,15 +31,15 @@ def test_network_engine_matches_loop(scale, n_samples, n_sub, hidden_layers, see
     sample_dt = 4.0 * n_sub
     ds = make_twin_dataset(seed=seed, n_experiments=2, duration_us=n_samples * sample_dt * 1e-3,
                            sample_dt_ns=sample_dt)
-    compiled = train._compile(ds, DEV1, 4.0)
-    (group,) = compiled.groups
+    problem = train.Problem(ds, DEV1, 4.0)
+    (group,) = problem.groups
     tmpl = models.make_source("nonlinear", hidden_layers=hidden_layers, seed=seed)
     src = tmpl.with_params(scale * tmpl.pack())
     ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
-        group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, compiled.weights
+        group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
     )
-    assert relative(train.loss(src.pack(), ds, DEV1, src, 4.0), ref_loss) <= TOL
-    assert relative(train.gradient(src.pack(), ds, DEV1, src, 4.0), ref_grad) <= TOL
+    assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], ref_loss) <= TOL
+    assert relative(problem.gradient(src.pack(), src), ref_grad) <= TOL
     assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
 
 
@@ -72,17 +72,20 @@ def test_pack_round_trip(kind, data):
 @hypothesis.given(data=st.data())
 def test_record_write_load_round_trip(data):
     """write_dataset -> load_dataset returns times, shots and counts bit for bit,
-    on counted rows and on noiseless (shots == 0) rows of exact probabilities."""
+    on counted rows and on noiseless (shots == 0) rows of exact probabilities.
+    The times are the first n points of a grid of arbitrary spacing, so each
+    is an arbitrary double that the load check accepts."""
     n = data.draw(st.integers(1, 30))
-    times = np.sort(data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e3),
-                                         unique=True)))
+    sample_dt_ns = data.draw(st.floats(1e-300, 1e300))
+    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=data.draw(st.floats(0.0, 10.0)),
+                              duration_us=data.draw(st.integers(n, 2 * n)) * sample_dt_ns * 1e-3,
+                              sample_dt_ns=sample_dt_ns)
+    times = exp.times_us()[:n]
     shots = data.draw(hnp.arrays(np.int64, n,
                                  elements=st.one_of(st.just(0), st.integers(1, 10**6))))
     fractions = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(0.0, 1.0)))
     counts = np.where(shots[:, None] > 0, np.floor(fractions * shots[:, None]), fractions)
     block = tomography.RecordBlock.from_counts(times, shots, counts)
-    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=data.draw(st.floats(0.0, 10.0)),
-                              duration_us=1e3, sample_dt_ns=4.0)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = cli.write_dataset(Path(tmp), DEV1, [(exp, block)], seed=0, config_sha="",
                                      shots=0, shot_mode="per-axis", dt_internal_ns=4.0,

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,10 +72,9 @@ class TestLoss:
         ds = make_twin_dataset(seed=6, n_experiments=2, duration_us=1.0,
                                sample_dt_ns=20.0, shots=0)
         tmpl = models.make_source("sp")
+        problem = train.Problem(ds, DEV1)
         theta_true = planted_source().pack()
-        assert train.loss(theta_true, ds, DEV1, tmpl) < train.loss(
-            np.zeros(6), ds, DEV1, tmpl
-        )
+        assert problem.evaluate(theta_true, tmpl)[0] < problem.evaluate(np.zeros(6), tmpl)[0]
 
     def test_permutation_invariance(self):
         ds = make_twin_dataset(seed=8, n_experiments=3, duration_us=0.5,
@@ -115,8 +115,9 @@ class TestGradient:
         tmpl = models.make_source(kind, seed=3)
         rng = np.random.default_rng(11)
         theta = tmpl.pack() + 0.05 * rng.standard_normal(tmpl.pack().shape)
-        g_adj = train.gradient(theta, smoke_dataset, DEV1, tmpl)
-        g_fd = train.gradient(theta, smoke_dataset, DEV1, tmpl, method="finite_difference")
+        problem = train.Problem(smoke_dataset, DEV1)
+        g_adj = problem.gradient(theta, tmpl)
+        g_fd = problem.gradient(theta, tmpl, method="finite_difference")
         assert relative_gradient_error(g_adj, g_fd) <= 1e-5
 
     def test_duplicate_experiment_doubles_gradient(self, smoke_dataset):
@@ -148,6 +149,83 @@ class TestGradient:
     def test_base_model_has_no_gradient(self, smoke_dataset):
         with pytest.raises(ValueError):
             train.gradient(np.zeros(6), smoke_dataset, DEV1, None)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, or equal arrays bit for bit (None matches None)."""
+    return a == b if a is None or np.isscalar(a) else a.tobytes() == b.tobytes()
+
+
+class TestProblem:
+    def test_evaluating_leaves_nothing_behind(self):
+        """One Problem through sp, a bounded nonlinear mini-batch and sp again
+        gives the bits of a freshly built Problem at every call."""
+        ds = make_twin_dataset(seed=18, n_experiments=3, duration_us=0.6,
+                               sample_dt_ns=20.0, shots=500)
+        sp, net = models.make_source("sp"), models.make_source("nonlinear", seed=3)
+        subset = {"exp-000", "exp-002"}
+        full = train.Problem(ds, DEV1).evaluate(net.pack(), net, subset, want_grad=False)[0]
+        calls = [
+            (planted_source().pack(), sp, {}),
+            (net.pack(), net, dict(subset=subset, bound=2.0 * full)),
+            (net.pack(), net, dict(subset=subset, bound=0.5 * full)),
+            (planted_source().pack(), sp, {}),
+        ]
+        problem = train.Problem(ds, DEV1)
+        for theta, template, kwargs in calls:
+            held = problem.evaluate(theta, template, **kwargs)
+            fresh = train.Problem(ds, DEV1).evaluate(theta, template, **kwargs)
+            assert all(same_bits(a, b) for a, b in zip(held, fresh))
+        assert problem.evaluate(net.pack(), net, subset, bound=0.5 * full) == (np.inf, None)
+
+    def test_each_call_builds_one_problem(self, monkeypatch):
+        ds = make_twin_dataset(seed=18, n_experiments=2, duration_us=0.4,
+                               sample_dt_ns=20.0, shots=0, train_horizon_us=0.2)
+        tmpl = models.make_source("sp")
+        built = []
+        init = train.Problem.__init__
+        monkeypatch.setattr(train.Problem, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        config = train.TrainConfig(adam_epochs=1, lbfgs_max_iters=2)
+        for call in (lambda: train.fit(ds, DEV1, tmpl, config),
+                     lambda: train.loss(tmpl.pack(), ds, DEV1, tmpl),
+                     lambda: train.gradient(tmpl.pack(), ds, DEV1, tmpl),
+                     lambda: train.split_losses(ds, DEV1, tmpl)):
+            built.clear()
+            call()
+            assert len(built) == 1
+
+    def test_split_losses_match_the_problem_loss(self):
+        ds = make_twin_dataset(seed=19, n_experiments=3, duration_us=0.8,
+                               sample_dt_ns=20.0, shots=500, train_horizon_us=0.3)
+        whole = train.Dataset(ds.experiments, ds.total_horizon_us, ds.total_horizon_us)
+        for kind in ("sp", "affine", "nonlinear"):
+            src = models.make_source(kind, seed=3)
+            train_loss, val_loss = train.split_losses(ds, DEV1, src)
+            assert val_loss > 0.0
+            problem_loss = train.Problem(ds, DEV1).evaluate(src.pack(), src, want_grad=False)[0]
+            whole_loss = train.Problem(whole, DEV1).evaluate(src.pack(), src, want_grad=False)[0]
+            assert train_loss == pytest.approx(problem_loss, rel=1e-12, abs=0.0)
+            assert train_loss + val_loss == pytest.approx(whole_loss, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("edit", ["repeat", "gap", "off-grid", "past-the-end"])
+    def test_records_off_the_sample_grid_are_rejected(self, edit):
+        ((exp, block),) = make_twin_dataset(seed=20, n_experiments=1, duration_us=0.2,
+                                            sample_dt_ns=20.0, shots=0).experiments
+        times = block.times_us.copy()
+        if edit == "repeat":
+            times[4] = times[3]
+        elif edit == "gap":
+            times[4:] += times[0]
+            exp = replace(exp, duration_us=0.22)
+        elif edit == "off-grid":
+            times[4] *= 1.01
+        else:
+            exp = replace(exp, duration_us=0.18)
+        bad = train.Dataset([(exp, tomography.RecordBlock.from_counts(
+            times, block.shots, block.counts))], 0.2, 0.2)
+        with pytest.raises(ValueError, match="not a contiguous sample grid"):
+            train.Problem(bad, DEV1)
 
 
 class TestFit:
