@@ -195,6 +195,8 @@ class RunConfig:
             raise ConfigError(f"[latent] alpha_kHz needs {n} entries")
         if gamma_inv and len(gamma_inv) != n:
             raise ConfigError(f"[latent] gamma_inv_us needs {n} entries")
+        if not all(g >= 0 for g in gamma_inv):
+            raise ConfigError(f"{self.path}: '[latent] gamma_inv_us' needs entries >= 0")
         alpha = TWO_PI * 1e-3 * np.asarray(alpha_khz) if alpha_khz else np.zeros(n)
         if gamma_inv:
             gammas = np.array([1.0 / g if g > 0 else 0.0 for g in gamma_inv])
@@ -405,6 +407,8 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
             line_numbers.append(number)
             if not isinstance(rows[-1], dict):
                 raise ConfigError(f"{path}:{number}: expected a JSON object")
+    if not rows:
+        raise ConfigError(f"{path}: no records")
 
     def reject(bad, field: str, problem: str) -> None:
         bad = np.asarray(bad, dtype=bool)
@@ -421,8 +425,10 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
         reject([type(v) not in (int, float) for v in values], field, "is missing or not a number")
         columns[field] = np.array(values, dtype=float)
         reject(~np.isfinite(columns[field]), field, "is not finite")
-    reject(exp.off_grid(columns["time_us"]), "time_us", f"is off the {exp.sample_dt_ns} ns "
-           f"sample grid, repeated, after a gap or past {exp.duration_us} us")
+    times = columns["time_us"]  # tested as train.Dataset tests it, with total = duration
+    reject(exp.off_grid(times) | ~train.in_train_split(times, exp.duration_us), "time_us",
+           f"is off the {exp.sample_dt_ns} ns sample grid, repeated, after a gap or past "
+           f"{exp.duration_us} us")
     shots = columns["shots"]
     reject((shots < 0) | (shots != np.floor(shots)), "shots", "is not a non-negative integer")
     limit = np.where(shots > 0, shots, 1.0)
@@ -431,7 +437,7 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
         problem = "is outside [0, shots] ([0, 1] when shots is 0)"
         reject((count < 0) | (count > limit), field, problem)
     counts = np.stack([columns["kx"], columns["ky"], columns["kz"]], axis=1)
-    return RecordBlock.from_counts(columns["time_us"], shots, counts)
+    return RecordBlock.from_counts(times, shots, counts)
 
 
 def load_dataset(
@@ -461,9 +467,13 @@ def load_dataset(
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{manifest_path}: bad {where[:-1]}: {err}") from None
         data_file = manifest_path.parent / _field(entry, "file", manifest_path, str, where)
+        n_records = _field(entry, "n_records", manifest_path, _integral, where)
         if not data_file.is_file():
             raise ConfigError(f"dataset file missing: {data_file}")
-        experiments.append((exp, _read_records(data_file, exp)))
+        block = _read_records(data_file, exp)
+        if len(block) != n_records:
+            raise ConfigError(f"{data_file}: {len(block)} rows, not {where}n_records = {n_records}")
+        experiments.append((exp, block))
         total = max(total, exp.duration_us)
     horizon = train_horizon_us if train_horizon_us is not None else total
     dataset = Dataset(experiments, train_horizon_us=horizon, total_horizon_us=total)
@@ -547,17 +557,15 @@ def cmd_train(args) -> int:
         signed=cfg.get("training", "gamma_mode") == "signed",
     )
 
+    if config.mode == train.MODE_EXP_SPEC:
+        dataset = dataset.restrict(config.experiment_id)
+
     result = train.fit(dataset, dev, template, config)
     fitted = template.with_params(result.theta_star)
 
     out_dir = Path(cfg.get("output", "directory", args.out))
     out_dir.mkdir(parents=True, exist_ok=True)
-    eval_dataset = (
-        dataset.restrict(config.experiment_id)
-        if config.mode == train.MODE_EXP_SPEC
-        else dataset
-    )
-    train_loss, val_loss = train.split_losses(eval_dataset, dev, fitted, config.dt_internal_ns)
+    train_loss, val_loss = train.split_losses(dataset, dev, fitted, config.dt_internal_ns)
 
     model_path = out_dir / "model.json"
     save_model(
@@ -585,18 +593,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_or_base(args, manifest_dev: DeviceModel):
+def _load_model_or_base(args, manifest_dev: DeviceModel, manifest: dict):
     if args.model == "base":
         dev = replace(manifest_dev, base_kind=args.base) if args.base else manifest_dev
-        return None, dev, {"ansatz": "base", "train_horizon_us": None}
+        step = _field(manifest, "dt_internal_ns", Path(args.dataset), _positive,
+                      default=dynamics.DEFAULT_DT_INTERNAL_NS)
+        return None, dev, {"ansatz": "base", "train_horizon_us": None, "dt_internal_ns": step}
     source, data = load_model(args.model)
     dev = _device_from_json(data, Path(args.model), args.base)
     return source, dev, data
 
 
 def cmd_evaluate(args) -> int:
-    dataset, manifest_dev, _ = load_dataset(args.dataset)
-    source, dev, model_data = _load_model_or_base(args, manifest_dev)
+    dataset, manifest_dev, manifest = load_dataset(args.dataset)
+    source, dev, model_data = _load_model_or_base(args, manifest_dev, manifest)
     if dev.dim != manifest_dev.dim:
         raise ConfigError(
             f"model dimension {dev.dim} does not match dataset dimension {manifest_dev.dim}"
@@ -604,8 +614,8 @@ def cmd_evaluate(args) -> int:
     horizon = args.train_horizon_us
     if horizon is None:
         horizon = model_data["train_horizon_us"] or dataset.total_horizon_us
-    dt_internal = model_data.get("dt_internal_ns") or dynamics.DEFAULT_DT_INTERNAL_NS
-    model_name = model_data.get("ansatz", "base")
+    dt_internal = model_data["dt_internal_ns"]
+    model_name = model_data["ansatz"]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

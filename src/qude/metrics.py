@@ -43,25 +43,13 @@ def trace_distance_series(
 ) -> tuple[Trajectory, np.ndarray]:
     """Per-time-step trace distance between filtered predictions and targets.
 
-    The prediction grid must contain exactly the record times. Returns the
+    Record i must be sample i of the prediction, as ``train.Dataset`` checks,
+    so the first ``len(records)`` prediction states are compared. Returns the
     filtered predictions at the record times and the distances.
     """
-    idx = _match_grid(prediction.times_us, records.times_us)
-    filtered = qcore.spectral_filter_many(prediction.states[idx], records.times_us)
+    filtered = qcore.spectral_filter_many(prediction.states[: len(records)], records.times_us)
     distances = qcore.trace_distance_many(filtered, records.rho_hat)
     return Trajectory(times_us=records.times_us, states=filtered), distances
-
-
-def _match_grid(pred_times: np.ndarray, rec_times: np.ndarray) -> np.ndarray:
-    if rec_times.size == 0:
-        raise ValueError("no records to compare against")
-    idx = np.searchsorted(pred_times, rec_times - 1e-12)
-    if np.any(idx >= pred_times.size) or np.any(
-        np.abs(pred_times[np.minimum(idx, pred_times.size - 1)] - rec_times)
-        > 1e-9 * (1.0 + rec_times[-1])
-    ):
-        raise ValueError("record times are not on the prediction grid")
-    return idx
 
 
 def moment_table(
@@ -161,8 +149,11 @@ def evaluate_model(
     split, and the mean/standard-error of the per-experiment time-averaged
     trace distance. Also returns, per experiment id, the spectral-filtered
     predictions at the record times for reuse. All experiments are predicted
-    in one batched ``dynamics.integrate_many`` call.
+    in one batched ``dynamics.integrate_many`` call. The records pass
+    ``train.Dataset``'s gate over the longest duration first.
     """
+    total = max((exp.duration_us for exp, _ in experiments), default=0.0)
+    experiments = train.Dataset(experiments, total, total).experiments
     pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
     per_exp_means: dict[str, list[float]] = {"interpolation": [], "extrapolation": []}
 

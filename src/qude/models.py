@@ -27,6 +27,8 @@ they add is Hermitian for any parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+
 import numpy as np
 
 from . import dynamics, qcore
@@ -139,18 +141,13 @@ def sp_hermitian(src: StructurePreservingSource) -> np.ndarray:
     return np.einsum("j,jkl->kl", src.alpha, shifted)
 
 
-_SP_BLOCK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def sp_generator_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Constant coefficient-space blocks of the structure-preserving source.
 
     Returns (B_alpha, B_gamma), each (dim^2-1, dim^2, dim^2), with the full
     source generator equal to sum_j alpha_j B_alpha[j] + gamma_j B_gamma[j].
     """
-    cached = _SP_BLOCK_CACHE.get(dim)
-    if cached is not None:
-        return cached
     gm = qcore.gell_mann_basis(dim)
     hb = qcore.hermitian_basis(dim)
     eye = np.eye(dim)
@@ -166,7 +163,6 @@ def sp_generator_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
             b_gamma[j, :, i] = qcore.expand(dynamics.dissipator(jump, el), hb, check=False)
     b_alpha.setflags(write=False)
     b_gamma.setflags(write=False)
-    _SP_BLOCK_CACHE[dim] = (b_alpha, b_gamma)
     return b_alpha, b_gamma
 
 

@@ -77,7 +77,9 @@ class GradientFailureError(RuntimeError):
 class Dataset:
     """One record block per experiment plus the train/validation horizons.
 
-    Blocks are put in time order on construction.
+    The one record gate: blocks are sorted by time, then a block off its sample
+    grid (``Experiment.off_grid``), empty below the train horizon or past the
+    total horizon is rejected. Record i of a block is thus sample i + 1.
     """
 
     experiments: list[tuple[Experiment, RecordBlock]]
@@ -93,6 +95,13 @@ class Dataset:
                 f"(0, {self.total_horizon_us}]"
             )
         self.experiments = [(exp, block.sorted()) for exp, block in self.experiments]
+        for exp, block in self.experiments:
+            if exp.off_grid(block.times_us).any():
+                raise ValueError(f"experiment {exp.id} records are not a contiguous sample grid")
+            if not in_train_split(block.times_us[:1], self.train_horizon_us).any():
+                raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
+            if not in_train_split(block.times_us, self.total_horizon_us).all():
+                raise ValueError(f"experiment {exp.id} has records past {self.total_horizon_us} us")
 
     def restrict(self, experiment_id: str | None) -> "Dataset":
         """View containing a single experiment (Experiment-Specific mode).
@@ -325,12 +334,6 @@ class Problem:
         targets = []
         for exp, block in dataset.experiments:
             keep = in_train_split(block.times_us, dataset.train_horizon_us)
-            if not keep.any():
-                raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
-            if exp.off_grid(block.times_us[keep]).any():
-                raise ValueError(
-                    f"experiment {exp.id} records are not a contiguous sample grid from t = dt"
-                )
             targets.append(qcore.expand_many(block.rho_hat[keep], basis))
         self.groups = [
             _Group(**vars(g), targets=np.stack([targets[i] for i in g.indices]))
@@ -503,8 +506,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
 
     # Phase 1: ADAM over mini-batches of whole experiments.
     rng = np.random.default_rng(config.seed)
-    batch_size = config.adam_batch if config.mode == MODE_EXP_GEN else len(exp_ids)
-    batch_size = min(batch_size, len(exp_ids))
+    batch_size = min(config.adam_batch, len(exp_ids))
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step_count = 0

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qude import cli, dynamics, models, tomography, train
+from qude import cli, dynamics, metrics, models, tomography, train
 
 import loop_oracle
 import states
@@ -67,7 +67,8 @@ def write_config(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
 
 
 # fault -> (verb, config edit (old, new), key the message must name): values
-# that are cast when the config is loaded, whether or not the verb reads them
+# that are cast when the config is loaded, whether or not the verb reads them,
+# and values that cast but are out of range
 BAD_VALUES = {
     "gamma-mode-typo": ("train", ("mode = exp-gen", "mode = exp-gen\ngamma_mode = sigend"),
                         "gamma_mode"),
@@ -79,6 +80,8 @@ BAD_VALUES = {
     "shot-mode-typo-noiseless": ("generate", ("shots = 500", "shots = 0\nshot_mode = perr-axis"),
                                  "shot_mode"),
     "bare-percent-sign": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = 3.47%"), "'%'"),
+    "gamma-inv-negative": ("generate", ("1686, 1686, 688", "1686, 1686, -688"),
+                           "[latent] gamma_inv_us"),
 }
 
 
@@ -369,6 +372,37 @@ class TestTrainEvaluate:
         moments = (out / "moments.csv").read_text()
         assert "base,interpolation" in moments
 
+    def test_evaluate_base_uses_the_manifest_internal_step(self, tmp_path, capsys):
+        """A 2 ns dataset generated at a 2 ns internal step evaluates the base model
+        at that step; an absent key means 4 ns, a bad one is a data error."""
+        fine = BASE_CONFIG.replace("sample_dt_ns = 20.0", "sample_dt_ns = 2.0").replace(
+            "dt_internal_ns = 4.0", "dt_internal_ns = 2.0")
+        assert run("generate", "--config", write_config(tmp_path, fine), "--out",
+                   tmp_path / "data") == 0
+        manifest = tmp_path / "data" / "manifest.json"
+
+        def evaluate_base() -> tuple[int, str]:
+            capsys.readouterr()
+            code = run("evaluate", "--model", "base", "--dataset", manifest,
+                       "--out", tmp_path / "eval")
+            return code, capsys.readouterr().err
+
+        assert evaluate_base()[0] == 0
+        dataset, dev, _ = cli.load_dataset(manifest)
+        report, _ = metrics.evaluate_model("base", dev, None, dataset.experiments, 1.0, 2.0)
+        (row,) = report.moments
+        assert (tmp_path / "eval" / "moments.csv").read_text().splitlines()[1] == (
+            f"base,interpolation,{row.mean!r},{row.stddev!r},{row.count}")
+
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "dt_internal_ns": "soon"}))
+        code, err = evaluate_base()
+        assert code == 2 and "manifest.json" in err and "'dt_internal_ns'" in err, err
+        del data["dt_internal_ns"]
+        manifest.write_text(json.dumps(data))
+        code, err = evaluate_base()
+        assert code == 2 and "internal step 4.0 ns" in err, err  # the default, 4 ns, is used
+
     def test_evaluate_deterministic(self, config_path, dataset_dir, tmp_path):
         fit_dir = tmp_path / "fit"
         run("train", "--config", config_path, "--dataset", dataset_dir / "manifest.json",
@@ -584,6 +618,24 @@ class TestDataValidation:
         err = capsys.readouterr().err
         assert "exp-001.jsonl:3:" in err and names in err
         assert not (tmp_path / "fit" / "model.json").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    @pytest.mark.parametrize("kept", [20, 0])
+    def test_truncated_record_file_is_rejected(self, verb, kept, config_path, dataset_dir,
+                                               tmp_path, capsys):
+        """A record file cut to its first rows fails the manifest's n_records
+        (an empty one fails on its own) instead of loading fewer records."""
+        records = dataset_dir / "exp-001.jsonl"
+        records.write_text("".join(records.read_text().splitlines(keepends=True)[:kept]))
+        capsys.readouterr()
+        if verb == "train":
+            assert self.train(config_path, dataset_dir, tmp_path) == 2
+        else:
+            assert run("evaluate", "--model", "base", "--dataset", dataset_dir / "manifest.json",
+                       "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert "exp-001.jsonl" in err and ("n_records" if kept else "no records") in err, err
+        assert not (tmp_path / "fit").exists() and not (tmp_path / "eval").exists()
 
     def test_malformed_manifest(self, config_path, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.json"

@@ -33,12 +33,6 @@ class TestTraceDistanceSeries:
         _, dists = metrics.trace_distance_series(pred, rec)
         assert dists[0] == pytest.approx(0.25, abs=1e-12)
 
-    def test_grid_mismatch_rejected(self):
-        traj, records = self._prediction_and_records()
-        shifted = dynamics.Trajectory(times_us=traj.times_us + 0.05, states=traj.states)
-        with pytest.raises(ValueError, match="grid"):
-            metrics.trace_distance_series(shifted, records)
-
     def test_lvn_prediction_drifts_from_lindblad_truth(self):
         # dissipation accumulates, so the error envelope grows with time
         exp = dynamics.Experiment("e", 1.0, duration_us=20.0, sample_dt_ns=100.0)
@@ -184,6 +178,17 @@ class TestEvaluateModel:
             assert row.mean <= 1e-12
         assert set(predictions) == {"exp-000", "exp-001"}
         assert {r.split for r in report.moments} == {"interpolation", "extrapolation"}
+
+    def test_repeated_record_in_a_raw_list_is_rejected(self):
+        """The list passes the train.Dataset gate: a 1 x 0.4 us twin at 20 ns whose
+        last time repeats the one before it is an error, not an extrapolation sample."""
+        ((exp, block),) = make_twin_dataset(seed=22, n_experiments=1, duration_us=0.4,
+                                            sample_dt_ns=20.0, shots=0).experiments
+        times = block.times_us.copy()
+        times[-1] = times[-2]
+        repeated = tomography.RecordBlock.from_counts(times, block.shots, block.counts)
+        with pytest.raises(ValueError, match="experiment exp-000 records are not a contiguous"):
+            metrics.evaluate_model("base", DEV1, None, [(exp, repeated)], 0.2)
 
     def test_one_row_per_model_split(self):
         ds = make_twin_dataset(seed=21, n_experiments=3, duration_us=1.0,

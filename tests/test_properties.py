@@ -1,7 +1,8 @@
 """Property tests: the Newton-in-time network forward against the step loop
-over random parameter scales, grid lengths, substep counts and depths, and
-the exact round trips of the coefficient expansion, the parameter packing
-and the record files."""
+over random parameter scales, grid lengths, substep counts and depths, the
+exact round trips of the coefficient expansion, the parameter packing and
+the record files, and one verdict from the in-memory record gate and the
+record-file check."""
 
 import tempfile
 from pathlib import Path
@@ -95,3 +96,52 @@ def test_record_write_load_round_trip(data):
     for column in ("times_us", "shots", "counts"):
         original, back = getattr(block, column), getattr(loaded, column)
         assert back.dtype == original.dtype and back.tobytes() == original.tobytes(), column
+
+
+def accepts(check) -> bool:
+    try:
+        check()
+    except (ValueError, cli.ConfigError):
+        return False
+    return True
+
+
+@ROUND_TRIP
+@hypothesis.given(data=st.data())
+def test_record_gate_and_load_check_agree(data):
+    """One row of a valid block repeated, shifted or dropped: train.Dataset, with
+    the duration as total horizon, and cli._read_records on the written file
+    accept or reject it together."""
+    n_samples = data.draw(st.integers(1, 12))
+    sample_dt_ns = data.draw(st.floats(1e-3, 1e3))
+    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=1.0,
+                              duration_us=n_samples * sample_dt_ns * 1e-3,
+                              sample_dt_ns=sample_dt_ns)
+    n = data.draw(st.one_of(st.just(n_samples), st.integers(1, n_samples)))  # often up to the end
+    row = data.draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))  # often the last
+    times, rows = exp.times_us()[:n], np.arange(n)
+
+    def gate_accepts(block) -> bool:
+        return accepts(lambda: train.Dataset([(exp, block)], exp.duration_us, exp.duration_us))
+
+    def block_of(times, rows):
+        return tomography.RecordBlock.from_counts(times[rows], np.zeros(len(rows)),
+                                                  np.full((len(rows), 3), 0.5))
+
+    assert gate_accepts(block_of(times, rows))
+    edit = data.draw(st.sampled_from(["repeat", "shift", "drop"]))
+    if edit == "repeat":
+        rows = np.insert(rows, row, data.draw(st.integers(0, n - 1)))
+    elif edit == "drop":
+        rows = np.delete(rows, row)
+    else:
+        times = times.copy()
+        times[row] *= 1.0 + data.draw(st.floats(-2.0, 2.0)) * data.draw(
+            st.sampled_from([1.0, 1e-6, 1e-9, 1e-11, 1e-13]))
+    block = block_of(times, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.write_dataset(Path(tmp), DEV1, [(exp, block)], seed=0, config_sha="", shots=0,
+                          shot_mode="per-axis", dt_internal_ns=4.0,
+                          latent_info={"ansatz": "none"})
+        loaded = accepts(lambda: cli._read_records(Path(tmp) / "exp-000.jsonl", exp))
+    assert gate_accepts(block) == loaded, (edit, row, block.times_us)

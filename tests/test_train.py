@@ -208,24 +208,14 @@ class TestProblem:
             assert train_loss == pytest.approx(problem_loss, rel=1e-12, abs=0.0)
             assert train_loss + val_loss == pytest.approx(whole_loss, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("edit", ["repeat", "gap", "off-grid", "past-the-end"])
-    def test_records_off_the_sample_grid_are_rejected(self, edit):
-        ((exp, block),) = make_twin_dataset(seed=20, n_experiments=1, duration_us=0.2,
-                                            sample_dt_ns=20.0, shots=0).experiments
-        times = block.times_us.copy()
-        if edit == "repeat":
-            times[4] = times[3]
-        elif edit == "gap":
-            times[4:] += times[0]
-            exp = replace(exp, duration_us=0.22)
-        elif edit == "off-grid":
-            times[4] *= 1.01
-        else:
-            exp = replace(exp, duration_us=0.18)
-        bad = train.Dataset([(exp, tomography.RecordBlock.from_counts(
-            times, block.shots, block.counts))], 0.2, 0.2)
-        with pytest.raises(ValueError, match="not a contiguous sample grid"):
-            train.Problem(bad, DEV1)
+    def test_records_past_the_total_horizon_are_rejected(self):
+        """0.8 us experiments under a 0.5 us total horizon: the records past it
+        are an error, not left out of the validation loss."""
+        ds = make_twin_dataset(seed=19, n_experiments=3, duration_us=0.8,
+                               sample_dt_ns=20.0, shots=500)
+        with pytest.raises(ValueError, match="experiment exp-000 has records past 0.5 us"):
+            train.split_losses(train.Dataset(ds.experiments, 0.3, 0.5), DEV1,
+                               models.make_source("sp", seed=3))
 
 
 class TestFit:
@@ -327,6 +317,40 @@ class TestDataset:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train.Dataset([], 1.0, 1.0)
+
+    @staticmethod
+    def _one_block():
+        ((exp, block),) = make_twin_dataset(seed=20, n_experiments=1, duration_us=0.2,
+                                            sample_dt_ns=20.0, shots=0).experiments
+        return exp, block
+
+    @pytest.mark.parametrize("edit", ["repeat", "gap", "off-grid", "past-the-end"])
+    def test_records_off_the_sample_grid_are_rejected(self, edit):
+        exp, block = self._one_block()
+        times = block.times_us.copy()
+        if edit == "repeat":
+            times[4] = times[3]
+        elif edit == "gap":
+            times[4:] += times[0]
+            exp = replace(exp, duration_us=0.22)
+        elif edit == "off-grid":
+            times[4] *= 1.01
+        else:
+            exp = replace(exp, duration_us=0.18)
+        bad = tomography.RecordBlock.from_counts(times, block.shots, block.counts)
+        with pytest.raises(ValueError, match="experiment exp-000 records are not a contiguous"):
+            train.Dataset([(exp, bad)], 0.2, 0.2)
+
+    def test_empty_block_rejected(self):
+        exp, block = self._one_block()
+        with pytest.raises(ValueError, match="experiment exp-000 has no records inside"):
+            train.Dataset([(exp, block.take(np.arange(0)))], 0.2, 0.2)
+
+    def test_record_past_the_total_horizon_rejected(self):
+        exp, block = self._one_block()
+        train.Dataset([(exp, block.take(np.arange(7)))], 0.1, 0.14)  # 7 x 20 ns fit in 0.14 us
+        with pytest.raises(ValueError, match="experiment exp-000 has records past 0.14 us"):
+            train.Dataset([(exp, block.take(np.arange(8)))], 0.1, 0.14)
 
     def test_restrict_unknown_id(self):
         ds = make_twin_dataset(seed=17, n_experiments=1, duration_us=0.3,
