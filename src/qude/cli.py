@@ -192,9 +192,9 @@ class RunConfig:
         alpha_khz = self.get("latent", "alpha_kHz")
         gamma_inv = self.get("latent", "gamma_inv_us")
         if alpha_khz and len(alpha_khz) != n:
-            raise ConfigError(f"[latent] alpha_kHz needs {n} entries")
+            raise ConfigError(f"{self.path}: '[latent] alpha_kHz' needs {n} entries")
         if gamma_inv and len(gamma_inv) != n:
-            raise ConfigError(f"[latent] gamma_inv_us needs {n} entries")
+            raise ConfigError(f"{self.path}: '[latent] gamma_inv_us' needs {n} entries")
         if not all(g >= 0 for g in gamma_inv):
             raise ConfigError(f"{self.path}: '[latent] gamma_inv_us' needs entries >= 0")
         alpha = TWO_PI * 1e-3 * np.asarray(alpha_khz) if alpha_khz else np.zeros(n)
@@ -323,6 +323,10 @@ def load_model(path: str | Path):
     hidden = _field(data, "n_layers", path, _integral, default=1) - 1
     try:
         template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0), signed=signed)
+        for key in ("n_layers", "activation"):  # what save_model writes for a network
+            expected = getattr(template, key, None)
+            if data.get(key, expected) != expected:
+                raise ConfigError(f"{path}: {key!r} is {data[key]!r}, not {kind}'s {expected!r}")
         return template.with_params(theta), data
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None

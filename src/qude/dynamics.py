@@ -9,7 +9,7 @@ the ground-to-excited population to 1/(2p) us.
 Integration runs in the coefficient space of the elementary Hermitian basis:
 a Hermitian state maps to a real vector x with rho = sum_i x_i H_i, and the
 right-hand side becomes A x + W x + b for a source that is affine in the
-state (the structure-preserving source with b = 0, identity-activation
+state (the structure-preserving source with b = 0, the one-layer identity
 networks) or A x + net(x) for a nonlinear network. Affine right-hand sides
 are made linear on the augmented state [x; 1] with the generator
 G = [[A + W, b], [0, 0]] (Van Loan's augmentation), so the base model and
@@ -109,6 +109,16 @@ class DeviceModel:
         return 1.0 / self.T2_us if self.base_kind == BASE_LINDBLAD else 0.0
 
 
+def in_train_split(times_us, t_tr_us: float):
+    """True where a time belongs to the train split: t <= T_Tr.
+
+    The relative 1e-12 margin keeps a record that lies on T_Tr up to grid
+    round-off in the train split, and bounds a sample grid by its duration.
+    Works on scalars and arrays.
+    """
+    return np.asarray(times_us) <= t_tr_us * (1.0 + 1e-12)
+
+
 @dataclass(frozen=True, eq=False)
 class Experiment:
     """One control setting: a constant square pulse and its sample grid."""
@@ -126,11 +136,14 @@ class Experiment:
         if self.sample_dt_ns <= 0:
             raise ValueError("sample_dt_ns must be positive")
         ratio = self.duration_us / (self.sample_dt_ns * 1e-3)
-        if abs(ratio - round(ratio)) > 1e-6:
+        if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
             raise ValueError(
-                f"duration ({self.duration_us} us) is not an integer number of "
+                f"duration ({self.duration_us} us) is not a positive integer number of "
                 f"samples at {self.sample_dt_ns} ns"
             )
+        if not in_train_split(self.n_samples * (self.sample_dt_ns * 1e-3), self.duration_us):
+            raise ValueError(f"the last sample at {self.sample_dt_ns} ns lies past the "
+                             f"duration ({self.duration_us} us)")
 
     @property
     def n_samples(self) -> int:
@@ -393,13 +406,12 @@ def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
     """One RK4 step of x' = A x + net(x) from every state of x (E, C, k) at once.
 
     Returns F(x), the state after each step, and per stage the inputs of
-    every layer and the tanh derivatives (None for the identity
-    activation); ``rk4_increment`` takes the stages to the step Jacobians.
+    every layer and the tanh derivatives of the hidden layers;
+    ``rk4_increment`` takes the stages to the step Jacobians.
     """
     a_t = _transposed(a_base)
     w_t = [_transposed(w) for w in source.weights]
     last = len(w_t) - 1
-    tanh = not source.is_linear
     stages, slopes = [], []
     c = x
     for s in range(4):
@@ -408,11 +420,10 @@ def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
         for l, b in enumerate(source.biases):
             z = _rows(z, w_t[l]) + b
             if l < last:
-                if tanh:
-                    z = np.tanh(z)
-                    derivs.append(1.0 - z * z)
+                z = np.tanh(z)
+                derivs.append(1.0 - z * z)
                 ins.append(z)
-        stages.append((ins, derivs if tanh else None))
+        stages.append((ins, derivs))
         slopes.append(c @ a_t + z)
         if s < 3:
             c = x + (_RK4_STAGE_STEPS[s] * h_us) * slopes[-1]
@@ -440,9 +451,7 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
         p = eye if s == 0 else (_RK4_STAGE_STEPS[s - 1] * h_us) * slopes[-1] + eye
         q = _rows(p, w_t[0])
         for l in range(1, len(w_t)):
-            if derivs is not None:
-                q = q * derivs[l - 1][:, None]
-            q = _rows(q, w_t[l])
+            q = _rows(q * derivs[l - 1][:, None], w_t[l])
         slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
     k1, k2, k3, k4 = slopes
     return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (0, 2, 3, 1))
@@ -581,17 +590,16 @@ def check_finite(samples: np.ndarray, group: GridGroup, first: int = 0) -> None:
 def linear_forward(group: GridGroup, source=None):
     """The doubling forward of the base model or a linear source over a group.
 
-    Returns the augmented generators M (E, k+1, k+1), the step increments
-    D = R - I, the increments of the doubling powers of S = R^n_sub and the
-    checked sample states [x_s; 1], s = 1..n_samples, as (E, n_samples, k+1).
+    Returns the augmented generators M (E, k+1, k+1), the increments of the
+    doubling powers of S = R^n_sub and the checked sample states [x_s; 1],
+    s = 1..n_samples, as (E, n_samples, k+1).
     """
     m = augmented_generator(group.a_base, source)
-    d = rk4_step_increment(m, group.h_us)
-    increments = power_increments(d, group.n_sub, group.n_samples)
+    increments = power_increments(rk4_step_increment(m, group.h_us), group.n_sub, group.n_samples)
     x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
     samples = propagate_linear(increments, x0, group.n_samples)
     check_finite(samples, group)
-    return m, d, increments, samples
+    return m, increments, samples
 
 
 def network_chunks(group: GridGroup, source):

@@ -5,7 +5,7 @@ agnostic:
 
 * ``is_linear`` -- True when the source is a fixed affine map W x + b of
   the state's coefficient vector x: the structure-preserving source (b = 0)
-  and identity-activation networks, whose layers collapse to one affine map.
+  and identity-activation networks, which have a single layer (W, b).
   Such a source is linear in the augmented state [x; 1], with the generator
   [[A + W, b], [0, 0]] for a base generator A, so it takes the base model's
   integration and adjoint path (see qude.dynamics).
@@ -194,8 +194,8 @@ class NetworkSource:
     """Feed-forward source acting on Hermitian-basis coefficients.
 
     Layers apply x -> act(W x + b); the activation is the identity on the
-    last layer so the output is not range-limited. With the identity
-    activation throughout, the whole map is affine.
+    last layer so the output is not range-limited. An identity-activation
+    network is the affine map x -> W_0 x + b_0 and has exactly one layer.
     """
 
     dim: int
@@ -212,9 +212,10 @@ class NetworkSource:
                 raise ValueError(f"layers must be {n2}x{n2} with length-{n2} biases")
         if self.activation not in (ACTIVATION_IDENTITY, ACTIVATION_TANH):
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.activation == ACTIVATION_IDENTITY and len(self.weights) != 1:
+            raise ValueError(f"an identity network has one layer, not {len(self.weights)}")
         # Resolved once for coeff_forward, which the step loop calls per stage.
         object.__setattr__(self, "_hidden", tuple(zip(self.weights[:-1], self.biases[:-1])))
-        object.__setattr__(self, "_tanh", self.activation == ACTIVATION_TANH)
 
     @property
     def is_linear(self) -> bool:
@@ -232,36 +233,18 @@ class NetworkSource:
         """Network output for coefficient vectors; batched over leading axes."""
         z = x
         for w, b in self._hidden:
-            z = z @ w.T + b
-            if self._tanh:
-                z = np.tanh(z)
+            z = np.tanh(z @ w.T + b)
         return z @ self.weights[-1].T + self.biases[-1]
 
     def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, b) of the identity-activation net collapsed to x -> W x + b."""
+        """(W_0, b_0) of the one-layer identity-activation net x -> W_0 x + b_0."""
         if not self.is_linear:
             raise ValueError(f"a {self.activation} network is not affine")
-        n2 = self.dim * self.dim
-        w_eff, b_eff = np.eye(n2), np.zeros(n2)
-        for w, b in zip(self.weights, self.biases):
-            w_eff, b_eff = w @ w_eff, w @ b_eff + b
-        return w_eff, b_eff
+        return self.weights[0], self.biases[0]
 
     def coeff_affine_vjp(self, g_w: np.ndarray, g_b: np.ndarray) -> np.ndarray:
-        """Per-layer gradients from dL/dW, dL/db of the collapsed map (chain rule).
-
-        Layer l maps the partial products (P, c) to (W_l P, W_l c + b_l).
-        """
-        n2 = self.dim * self.dim
-        partial = [(np.eye(n2), np.zeros(n2))]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            p, c = partial[-1]
-            partial.append((w @ p, w @ c + b))
-        flat = []
-        for w, (p, c) in zip(reversed(self.weights), reversed(partial)):
-            flat = [(g_w @ p.T + np.outer(g_b, c)).reshape(-1), g_b] + flat
-            g_w, g_b = w.T @ g_w, w.T @ g_b
-        return np.concatenate(flat)
+        """The packed gradient (dL/dW_0, dL/db_0) of the affine net."""
+        return np.concatenate([g_w.reshape(-1), g_b])
 
     def pack(self) -> np.ndarray:
         parts = []

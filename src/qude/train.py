@@ -12,9 +12,11 @@ source (structure-preserving, affine) one step on the augmented state
 [x; 1] is a constant matrix R(theta) and one sample a constant S = R^n_sub.
 The states come from doubling and the sample adjoints
 lam_s = S^T lam_{s+1} + dl/dx_s from a log-depth scan over the same powers
-of S (see qude.dynamics); dL/dS = sum_s lam_s x_{s-1}^T is then pushed
-back through S = R^n_sub, R = sum_m (h M)^m / m! and the source's
-``coeff_affine_vjp`` to the parameters.
+of S (see qude.dynamics), so dL/dS = sum_s lam_s x_{s-1}^T. S is a matrix
+polynomial of the generator M, whose derivative at X in direction E is the
+upper-right block of S([[X, E], [0, X]]) (Mathias, SIAM J. Matrix Anal.
+Appl. 17, 1996): the forward's own polynomial of [[M^T, dL/dS], [0, M^T]]
+gives dL/dM, and ``coeff_affine_vjp`` takes it to the parameters.
 
 Nonlinear networks run ``dynamics.network_chunks``, one Newton window per
 dynamics.FORWARD_CHUNK_SAMPLES samples, adding each chunk's part of the
@@ -52,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, models, qcore
-from .dynamics import DeviceModel, DivergenceError, Experiment
+from .dynamics import DeviceModel, DivergenceError, Experiment, in_train_split
 from .tomography import RecordBlock
 
 MODE_EXP_GEN = "exp-gen"
@@ -116,15 +118,6 @@ class Dataset:
                     total_horizon_us=self.total_horizon_us,
                 )
         raise ValueError(f"no experiment with id {experiment_id!r} in dataset")
-
-
-def in_train_split(times_us, t_tr_us: float):
-    """True where a time belongs to the train split: t <= T_Tr.
-
-    The relative 1e-12 margin keeps a record that lies on T_Tr up to grid
-    round-off in the train split. Works on scalars and arrays.
-    """
-    return np.asarray(times_us) <= t_tr_us * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ def _linear_loss(group: _Group, source, weights: np.ndarray, limit: float = np.i
 
 
 def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndarray:
-    m, d, increments, samples = forward
+    m, increments, samples = forward
     delta = samples[..., :-1] - group.targets  # (E, S, k)
     x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
     states = np.concatenate([x0[:, None, :], samples], axis=1)
@@ -216,32 +209,14 @@ def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndar
     lam = dynamics.adjoint_scan(increments, g)
     p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
 
-    # dL/dR (= dL/dD) from S = R^n_sub: sum_j (R^T)^j dL/dS (R^T)^(n_sub-1-j).
-    e_count, kk = m.shape[:2]
-    r_t = np.eye(kk) + np.swapaxes(d, -1, -2)
-    r_t_powers = [np.broadcast_to(np.eye(kk), m.shape)]
-    for _ in range(group.n_sub - 1):
-        r_t_powers.append(r_t_powers[-1] @ r_t)
-    p = sum(
-        r_t_powers[j] @ p_s @ r_t_powers[group.n_sub - 1 - j] for j in range(group.n_sub)
-    )
-
-    # Push dL/dR back to dL/dM through R = sum_m (hM)^m / m!, then to the
-    # source parameters through M = [[A + W, b], [0, 0]].
-    powers_m = [np.broadcast_to(np.eye(kk), (e_count, kk, kk)).copy()]
-    for _ in range(3):
-        powers_m.append(np.einsum("eij,ejk->eik", powers_m[-1], m))
-    q = np.zeros_like(p)
-    coeff = 1.0
-    for order in range(1, 5):
-        coeff *= group.h_us / order
-        for j in range(order):
-            q += coeff * np.einsum(
-                "eji,ejl,ekl->eik", powers_m[j], p, powers_m[order - 1 - j]
-            )
-    q_total = q.sum(axis=0)
-    k = kk - 1
-    return source.coeff_affine_vjp(q_total[:k, :k], q_total[:k, k])
+    # dL/dM, the derivative of S = R(hM)^n_sub at M^T in the direction dL/dS, is
+    # the upper-right block of the same polynomial of [[M^T, dL/dS], [0, M^T]];
+    # then on to the parameters through M = [[A + W, b], [0, 0]].
+    kk, m_t = m.shape[-1], np.swapaxes(m, -1, -2)
+    block = np.block([[m_t, p_s], [np.zeros_like(m_t), m_t]])
+    step = dynamics.rk4_step_increment(block, group.h_us)
+    q = dynamics.power_increments(step, group.n_sub, 1)[0][..., :kk, kk:].sum(axis=0)
+    return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
 
 
 # -- network engine (nonlinear sources) -------------------------------------------
@@ -304,7 +279,7 @@ def _network_grad(
             u = c_lam * lams if q is None else c_lam * lams + c_q * q
             delta = u
             for l in range(last, -1, -1):
-                if l < last and derivs is not None:
+                if l < last:
                     delta = delta * derivs[l]
                 grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
                 grad_b[l] += delta.sum(axis=(0, 1))

@@ -186,6 +186,7 @@ def twin_noisy_20us():
     return make_twin_dataset(seed=42, duration_us=20.0, shots=5000, train_horizon_us=10.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_model_ranking(twin_noisy_20us):
     t0 = time.perf_counter()
     ds = twin_noisy_20us

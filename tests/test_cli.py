@@ -82,6 +82,10 @@ BAD_VALUES = {
     "bare-percent-sign": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = 3.47%"), "'%'"),
     "gamma-inv-negative": ("generate", ("1686, 1686, 688", "1686, 1686, -688"),
                            "[latent] gamma_inv_us"),
+    "gamma-inv-entry-count": ("generate", ("1686, 1686, 688", "1686, 688"),
+                              "[latent] gamma_inv_us"),
+    "alpha-entry-count": ("generate", ("0.15, 2.18, 5.66", "0.15, 2.18, 5.66, 1.0"),
+                          "[latent] alpha_kHz"),
 }
 
 
@@ -231,6 +235,15 @@ class TestGenerate:
         out = tmp_path / "data"
         assert run("generate", "--config", write_config(tmp_path, text), "--out", out) == 2
         assert "dim 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_past_the_duration_is_rejected(self, tmp_path, capsys):
+        """50 samples of 20.00000001 ns end 5e-10 us past 1 us, which no loader accepts."""
+        text = (BASE_CONFIG.replace("sample_dt_ns = 20.0", "sample_dt_ns = 20.00000001")
+                .replace("dt_internal_ns = 4.0", "dt_internal_ns = 20.00000001"))
+        out = tmp_path / "data"
+        assert run("generate", "--config", write_config(tmp_path, text), "--out", out) == 2
+        assert "past the duration" in capsys.readouterr().err
         assert not out.exists()
 
     def test_amplitudes_in_range(self, config_path, tmp_path):
@@ -594,6 +607,11 @@ MODEL_FIELD_FAULTS = {
     "signed-gamma-string": ("sp", {"signed_gamma": "false"}, "'signed_gamma'"),
     "n-layers-fractional": ("nonlinear", {"n_layers": 3.7}, "'n_layers'"),
     "dim-fractional": ("sp", {"dim": 2.5}, "'dim'"),
+    "affine-n-layers": ("affine", {"n_layers": 3}, "'n_layers'"),
+    "affine-tanh": ("affine", {"activation": "tanh"}, "'activation'"),
+    "nonlinear-identity": ("nonlinear", {"activation": "identity"}, "'activation'"),
+    "nonlinear-no-layers": ("nonlinear", {"n_layers": 0}, "'n_layers'"),
+    "sp-activation": ("sp", {"activation": "tanh"}, "'activation'"),
 }
 
 

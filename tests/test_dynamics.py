@@ -55,6 +55,13 @@ class TestExperiment:
         with pytest.raises(ValueError, match="integer"):
             dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=3.0)
 
+    def test_grid_ends_within_the_duration(self):
+        with pytest.raises(ValueError, match="past the duration"):
+            dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=20.00000001)
+        with pytest.raises(ValueError, match="positive integer"):  # rounds to no sample
+            dynamics.Experiment("e", 1.0, duration_us=1e-8, sample_dt_ns=20.0)
+        dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=19.99999999)  # ends inside
+
     def test_off_grid_flags_the_rows_that_break_the_grid(self):
         exp = dynamics.Experiment("e", 1.0, duration_us=0.1, sample_dt_ns=20.0)
         grid = exp.times_us()

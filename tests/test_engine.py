@@ -67,7 +67,7 @@ class TestBatchedStepMatrix:
         monkeypatch.setattr(dynamics, "rk4_step_increment",
                             lambda a, h: calls.append(a.shape) or original(a, h))
         train.gradient(planted_source().pack(), ds, DEV1, models.make_source("sp"), dt)
-        assert calls == [(3, 5, 5)]
+        assert calls == [(3, 5, 5), (3, 10, 10)]  # the step of M, then of the dL/dM block
 
 
 class TestPropagation:
@@ -274,22 +274,6 @@ class TestTrainingEngine:
         assert relative(lin_loss, net_loss) <= TOL
         assert relative(lin_grad, net_grad) <= TOL
         assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], net_loss) <= TOL
-
-    def test_deep_identity_net_collapses_with_chain_rule_gradients(self):
-        ds, dt_internal = twin(5, 2)
-        problem = train.Problem(ds, DEV1, dt_internal)
-        (group,) = problem.groups
-        rng = np.random.default_rng(4)
-        weights = tuple(np.eye(4) + 0.2 * rng.standard_normal((4, 4)) for _ in range(3))
-        biases = tuple(0.05 * rng.standard_normal(4) for _ in range(3))
-        src = models.NetworkSource(dim=2, weights=weights, biases=biases)
-        x = rng.standard_normal((6, 4))
-        w_eff, b_eff = src.coeff_affine()
-        np.testing.assert_allclose(x @ w_eff.T + b_eff, src.coeff_forward(x), rtol=1e-13)
-        net_loss, net_grad = group_loss_grad(group, src, problem.weights, linear=False)
-        lin_loss, lin_grad = group_loss_grad(group, src, problem.weights, linear=True)
-        assert relative(lin_loss, net_loss) <= TOL
-        assert relative(lin_grad, net_grad) <= TOL
 
     def test_tanh_net_is_not_affine(self):
         src = models.make_source("nonlinear", seed=0)

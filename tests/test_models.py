@@ -160,9 +160,10 @@ class TestNetworkSource:
             assert np.max(np.abs(out - out.conj().T)) < 1e-14
             assert np.max(np.abs(out)) <= coeff_bound + 1e-12
 
-    @pytest.mark.parametrize("activation", [models.ACTIVATION_IDENTITY, models.ACTIVATION_TANH])
-    @pytest.mark.parametrize("n_layers", [1, 2, 4])
-    def test_coeff_forward_is_the_layer_loop(self, activation, n_layers):
+    @pytest.mark.parametrize("n_layers, activation", [
+        (1, models.ACTIVATION_IDENTITY), (1, models.ACTIVATION_TANH),
+        (2, models.ACTIVATION_TANH), (4, models.ACTIVATION_TANH)])
+    def test_coeff_forward_is_the_layer_loop(self, n_layers, activation):
         """Bit for bit x -> act(W x + b) layer by layer, identity on the last layer."""
         rng = np.random.default_rng(n_layers)
         src = models.NetworkSource(
@@ -175,6 +176,10 @@ class TestNetworkSource:
             if l < n_layers - 1 and activation == models.ACTIVATION_TANH:
                 z = np.tanh(z)
         np.testing.assert_array_equal(src.coeff_forward(x), z)
+
+    def test_identity_network_has_one_layer(self):
+        with pytest.raises(ValueError, match="one layer"):
+            models.NetworkSource(dim=2, weights=(np.eye(4),) * 2, biases=(np.zeros(4),) * 2)
 
     def test_kind_follows_activation(self):
         assert models.make_source("affine").kind == "affine"

@@ -1,9 +1,11 @@
 """Property tests: the Newton-in-time network forward against the step loop
 over random parameter scales, grid lengths, substep counts and depths, the
 exact round trips of the coefficient expansion, the parameter packing and
-the record files, and one verdict from the in-memory record gate and the
-record-file check."""
+the record files, one verdict from the in-memory record gate and the
+record-file check, and clean exits on corrupted input files."""
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from qude import cli, dynamics, models, qcore, tomography, train
 
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
+from test_acceptance import DETERMINISM_CONFIG
 from test_engine import TOL, loop_samples, relative
 
 
@@ -145,3 +148,57 @@ def test_record_gate_and_load_check_agree(data):
                           latent_info={"ansatz": "none"})
         loaded = accepts(lambda: cli._read_records(Path(tmp) / "exp-000.jsonl", exp))
     assert gate_accepts(block) == loaded, (edit, row, block.times_us)
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory) -> dict[str, bytes]:
+    """The criterion-10 (chain-tiny) config, its dataset and its trained model, as bytes."""
+    root = tmp_path_factory.mktemp("chain")
+    config = root / "run.cfg"
+    config.write_text(DETERMINISM_CONFIG)
+    assert cli.main(["generate", "--config", str(config), "--out", str(root / "data")]) == 0
+    assert cli.main(["train", "--config", str(config), "--out", str(root / "fit"),
+                     "--dataset", str(root / "data" / "manifest.json")]) == 0
+    return {name: (root / name).read_bytes() for name in (
+        "run.cfg", "data/manifest.json", "data/exp-000.jsonl", "data/exp-001.jsonl",
+        "fit/model.json")}
+
+
+def edit_bytes(data, raw: bytes) -> bytes:
+    """``raw`` with one byte flipped, deleted or inserted, cut short, or with a
+    span of up to 80 bytes repeated."""
+    edit = data.draw(st.sampled_from(["flip", "delete", "insert", "truncate", "duplicate"]))
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if edit == "flip":
+        return raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+    if edit == "delete":
+        return raw[:at] + raw[at + 1:]
+    if edit == "insert":
+        return raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at:]
+    if edit == "truncate":
+        return raw[:at]
+    end = data.draw(st.integers(at + 1, min(at + 80, len(raw))))
+    return raw[:end] + raw[at:end] + raw[end:]
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_corrupt_input_exits_cleanly(chain_files, data):
+    """One edit (``edit_bytes``) of any input of the chain exits 0 (the edit left
+    valid data), 2, 3 or 4, with no traceback: every byte is checked at the boundary."""
+    name = data.draw(st.sampled_from(sorted(chain_files)))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for other, raw in chain_files.items():
+            (root / other).parent.mkdir(parents=True, exist_ok=True)
+            (root / other).write_bytes(edit_bytes(data, raw) if other == name else raw)
+        if name == "run.cfg":
+            argv = ["generate", "--config", str(root / name), "--out", str(root / "out")]
+        else:
+            argv = ["evaluate", "--model", str(root / "fit" / "model.json"),
+                    "--dataset", str(root / "data" / "manifest.json"), "--out", str(root / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (name, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
