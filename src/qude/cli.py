@@ -24,6 +24,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import fields, replace
@@ -220,12 +221,29 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_field(value: str) -> str:
+    """``value`` as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """A table given column by column: the bytes csv.writer gives for its rows,
+    with numbers written as their repr. A column holds strings, quoted once per
+    distinct value, or Python ints and floats. Lines are formatted as they are
+    written, so the text of a whole table is never held."""
+
+    def cells(column):
+        if column and isinstance(column[0], str):
+            quoted = {value: _csv_field(value) for value in set(column)}
+            return map(quoted.__getitem__, column)
+        return map(repr, column)
+
+    rows = map(",".join, zip(*map(cells, columns), strict=True))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(cells(header)) + "\r\n")
+        fh.writelines(map("%s\r\n".__mod__, rows))
 
 
 def _device_to_json(dev: DeviceModel) -> dict:
@@ -396,21 +414,62 @@ def write_dataset(
 RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")
 
 
+def _joined_rows(lines: list[str]) -> list[dict] | None:
+    """The objects of ``lines`` from one json.loads of them joined as a JSON array,
+    or None when the guard fails or the array does not decode.
+
+    The guard: each stripped line starts with '{' and ends with '}', and the lines
+    hold no other brace. The joint ',\n' cannot lie inside a strict JSON string,
+    so no brace is quoted, objects cannot nest and element k is the object of
+    line k alone: a row can neither cross a line nor share one."""
+    joined = ",\n".join(lines)
+    if not (joined.count("{") == len(lines) == joined.count("}")
+            and all(s[0] == "{" and s[-1] == "}" for s in map(str.strip, lines))):
+        return None
+    try:
+        return json.loads(f"[{joined}]")
+    except ValueError:
+        return None
+
+
+def _line_rows(path: Path, lines: list[str], numbers: list[int]) -> list[dict]:
+    """The objects of ``lines`` decoded one by one; the first bad line is a data
+    error naming its number."""
+    rows = []
+    for number, line in zip(numbers, lines):
+        try:
+            rows.append(json.loads(line))
+        except ValueError as err:
+            raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
+        if not isinstance(rows[-1], dict):
+            raise ConfigError(f"{path}:{number}: expected a JSON object")
+    return rows
+
+
+def _record_rows(path: Path) -> tuple[list[dict], list[int]]:
+    """The objects of a JSON Lines file's non-blank lines and their line numbers,
+    decoded by one json.loads when ``_joined_rows`` allows it."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")  # a text-mode read gives positions within its chunk only
+    except UnicodeDecodeError as err:
+        number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
+        raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
+    # the lines text-mode iteration gives: universal newlines, then split after each
+    # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
+    del raw
+    numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+    lines = [lines[number - 1] for number in numbers]
+    rows = _joined_rows(lines)
+    return (_line_rows(path, lines, numbers) if rows is None else rows), numbers
+
+
 def _read_records(path: Path, exp: Experiment) -> RecordBlock:
     """The record block of one JSON Lines file, every row checked against
-    itself and against the manifest entry ``exp``."""
-    rows, line_numbers = [], []
-    with path.open() as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError as err:
-                raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
-            line_numbers.append(number)
-            if not isinstance(rows[-1], dict):
-                raise ConfigError(f"{path}:{number}: expected a JSON object")
+    itself and against the manifest entry ``exp``. The checks run on whole
+    columns; the row comprehensions run only to locate a bad row."""
+    rows, line_numbers = _record_rows(path)
     if not rows:
         raise ConfigError(f"{path}: no records")
 
@@ -421,14 +480,21 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
             raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
 
     for field, expected in (("exp_id", exp.id), ("amplitude_MHz", exp.amplitude_p_MHz)):
-        reject([row.get(field) != expected for row in rows], field,
-               f"does not match the manifest entry ({expected!r})")
+        values = [row.get(field) for row in rows]
+        # list.count matches an object to itself first, so a shared NaN would count as
+        # equal; Experiment rejects a non-finite amplitude
+        if values.count(expected) != len(values):
+            reject([v != expected for v in values], field,
+                   f"does not match the manifest entry ({expected!r})")
     columns = {}
     for field in RECORD_FIELDS:
         values = [row.get(field) for row in rows]
-        reject([type(v) not in (int, float) for v in values], field, "is missing or not a number")
+        if not set(map(type, values)) <= {int, float}:
+            reject([type(v) not in (int, float) for v in values], field,
+                   "is missing or not a number")
         columns[field] = np.array(values, dtype=float)
         reject(~np.isfinite(columns[field]), field, "is not finite")
+    del rows  # the row dicts are most of a file's memory: free them before the block
     times = columns["time_us"]  # tested as train.Dataset tests it, with total = duration
     reject(exp.off_grid(times) | ~train.in_train_split(times, exp.duration_us), "time_us",
            f"is off the {exp.sample_dt_ns} ns sample grid, repeated, after a gap or past "
@@ -456,7 +522,7 @@ def load_dataset(
     if manifest.get("schema") != DATASET_SCHEMA:
         raise ConfigError(f"{manifest_path} is not a {DATASET_SCHEMA} manifest")
     dev = _device_from_json(manifest, manifest_path, base_override)
-    experiments = []
+    experiments, first_of = [], {}
     total = 0.0
     for n, entry in enumerate(_field(manifest, "experiments", manifest_path, list)):
         where = f"experiments[{n}]."
@@ -470,6 +536,10 @@ def load_dataset(
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{manifest_path}: bad {where[:-1]}: {err}") from None
+        first = first_of.setdefault(exp.id, n)
+        if first != n:
+            raise ConfigError(f"{manifest_path}: {where}id {exp.id!r} repeats "
+                              f"experiments[{first}].id")
         data_file = manifest_path.parent / _field(entry, "file", manifest_path, str, where)
         n_records = _field(entry, "n_records", manifest_path, _integral, where)
         if not data_file.is_file():
@@ -586,11 +656,9 @@ def cmd_train(args) -> int:
             "stalled": result.stalled,
         },
     )
-    log_rows = [
-        [i, result.phases[i], result.loss_history[i], result.grad_norm_history[i], result.elapsed_s[i]]
-        for i in range(len(result.loss_history))
-    ]
-    _write_csv(out_dir / "training_log.csv", ["iteration", "phase", "loss", "grad_norm", "elapsed_s"], log_rows)
+    log = [list(range(len(result.loss_history))), result.phases, result.loss_history,
+           result.grad_norm_history, result.elapsed_s]
+    _write_csv(out_dir / "training_log.csv", ["iteration", "phase", "loss", "grad_norm", "elapsed_s"], log)
     print(f"final train loss: {train_loss!r}")
     print(f"final validation loss: {val_loss!r}")
     print(f"model -> {model_path}")
@@ -628,44 +696,30 @@ def cmd_evaluate(args) -> int:
         model_name, dev, source, dataset.experiments, horizon, dt_internal
     )
 
-    _write_csv(
-        out_dir / "moments.csv",
-        ["model", "split", "mean", "stddev", "count"],
-        [[r.model, r.split, r.mean, r.stddev, r.count] for r in report.moments],
-    )
-    hist_rows = []
-    for split_tag, (edges, densities) in sorted(report.histogram.items()):
-        for b in range(len(densities)):
-            hist_rows.append(
-                [model_name, split_tag, float(edges[b]), float(edges[b + 1]), float(densities[b])]
-            )
-    _write_csv(
-        out_dir / "histogram.csv",
-        ["model", "split", "bin_lo", "bin_hi", "density"],
-        hist_rows,
-    )
-    energy_rows = []
-    for exp, block in dataset.experiments:
-        e_pred = tomography.expected_energy_many(predictions[exp.id].states)
-        e_tgt = tomography.expected_energy_many(block.rho_hat)
-        energy_rows.extend(
-            [exp.id, t, e, e_t]
-            for t, e, e_t in zip(block.times_us.tolist(), e_pred.tolist(), e_tgt.tolist())
-        )
-    _write_csv(
-        out_dir / "energy.csv",
-        ["exp_id", "time_us", "energy_pred", "energy_target"],
-        energy_rows,
-    )
-    etd_rows = [
-        [model_name, split_tag, mean, se, n]
-        for split_tag, (mean, se, n) in sorted(report.expected_trace_distance.items())
+    moments = [(r.model, r.split, r.mean, r.stddev, r.count) for r in report.moments]
+    _write_csv(out_dir / "moments.csv", ["model", "split", "mean", "stddev", "count"],
+               list(zip(*moments)))
+    histogram = [
+        (model_name, split_tag, lo, hi, density)
+        for split_tag, (edges, densities) in sorted(report.histogram.items())
+        for lo, hi, density in zip(edges[:-1].tolist(), edges[1:].tolist(), densities.tolist())
     ]
-    _write_csv(
-        out_dir / "expected_trace_distance.csv",
-        ["model", "split", "mean", "stderr", "n_experiments"],
-        etd_rows,
-    )
+    _write_csv(out_dir / "histogram.csv", ["model", "split", "bin_lo", "bin_hi", "density"],
+               list(zip(*histogram)))
+    experiments = dataset.experiments
+    energy = [
+        [exp.id for exp, block in experiments for _ in range(len(block))],
+        np.concatenate([block.times_us for _, block in experiments]).tolist(),
+        np.concatenate([tomography.expected_energy_many(predictions[exp.id].states)
+                        for exp, _ in experiments]).tolist(),
+        np.concatenate([tomography.expected_energy_many(block.rho_hat)
+                        for _, block in experiments]).tolist(),
+    ]
+    _write_csv(out_dir / "energy.csv", ["exp_id", "time_us", "energy_pred", "energy_target"], energy)
+    etd = [(model_name, split_tag, mean, se, n)
+           for split_tag, (mean, se, n) in sorted(report.expected_trace_distance.items())]
+    _write_csv(out_dir / "expected_trace_distance.csv",
+               ["model", "split", "mean", "stderr", "n_experiments"], list(zip(*etd)))
     for row in report.moments:
         print(f"{row.model} {row.split}: mean={row.mean:.6g} stddev={row.stddev:.6g}")
     print(f"reports -> {out_dir}")

@@ -131,6 +131,8 @@ class Experiment:
     initial_state: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.amplitude_p_MHz, self.amplitude_q_MHz]).all():
+            raise ValueError("drive amplitudes must be finite")
         if self.duration_us <= 0:
             raise ValueError("duration_us must be positive")
         if self.sample_dt_ns <= 0:

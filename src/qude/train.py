@@ -79,9 +79,10 @@ class GradientFailureError(RuntimeError):
 class Dataset:
     """One record block per experiment plus the train/validation horizons.
 
-    The one record gate: blocks are sorted by time, then a block off its sample
-    grid (``Experiment.off_grid``), empty below the train horizon or past the
-    total horizon is rejected. Record i of a block is thus sample i + 1.
+    The one record gate: experiment ids are unique, blocks are sorted by time,
+    then a block off its sample grid (``Experiment.off_grid``), empty below the
+    train horizon or past the total horizon is rejected. Record i of a block is
+    thus sample i + 1.
     """
 
     experiments: list[tuple[Experiment, RecordBlock]]
@@ -97,7 +98,10 @@ class Dataset:
                 f"(0, {self.total_horizon_us}]"
             )
         self.experiments = [(exp, block.sorted()) for exp, block in self.experiments]
+        ids = [exp.id for exp, _ in self.experiments]
         for exp, block in self.experiments:
+            if ids.count(exp.id) > 1:
+                raise ValueError(f"experiment id {exp.id!r} is repeated")
             if exp.off_grid(block.times_us).any():
                 raise ValueError(f"experiment {exp.id} records are not a contiguous sample grid")
             if not in_train_split(block.times_us[:1], self.train_horizon_us).any():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -587,6 +589,20 @@ RECORD_FAULTS = {
 }
 
 
+# fault -> lines 3-5 of a record file as (row 3, row 4, row 5) -> 3 lines, each malformed
+# on its own, whose ',\n' join is row 3 with an extra field and rows 4 and 5: one
+# object per line
+JOIN_ONLY_FAULTS = {
+    "object-across-lines": lambda r3, r4, r5: [r3[:-1], '"note": 0}', f"{r4}, {r5}"],
+    "string-across-lines": lambda r3, r4, r5: [r3[:-1] + ', "note": "a', 'b"}', f"{r4}, {r5}"],
+}
+
+
+def per_line_parse():
+    """Record files decoded line by line, as when the joined decode's guard fails."""
+    return mock.patch.object(cli, "_joined_rows", lambda lines: None)
+
+
 # fault -> (verb, model-file changes, extra arguments, texts the message must name)
 MODEL_FAULTS = {
     "horizon-not-a-number": (
@@ -636,6 +652,57 @@ class TestDataValidation:
         err = capsys.readouterr().err
         assert "exp-001.jsonl:3:" in err and names in err
         assert not (tmp_path / "fit" / "model.json").exists()
+        with per_line_parse(), pytest.raises(cli.ConfigError) as slow:
+            cli.load_dataset(dataset_dir / "manifest.json")
+        assert err == f"config error: {slow.value}\n"
+
+    @pytest.mark.parametrize("fault", sorted(JOIN_ONLY_FAULTS))
+    def test_rows_across_lines_are_rejected(self, fault, dataset_dir):
+        """Lines that are each malformed fail on their own line even where their
+        ',\n' join decodes (without strictness) to one object per line."""
+        records = dataset_dir / "exp-001.jsonl"
+        lines = records.read_text().splitlines()
+        lines[2:5] = JOIN_ONLY_FAULTS[fault](*lines[2:5])
+        records.write_text("\n".join(lines) + "\n")
+        assert len(json.loads("[" + ",\n".join(lines) + "]", strict=False)) == len(lines)
+        with pytest.raises(cli.ConfigError, match="exp-001.jsonl:3: malformed JSON"):
+            cli.load_dataset(dataset_dir / "manifest.json")
+
+    def test_one_json_decode_per_record_file(self, dataset_dir, monkeypatch):
+        """A generated dataset takes the joined decode: one json.loads for the
+        manifest and one per record file, none per line."""
+        decodes, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: decodes.append(text) or loads(text, **kw))
+        cli.load_dataset(dataset_dir / "manifest.json")
+        assert len(decodes) == 1 + 2
+
+    @pytest.mark.parametrize("newline, line", [("\n", 2), ("\r\n", 150)])
+    def test_non_utf8_record_file_is_rejected(self, newline, line, dataset_dir, tmp_path, capsys):
+        """The line of a byte that is not UTF-8 is counted over the whole file (a
+        text-mode read counts within one 8 KiB chunk), CRLF endings included."""
+        records = dataset_dir / "exp-001.jsonl"
+        lines = records.read_bytes().splitlines() * 4  # 200 lines, about 26 kB
+        lines[line - 1] = lines[line - 1].replace(b"exp-001", b"exp-\xff01")
+        records.write_bytes(b"".join(row + newline.encode() for row in lines))
+        assert run("evaluate", "--model", "base", "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval") == 2
+        assert f"exp-001.jsonl:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_repeated_experiment_id_is_rejected(self, dataset_dir, tmp_path, capsys):
+        """Two manifest entries with one id, each with consistent records, would
+        evaluate the first against the second's predictions."""
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["experiments"][1]["id"] = "exp-000"
+        manifest.write_text(json.dumps(data))
+        records = dataset_dir / "exp-001.jsonl"
+        records.write_text(records.read_text().replace('"exp-001"', '"exp-000"'))
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "experiments[1].id 'exp-000'" in err, err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("verb", ["train", "evaluate"])
     @pytest.mark.parametrize("kept", [20, 0])
@@ -751,6 +818,25 @@ def test_inconsistent_input_is_config_error(fault, config_path, tmp_path, capsys
                    "--out", tmp_path / "fit", *extra)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_columnar_csv_is_csv_writer_output(tmp_path):
+    """_write_csv's columns give the bytes csv.writer gives for the rows, with floats
+    as repr: strings that need quoting or not, ints, 17-digit floats, -0.0, CRLF."""
+    header = ["exp_id", "count, total", 'a "b"']
+    rows = [["a,b", 0, 0.1 + 0.2], ['say "hi"', -3, 1 / 3], ["50%", 10**20, -0.0],
+            [" lead", 7, 1e-300], ["", 1, 2.0**0.5 * 1e16], ["a,b", 2, float("inf")],
+            ["x\ny", 5, 123456789.01234567]]
+    with (tmp_path / "reference.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    cli._write_csv(tmp_path / "columns.csv", header, [list(c) for c in zip(*rows)])
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == len(rows) + 1 and written.endswith(b"5,123456789.01234567\r\n")
+    cli._write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == b'exp_id,"count, total","a ""b"""\r\n'
 
 
 class TestIOErrors:

@@ -55,6 +55,12 @@ class TestExperiment:
         with pytest.raises(ValueError, match="integer"):
             dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=3.0)
 
+    @pytest.mark.parametrize("p_MHz, q_MHz", [(float("nan"), 0.0), (1.0, float("-inf"))])
+    def test_non_finite_amplitude_rejected(self, p_MHz, q_MHz):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            dynamics.Experiment("e", p_MHz, duration_us=1.0, sample_dt_ns=20.0,
+                                amplitude_q_MHz=q_MHz)
+
     def test_grid_ends_within_the_duration(self):
         with pytest.raises(ValueError, match="past the duration"):
             dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=20.00000001)

@@ -20,6 +20,7 @@ from qude import cli, dynamics, models, qcore, tomography, train
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
 from test_acceptance import DETERMINISM_CONFIG
+from test_cli import per_line_parse
 from test_engine import TOL, loop_samples, relative
 
 
@@ -76,7 +77,8 @@ def test_pack_round_trip(kind, data):
 @hypothesis.given(data=st.data())
 def test_record_write_load_round_trip(data):
     """write_dataset -> load_dataset returns times, shots and counts bit for bit,
-    on counted rows and on noiseless (shots == 0) rows of exact probabilities.
+    on counted rows and on noiseless (shots == 0) rows of exact probabilities,
+    and the line-by-line decode gives the same block as the joined one.
     The times are the first n points of a grid of arbitrary spacing, so each
     is an arbitrary double that the load check accepts."""
     n = data.draw(st.integers(1, 30))
@@ -95,10 +97,14 @@ def test_record_write_load_round_trip(data):
                                      shots=0, shot_mode="per-axis", dt_internal_ns=4.0,
                                      latent_info={"ansatz": "none"})
         dataset, _, _ = cli.load_dataset(manifest)
-    ((_, loaded),) = dataset.experiments
+        with per_line_parse():
+            per_line, _, _ = cli.load_dataset(manifest)
+    ((_, loaded),), ((_, slow),) = dataset.experiments, per_line.experiments
     for column in ("times_us", "shots", "counts"):
         original, back = getattr(block, column), getattr(loaded, column)
         assert back.dtype == original.dtype and back.tobytes() == original.tobytes(), column
+    for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
+        assert getattr(slow, column).tobytes() == getattr(loaded, column).tobytes(), column
 
 
 def accepts(check) -> bool:

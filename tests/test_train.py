@@ -352,6 +352,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="experiment exp-000 has records past 0.14 us"):
             train.Dataset([(exp, block.take(np.arange(8)))], 0.1, 0.14)
 
+    def test_repeated_experiment_id_rejected(self):
+        """Predictions and losses are keyed by id, so a repeat would mix two experiments."""
+        ds = make_twin_dataset(seed=17, n_experiments=2, duration_us=0.3,
+                               sample_dt_ns=100.0, shots=0)
+        (first, block0), (second, block1) = ds.experiments
+        with pytest.raises(ValueError, match="experiment id 'exp-000' is repeated"):
+            train.Dataset([(first, block0), (replace(second, id=first.id), block1)], 0.3, 0.3)
+
     def test_restrict_unknown_id(self):
         ds = make_twin_dataset(seed=17, n_experiments=1, duration_us=0.3,
                                sample_dt_ns=100.0, shots=0)
