@@ -100,6 +100,22 @@ def _integral(value) -> int:
     raise ValueError("not an integral number")
 
 
+def _positive(value) -> float:
+    """``value`` as a positive finite float; ValueError otherwise."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{value!r} is not a positive finite number")
+    return value
+
+
+def _positive_int(raw) -> int:
+    """``raw`` as a positive int; ValueError otherwise."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive integer")
+    return value
+
+
 class RunConfig:
     """Typed view over the INI run configuration.
 
@@ -114,9 +130,9 @@ class RunConfig:
                    "T2_us": (float, REQUIRED), "dim": (int, 2)},
         "latent": {"ansatz": (str, "none"), "model_file": (str, None),
                    "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
-        "experiments": {"seed": (int, 0), "n_experiments": (int, 5),
-                        "p_max_MHz": (float, REQUIRED), "duration_us": (float, REQUIRED),
-                        "sample_dt_ns": (float, 4.0), "shots": (int, 5000),
+        "experiments": {"seed": (int, 0), "n_experiments": (_positive_int, 5),
+                        "p_max_MHz": (_positive, REQUIRED), "duration_us": (_positive, REQUIRED),
+                        "sample_dt_ns": (_positive, 4.0), "shots": (int, 5000),
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
         "training": {
             "ansatz": _choices(models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR),
@@ -268,14 +284,6 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _positive(value) -> float:
-    """``value`` as a positive finite float; ValueError otherwise."""
-    value = float(value)
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{value!r} is not a positive finite number")
-    return value
-
-
 def _device_from_json(data: dict, path: Path, base_override: str | None = None) -> DeviceModel:
     device = data.get("device")
     try:
@@ -361,28 +369,29 @@ def write_dataset(
     dt_internal_ns: float,
     latent_info: dict,
 ) -> Path:
+    for exp, block in experiments:
+        partial = (block.shots != 0) & np.any(block.counts != np.floor(block.counts), axis=1)
+        if partial.any():
+            row = int(np.argmax(partial))
+            raise ValueError(f"experiment {exp.id} row {row}: counts {block.counts[row]} "
+                             f"of {block.shots[row]} shots are not integers")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_entries = []
     for exp, block in experiments:
         fname = f"{exp.id}.jsonl"
-        # The bytes json.dumps gives for each row's dict, with the exp_id and
-        # amplitude prefix encoded once per file.
+        # The bytes json.dumps gives for each row's dict: Python ints and floats
+        # written by repr, the exp_id and amplitude prefix encoded once per file.
+        counts = block.counts.astype(np.int64).astype(object)
+        noiseless = block.shots == 0
+        counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
         prefix = '{"exp_id": %s, "amplitude_MHz": %s, ' % (
             json.dumps(exp.id), json.dumps(exp.amplitude_p_MHz)
         )
-        columns = zip(
-            block.times_us.tolist(),
-            block.shots.tolist(),
-            block.counts.tolist(),
-            block.counts.astype(np.int64).tolist(),
-        )
+        row = (prefix.replace("%", "%%")
+               + '"time_us": %r, "shots": %r, "kx": %r, "ky": %r, "kz": %r}\n')
         with (out_dir / fname).open("w") as fh:
-            for time_us, shots_row, counts, int_counts in columns:
-                kx, ky, kz = counts if shots_row == 0 else int_counts
-                fh.write(
-                    f'{prefix}"time_us": {time_us!r}, "shots": {shots_row!r}, '
-                    f'"kx": {kx!r}, "ky": {ky!r}, "kz": {kz!r}}}\n'
-                )
+            fh.writelines(map(row.__mod__, zip(block.times_us.tolist(), block.shots.tolist(),
+                                               *counts.T.tolist())))
         manifest_entries.append(
             {
                 "id": exp.id,

@@ -133,10 +133,9 @@ class Experiment:
     def __post_init__(self):
         if not np.isfinite([self.amplitude_p_MHz, self.amplitude_q_MHz]).all():
             raise ValueError("drive amplitudes must be finite")
-        if self.duration_us <= 0:
-            raise ValueError("duration_us must be positive")
-        if self.sample_dt_ns <= 0:
-            raise ValueError("sample_dt_ns must be positive")
+        for name in ("duration_us", "sample_dt_ns"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         ratio = self.duration_us / (self.sample_dt_ns * 1e-3)
         if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
             raise ValueError(
@@ -291,8 +290,8 @@ def rk4_step_increment(a: np.ndarray, h_us: float) -> np.ndarray:
 
 def integration_steps(exp: Experiment, dt_internal_ns: float) -> tuple[int, float]:
     """Validate the internal step and return (substeps per sample, h in us)."""
-    if dt_internal_ns <= 0:
-        raise ValueError("dt_internal_ns must be positive")
+    if not 0 < dt_internal_ns < np.inf:
+        raise ValueError(f"dt_internal_ns must be positive and finite, got {dt_internal_ns}")
     ratio = exp.sample_dt_ns / dt_internal_ns
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ValueError(

@@ -21,6 +21,7 @@ one row per measured time step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,31 +54,39 @@ class RecordBlock:
 
     ``counts`` holds the successes per axis, or the exact probabilities on a
     ``shots == 0`` row; ``probs`` the empirical probabilities and ``rho_hat``
-    their reconstruction.
+    their reconstruction, computed on first use.
     """
 
     times_us: np.ndarray  # (n,)
     shots: np.ndarray  # (n,) int
     counts: np.ndarray  # (n, 3)
     probs: np.ndarray  # (n, 3)
-    rho_hat: np.ndarray  # (n, 2, 2) complex
 
     def __len__(self) -> int:
         return len(self.times_us)
 
     @classmethod
     def from_counts(cls, times_us, shots, counts) -> "RecordBlock":
-        """Rows from their counts: empirical probabilities and reconstructions."""
+        """Rows from their counts, with their empirical probabilities checked."""
         times_us = np.asarray(times_us, dtype=float)
         shots = np.asarray(shots, dtype=np.int64)
         counts = np.asarray(counts, dtype=float)
         probs = np.divide(counts, shots[:, None], out=counts.copy(), where=shots[:, None] > 0)
-        return cls(times_us, shots, counts, probs, lie_reconstruct_many(probs, times_us))
+        return cls(times_us, shots, counts, _checked_probs(probs, times_us))
+
+    @cached_property
+    def rho_hat(self) -> np.ndarray:
+        """(n, 2, 2) complex: the reconstruction of every row."""
+        return lie_reconstruct_many(self.probs, self.times_us)
 
     def take(self, rows) -> "RecordBlock":
-        """The block of the given rows (an index array or a boolean mask)."""
-        columns = (self.times_us, self.shots, self.counts, self.probs, self.rho_hat)
-        return RecordBlock(*(column[rows] for column in columns))
+        """The block of the given rows (an index array or a boolean mask); an
+        already computed reconstruction is sliced, not computed again."""
+        block = RecordBlock(self.times_us[rows], self.shots[rows], self.counts[rows],
+                            self.probs[rows])
+        if "rho_hat" in self.__dict__:
+            block.__dict__["rho_hat"] = self.rho_hat[rows]
+        return block
 
     def sorted(self) -> "RecordBlock":
         """The rows in time order (stable); the block itself if already sorted."""
@@ -113,6 +122,17 @@ def axis_shot_budget(shots: int, mode: str = SHOT_MODE_PER_AXIS) -> int:
     raise ValueError(f"unknown shot mode {mode!r}")
 
 
+def _checked_probs(probs: np.ndarray, times_us: np.ndarray | None) -> np.ndarray:
+    """``probs`` (m, 3); rejects probabilities outside [0, 1] (NaN included),
+    naming the first such row and its time when ``times_us`` is given."""
+    outside = ~np.all((probs >= 0.0) & (probs <= 1.0), axis=1)
+    if np.any(outside):
+        row = int(np.argmax(outside))
+        at = "" if times_us is None else f" (t = {times_us[row]:.6g} us)"
+        raise ValueError(f"empirical probabilities {probs[row]} of row {row}{at} outside [0, 1]")
+    return probs
+
+
 def lie_reconstruct_many(probs_hat: np.ndarray, times_us: np.ndarray | None = None) -> np.ndarray:
     """Linear inversion followed by spectral filtering; probs_hat has shape (m, 3).
 
@@ -120,12 +140,7 @@ def lie_reconstruct_many(probs_hat: np.ndarray, times_us: np.ndarray | None = No
     is the identity there). Rejects probabilities outside [0, 1], naming the
     first such row and its time when ``times_us`` is given.
     """
-    probs = np.asarray(probs_hat, dtype=float)
-    outside = np.any((probs < 0.0) | (probs > 1.0), axis=1)
-    if np.any(outside):
-        row = int(np.argmax(outside))
-        at = "" if times_us is None else f" (t = {times_us[row]:.6g} us)"
-        raise ValueError(f"empirical probabilities {probs[row]} of row {row}{at} outside [0, 1]")
+    probs = _checked_probs(np.asarray(probs_hat, dtype=float), times_us)
     m = probs.shape[0]
     p = np.empty((m, 4))
     p[:, 0] = 1.0

@@ -82,7 +82,8 @@ class Dataset:
     The one record gate: experiment ids are unique, blocks are sorted by time,
     then a block off its sample grid (``Experiment.off_grid``), empty below the
     train horizon or past the total horizon is rejected. Record i of a block is
-    thus sample i + 1.
+    thus sample i + 1. Every consumer compares against the blocks' ``rho_hat``,
+    so each accepted block's reconstruction is formed here, once.
     """
 
     experiments: list[tuple[Experiment, RecordBlock]]
@@ -108,6 +109,7 @@ class Dataset:
                 raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
             if not in_train_split(block.times_us, self.total_horizon_us).all():
                 raise ValueError(f"experiment {exp.id} has records past {self.total_horizon_us} us")
+            block.rho_hat  # formed on entry, as the docstring says
 
     def restrict(self, experiment_id: str | None) -> "Dataset":
         """View containing a single experiment (Experiment-Specific mode).

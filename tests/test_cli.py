@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qude import cli, dynamics, metrics, models, tomography, train
+from qude import cli, dynamics, metrics, models, qcore, tomography, train
 
 import loop_oracle
 import states
@@ -88,6 +88,19 @@ BAD_VALUES = {
                               "[latent] gamma_inv_us"),
     "alpha-entry-count": ("generate", ("0.15, 2.18, 5.66", "0.15, 2.18, 5.66, 1.0"),
                           "[latent] alpha_kHz"),
+    "duration-infinite": ("generate", ("duration_us = 1.0", "duration_us = inf"),
+                          "[experiments] duration_us"),
+    "duration-nan": ("train", ("duration_us = 1.0", "duration_us = nan"),
+                     "[experiments] duration_us"),
+    "sample-dt-infinite": ("generate", ("sample_dt_ns = 20.0", "sample_dt_ns = inf"),
+                           "[experiments] sample_dt_ns"),
+    "no-experiments": ("generate", ("n_experiments = 2", "n_experiments = 0"),
+                       "[experiments] n_experiments"),
+    "negative-experiments": ("generate", ("n_experiments = 2", "n_experiments = -1"),
+                             "[experiments] n_experiments"),
+    "p-max-zero": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = 0"), "[experiments] p_max_MHz"),
+    "p-max-negative": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = -3.47"),
+                       "[experiments] p_max_MHz"),
 }
 
 
@@ -248,6 +261,14 @@ class TestGenerate:
         assert "past the duration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_generate_reconstructs_no_state(self, config_path, tmp_path, monkeypatch):
+        """generate writes counts, not states: the spectral filter never runs."""
+        calls, spectral_filter_many = [], qcore.spectral_filter_many
+        monkeypatch.setattr(qcore, "spectral_filter_many",
+                            lambda *a: calls.append(a) or spectral_filter_many(*a))
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        assert calls == []
+
     def test_amplitudes_in_range(self, config_path, tmp_path):
         out = tmp_path / "data"
         run("generate", "--config", config_path, "--out", out)
@@ -304,6 +325,18 @@ class TestDatasetRoundTrip:
         for block, (exp, loaded) in zip(blocks, dataset.experiments):
             for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
                 np.testing.assert_array_equal(getattr(loaded, column), getattr(block, column))
+
+    def test_non_integral_count_is_rejected(self, config_path, tmp_path):
+        """A count of a row with shots is written as an int, so 50.5 must not pass as 50."""
+        dev = cli.RunConfig.load(config_path).device()
+        exp = dynamics.Experiment("exp-004", 1.0, duration_us=0.04, sample_dt_ns=20.0)
+        block = tomography.RecordBlock.from_counts([0.02, 0.04], [0, 100],
+                                                   [[0.5, 0.5, 0.0], [50.5, 50, 50]])
+        with pytest.raises(ValueError, match="experiment exp-004 row 1: counts"):
+            cli.write_dataset(tmp_path / "data", dev, [(exp, block)], seed=0,
+                              config_sha="0" * 64, shots=100, shot_mode="per-axis",
+                              dt_internal_ns=4.0, latent_info={"ansatz": "none"})
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("shots", [500, 0])
     def test_rows_are_json_dumps_of_each_record(self, config_path, tmp_path, shots):
@@ -728,6 +761,18 @@ class TestDataValidation:
         assert self.train(config_path, dataset_dir, tmp_path) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and "malformed JSON" in err
+
+    @pytest.mark.parametrize("key", ["duration_us", "sample_dt_ns"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_manifest_grid_is_rejected(self, key, value, config_path, dataset_dir,
+                                                  tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["experiments"][1][key] = value
+        manifest.write_text(json.dumps(data))
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json: bad experiments[1]" in err and f"{key} must be" in err, err
 
     def test_manifest_missing_device_key(self, config_path, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.json"

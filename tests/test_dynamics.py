@@ -61,6 +61,13 @@ class TestExperiment:
             dynamics.Experiment("e", p_MHz, duration_us=1.0, sample_dt_ns=20.0,
                                 amplitude_q_MHz=q_MHz)
 
+    @pytest.mark.parametrize("key", ["duration_us", "sample_dt_ns"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_grid_rejected(self, key, value):
+        grid = {"duration_us": 1.0, "sample_dt_ns": 20.0, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            dynamics.Experiment("e", 1.0, **grid)
+
     def test_grid_ends_within_the_duration(self):
         with pytest.raises(ValueError, match="past the duration"):
             dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=20.00000001)
@@ -269,6 +276,12 @@ class TestIntegrateRk4:
         exp = dynamics.Experiment("e", 1.0, 1.0, sample_dt_ns=10.0)
         with pytest.raises(ValueError, match="divide"):
             dynamics.integrate_rk4(dev, exp, None, dt_internal_ns=3.0)
+
+    @pytest.mark.parametrize("dt_internal_ns", [float("inf"), float("nan")])
+    def test_non_finite_internal_step_rejected(self, dt_internal_ns):
+        exp = dynamics.Experiment("e", 1.0, 1.0, sample_dt_ns=10.0)
+        with pytest.raises(ValueError, match="dt_internal_ns must be positive and finite"):
+            dynamics.integration_steps(exp, dt_internal_ns)
 
     def test_divergence_reported_with_time(self):
         dev = lvn_device()

@@ -198,3 +198,35 @@ class TestSimulateRecords:
             traj, 5000, np.random.default_rng(6), shot_mode="split"
         )
         np.testing.assert_array_equal(block.shots, 1666)
+
+
+class TestRecordBlock:
+    @staticmethod
+    def _block():
+        return tomography.simulate_records(TestSimulateRecords._trajectory(8), 500,
+                                           np.random.default_rng(9))
+
+    def test_rho_hat_is_the_reconstruction_on_first_use(self):
+        block = self._block()
+        assert "rho_hat" not in vars(block)
+        np.testing.assert_array_equal(
+            block.rho_hat, tomography.lie_reconstruct_many(block.probs, block.times_us))
+        assert block.rho_hat is block.rho_hat
+
+    def test_take_and_sorted_slice_a_computed_reconstruction(self):
+        rows = np.array([5, 0, 7, 2])
+        lazy = self._block().take(rows)  # reconstructs the taken rows on first use
+        block = self._block()
+        block.rho_hat
+        taken = block.take(rows)
+        assert "rho_hat" in vars(taken) and "rho_hat" not in vars(lazy)
+        np.testing.assert_array_equal(taken.rho_hat, block.rho_hat[rows])
+        np.testing.assert_array_equal(taken.rho_hat, lazy.rho_hat)
+        in_order = block.rho_hat[np.sort(rows)]  # the rows' times ascend with their index
+        np.testing.assert_array_equal(taken.sorted().rho_hat, in_order)
+        np.testing.assert_array_equal(lazy.sorted().rho_hat, in_order)
+
+    @pytest.mark.parametrize("bad", [[4, 101, 6], [4, np.nan, 6]])
+    def test_from_counts_checks_probabilities_eagerly(self, bad):
+        with pytest.raises(ValueError, match=r"row 1 \(t = 0.2 us\) outside"):
+            tomography.RecordBlock.from_counts([0.1, 0.2], [100, 100], [[1, 2, 3], bad])

@@ -314,6 +314,14 @@ class TestDataset:
         np.testing.assert_array_equal(sorted_block.times_us, block.times_us)
         np.testing.assert_array_equal(sorted_block.rho_hat, block.rho_hat)
 
+    def test_reconstruction_is_formed_on_entry(self):
+        exp = dynamics.Experiment("e", 1.0, duration_us=0.3, sample_dt_ns=100.0)
+        block = tomography.simulate_records(dynamics.integrate_rk4(DEV1, exp, None, 4.0), 500,
+                                            np.random.default_rng(0))
+        assert "rho_hat" not in vars(block)
+        ds = train.Dataset([(exp, block)], train_horizon_us=0.3, total_horizon_us=0.3)
+        assert ds.experiments[0][1] is block and "rho_hat" in vars(block)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train.Dataset([], 1.0, 1.0)
