@@ -68,7 +68,7 @@ def _field(data, key: str, path: Path, cast=float, where: str = "", default=REQU
         return default
     try:
         return cast(data[key])
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past floats
         raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r} ({err})") from None
 
 
@@ -116,6 +116,17 @@ def _positive_int(raw) -> int:
     return value
 
 
+MAX_SHOTS = 2**53  # counts are held as floats, which are integers exactly up to here
+
+
+def _shot_count(raw) -> int:
+    """``raw`` as an int in [0, MAX_SHOTS]; ValueError otherwise."""
+    value = int(raw)
+    if not 0 <= value <= MAX_SHOTS:
+        raise ValueError(f"{value} is not a shot count in [0, 2**53]")
+    return value
+
+
 class RunConfig:
     """Typed view over the INI run configuration.
 
@@ -132,7 +143,7 @@ class RunConfig:
                    "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
         "experiments": {"seed": (int, 0), "n_experiments": (_positive_int, 5),
                         "p_max_MHz": (_positive, REQUIRED), "duration_us": (_positive, REQUIRED),
-                        "sample_dt_ns": (_positive, 4.0), "shots": (int, 5000),
+                        "sample_dt_ns": (_positive, 4.0), "shots": (_shot_count, 5000),
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
         "training": {
             "ansatz": _choices(models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR),
@@ -347,6 +358,12 @@ def load_model(path: str | Path):
         data[key] = _field(data, key, path, _positive)
     signed = _field(data, "signed_gamma", path, _json_bool, default=False)
     hidden = _field(data, "n_layers", path, _integral, default=1) - 1
+    # a source of dimension d has at least d * d - 1 parameters and one per layer,
+    # so neither integer can ask for more memory than the params already hold
+    for key, least in (("dim", dim * dim - 1), ("n_layers", hidden + 1)):
+        if least > theta.size:
+            raise ConfigError(f"{path}: {key!r} is {data[key]!r}, too large for "
+                              f"{theta.size} params")
     try:
         template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0), signed=signed)
         for key in ("n_layers", "activation"):  # what save_model writes for a network
@@ -474,6 +491,14 @@ def _record_rows(path: Path) -> tuple[list[dict], list[int]]:
     return (_line_rows(path, lines, numbers) if rows is None else rows), numbers
 
 
+def _overflows(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def _read_records(path: Path, exp: Experiment) -> RecordBlock:
     """The record block of one JSON Lines file, every row checked against
     itself and against the manifest entry ``exp``. The checks run on whole
@@ -501,7 +526,10 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
         if not set(map(type, values)) <= {int, float}:
             reject([type(v) not in (int, float) for v in values], field,
                    "is missing or not a number")
-        columns[field] = np.array(values, dtype=float)
+        try:
+            columns[field] = np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float
+            reject([_overflows(v) for v in values], field, "is too large for a float")
         reject(~np.isfinite(columns[field]), field, "is not finite")
     del rows  # the row dicts are most of a file's memory: free them before the block
     times = columns["time_us"]  # tested as train.Dataset tests it, with total = duration
@@ -509,7 +537,8 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
            f"is off the {exp.sample_dt_ns} ns sample grid, repeated, after a gap or past "
            f"{exp.duration_us} us")
     shots = columns["shots"]
-    reject((shots < 0) | (shots != np.floor(shots)), "shots", "is not a non-negative integer")
+    reject((shots < 0) | (shots > MAX_SHOTS) | (shots != np.floor(shots)), "shots",
+           "is not an integer in [0, 2**53]")
     limit = np.where(shots > 0, shots, 1.0)
     for field in ("kx", "ky", "kz"):
         count = columns[field]
@@ -531,6 +560,8 @@ def load_dataset(
     if manifest.get("schema") != DATASET_SCHEMA:
         raise ConfigError(f"{manifest_path} is not a {DATASET_SCHEMA} manifest")
     dev = _device_from_json(manifest, manifest_path, base_override)
+    if dev.dim != 2:  # kx, ky, kz: every record is a qubit's tomography
+        raise ConfigError(f"{manifest_path}: 'device.dim' is {dev.dim}, not a qubit's 2")
     experiments, first_of = [], {}
     total = 0.0
     for n, entry in enumerate(_field(manifest, "experiments", manifest_path, list)):
@@ -577,6 +608,9 @@ def cmd_generate(args) -> int:
     sample_dt = cfg.get("experiments", "sample_dt_ns")
     shots = cfg.get("experiments", "shots")
     shot_mode = cfg.get("experiments", "shot_mode")
+    if shots and tomography.axis_shot_budget(shots, shot_mode) < 1:
+        raise ConfigError(f"{cfg.path}: '[experiments] shots' = {shots} is too few for "
+                          f"shot_mode {shot_mode!r}")
     dt_internal = cfg.get("training", "dt_internal_ns")
     out_dir = Path(cfg.get("output", "directory", args.out))
 

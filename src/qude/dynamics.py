@@ -25,12 +25,15 @@ change.
 
 Nonlinear networks are solved by Newton's method in time (DEER: Lim et
 al., ICLR 2024), one window of FORWARD_CHUNK_SAMPLES samples at a time.
-Every step x_n = F(x_{n-1}) of the current iterate and its Jacobian
-increment D_n = dF/dx - I are evaluated in bulk (``rk4_stages``,
-``rk4_increment``), and the tangent recurrence
+Every step x_n = F(x_{n-1}) of the current iterate is evaluated in bulk
+(``rk4_stages``), and the tangent recurrence
 delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
-The first iterate is the base-model trajectory from the window's start
-state, propagated by doubling, and the window is done once
+The Jacobian increments D_n = dF/dx - I (``rk4_increment``, dearer than an
+evaluation) are formed once per window, at its first iterate, and reused by
+every later correction: a chord method, whose convergence is linear, not
+quadratic, so a window may take one evaluation more. The first
+iterate is the base-model trajectory from the window's start state,
+propagated by doubling, and the window is done once
 max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state,
 experiment by experiment. A window that does not converge in
 NEWTON_MAX_ITERS evaluations, or whose iterate is not finite, is run again
@@ -347,16 +350,20 @@ def adjoint_scan(increments: list[np.ndarray], g: np.ndarray) -> np.ndarray:
 
     ``g`` is (..., n, k). A log-depth scan: after the round with shift d,
     lam_s holds sum_{j < 2d} (S^T)^j g_{s+j}, by adding (S^T)^d times the
-    entry d samples later; S^d - I comes from ``power_increments``.
+    entry d samples later; S^d - I comes from ``power_increments``. Every
+    round writes its product into one buffer.
     """
     lam = g.copy()
+    buf = np.empty_like(g)
     n = g.shape[-2]
     d = 1
     for e in increments:
         if d >= n:
             break
         later = lam[..., d:, :]
-        lam[..., : n - d, :] += later + later @ e
+        step = np.matmul(later, e, out=buf[..., : n - d, :])
+        step += later
+        lam[..., : n - d, :] += step
         d *= 2
     return lam
 
@@ -494,7 +501,8 @@ def newton_window(
     iterate at once (``rk4_stages``) and stops when, for every experiment,
     the residual max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of its
     largest state; otherwise it adds the solution of the tangent recurrence
-    delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n, delta_0 = 0. A
+    delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n, delta_0 = 0, with
+    the step Jacobian increments D_n of the first iterate (chord Newton). A
     non-finite iterate, or no convergence in NEWTON_MAX_ITERS evaluations,
     gives None.
     """
@@ -502,6 +510,7 @@ def newton_window(
     xs = np.empty((e, n + 1, k))
     xs[:, 0] = x0
     xs[:, 1:] = guess
+    d = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITERS):
             f, stages = rk4_stages(a_base, source, h_us, xs[:, :-1])
@@ -512,14 +521,15 @@ def newton_window(
             scale = np.max(np.abs(xs), axis=(1, 2))
             if np.all(err <= NEWTON_TOL_ULPS * np.finfo(float).eps * scale):
                 return xs[:, 1:]
-            d = np.moveaxis(rk4_increment(a_base, source, h_us, stages), 1, 0)
-            delta = tangent_recurrence(np.ascontiguousarray(d[1:]),
-                                       np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
+            if d is None:  # the chord: the first iterate's Jacobians serve every solve
+                d = np.moveaxis(rk4_increment(a_base, source, h_us, stages), 1, 0)
+                d = np.ascontiguousarray(d[1:])
+            delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
             xs[:, 1:] += np.moveaxis(delta, 0, 1)
     return None
 
 
-FORWARD_CHUNK_SAMPLES = 64  # samples a network forward propagates per chunk
+FORWARD_CHUNK_SAMPLES = 128  # samples a network forward propagates per chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,9 +589,10 @@ def check_finite(samples: np.ndarray, group: GridGroup, first: int = 0) -> None:
     """Raise DivergenceError at the earliest sample of ``samples`` (E, S, k)
     that is not finite, naming the first experiment non-finite there;
     ``samples`` starts at sample index ``first``."""
-    finite = np.all(np.isfinite(samples), axis=-1)
-    if np.all(finite):
+    finite = np.isfinite(samples)
+    if finite.all():  # one flat reduction; the per-sample one only to name the sample
         return
+    finite = finite.all(axis=-1)
     s = int(np.argmax(~np.all(finite, axis=0)))
     e = int(np.argmax(~finite[:, s]))
     raise DivergenceError("state became non-finite", (first + s + 1) * group.dt_us,

@@ -171,7 +171,9 @@ class _Group(dynamics.GridGroup):
 
 
 def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
-    if wanted is None:
+    """The members of ``group`` named in ``wanted`` (all if None), or None;
+    a subset that covers the whole group is the group itself, not a copy."""
+    if wanted is None or wanted.issuperset(group.exp_ids):
         return group
     idx = [i for i, eid in enumerate(group.exp_ids) if eid in wanted]
     if not idx:
@@ -196,22 +198,23 @@ def _sq_loss(delta: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _linear_loss(group: _Group, source, weights: np.ndarray, limit: float = np.inf):
-    """Loss of a group and its forward. The linear forward is one chain of
-    matrix products, so ``limit`` is checked by the caller between groups."""
-    forward = dynamics.linear_forward(group, source)
-    return _sq_loss(forward[-1][..., :-1] - group.targets, weights), forward
+    """Loss of a group and its forward with the residuals (E, S, k). The linear
+    forward is one chain of matrix products, so ``limit`` is checked by the
+    caller between groups."""
+    m, increments, samples = dynamics.linear_forward(group, source)
+    delta = samples[..., :-1] - group.targets
+    return _sq_loss(delta, weights), (m, increments, samples, delta)
 
 
 def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndarray:
-    m, increments, samples = forward
-    delta = samples[..., :-1] - group.targets  # (E, S, k)
+    m, increments, samples, delta = forward
     x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
     states = np.concatenate([x0[:, None, :], samples], axis=1)
 
     # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
     # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
-    g = np.zeros(delta.shape[:-1] + (states.shape[-1],))
-    g[..., :-1] = 2.0 * weights * delta
+    g = np.zeros(samples.shape)
+    np.multiply(delta, 2.0 * weights, out=g[..., :-1])
     lam = dynamics.adjoint_scan(increments, g)
     p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
 

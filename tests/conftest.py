@@ -64,6 +64,26 @@ def make_twin_dataset(
     )
 
 
+def newton_windows(monkeypatch) -> list[tuple[bool, int]]:
+    """Record, per Newton window, whether it fell back and its evaluations of F."""
+    windows, evaluations = [], [0]
+    window, stages = dynamics.newton_window, dynamics.rk4_stages
+
+    def counted_stages(*args):
+        evaluations[0] += 1
+        return stages(*args)
+
+    def counted_window(*args):
+        evaluations[0] = 0
+        steps = window(*args)
+        windows.append((steps is None, evaluations[0]))
+        return steps
+
+    monkeypatch.setattr(dynamics, "rk4_stages", counted_stages)
+    monkeypatch.setattr(dynamics, "newton_window", counted_window)
+    return windows
+
+
 @pytest.fixture(scope="session")
 def dev1() -> dynamics.DeviceModel:
     return DEV1
@@ -79,6 +99,13 @@ def twin_clean_10us() -> train.Dataset:
 def twin_noisy_50us() -> train.Dataset:
     """5000-shot twin over the full 50 us horizon, T_Tr = 10 us."""
     return make_twin_dataset(seed=7, duration_us=50.0, shots=5000, train_horizon_us=10.0)
+
+
+@pytest.fixture(scope="session")
+def twin_noisy_20us() -> train.Dataset:
+    """Criterion 07's twin (and the benchmark's fit-rank20): 5000 shots over
+    20 us, T_Tr = 10 us."""
+    return make_twin_dataset(seed=42, duration_us=20.0, shots=5000, train_horizon_us=10.0)
 
 
 @pytest.fixture(scope="session")

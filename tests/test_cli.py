@@ -101,6 +101,11 @@ BAD_VALUES = {
     "p-max-zero": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = 0"), "[experiments] p_max_MHz"),
     "p-max-negative": ("generate", ("p_max_MHz = 3.47", "p_max_MHz = -3.47"),
                        "[experiments] p_max_MHz"),
+    "shots-negative": ("generate", ("shots = 500", "shots = -5"), "[experiments] shots"),
+    "shots-past-2**53": ("generate", ("shots = 500", f"shots = {2**53 + 1}"),
+                         "[experiments] shots"),
+    "shots-too-few-to-split": ("generate", ("shots = 500", "shots = 2\nshot_mode = split"),
+                               "[experiments] shots"),
 }
 
 
@@ -600,8 +605,13 @@ def set_fields(**changes):
     return edit
 
 
+PAST_FLOATS = int("9" * 401)  # a JSON integer that no float can hold
+
 # fault -> (edit of line 3 of exp-001.jsonl, field the message must name)
 RECORD_FAULTS = {
+    "count-past-floats": (set_fields(kx=PAST_FLOATS), "'kx'"),
+    "time-past-floats": (set_fields(time_us=PAST_FLOATS), "'time_us'"),
+    "shots-past-2**53": (set_fields(shots=2**53 + 2), "'shots'"),
     "truncated-row": (lambda line, _: line[: len(line) // 2], "malformed JSON"),
     "missing-field": (set_fields(ky=None), "'ky'"),
     "not-a-number": (set_fields(time_us="0.06"), "'time_us'"),
@@ -644,6 +654,8 @@ MODEL_FAULTS = {
         "evaluate", {"train_horizon_us": -1.0}, (), ("model.json", "'train_horizon_us'")),
     "step-not-a-number": (
         "evaluate", {"dt_internal_ns": "soon"}, (), ("model.json", "'dt_internal_ns'")),
+    "horizon-past-floats": (
+        "evaluate", {"train_horizon_us": PAST_FLOATS}, (), ("model.json", "'train_horizon_us'")),
     "evaluate-flag-zero": ("evaluate", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
     "report-flag-negative": ("report", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
     "train-flag-zero": ("train", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
@@ -661,6 +673,9 @@ MODEL_FIELD_FAULTS = {
     "nonlinear-identity": ("nonlinear", {"activation": "identity"}, "'activation'"),
     "nonlinear-no-layers": ("nonlinear", {"n_layers": 0}, "'n_layers'"),
     "sp-activation": ("sp", {"activation": "tanh"}, "'activation'"),
+    "params-past-floats": ("sp", {"params": [PAST_FLOATS] * 6}, "'params'"),
+    "dim-past-params": ("sp", {"dim": PAST_FLOATS}, "'dim'"),
+    "n-layers-past-params": ("nonlinear", {"n_layers": PAST_FLOATS}, "'n_layers'"),
 }
 
 
@@ -773,6 +788,35 @@ class TestDataValidation:
         assert self.train(config_path, dataset_dir, tmp_path) == 2
         err = capsys.readouterr().err
         assert "manifest.json: bad experiments[1]" in err and f"{key} must be" in err, err
+
+    @pytest.mark.parametrize("keys, name", [
+        (("experiments", 1, "duration_us"), "'experiments[1].duration_us'"),
+        (("experiments", 1, "amplitude_p_MHz"), "'experiments[1].amplitude_p_MHz'"),
+        (("device", "T1_us"), "'device.T1_us'"),
+        (("device", "dim"), "'device.dim'"),
+    ])
+    def test_manifest_integer_past_floats_is_rejected(self, keys, name, config_path, dataset_dir,
+                                                      tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = PAST_FLOATS
+        manifest.write_text(json.dumps(data))
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and name in err, err
+
+    def test_manifest_of_a_qutrit_is_rejected(self, dataset_dir, tmp_path, capsys):
+        """kx, ky and kz are a qubit's counts, whatever the device says."""
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["device"]["dim"] = 3
+        manifest.write_text(json.dumps(data))
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
+        assert "manifest.json: 'device.dim' is 3" in capsys.readouterr().err
 
     def test_manifest_missing_device_key(self, config_path, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.json"

@@ -13,7 +13,7 @@ import pytest
 from qude import dynamics, models, qcore, train
 
 import loop_oracle
-from conftest import DEV1, make_twin_dataset, planted_source
+from conftest import DEV1, make_twin_dataset, newton_windows, planted_source
 
 TOL = 1e-12
 N_SUB_CASES = {1: (4.0, 4.0), 5: (20.0, 4.0)}  # n_sub -> (sample dt, internal dt) in ns
@@ -296,20 +296,6 @@ def loop_samples(group, src) -> np.ndarray:
     ])
 
 
-def spy_newton(monkeypatch) -> list[bool]:
-    """Record, per Newton window, whether it fell back to the step loop."""
-    fell_back = []
-    original = dynamics.newton_window
-
-    def spy(*args):
-        steps = original(*args)
-        fell_back.append(steps is None)
-        return steps
-
-    monkeypatch.setattr(dynamics, "newton_window", spy)
-    return fell_back
-
-
 class TestNewtonForward:
     """The Newton-in-time network forward against the step loop, and its fallback."""
 
@@ -325,12 +311,13 @@ class TestNewtonForward:
             group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
         )
         ref_samples = loop_samples(group, src)
-        fell_back = spy_newton(monkeypatch)
+        windows = newton_windows(monkeypatch)
         assert relative(dynamics.group_samples(group, src), ref_samples) <= TOL
         assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], ref_loss) <= TOL
         assert relative(problem.gradient(src.pack(), src), ref_grad) <= TOL
-        windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
-        assert fell_back == [False] * 3 * windows  # three forwards, every window converged
+        n_windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
+        # three forwards, every window converged
+        assert [fell_back for fell_back, _ in windows] == [False] * 3 * n_windows
 
     @pytest.mark.parametrize("dim, hidden_layers", [(2, 0), (2, 3), (3, 1)])
     def test_any_depth_and_dimension(self, dim, hidden_layers, monkeypatch):
@@ -345,13 +332,13 @@ class TestNewtonForward:
         targets = ref + 0.01 * np.random.default_rng(dim).standard_normal(ref.shape)
         ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
             group.a_base, group.x0, targets, group.n_sub, group.h_us, src, weights)
-        fell_back = spy_newton(monkeypatch)
+        windows = newton_windows(monkeypatch)
         assert relative(dynamics.group_samples(group, src), ref) <= TOL
         loss, grad = group_loss_grad(train._Group(**vars(group), targets=targets), src, weights,
                                      linear=False)
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
-        assert fell_back == [False, False]
+        assert [fell_back for fell_back, _ in windows] == [False, False]
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
@@ -372,9 +359,9 @@ class TestNewtonForward:
         src = scaled_template(1000.0)
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * group.n_sub)
-        fell_back = spy_newton(monkeypatch)
+        windows = newton_windows(monkeypatch)
         np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 4::5])
-        assert fell_back == [True]
+        assert [fell_back for fell_back, _ in windows] == [True]
         assert relative(ref[:, 4::5], loop_samples(group, src)) <= TOL
 
     def test_each_experiment_converges_on_its_own_scale(self, monkeypatch):
@@ -385,15 +372,17 @@ class TestNewtonForward:
         (group,) = dynamics.grid_groups(DEV1, exps, 4.0)
         src = scaled_template(10.0)
         ref = loop_samples(group, src)
-        fell_back = spy_newton(monkeypatch)
+        windows = newton_windows(monkeypatch)
         samples = dynamics.group_samples(group, src)
-        assert not any(fell_back)
+        assert not any(fell_back for fell_back, _ in windows)
         for e in range(2):
             assert relative(samples[e], ref[e]) <= TOL
 
     def test_divergence_after_converged_windows(self, monkeypatch):
         """The window that overflows falls back, so integrate_rk4 and train.loss
-        report the loop's time."""
+        report the loop's time. With 64-sample windows the first converges and
+        the overflow lands in the second."""
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 64)
         c = TestBatchedPrediction.UNSTABLE
         dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
         exp = dynamics.Experiment("e", c["p_max"], duration_us=c["duration_us"],
@@ -401,22 +390,59 @@ class TestNewtonForward:
         src = make_case("nonlinear")
         bad = loop_oracle.first_non_finite(loop_oracle.integrate(dev, exp, src,
                                                                  c["dt_internal_ns"]))
-        fell_back = spy_newton(monkeypatch)
+        windows = newton_windows(monkeypatch)
         with pytest.raises(dynamics.DivergenceError) as err:
             dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
-        assert fell_back == [False, True]
+        assert [fell_back for fell_back, _ in windows] == [False, True]
 
         ds = make_twin_dataset(seed=3, n_experiments=1, duration_us=c["duration_us"],
                                sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
         ((exp, _),) = ds.experiments
         bad = loop_oracle.first_non_finite(loop_oracle.integrate(DEV1, exp, src,
                                                                  c["dt_internal_ns"]))
-        fell_back.clear()
+        windows.clear()
         with pytest.raises(dynamics.DivergenceError) as err:
             train.loss(src.pack(), ds, DEV1, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
-        assert fell_back[0] is False and fell_back[-1] is True
+        assert windows[0][0] is False and windows[-1][0] is True
+
+    def test_ragged_windows_with_substeps_match_loop(self, monkeypatch):
+        """135 samples of 5 steps each: a full 128-sample window of 640 steps,
+        then a 7-sample tail, each started from the window before."""
+        ds = make_twin_dataset(seed=5, n_experiments=2, duration_us=2.7, sample_dt_ns=20.0,
+                               shots=2000)
+        problem = train.Problem(ds, DEV1, 4.0)
+        (group,) = problem.groups
+        assert (group.n_sub, group.n_samples) == (5, 135)
+        src = scaled_template(100.0)
+        ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
+        )
+        ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us, 135 * 5)
+        windows = newton_windows(monkeypatch)
+        assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
+        assert relative(dynamics.group_samples(group, src), ref[:, 4::5]) <= TOL
+        loss, grad = problem.evaluate(src.pack(), src)
+        assert relative(loss, ref_loss) <= TOL
+        assert relative(grad, ref_grad) <= TOL
+        assert [fell_back for fell_back, _ in windows] == [False] * 2 * 3
+        assert max(n for _, n in windows) > 2  # a chord iteration past the first correction
+
+    def test_no_window_falls_back_on_the_rank_twin(self, twin_noisy_20us, monkeypatch):
+        """The fit-rank20 twin (criterion 07's) over its 2500 train samples, at the
+        template and at the benchmark's fitted weights (one L-BFGS iteration)."""
+        problem = train.Problem(twin_noisy_20us, DEV1)
+        template = models.make_source("nonlinear", seed=1)
+        fitted = train.fit(twin_noisy_20us, DEV1, template,
+                           train.TrainConfig(adam_epochs=0, lbfgs_max_iters=1)).theta_star
+        windows = newton_windows(monkeypatch)
+        for name, theta in (("template", template.pack()), ("fitted", fitted)):
+            windows.clear()
+            problem.evaluate(theta, template, want_grad=False)
+            assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES)
+            assert not any(fell_back for fell_back, _ in windows)
+            print(f"\n{name}: {np.mean([n for _, n in windows]):.2f} evaluations per window")
 
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""
@@ -500,7 +526,10 @@ class TestBoundedLoss:
         assert problem.evaluate(theta, src, want_grad=False, bound=0.0)[0] == np.inf
         assert problem.evaluate(theta, src, want_grad=False, bound=full)[0] == full
 
-    def test_diverging_candidate(self):
+    def test_diverging_candidate(self, monkeypatch):
+        """With 64-sample windows the first window ends before the overflow, so a
+        zero bound rejects the candidate before it diverges."""
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 64)
         c = TestBatchedPrediction.UNSTABLE
         ds = make_twin_dataset(seed=3, n_experiments=3, duration_us=c["duration_us"],
                                sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
@@ -516,6 +545,23 @@ class TestBoundedLoss:
             else:
                 assert value == np.inf
         assert problem.evaluate(src.pack(), src, want_grad=False, bound=0.0)[0] == np.inf
+
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
+    def test_subset_of_every_experiment_is_the_whole(self, kind):
+        """A batch that names every experiment evaluates the groups themselves."""
+        ds, dt_internal = two_grids()
+        problem = train.Problem(ds, DEV1, dt_internal)
+        src = make_case(kind)
+        theta = np.zeros(0) if src is None else src.pack()
+        everyone = {exp.id for exp, _ in ds.experiments}
+        whole = problem.evaluate(theta, src)
+        for subset in (everyone, everyone | {"not-in-the-dataset"}):
+            loss, grad = problem.evaluate(theta, src, subset)
+            assert loss == whole[0]
+            if src is None:
+                assert grad is None and whole[1] is None
+            else:
+                np.testing.assert_array_equal(grad, whole[1])
 
     @pytest.mark.parametrize("kind", ["sp", "affine", "nonlinear"])
     def test_line_search_accepts_the_same_steps(self, kind, monkeypatch):
