@@ -108,11 +108,18 @@ def _positive(value) -> float:
     return value
 
 
-def _positive_int(raw) -> int:
-    """``raw`` as a positive int; ValueError otherwise."""
+# generate draws, integrates and holds every experiment in memory and writes one
+# record file each. The paper's protocols use tens of experiments, so 10**4 leaves
+# a hundredfold margin; a count past it is a typo, and one of hundreds of digits
+# would never finish drawing its amplitudes.
+MAX_EXPERIMENTS = 10**4
+
+
+def _experiment_count(raw) -> int:
+    """``raw`` as an int in [1, MAX_EXPERIMENTS]; ValueError otherwise."""
     value = int(raw)
-    if value < 1:
-        raise ValueError(f"{value} is not a positive integer")
+    if not 1 <= value <= MAX_EXPERIMENTS:
+        raise ValueError(f"{value} is not an experiment count in [1, {MAX_EXPERIMENTS}]")
     return value
 
 
@@ -141,7 +148,7 @@ class RunConfig:
                    "T2_us": (float, REQUIRED), "dim": (int, 2)},
         "latent": {"ansatz": (str, "none"), "model_file": (str, None),
                    "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
-        "experiments": {"seed": (int, 0), "n_experiments": (_positive_int, 5),
+        "experiments": {"seed": (int, 0), "n_experiments": (_experiment_count, 5),
                         "p_max_MHz": (_positive, REQUIRED), "duration_us": (_positive, REQUIRED),
                         "sample_dt_ns": (_positive, 4.0), "shots": (_shot_count, 5000),
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
@@ -477,13 +484,16 @@ def _record_rows(path: Path) -> tuple[list[dict], list[int]]:
     decoded by one json.loads when ``_joined_rows`` allows it."""
     raw = path.read_bytes()
     try:
-        raw.decode("utf-8")  # a text-mode read gives positions within its chunk only
-    except UnicodeDecodeError as err:
-        number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
-        raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
-    # the lines text-mode iteration gives: universal newlines, then split after each
-    # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
-    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
+        # the lines text-mode iteration gives: universal newlines, then split after each
+        # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
+    except UnicodeDecodeError:
+        try:  # the wrapper's position lies within its chunk; a whole decode gives the file's
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
+            raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
+        raise
     del raw
     numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
     lines = [lines[number - 1] for number in numbers]
@@ -542,8 +552,9 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
     limit = np.where(shots > 0, shots, 1.0)
     for field in ("kx", "ky", "kz"):
         count = columns[field]
-        problem = "is outside [0, shots] ([0, 1] when shots is 0)"
-        reject((count < 0) | (count > limit), field, problem)
+        problem = "is not an integer in [0, shots] (a number in [0, 1] when shots is 0)"
+        reject((count < 0) | (count > limit) | ((shots > 0) & (count != np.floor(count))), field,
+               problem)
     counts = np.stack([columns["kx"], columns["ky"], columns["kz"]], axis=1)
     return RecordBlock.from_counts(times, shots, counts)
 
@@ -590,7 +601,10 @@ def load_dataset(
         experiments.append((exp, block))
         total = max(total, exp.duration_us)
     horizon = train_horizon_us if train_horizon_us is not None else total
-    dataset = Dataset(experiments, train_horizon_us=horizon, total_horizon_us=total)
+    try:
+        dataset = Dataset(experiments, train_horizon_us=horizon, total_horizon_us=total)
+    except ValueError as err:  # the record gate: every rejection there is a data error
+        raise ConfigError(f"{manifest_path}: {err}") from None
     return dataset, dev, manifest
 
 
@@ -699,9 +713,8 @@ def cmd_train(args) -> int:
             "stalled": result.stalled,
         },
     )
-    log = [list(range(len(result.loss_history))), result.phases, result.loss_history,
-           result.grad_norm_history, result.elapsed_s]
-    _write_csv(out_dir / "training_log.csv", ["iteration", "phase", "loss", "grad_norm", "elapsed_s"], log)
+    _write_csv(out_dir / "training_log.csv", ["iteration", *train.FitRow._fields],
+               [range(len(result.rows)), *zip(*result.rows)])
     print(f"final train loss: {train_loss!r}")
     print(f"final validation loss: {val_loss!r}")
     print(f"model -> {model_path}")
@@ -744,7 +757,7 @@ def cmd_evaluate(args) -> int:
                list(zip(*moments)))
     histogram = [
         (model_name, split_tag, lo, hi, density)
-        for split_tag, (edges, densities) in sorted(report.histogram.items())
+        for split_tag, (edges, densities) in report.histogram.items()
         for lo, hi, density in zip(edges[:-1].tolist(), edges[1:].tolist(), densities.tolist())
     ]
     _write_csv(out_dir / "histogram.csv", ["model", "split", "bin_lo", "bin_hi", "density"],
@@ -760,7 +773,7 @@ def cmd_evaluate(args) -> int:
     ]
     _write_csv(out_dir / "energy.csv", ["exp_id", "time_us", "energy_pred", "energy_target"], energy)
     etd = [(model_name, split_tag, mean, se, n)
-           for split_tag, (mean, se, n) in sorted(report.expected_trace_distance.items())]
+           for split_tag, (mean, se, n) in report.expected_trace_distance.items()]
     _write_csv(out_dir / "expected_trace_distance.csv",
                ["model", "split", "mean", "stderr", "n_experiments"], list(zip(*etd)))
     for row in report.moments:

@@ -254,10 +254,7 @@ def base_generator(dev: DeviceModel, exp: Experiment) -> np.ndarray:
     ``rhs`` agree by construction.
     """
     basis = qcore.hermitian_basis(dev.dim)
-    cols = []
-    for el in basis.elements:
-        cols.append(qcore.expand(rhs(dev, exp, el), basis, check=False))
-    return np.stack(cols, axis=1)
+    return qcore.expand_many(np.stack([rhs(dev, exp, el) for el in basis.elements]), basis).T
 
 
 def augmented_generator(a_base: np.ndarray, source=None) -> np.ndarray:
@@ -572,10 +569,9 @@ def grid_groups(
                 indices=indices,
                 exp_ids=[exp.id for exp in members],
                 a_base=np.stack([base_generator(dev, exp) for exp in members]),
-                x0=np.stack([
-                    qcore.expand(exp.initial_density(dev.dim), basis, check=False)
-                    for exp in members
-                ]),
+                x0=qcore.expand_many(
+                    np.stack([exp.initial_density(dev.dim) for exp in members]), basis
+                ),
                 n_samples=n,
                 n_sub=n_sub,
                 h_us=integration_steps(members[0], dt_internal_ns)[1],

@@ -30,7 +30,9 @@ class MomentRow:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Summary statistics for one model over one dataset."""
+    """Summary statistics for one model over one dataset: a moment row, a
+    histogram and an expected trace distance per split that holds records, in
+    sorted split order (extrapolation, then interpolation)."""
 
     model: str
     moments: list[MomentRow]
@@ -50,30 +52,6 @@ def trace_distance_series(
     filtered = qcore.spectral_filter_many(prediction.states[: len(records)], records.times_us)
     distances = qcore.trace_distance_many(filtered, records.rho_hat)
     return Trajectory(times_us=records.times_us, states=filtered), distances
-
-
-def moment_table(
-    entries: list[tuple[str, str, np.ndarray]],
-) -> list[MomentRow]:
-    """Pooled mean/population-stddev rows, ordered by model then split.
-
-    Empty pools are omitted.
-    """
-    rows = []
-    for model, split_tag, values in sorted(entries, key=lambda e: (e[0], e[1])):
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            continue
-        rows.append(
-            MomentRow(
-                model=model,
-                split=split_tag,
-                mean=float(values.mean()),
-                stddev=float(values.std()),
-                count=int(values.size),
-            )
-        )
-    return rows
 
 
 def histogram_density(values: np.ndarray, bin_count: int = 50) -> tuple[np.ndarray, np.ndarray]:
@@ -147,45 +125,36 @@ def evaluate_model(
     Splits each experiment's records into interpolation (t <= T_Tr) and
     extrapolation (t > T_Tr), computes pooled moments and histograms per
     split, and the mean/standard-error of the per-experiment time-averaged
-    trace distance. Also returns, per experiment id, the spectral-filtered
-    predictions at the record times for reuse. All experiments are predicted
-    in one batched ``dynamics.integrate_many`` call. The records pass
-    ``train.Dataset``'s gate over the longest duration first.
+    trace distance, in one pass over the splits; an empty split is left out.
+    Also returns, per experiment id, the spectral-filtered predictions at the
+    record times for reuse. All experiments are predicted in one batched
+    ``dynamics.integrate_many`` call. The records pass ``train.Dataset``'s
+    gate over the longest duration first.
     """
     total = max((exp.duration_us for exp, _ in experiments), default=0.0)
     experiments = train.Dataset(experiments, total, total).experiments
-    pooled: dict[str, list[np.ndarray]] = {"interpolation": [], "extrapolation": []}
-    per_exp_means: dict[str, list[float]] = {"interpolation": [], "extrapolation": []}
-
     trajectories = dynamics.integrate_many(
         dev, [exp for exp, _ in experiments], source, dt_internal_ns
     )
     predictions: dict[str, Trajectory] = {}
+    splits: dict[str, list[np.ndarray]] = {"extrapolation": [], "interpolation": []}
     for (exp, records), pred in zip(experiments, trajectories):
         predictions[exp.id], dists = trace_distance_series(pred, records)
         in_train = train.in_train_split(records.times_us, train_horizon_us)
-        for split_tag, mask in (("interpolation", in_train), ("extrapolation", ~in_train)):
-            vals = dists[mask]
-            if vals.size:
-                pooled[split_tag].append(vals)
-                per_exp_means[split_tag].append(float(vals.mean()))
-    entries = [
-        (model_name, split_tag, np.concatenate(vals) if vals else np.array([]))
-        for split_tag, vals in pooled.items()
-    ]
-    moments = moment_table(entries)
-    histogram = {}
-    expected = {}
-    for split_tag, vals in pooled.items():
-        if not vals:
+        splits["extrapolation"].append(dists[~in_train])
+        splits["interpolation"].append(dists[in_train])
+    moments, histogram, expected = [], {}, {}
+    for split_tag, per_exp in splits.items():
+        per_exp = [dists for dists in per_exp if dists.size]
+        if not per_exp:
             continue
-        allvals = np.concatenate(vals)
-        histogram[split_tag] = histogram_density(allvals)
-        means = np.asarray(per_exp_means[split_tag])
+        values = np.concatenate(per_exp)
+        moments.append(MomentRow(model_name, split_tag, float(values.mean()),
+                                 float(values.std()), values.size))
+        histogram[split_tag] = histogram_density(values)
+        means = np.array([dists.mean() for dists in per_exp])
         expected[split_tag] = (
-            float(means.mean()),
-            float(means.std() / np.sqrt(means.size)),
-            int(means.size),
+            float(means.mean()), float(means.std() / np.sqrt(means.size)), means.size
         )
     report = EvalReport(
         model=model_name,

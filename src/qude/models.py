@@ -157,10 +157,10 @@ def sp_generator_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(n2 - 1):
         shifted = gm.elements[j] - gm.elements[j, 0, 0].real * eye
         jump = gm.uppers[j]
-        for i, el in enumerate(hb.elements):
-            comm = -1j * (shifted @ el - el @ shifted)
-            b_alpha[j, :, i] = qcore.expand(comm, hb, check=False)
-            b_gamma[j, :, i] = qcore.expand(dynamics.dissipator(jump, el), hb, check=False)
+        comms = [-1j * (shifted @ el - el @ shifted) for el in hb.elements]
+        b_alpha[j] = qcore.expand_many(np.stack(comms), hb).T
+        dissipators = [dynamics.dissipator(jump, el) for el in hb.elements]
+        b_gamma[j] = qcore.expand_many(np.stack(dissipators), hb).T
     b_alpha.setflags(write=False)
     b_gamma.setflags(write=False)
     return b_alpha, b_gamma

@@ -164,19 +164,9 @@ def hermitian_basis(dim: int) -> HermitianBasis:
     )
 
 
-def expand(h: np.ndarray, basis: HermitianBasis, check: bool = True) -> np.ndarray:
-    """Coefficients c_i = Tr(H_i h) / gram_i of a Hermitian matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (basis.dim, basis.dim):
-        raise ValueError(f"expected a {basis.dim}x{basis.dim} matrix, got {h.shape}")
-    if check:
-        assert_hermitian(h, 1e-10, "expand() input")
-    coeffs = np.einsum("ikl,lk->i", basis.elements, h)
-    return coeffs.real / basis.gram_norms
-
-
 def expand_many(states: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Batched ``expand`` without the hermiticity check; shape (m, dim^2)."""
+    """Coefficients c_i = Tr(H_i h) / gram_i of each Hermitian matrix h of a
+    stack (m, dim, dim); shape (m, dim^2)."""
     coeffs = np.einsum("ikl,mlk->mi", basis.elements, states)
     return coeffs.real / basis.gram_norms
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,7 +107,8 @@ class Dataset:
             if exp.off_grid(block.times_us).any():
                 raise ValueError(f"experiment {exp.id} records are not a contiguous sample grid")
             if not in_train_split(block.times_us[:1], self.train_horizon_us).any():
-                raise ValueError(f"experiment {exp.id} has no records inside the train horizon")
+                raise ValueError(f"experiment {exp.id} has no records inside the train "
+                                 f"horizon {self.train_horizon_us} us")
             if not in_train_split(block.times_us, self.total_horizon_us).all():
                 raise ValueError(f"experiment {exp.id} has records past {self.total_horizon_us} us")
             block.rho_hat  # formed on entry, as the docstring says
@@ -146,18 +148,32 @@ class TrainConfig:
             raise ValueError("adam_batch must be >= 1")
 
 
+class FitRow(NamedTuple):
+    """One optimizer iteration; ``elapsed_s`` counts from the start of the fit."""
+
+    phase: str
+    loss: float
+    grad_norm: float
+    elapsed_s: float
+
+
 @dataclass(eq=False)
 class FitResult:
     theta_star: np.ndarray
-    loss_history: list[float]
-    grad_norm_history: list[float]
-    phases: list[str]
-    elapsed_s: list[float]
+    rows: list[FitRow]  # one per iteration, in order
     stalled: bool = False
 
     @property
+    def loss_history(self) -> list[float]:
+        return [row.loss for row in self.rows]
+
+    @property
+    def phases(self) -> list[str]:
+        return [row.phase for row in self.rows]
+
+    @property
     def final_loss(self) -> float:
-        return self.loss_history[-1] if self.loss_history else float("nan")
+        return self.rows[-1].loss if self.rows else float("nan")
 
 
 # -- compiled forward problems --------------------------------------------------
@@ -477,16 +493,11 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
     exp_ids = [exp.id for exp, _ in dataset.experiments]
     theta = ansatz.pack().astype(float)
 
-    losses: list[float] = []
-    grad_norms: list[float] = []
-    phases: list[str] = []
-    elapsed: list[float] = []
+    rows: list[FitRow] = []
 
     def record(phase: str, value: float, grad: np.ndarray) -> None:
-        losses.append(value)
-        grad_norms.append(float(np.linalg.norm(grad)))
-        phases.append(phase)
-        elapsed.append(time.perf_counter() - t_start)
+        elapsed = time.perf_counter() - t_start
+        rows.append(FitRow(phase, value, float(np.linalg.norm(grad)), elapsed))
 
     # Phase 1: ADAM over mini-batches of whole experiments.
     rng = np.random.default_rng(config.seed)
@@ -561,11 +572,4 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         if progress <= LBFGS_PROGRESS_TOL * (1.0 + abs(f_cur)):
             break
 
-    return FitResult(
-        theta_star=best_theta,
-        loss_history=losses,
-        grad_norm_history=grad_norms,
-        phases=phases,
-        elapsed_s=elapsed,
-        stalled=stalled,
-    )
+    return FitResult(theta_star=best_theta, rows=rows, stalled=stalled)

@@ -86,7 +86,7 @@ def integrate(dev, exp, source, dt_internal_ns: float) -> np.ndarray:
     """Coefficient states (n_samples, k) of one experiment, non-finite rows kept."""
     n_sub, h_us = dynamics.integration_steps(exp, dt_internal_ns)
     basis = qcore.hermitian_basis(dev.dim)
-    x0 = qcore.expand(exp.initial_density(dev.dim), basis, check=False)
+    x0 = qcore.expand_many(exp.initial_density(dev.dim)[None], basis)[0]
     a_base = dynamics.base_generator(dev, exp)
     if source is not None and not source.is_linear:
         return network_step_loop(a_base, source, x0, h_us, exp.n_samples, n_sub)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -170,6 +171,24 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "bad.cfg" in err and key in err
         assert not (tmp_path / "o").exists()
+
+    def test_experiment_count_is_bounded_before_drawing(self, config_path, tmp_path, capsys,
+                                                        monkeypatch):
+        """A count of hundreds of digits exits 2 at once: no amplitude is drawn (a draw
+        raises here), nothing is written."""
+
+        def no_draws(*_):
+            raise AssertionError("amplitudes drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for count in (10**400, cli.MAX_EXPERIMENTS + 1):
+            text = BASE_CONFIG.replace("n_experiments = 2", f"n_experiments = {count}")
+            start = time.perf_counter()
+            assert run("generate", "--config", write_config(tmp_path, text), "--out",
+                       tmp_path / "o") == 2
+            assert time.perf_counter() - start < 0.5
+            assert "'[experiments] n_experiments'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_readme_library_block_runs(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -621,6 +640,7 @@ RECORD_FAULTS = {
     "count-above-shots": (set_fields(kx=lambda row: row["shots"] + 400), "'kx'"),
     "negative-count": (set_fields(ky=-1), "'ky'"),
     "noiseless-count-above-one": (set_fields(shots=0, kx=1.5, ky=0.5, kz=0.0), "'kx'"),
+    "non-integer-count": (set_fields(kx=lambda row: row["shots"] / 2 + 0.5), "'kx'"),
     "exp-id-mismatch": (set_fields(exp_id="exp-000"), "'exp_id'"),
     "amplitude-mismatch": (
         set_fields(amplitude_MHz=lambda row: row["amplitude_MHz"] + 0.25), "'amplitude_MHz'"
@@ -703,6 +723,18 @@ class TestDataValidation:
         with per_line_parse(), pytest.raises(cli.ConfigError) as slow:
             cli.load_dataset(dataset_dir / "manifest.json")
         assert err == f"config error: {slow.value}\n"
+
+    @pytest.mark.parametrize("horizon, names", [
+        (0.001, ("exp-000 has no records inside the train horizon 0.001 us",)),
+        (5, ("train horizon 5.0 us",)),
+    ])
+    def test_dataset_rejection_names_the_manifest(self, horizon, names, config_path,
+                                                  dataset_dir, tmp_path, capsys):
+        assert run("train", "--config", config_path, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "fit", "--train-horizon-us", horizon) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {dataset_dir / 'manifest.json'}: "), err
+        assert all(name in err for name in names), err
 
     @pytest.mark.parametrize("fault", sorted(JOIN_ONLY_FAULTS))
     def test_rows_across_lines_are_rejected(self, fault, dataset_dir):

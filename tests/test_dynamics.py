@@ -153,7 +153,7 @@ def augmented_rhs(dev, exp, source, rho):
     """d(rho)/dt through the augmented generator [[A + W, b], [0, 0]] acting on [x; 1]."""
     basis = qcore.hermitian_basis(dev.dim)
     g = dynamics.augmented_generator(dynamics.base_generator(dev, exp), source)
-    x = np.append(qcore.expand(rho, basis), 1.0)
+    x = np.append(qcore.expand_many(rho[None], basis)[0], 1.0)
     return qcore.reconstruct_many((g @ x)[None, :-1], basis)[0]
 
 
@@ -200,7 +200,7 @@ class TestBaseGenerator:
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = states.random_density_matrix(2, rng)
-            x = qcore.expand(rho, basis)
+            x = qcore.expand_many(rho[None], basis)[0]
             lhs = qcore.reconstruct_many((a @ x)[None], basis)[0]
             rhs_matrix = dynamics.rhs(dev, exp, rho)
             assert np.max(np.abs(lhs - rhs_matrix)) < 1e-12

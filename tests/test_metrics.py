@@ -45,32 +45,6 @@ class TestTraceDistanceSeries:
         assert dists[:third].mean() < dists[-third:].mean()
 
 
-class TestMomentTable:
-    def test_single_record(self):
-        rows = metrics.moment_table([("m", "interpolation", np.array([0.25]))])
-        assert rows[0].mean == pytest.approx(0.25)
-        assert rows[0].stddev == 0.0
-        assert rows[0].count == 1
-
-    def test_two_records_closed_form(self):
-        rows = metrics.moment_table([("m", "s", np.array([0.1, 0.3]))])
-        assert rows[0].mean == pytest.approx(0.2)
-        assert rows[0].stddev == pytest.approx(0.1)  # population stddev
-
-    def test_ordering_and_warnings(self):
-        rows = metrics.moment_table(
-            [
-                ("zeta", "extrapolation", np.array([0.2])),
-                ("alpha", "interpolation", np.array([0.1])),
-                ("alpha", "extrapolation", np.array([])),
-            ]
-        )
-        assert [(r.model, r.split) for r in rows] == [
-            ("alpha", "interpolation"),
-            ("zeta", "extrapolation"),
-        ]  # the empty split's row is omitted
-
-
 class TestHistogramDensity:
     def test_identical_values_single_bin(self):
         edges, dens = metrics.histogram_density(np.full(10, 0.5), bin_count=10)
@@ -167,6 +141,41 @@ class TestExpectedTraceDistance:
             metrics.expected_trace_distance(DEV1, None, None, 1.0, 1.0, 100.0, 0, 0)
 
 
+def lvn_against_lindblad(horizon_us):
+    """evaluate_model of the LvN base against one noiseless 1 us Lindblad twin at
+    100 ns (10 records), and the distances of all 10 records."""
+    exp = dynamics.Experiment("e", 1.0, duration_us=1.0, sample_dt_ns=100.0)
+    records = tomography.simulate_records(dynamics.integrate_rk4(DEV1, exp, None, 4.0), 0,
+                                          np.random.default_rng(2))
+    lvn = dynamics.DeviceModel(3.448, 214.0, 32.0, "lvn")
+    report, _ = metrics.evaluate_model("lvn", lvn, None, [(exp, records)], horizon_us)
+    _, dists = metrics.trace_distance_series(
+        dynamics.integrate_rk4(lvn, exp, None, 4.0), records)
+    return report, dists
+
+
+class TestMomentTable:
+    """The per-split moment rows of evaluate_model hold population statistics."""
+
+    def test_single_record(self):
+        report, dists = lvn_against_lindblad(0.9)
+        extrap, interp = report.moments
+        assert (extrap.split, extrap.count, extrap.stddev) == ("extrapolation", 1, 0.0)
+        assert extrap.mean == pytest.approx(dists[-1], rel=1e-12)
+        assert (interp.split, interp.count) == ("interpolation", 9)
+
+    def test_two_records_closed_form(self):
+        report, dists = lvn_against_lindblad(0.8)
+        extrap, interp = report.moments
+        assert (extrap.split, extrap.count) == ("extrapolation", 2)
+        assert extrap.mean == pytest.approx((dists[-2] + dists[-1]) / 2, rel=1e-12)
+        # population stddev of two values is half their distance
+        assert extrap.stddev == pytest.approx(abs(dists[-1] - dists[-2]) / 2, rel=1e-12)
+        assert (interp.split, interp.count) == ("interpolation", 8)
+        assert interp.stddev == pytest.approx(np.std(dists[:8]), rel=1e-12)
+        assert interp.stddev != pytest.approx(np.std(dists[:8], ddof=1), rel=1e-3)
+
+
 class TestEvaluateModel:
     def test_perfect_model_means_are_zero(self):
         ds = make_twin_dataset(seed=20, n_experiments=2, duration_us=1.0,
@@ -204,3 +213,8 @@ class TestEvaluateModel:
             assert n == 3
             assert 0.0 <= mean <= 1.0
             assert se >= 0.0
+
+    def test_empty_split_gets_no_row(self):
+        report, _ = lvn_against_lindblad(1.0)
+        assert [(r.split, r.count) for r in report.moments] == [("interpolation", 10)]
+        assert list(report.histogram) == list(report.expected_trace_distance) == ["interpolation"]

@@ -244,6 +244,6 @@ class TestCoeffGenerator:
             expected = -1j * (s_h @ rho - rho @ s_h) + sum(
                 g * dynamics.dissipator(jump, rho) for g, jump in zip(src.gammas, src.basis.uppers)
             )
-            x = qcore.expand(rho, basis)
+            x = qcore.expand_many(rho[None], basis)[0]
             lhs = qcore.reconstruct_many((gen @ x)[None], basis)[0]
             np.testing.assert_allclose(lhs, expected, atol=1e-12)

@@ -287,8 +287,9 @@ class TestFit:
                                sample_dt_ns=20.0, shots=0)
         tmpl = models.make_source("sp")
         res = train.fit(ds, DEV1, tmpl, self._small_config(adam_epochs=2, lbfgs_max_iters=5))
-        assert len(res.elapsed_s) == len(res.loss_history) == len(res.phases)
-        assert all(b >= a for a, b in zip(res.elapsed_s, res.elapsed_s[1:]))
+        elapsed = [row.elapsed_s for row in res.rows]
+        assert elapsed[0] > 0.0
+        assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 
 
 class TestConfigValidation:
