@@ -201,14 +201,17 @@ class RunConfig:
         return _field(self._raw.get(section, {}), key, self.path, cast, f"[{section}] ", default)
 
     def device(self, base_override: str | None = None) -> DeviceModel:
-        return DeviceModel(
-            omega01_GHz=self.get("device", "omega01_GHz"),
-            omega_rot_GHz=self.get("device", "omega_rot_GHz"),
-            T1_us=self.get("device", "T1_us"),
-            T2_us=self.get("device", "T2_us"),
-            base_kind=base_override or self.get("device", "base_model"),
-            dim=self.get("device", "dim"),
-        )
+        try:
+            return DeviceModel(
+                omega01_GHz=self.get("device", "omega01_GHz"),
+                omega_rot_GHz=self.get("device", "omega_rot_GHz"),
+                T1_us=self.get("device", "T1_us"),
+                T2_us=self.get("device", "T2_us"),
+                base_kind=base_override or self.get("device", "base_model"),
+                dim=self.get("device", "dim"),
+            )
+        except ValueError as err:
+            raise ConfigError(f"{self.path}: bad [device]: {err}") from None
 
     def latent_source(self):
         kind = self.get("latent", "ansatz")
@@ -361,6 +364,10 @@ def load_model(path: str | Path):
     kind = _field(data, "ansatz", path, str)
     dim = _field(data, "dim", path, _integral)
     theta = _field(data, "params", path, lambda v: np.asarray(v, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ConfigError(f"{path}: bad value for 'params[{bad[0]}]': {theta.flat[bad[0]]} "
+                          "(not finite)")
     for key in ("train_horizon_us", "dt_internal_ns"):
         data[key] = _field(data, key, path, _positive)
     signed = _field(data, "signed_gamma", path, _json_bool, default=False)
@@ -843,13 +850,10 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rc = cmd_evaluate(args)
-    if rc != EXIT_OK:
-        return rc
-    source, _ = load_model(args.model) if args.model != "base" else (None, None)
-    if source is not None and source.kind == models.KIND_SP:
-        rc = cmd_characterize(args)
-    return rc
+    cmd_evaluate(args)
+    if args.model != "base" and load_model(args.model)[0].kind == models.KIND_SP:
+        cmd_characterize(args)
+    return EXIT_OK
 
 
 # -- argument parsing -----------------------------------------------------------------

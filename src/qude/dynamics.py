@@ -37,8 +37,10 @@ propagated by doubling, and the window is done once
 max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state,
 experiment by experiment. A window that does not converge in
 NEWTON_MAX_ITERS evaluations, or whose iterate is not finite, is run again
-by the stage-by-stage step loop ``propagate_network`` from the same start
-state, so a diverging trajectory is reported at the loop's sample. The
+by the step loop ``propagate_network`` from the same start state, so a
+diverging trajectory is reported at the loop's sample. The loop applies the
+same F (``rk4_stages``) one step at a time, so the network has one layer
+loop (``NetworkSource.layers``) and its RK4 step one implementation. The
 converged states agree with the step loop to rounding, not bit for bit.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
@@ -92,6 +94,10 @@ class DeviceModel:
     dim: int = 2
 
     def __post_init__(self):
+        for name in ("omega01_GHz", "omega_rot_GHz", "T1_us", "T2_us"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.base_kind not in (BASE_LVN, BASE_LINDBLAD):
             raise ValueError(f"base_kind must be '{BASE_LVN}' or '{BASE_LINDBLAD}', got {self.base_kind!r}")
         if self.base_kind == BASE_LINDBLAD and (self.T1_us <= 0 or self.T2_us <= 0):
@@ -365,34 +371,6 @@ def adjoint_scan(increments: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     return lam
 
 
-def propagate_network(
-    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, n_steps: int
-) -> np.ndarray:
-    """Stage-by-stage RK4 for x' = A x + net(x), batched over experiments.
-
-    The reference step loop, and what ``network_chunks`` runs for a window
-    that ``newton_window`` does not solve.
-    ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
-    internal step, (E, n_steps, k); non-finite states are kept for the
-    caller's divergence check.
-    """
-
-    def f(x):
-        return (a_base @ x[..., None])[..., 0] + source.coeff_forward(x)
-
-    out = np.empty((n_steps,) + x0.shape)
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * h_us * k1)
-            k3 = f(x + 0.5 * h_us * k2)
-            k4 = f(x + h_us * k3)
-            x = x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            out[n] = x
-    return np.swapaxes(out, 0, 1)
-
-
 def _transposed(a: np.ndarray) -> np.ndarray:
     """Contiguous transpose of the last two axes; numpy's matmul takes a
     slow path for a transposed view as its second operand."""
@@ -410,30 +388,41 @@ _RK4_STAGE_STEPS = (0.5, 0.5, 1.0)  # stage input c_{s+1} = x + step_s h k_s
 def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
     """One RK4 step of x' = A x + net(x) from every state of x (E, C, k) at once.
 
-    Returns F(x), the state after each step, and per stage the inputs of
-    every layer and the tanh derivatives of the hidden layers;
-    ``rk4_increment`` takes the stages to the step Jacobians.
+    Returns F(x), the state after each step, and per stage the layer inputs
+    and hidden-layer tanh derivatives of ``source.layers``; ``rk4_increment``
+    takes the stages to the step Jacobians.
     """
     a_t = _transposed(a_base)
-    w_t = [_transposed(w) for w in source.weights]
-    last = len(w_t) - 1
     stages, slopes = [], []
     c = x
     for s in range(4):
-        ins, derivs = [c], []
-        z = c
-        for l, b in enumerate(source.biases):
-            z = _rows(z, w_t[l]) + b
-            if l < last:
-                z = np.tanh(z)
-                derivs.append(1.0 - z * z)
-                ins.append(z)
+        z, ins, derivs = source.layers(c)
         stages.append((ins, derivs))
         slopes.append(c @ a_t + z)
         if s < 3:
             c = x + (_RK4_STAGE_STEPS[s] * h_us) * slopes[-1]
     k1, k2, k3, k4 = slopes
     return x + (h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), stages
+
+
+def propagate_network(
+    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, n_steps: int
+) -> np.ndarray:
+    """The step loop: ``rk4_stages`` one step at a time, batched over experiments.
+
+    It iterates the map F whose fixed point ``newton_window`` solves, and is
+    what ``network_chunks`` runs for a window that Newton does not solve.
+    ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
+    internal step, (E, n_steps, k); non-finite states are kept for the
+    caller's divergence check.
+    """
+    out = np.empty((len(x0), n_steps, x0.shape[-1]))
+    x = x0[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            x = rk4_stages(a_base, source, h_us, x)[0]
+            out[:, n] = x[:, 0]
+    return out
 
 
 def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray:
@@ -446,7 +435,7 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
     steps, and each diag(d) scales contiguous (C, k_out) blocks.
     """
     a_t = _transposed(a_base)
-    w_t = [_transposed(w) for w in source.weights]
+    w_t = source.weights_t
     e, c, k = stages[0][0][0].shape  # the first stage's first layer input is x
     eye = np.zeros((e, k, c, k))
     diag = np.arange(k)

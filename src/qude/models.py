@@ -9,13 +9,14 @@ agnostic:
   Such a source is linear in the augmented state [x; 1], with the generator
   [[A + W, b], [0, 0]] for a base generator A, so it takes the base model's
   integration and adjoint path (see qude.dynamics).
+* ``kind`` -- the family: ``sp``, ``affine`` or ``nonlinear``.
 * ``coeff_affine()`` / ``coeff_affine_vjp(g_w, g_b)`` -- for linear sources,
-  (W, b) and the pullback of dL/dW, dL/db to the packed parameters.
-* ``coeff_generator()`` / ``coeff_forward(x)`` -- the source as a map on the
-  real coefficient space of the elementary Hermitian basis: the constant
-  generator of the structure-preserving source, the network output of a
-  network source.
+  (W, b) on the real coefficient space of the elementary Hermitian basis,
+  and the pullback of dL/dW, dL/db to the packed parameters.
 * ``pack()`` / ``with_params(theta)`` -- flat parameter vector round trip.
+* ``layers(x)`` -- networks only: the output at coefficient vectors x with
+  every layer's input and every hidden layer's tanh derivative, the one
+  layer loop the network engine runs (qude.dynamics.rk4_stages).
 
 The structure-preserving source keeps its rates non-negative by training
 gamma_raw with gamma = gamma_raw**2 (a ``signed`` mode exposes raw rates for
@@ -102,14 +103,13 @@ class StructurePreservingSource:
             return self.gamma_raw
         return self.gamma_raw**2
 
-    def coeff_generator(self) -> np.ndarray:
+    def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, 0), W = sum_j alpha_j B_alpha[j] + gamma_j B_gamma[j] the constant generator."""
         b_alpha, b_gamma = sp_generator_blocks(self.dim)
-        return np.einsum("j,jkl->kl", self.alpha, b_alpha) + np.einsum(
+        w = np.einsum("j,jkl->kl", self.alpha, b_alpha) + np.einsum(
             "j,jkl->kl", self.gammas, b_gamma
         )
-
-    def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.coeff_generator(), np.zeros(self.dim * self.dim)
+        return w, np.zeros(self.dim * self.dim)
 
     def coeff_affine_vjp(self, g_w: np.ndarray, g_b: np.ndarray) -> np.ndarray:
         """Parameter gradient from dL/dW through the constant generator blocks."""
@@ -214,8 +214,9 @@ class NetworkSource:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == ACTIVATION_IDENTITY and len(self.weights) != 1:
             raise ValueError(f"an identity network has one layer, not {len(self.weights)}")
-        # Resolved once for coeff_forward, which the step loop calls per stage.
-        object.__setattr__(self, "_hidden", tuple(zip(self.weights[:-1], self.biases[:-1])))
+        # Contiguous W^T once: numpy's matmul takes a slow path for a transposed view.
+        object.__setattr__(self, "weights_t",
+                           tuple(np.ascontiguousarray(w.T) for w in self.weights))
 
     @property
     def is_linear(self) -> bool:
@@ -229,12 +230,23 @@ class NetworkSource:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def coeff_forward(self, x: np.ndarray) -> np.ndarray:
-        """Network output for coefficient vectors; batched over leading axes."""
-        z = x
-        for w, b in self._hidden:
-            z = np.tanh(z @ w.T + b)
-        return z @ self.weights[-1].T + self.biases[-1]
+    def layers(self, x: np.ndarray):
+        """The output at coefficient vectors x (..., k), each layer's input and
+        each hidden layer's tanh derivative 1 - tanh^2, all shaped like x.
+
+        Every layer is one 2-D product over all leading axes of x.
+        """
+        shape = x.shape
+        z = x.reshape(-1, shape[-1])
+        last = len(self.weights_t) - 1
+        ins, derivs = [z], []
+        for l, (w_t, b) in enumerate(zip(self.weights_t, self.biases)):
+            z = z @ w_t + b
+            if l < last:  # only a tanh network has hidden layers
+                z = np.tanh(z)
+                derivs.append(1.0 - z * z)
+                ins.append(z)
+        return z.reshape(shape), [a.reshape(shape) for a in ins], [d.reshape(shape) for d in derivs]
 
     def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(W_0, b_0) of the one-layer identity-activation net x -> W_0 x + b_0."""

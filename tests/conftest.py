@@ -65,7 +65,10 @@ def make_twin_dataset(
 
 
 def newton_windows(monkeypatch) -> list[tuple[bool, int]]:
-    """Record, per Newton window, whether it fell back and its evaluations of F."""
+    """Record, per Newton window, whether it fell back and its evaluations of F.
+
+    The step loop also calls ``rk4_stages``, but only after its window is
+    recorded, and the next window starts its count from zero."""
     windows, evaluations = [], [0]
     window, stages = dynamics.newton_window, dynamics.rk4_stages
 

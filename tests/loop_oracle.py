@@ -1,25 +1,31 @@
 """Step-by-step RK4 recurrences, one experiment at a time.
 
 The reference implementation the engines in qude.dynamics / qude.train are
-checked against. For sources linear in the state (doubling propagation and
-the adjoint scan): one matrix-vector product per internal step forward, one
-per internal step in the reverse sweep, with nothing shared with the engine
-beyond the problem data. Generators act on the augmented state [x; 1], so the
-base model, the structure-preserving source and single-layer affine sources
-all run here. For nonlinear networks (the batched ``propagate_network``):
-the stage-by-stage step loop of one experiment; for their training loss and
-gradient, a forward loop storing every internal state and the per-step
-reverse sweep that recomputes the network at each stage and backpropagates
-through it (``network_group_loss_grad``). ``loss_by_split`` is the
-per-experiment train/validation loss report the CLI's ``train`` verb gave
-before it used the training engine.
+checked against; its step loops share nothing with them beyond the problem
+data and the source's parameters. For sources linear in the state (doubling
+propagation and the adjoint scan): one matrix-vector product per internal
+step forward, one per internal step in the reverse sweep. Generators act on
+the augmented state [x; 1], so the base model, the structure-preserving
+source and single-layer affine sources all run here. For nonlinear networks
+(the Newton forward and its fallback ``propagate_network``): the
+stage-by-stage step loop of one experiment, with its own layer loop
+(``_net_acts``); for their training loss and gradient, a forward loop
+storing every internal state and the per-step reverse sweep that recomputes
+the network at each stage and backpropagates through it
+(``network_group_loss_grad``). ``loss_by_split`` is the per-experiment
+train/validation loss report the CLI's ``train`` verb gave before it used
+the training engine. ``finite_difference_gradient`` is the other gradient
+oracle: central differences of the engine's own loss, so it checks each
+engine's adjoint against its forward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qude import dynamics, models, qcore
+from qude import dynamics, models, qcore, train
+
+FD_RELATIVE_STEP = 1e-6
 
 
 def rk4_step_matrix(a: np.ndarray, h_us: float) -> np.ndarray:
@@ -38,7 +44,7 @@ def augmented_generator(a_base: np.ndarray, source) -> np.ndarray:
     k = a_base.shape[-1]
     w, b = np.zeros((k, k)), np.zeros(k)
     if isinstance(source, models.StructurePreservingSource):
-        w = source.coeff_generator()
+        w = source.coeff_affine()[0]
     elif source is not None:
         assert source.n_layers == 1 and source.activation == models.ACTIVATION_IDENTITY
         w, b = source.weights[0], source.biases[0]
@@ -66,7 +72,7 @@ def network_step_loop(
     """Stage-by-stage RK4 for x' = A x + net(x); returns (n_samples, k)."""
 
     def f(x):
-        return a_base @ x + source.coeff_forward(x)
+        return a_base @ x + _net_acts(source, x)[-1]
 
     out = np.empty((n_samples, x0.size))
     x = x0
@@ -266,3 +272,20 @@ def network_group_loss_grad(
     for gw, gb in zip(grad_w, grad_b):
         parts += [gw.reshape(-1), gb]
     return loss, np.concatenate(parts)
+
+
+def finite_difference_gradient(problem: train.Problem, theta: np.ndarray, template) -> np.ndarray:
+    """Central differences of ``problem``'s loss, with the step 1e-6 (1 + |theta_i|)."""
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        step = FD_RELATIVE_STEP * (1.0 + abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += step
+        down[i] -= step
+        up_loss, down_loss = (problem.evaluate(th, template, want_grad=False)[0]
+                              for th in (up, down))
+        grad[i] = (up_loss - down_loss) / (2.0 * step)
+    if not np.all(np.isfinite(grad)):
+        raise train.GradientFailureError("gradient has non-finite components")
+    return grad

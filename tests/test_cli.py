@@ -107,6 +107,17 @@ BAD_VALUES = {
                          "[experiments] shots"),
     "shots-too-few-to-split": ("generate", ("shots = 500", "shots = 2\nshot_mode = split"),
                                "[experiments] shots"),
+    # device values must be finite: NaN would integrate to a non-finite state, and an
+    # infinite T1 would be written to the manifest as Infinity, which is not JSON
+    "t1-nan": ("generate", ("T1_us = 214.0", "T1_us = nan"), "bad [device]: T1_us must be finite"),
+    "t1-infinite": ("generate", ("T1_us = 214.0", "T1_us = inf"),
+                    "bad [device]: T1_us must be finite"),
+    "t2-nan": ("generate", ("T2_us = 32.0", "T2_us = nan"), "bad [device]: T2_us must be finite"),
+    "omega01-infinite": ("generate", ("omega01_GHz = 3.448", "omega01_GHz = inf"),
+                         "bad [device]: omega01_GHz must be finite"),
+    "omega-rot-infinite": ("generate", ("omega01_GHz = 3.448", "omega01_GHz = 3.448\n"
+                                        "omega_rot_GHz = -inf"),
+                           "bad [device]: omega_rot_GHz must be finite"),
 }
 
 
@@ -574,6 +585,15 @@ class TestCharacterize:
         cli.save_model(path, src, dev, "exp-gen", 10.0, 4.0, 0)
         assert run("characterize", "--model", path) == 2
 
+    def test_non_finite_params_are_rejected(self, sp_model, tmp_path, capsys):
+        """NaN parameters are a data error, not NaN in characterization.json."""
+        data = json.loads(sp_model.read_text())
+        data["params"][0] = float("nan")
+        sp_model.write_text(json.dumps(data))
+        assert run("characterize", "--model", sp_model, "--out", tmp_path / "char") == 2
+        assert "model.json: bad value for 'params[0]': nan" in capsys.readouterr().err
+        assert not (tmp_path / "char").exists()
+
 
 class TestReport:
     def test_report_combines_outputs(self, config_path, tmp_path):
@@ -696,6 +716,8 @@ MODEL_FIELD_FAULTS = {
     "params-past-floats": ("sp", {"params": [PAST_FLOATS] * 6}, "'params'"),
     "dim-past-params": ("sp", {"dim": PAST_FLOATS}, "'dim'"),
     "n-layers-past-params": ("nonlinear", {"n_layers": PAST_FLOATS}, "'n_layers'"),
+    "params-nan": ("sp", {"params": [0.0, 0.0, float("nan"), 0.0, 0.0, 0.0]}, "'params[2]'"),
+    "params-infinite": ("affine", {"params": [float("-inf")] + [0.0] * 19}, "'params[0]'"),
 }
 
 
@@ -839,6 +861,20 @@ class TestDataValidation:
         assert self.train(config_path, dataset_dir, tmp_path) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and name in err, err
+
+    @pytest.mark.parametrize("key, value", [("T2_us", float("nan")), ("T1_us", float("inf")),
+                                            ("omega01_GHz", float("nan")),
+                                            ("omega_rot_GHz", float("-inf"))])
+    def test_non_finite_manifest_device_is_rejected(self, key, value, config_path, dataset_dir,
+                                                    tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["device"][key] = value
+        manifest.write_text(json.dumps(data))
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"manifest.json: bad device: {key} must be finite" in err, err
+        assert not (tmp_path / "fit").exists()
 
     def test_manifest_of_a_qutrit_is_rejected(self, dataset_dir, tmp_path, capsys):
         """kx, ky and kz are a qubit's counts, whatever the device says."""

@@ -244,7 +244,7 @@ class TestTrainingEngine:
         theta = np.zeros(0) if src is None else src.pack()
         assert relative(problem.evaluate(theta, src, want_grad=False)[0], ref_loss) <= TOL
         if src is not None:
-            assert relative(problem.gradient(theta, src), ref_grad) <= TOL
+            assert relative(problem.evaluate(theta, src)[1], ref_grad) <= TOL
 
     def test_network_chunk_edges_change_nothing(self, monkeypatch):
         """Forward and reverse chunks that end mid-sample and leave a ragged tail."""
@@ -314,7 +314,7 @@ class TestNewtonForward:
         windows = newton_windows(monkeypatch)
         assert relative(dynamics.group_samples(group, src), ref_samples) <= TOL
         assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], ref_loss) <= TOL
-        assert relative(problem.gradient(src.pack(), src), ref_grad) <= TOL
+        assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
         n_windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
         # three forwards, every window converged
         assert [fell_back for fell_back, _ in windows] == [False] * 3 * n_windows
@@ -361,7 +361,8 @@ class TestNewtonForward:
                                          group.n_samples * group.n_sub)
         windows = newton_windows(monkeypatch)
         np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 4::5])
-        assert [fell_back for fell_back, _ in windows] == [True]
+        # every evaluation of the window, and none of the step loop's rk4_stages calls
+        assert windows == [(True, dynamics.NEWTON_MAX_ITERS)]
         assert relative(ref[:, 4::5], loop_samples(group, src)) <= TOL
 
     def test_each_experiment_converges_on_its_own_scale(self, monkeypatch):

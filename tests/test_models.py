@@ -47,7 +47,7 @@ class TestSpHermitian:
 def sp_dissipator(src: models.StructurePreservingSource, rho: np.ndarray) -> np.ndarray:
     """The dissipative part of a source: its coefficient-space generator at alpha = 0."""
     basis = qcore.hermitian_basis(src.dim)
-    gen = replace(src, alpha=np.zeros_like(src.alpha)).coeff_generator()
+    gen = replace(src, alpha=np.zeros_like(src.alpha)).coeff_affine()[0]
     return qcore.reconstruct_many(qcore.expand_many(rho[None], basis) @ gen.T, basis)[0]
 
 
@@ -130,9 +130,9 @@ class TestEffectiveTimes:
 
 
 def net_source(src: models.NetworkSource, rho: np.ndarray) -> np.ndarray:
-    """The matrix a network source adds at a state, through ``coeff_forward``."""
+    """The matrix a network source adds at a state, through ``layers``."""
     basis = qcore.hermitian_basis(src.dim)
-    return qcore.reconstruct_many(src.coeff_forward(qcore.expand_many(rho[None], basis)), basis)[0]
+    return qcore.reconstruct_many(src.layers(qcore.expand_many(rho[None], basis))[0], basis)[0]
 
 
 class TestNetworkSource:
@@ -165,7 +165,8 @@ class TestNetworkSource:
         (2, models.ACTIVATION_IDENTITY), (2, models.ACTIVATION_TANH),
         (4, models.ACTIVATION_IDENTITY), (4, models.ACTIVATION_TANH)])
     def test_coeff_forward_is_the_layer_loop(self, n_layers, activation):
-        """Bit for bit x -> act(W x + b) layer by layer, identity on the last layer.
+        """Bit for bit x -> act(W x + b) layer by layer, identity on the last layer,
+        with each layer's input and each hidden layer's tanh derivative.
 
         An identity network has one layer: a deeper one is rejected when it is built."""
         rng = np.random.default_rng(n_layers)
@@ -177,12 +178,18 @@ class TestNetworkSource:
             return
         src = models.NetworkSource(dim=2, weights=weights, biases=biases, activation=activation)
         x = rng.standard_normal((3, 5, 4))
-        z = x
+        z, ins, derivs = x, [x], []
         for l, (w, b) in enumerate(zip(src.weights, src.biases)):
             z = z @ w.T + b
             if l < n_layers - 1 and activation == models.ACTIVATION_TANH:
                 z = np.tanh(z)
-        np.testing.assert_array_equal(src.coeff_forward(x), z)
+                ins.append(z)
+                derivs.append(1.0 - z * z)
+        out, out_ins, out_derivs = src.layers(x)
+        np.testing.assert_array_equal(out, z)
+        assert (len(out_ins), len(out_derivs)) == (n_layers, n_layers - 1)
+        for got, want in zip(out_ins + out_derivs, ins + derivs):
+            np.testing.assert_array_equal(got, want)
 
     def test_kind_follows_activation(self):
         assert models.make_source("affine").kind == "affine"
@@ -237,7 +244,7 @@ class TestCoeffGenerator:
         basis = qcore.hermitian_basis(2)
         src = sp(alpha=[0.2, -0.1, 0.4], gamma_raw=[0.3, 0.1, 0.2])
         s_h = models.sp_hermitian(src)
-        gen = src.coeff_generator()
+        gen = src.coeff_affine()[0]
         rng = np.random.default_rng(10)
         for _ in range(10):
             rho = states.random_density_matrix(2, rng)
