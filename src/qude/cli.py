@@ -108,6 +108,14 @@ def _positive(value) -> float:
     return value
 
 
+def _count(raw) -> int:
+    """``raw`` as a non-negative int; ValueError otherwise."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 # generate draws, integrates and holds every experiment in memory and writes one
 # record file each. The paper's protocols use tens of experiments, so 10**4 leaves
 # a hundredfold margin; a count past it is a typo, and one of hundreds of digits
@@ -148,16 +156,17 @@ class RunConfig:
                    "T2_us": (float, REQUIRED), "dim": (int, 2)},
         "latent": {"ansatz": (str, "none"), "model_file": (str, None),
                    "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
-        "experiments": {"seed": (int, 0), "n_experiments": (_experiment_count, 5),
+        "experiments": {"seed": (_count, 0), "n_experiments": (_experiment_count, 5),
                         "p_max_MHz": (_positive, REQUIRED), "duration_us": (_positive, REQUIRED),
                         "sample_dt_ns": (_positive, 4.0), "shots": (_shot_count, 5000),
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
         "training": {
             "ansatz": _choices(models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR),
-            "train_horizon_us": (float, None), "hidden_layers": (int, 2),
+            "train_horizon_us": (_positive, None), "hidden_layers": (_count, 2),
             "gamma_mode": _choices("squared", "signed"),
             **{f.name: (type(f.default) if isinstance(f.default, (int, float)) else str, f.default)
                for f in fields(TrainConfig)},
+            "dt_internal_ns": (_positive, TrainConfig.dt_internal_ns),  # generate reads it too
         },
         "output": {"directory": (str, "out")},
     }
@@ -231,6 +240,8 @@ class RunConfig:
         gamma_inv = self.get("latent", "gamma_inv_us")
         if alpha_khz and len(alpha_khz) != n:
             raise ConfigError(f"{self.path}: '[latent] alpha_kHz' needs {n} entries")
+        if not np.isfinite(alpha_khz).all():
+            raise ConfigError(f"{self.path}: '[latent] alpha_kHz' needs finite entries")
         if gamma_inv and len(gamma_inv) != n:
             raise ConfigError(f"{self.path}: '[latent] gamma_inv_us' needs {n} entries")
         if not all(g >= 0 for g in gamma_inv):
@@ -247,8 +258,11 @@ class RunConfig:
     def train_config(self, args) -> TrainConfig:
         """The ``[training]`` values of ``TrainConfig``'s fields; a flag of the
         same name (``--mode``, ``--seed``) overrides."""
-        return TrainConfig(**{f.name: self.get("training", f.name, getattr(args, f.name, None))
-                              for f in fields(TrainConfig)})
+        try:
+            return TrainConfig(**{f.name: self.get("training", f.name, getattr(args, f.name, None))
+                                  for f in fields(TrainConfig)})
+        except ValueError as err:
+            raise ConfigError(f"{self.path}: bad [training]: {err}") from None
 
 
 # -- helpers ------------------------------------------------------------------------
@@ -637,15 +651,24 @@ def cmd_generate(args) -> int:
 
     amp_rng = np.random.default_rng([seed, 0])
     amplitudes = [p_max * (1.0 - amp_rng.random()) for _ in range(n_exp)]
-    exps = [
-        Experiment(
-            id=f"exp-{i:03d}",
-            amplitude_p_MHz=float(a),
-            duration_us=duration,
-            sample_dt_ns=sample_dt,
-        )
-        for i, a in enumerate(amplitudes)
-    ]
+    try:
+        exps = [
+            Experiment(
+                id=f"exp-{i:03d}",
+                amplitude_p_MHz=float(a),
+                duration_us=duration,
+                sample_dt_ns=sample_dt,
+            )
+            for i, a in enumerate(amplitudes)
+        ]
+    except ValueError as err:  # each value is checked on load, so only the grid can be off
+        raise ConfigError(f"{cfg.path}: '[experiments] sample_dt_ns' does not fit "
+                          f"'[experiments] duration_us': {err}") from None
+    try:
+        dynamics.integration_steps(exps[0], dt_internal)
+    except ValueError as err:
+        raise ConfigError(f"{cfg.path}: '[training] dt_internal_ns' does not fit "
+                          f"'[experiments] sample_dt_ns': {err}") from None
 
     trajectories = dynamics.integrate_many(dev, exps, latent, dt_internal)
     results = [
@@ -916,6 +939,8 @@ def main(argv: list[str] | None = None) -> int:
         horizon = getattr(args, "train_horizon_us", None)
         if horizon is not None and not 0.0 < horizon < np.inf:
             raise ConfigError(f"--train-horizon-us must be positive and finite, got {horizon!r}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -24,9 +24,10 @@ S^d - I so that the identity does not round away the small per-step
 change.
 
 Nonlinear networks are solved by Newton's method in time (DEER: Lim et
-al., ICLR 2024), one window of FORWARD_CHUNK_SAMPLES samples at a time.
-Every step x_n = F(x_{n-1}) of the current iterate is evaluated in bulk
-(``rk4_stages``), and the tangent recurrence
+al., ICLR 2024), one window of FORWARD_CHUNK_SAMPLES samples at a time, the
+one cut of the horizon: the training adjoint walks back over the same
+windows. Every step x_n = F(x_{n-1}) of the current iterate is evaluated
+in bulk (``rk4_stages``), and the tangent recurrence
 delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
 The Jacobian increments D_n = dF/dx - I (``rk4_increment``, dearer than an
 evaluation) are formed once per window, at its first iterate, and reused by
@@ -412,21 +413,22 @@ def propagate_network(
 
     It iterates the map F whose fixed point ``newton_window`` solves, and is
     what ``network_chunks`` runs for a window that Newton does not solve.
-    ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the state after every
-    internal step, (E, n_steps, k); non-finite states are kept for the
+    ``a_base`` is (E, k, k) and ``x0`` (E, k). Returns the window's states
+    from x0 on, (E, n_steps + 1, k); non-finite states are kept for the
     caller's divergence check.
     """
-    out = np.empty((len(x0), n_steps, x0.shape[-1]))
+    out = np.empty((len(x0), n_steps + 1, x0.shape[-1]))
+    out[:, 0] = x0
     x = x0[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
+        for n in range(1, n_steps + 1):
             x = rk4_stages(a_base, source, h_us, x)[0]
             out[:, n] = x[:, 0]
     return out
 
 
 def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray:
-    """D = dF/dx - I of every step of ``rk4_stages``, (E, C, k, k).
+    """D = dF/dx - I of every step of ``rk4_stages``, step-major (C, E, k, k).
 
     Stage s has the Jacobian J_s = A + W_L diag(d_{L-1}) W_{L-1} ... diag(d_0) W_0
     and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx.
@@ -448,7 +450,7 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
             q = _rows(q * derivs[l - 1][:, None], w_t[l])
         slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
     k1, k2, k3, k4 = slopes
-    return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (0, 2, 3, 1))
+    return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (2, 0, 3, 1))
 
 
 def tangent_recurrence(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -480,8 +482,8 @@ NEWTON_TOL_ULPS = 4.0
 def newton_window(
     a_base: np.ndarray, source, x0: np.ndarray, h_us: float, guess: np.ndarray
 ) -> np.ndarray | None:
-    """The states of ``propagate_network`` over one window, by Newton's method
-    in time from ``guess`` (E, L, k); None if it does not converge.
+    """The states (E, L + 1, k) of ``propagate_network`` over one window, by
+    Newton's method in time from ``guess`` (E, L, k); None if it does not converge.
 
     Each iteration evaluates every step x_n = F(x_{n-1}) of the current
     iterate at once (``rk4_stages``) and stops when, for every experiment,
@@ -506,16 +508,15 @@ def newton_window(
                 return None
             scale = np.max(np.abs(xs), axis=(1, 2))
             if np.all(err <= NEWTON_TOL_ULPS * np.finfo(float).eps * scale):
-                return xs[:, 1:]
+                return xs
             if d is None:  # the chord: the first iterate's Jacobians serve every solve
-                d = np.moveaxis(rk4_increment(a_base, source, h_us, stages), 1, 0)
-                d = np.ascontiguousarray(d[1:])
+                d = np.ascontiguousarray(rk4_increment(a_base, source, h_us, stages)[1:])
             delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
             xs[:, 1:] += np.moveaxis(delta, 0, 1)
     return None
 
 
-FORWARD_CHUNK_SAMPLES = 128  # samples a network forward propagates per chunk
+FORWARD_CHUNK_SAMPLES = 128  # samples per Newton window, forward and reverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,8 +592,10 @@ def linear_forward(group: GridGroup, source=None):
     doubling powers of S = R^n_sub and the checked sample states [x_s; 1],
     s = 1..n_samples, as (E, n_samples, k+1).
     """
-    m = augmented_generator(group.a_base, source)
-    increments = power_increments(rk4_step_increment(m, group.h_us), group.n_sub, group.n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports overflow
+        m = augmented_generator(group.a_base, source)
+        d_step = rk4_step_increment(m, group.h_us)
+    increments = power_increments(d_step, group.n_sub, group.n_samples)
     x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
     samples = propagate_linear(increments, x0, group.n_samples)
     check_finite(samples, group)
@@ -600,14 +603,14 @@ def linear_forward(group: GridGroup, source=None):
 
 
 def network_chunks(group: GridGroup, source):
-    """The forward of a nonlinear source over a group, one Newton window per chunk.
+    """The forward of a nonlinear source over a group, one Newton window at a time.
 
-    Yields (lo, hi, steps) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
-    time: ``steps`` (E, (hi - lo) n_sub, k) holds the state after every
-    internal step, each chunk starting from the last state of the one before.
-    A chunk is solved by ``newton_window`` from the base-model trajectory of
+    Yields (lo, hi, states) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
+    time: ``states`` (E, (hi - lo) n_sub + 1, k) holds the window's start
+    state, the last of the window before, and the state after every step.
+    A window is solved by ``newton_window`` from the base-model trajectory of
     its start state, or, if that does not converge, by ``propagate_network``.
-    Every chunk's samples are checked before it is yielded.
+    Its samples ``states[:, n_sub::n_sub]`` are checked before it is yielded.
     """
     increments = power_increments(
         rk4_step_increment(group.a_base, group.h_us), 1, FORWARD_CHUNK_SAMPLES * group.n_sub
@@ -617,12 +620,12 @@ def network_chunks(group: GridGroup, source):
         hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
         n_steps = (hi - lo) * group.n_sub
         guess = propagate_linear(increments, x, n_steps)
-        steps = newton_window(group.a_base, source, x, group.h_us, guess)
-        if steps is None:
-            steps = propagate_network(group.a_base, source, x, group.h_us, n_steps)
-        check_finite(steps[:, group.n_sub - 1 :: group.n_sub], group, first=lo)
-        x = steps[:, -1]
-        yield lo, hi, steps
+        states = newton_window(group.a_base, source, x, group.h_us, guess)
+        if states is None:
+            states = propagate_network(group.a_base, source, x, group.h_us, n_steps)
+        check_finite(states[:, group.n_sub :: group.n_sub], group, first=lo)
+        x = states[:, -1]
+        yield lo, hi, states
 
 
 def group_samples(group: GridGroup, source=None) -> np.ndarray:
@@ -630,7 +633,7 @@ def group_samples(group: GridGroup, source=None) -> np.ndarray:
     if source is None or source.is_linear:
         return linear_forward(group, source)[-1][..., :-1]
     return np.concatenate(
-        [steps[:, group.n_sub - 1 :: group.n_sub] for _, _, steps in network_chunks(group, source)],
+        [states[:, group.n_sub :: group.n_sub] for _, _, states in network_chunks(group, source)],
         axis=1,
     )
 

@@ -18,16 +18,15 @@ upper-right block of S([[X, E], [0, X]]) (Mathias, SIAM J. Matrix Anal.
 Appl. 17, 1996): the forward's own polynomial of [[M^T, dL/dS], [0, M^T]]
 gives dL/dM, and ``coeff_affine_vjp`` takes it to the parameters.
 
-Nonlinear networks run ``dynamics.network_chunks``, one Newton window per
-dynamics.FORWARD_CHUNK_SAMPLES samples, adding each chunk's part of the
-loss as it goes. The reverse sweep walks back REVERSE_CHUNK_STEPS steps at
-a time. From the stored states the bulk RK4 step of the forward
+Nonlinear networks run ``dynamics.network_chunks``: the loss is the sum of
+its Newton windows' losses, and the reverse sweep walks back over the same
+windows. From a window's states the bulk RK4 step of the forward
 (``dynamics.rk4_stages`` / ``rk4_increment``) rebuilds the four stages'
 layer inputs and tanh derivatives and each step's Jacobian increment
 D_n = dx_n/dx_{n-1} - I; then lam_{n-1} = (I + D_n^T) lam_n (plus dl/dx on
 sample steps) runs step by step (``dynamics.tangent_recurrence``), and the
 stage adjoints are pushed through the network and contracted with the
-layer inputs for the whole chunk at once. The test suite checks both
+layer inputs for the whole window at once. The test suite checks both
 engines' gradients against central finite differences of the same loss.
 
 A ``Problem`` compiles the train split once into grid groups with their
@@ -138,10 +137,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in (MODE_EXP_GEN, MODE_EXP_SPEC):
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.adam_lr <= 0:
-            raise ValueError("adam_lr must be positive")
-        if self.adam_batch < 1:
-            raise ValueError("adam_batch must be >= 1")
+        if not 0 < self.adam_lr < np.inf:
+            raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
+        for name, least in (("adam_batch", 1), ("adam_epochs", 0), ("lbfgs_max_iters", 0),
+                            ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 class FitRow(NamedTuple):
@@ -242,57 +243,52 @@ def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndar
 
 # -- network engine (nonlinear sources) -------------------------------------------
 
-REVERSE_CHUNK_STEPS = 256  # steps whose stage activations are rebuilt at once
-
-
 def _network_loss(
     group: _Group, source: models.NetworkSource, weights: np.ndarray, limit: float = np.inf
 ):
-    """Loss of a group and its states [x_0, x_1, ..., x_N] after every internal
-    step, (E, N+1, k); (inf, None) as soon as the running loss of the samples
-    so far passes ``limit``."""
+    """Loss of a group, the sum of its Newton windows' losses, and the windows
+    (lo, hi, states); (inf, None) as soon as the running sum passes ``limit``."""
     n_sub = group.n_sub
-    xs = np.empty((group.x0.shape[0], group.n_samples * n_sub + 1, group.x0.shape[1]))
-    xs[:, 0] = group.x0
-    running = 0.0
-    for lo, hi, steps in dynamics.network_chunks(group, source):
-        xs[:, lo * n_sub + 1 : hi * n_sub + 1] = steps
-        running += _sq_loss(steps[:, n_sub - 1 :: n_sub] - group.targets[:, lo:hi], weights)
-        if running > limit:
+    total = 0.0
+    windows = []
+    for lo, hi, states in dynamics.network_chunks(group, source):
+        total += _sq_loss(states[:, n_sub::n_sub] - group.targets[:, lo:hi], weights)
+        if total > limit:
             return np.inf, None
-    return _sq_loss(xs[:, n_sub::n_sub] - group.targets, weights), xs
+        windows.append((lo, hi, states))
+    return total, windows
 
 
 def _network_grad(
-    group: _Group, source: models.NetworkSource, weights: np.ndarray, xs: np.ndarray
+    group: _Group, source: models.NetworkSource, weights: np.ndarray, windows: list
 ) -> np.ndarray:
     h, n_sub = group.h_us, group.n_sub
-    # dl/dx_n of every step n = 1..N, nonzero on sample steps, step-major.
-    g = np.zeros((xs.shape[1] - 1,) + group.x0.shape)
-    g[n_sub - 1 :: n_sub] = np.swapaxes(2.0 * weights * (xs[:, n_sub::n_sub] - group.targets), 0, 1)
-
     last, k = source.n_layers - 1, group.x0.shape[-1]
     grad_w = [np.zeros_like(w) for w in source.weights]
     grad_b = [np.zeros_like(b) for b in source.biases]
     lam = np.zeros_like(group.x0)
-    for hi in range(xs.shape[1] - 1, 0, -REVERSE_CHUNK_STEPS):
-        lo = max(hi - REVERSE_CHUNK_STEPS, 0)
-        _, stages = dynamics.rk4_stages(group.a_base, source, h, xs[:, lo:hi])
+    for lo, hi, states in reversed(windows):
+        _, stages = dynamics.rk4_stages(group.a_base, source, h, states[:, :-1])
         d_step = dynamics.rk4_increment(group.a_base, source, h, stages)
-        # D_n^T of the chunk's steps n = hi, hi-1, ..., lo+1.
-        d_t = np.ascontiguousarray(np.swapaxes(np.moveaxis(d_step, 1, 0), -1, -2)[::-1])
+        # D_n^T of the window's steps, last step first.
+        d_t = np.ascontiguousarray(np.swapaxes(d_step, -1, -2)[::-1])
 
-        # lam_n = dL/dx_n for the chunk's steps, walking back by
+        # dl/dx_n of the window's steps, nonzero on sample steps, step-major.
+        g = np.zeros((states.shape[1] - 1,) + group.x0.shape)
+        g[n_sub - 1 :: n_sub] = np.swapaxes(
+            2.0 * weights * (states[:, n_sub::n_sub] - group.targets[:, lo:hi]), 0, 1)
+
+        # lam_n = dL/dx_n for the window's steps, walking back by
         # lam_{n-1} = (I + D_n^T) lam_n + dl/dx_{n-1}; lam carries
-        # (I + D_{hi+1}^T) lam_{hi+1} in from the chunk after.
-        r = g[lo:hi][::-1].copy()
+        # (I + D^T) lam in from the first step of the window after.
+        r = g[::-1]
         r[0] += lam
         lams = dynamics.tangent_recurrence(d_t[:-1], r)
         lam = lams[-1] + (d_t[-1] @ lams[-1][..., None])[..., 0]
-        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), steps lo+1..hi
+        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), the window's steps in order
 
         # Stage adjoints of the RK4 update, last stage first, and each layer's
-        # output gradient contracted with its inputs over the whole chunk.
+        # output gradient contracted with its inputs over the whole window.
         q = None
         for (ins, derivs), c_lam, c_q in zip(
             reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
@@ -352,7 +348,7 @@ class Problem:
         non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
         the full loss is then above the bound too, whatever the rounding of the
         partial sums. The linear engine checks between groups, the network
-        engine every dynamics.FORWARD_CHUNK_SAMPLES samples; a loss that stays inside is
+        engine after each Newton window; a loss that stays inside is
         computed exactly as without a bound. The gradient comes from the adjoint
         on the same forwards, and only when the loss is not above ``bound``, so
         a rejected line-search candidate pays no adjoint.

@@ -118,6 +118,30 @@ BAD_VALUES = {
     "omega-rot-infinite": ("generate", ("omega01_GHz = 3.448", "omega01_GHz = 3.448\n"
                                         "omega_rot_GHz = -inf"),
                            "bad [device]: omega_rot_GHz must be finite"),
+    "alpha-nan": ("generate", ("0.15, 2.18, 5.66", "0.15, nan, 5.66"), "[latent] alpha_kHz"),
+    "alpha-infinite": ("generate", ("0.15, 2.18, 5.66", "0.15, 2.18, inf"), "[latent] alpha_kHz"),
+    "adam-lr-nan": ("train", ("adam_epochs = 5", "adam_epochs = 5\nadam_lr = nan"),
+                    "bad [training]: adam_lr"),
+    "adam-lr-infinite": ("train", ("adam_epochs = 5", "adam_epochs = 5\nadam_lr = inf"),
+                         "bad [training]: adam_lr"),
+    "adam-epochs-negative": ("train", ("adam_epochs = 5", "adam_epochs = -1"),
+                             "bad [training]: adam_epochs"),
+    "lbfgs-iters-negative": ("train", ("lbfgs_max_iters = 30", "lbfgs_max_iters = -1"),
+                             "bad [training]: lbfgs_max_iters"),
+    "experiments-seed-negative": ("generate", ("seed = 11", "seed = -11"), "[experiments] seed"),
+    "training-seed-negative": ("train", ("seed = 3", "seed = -3"), "bad [training]: seed"),
+    "hidden-layers-negative": ("train", ("mode = exp-gen", "mode = exp-gen\nhidden_layers = -1"),
+                               "[training] hidden_layers"),
+    "dt-internal-nan": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = nan"),
+                        "[training] dt_internal_ns"),
+    "dt-internal-not-dividing": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = 3.0"),
+                                 "[training] dt_internal_ns"),
+    "sample-dt-not-dividing": ("generate", ("sample_dt_ns = 20.0", "sample_dt_ns = 30.0"),
+                               "[experiments] sample_dt_ns"),
+    "train-horizon-nan": ("train", ("train_horizon_us = 0.5", "train_horizon_us = nan"),
+                          "[training] train_horizon_us"),
+    "train-horizon-negative": ("train", ("train_horizon_us = 0.5", "train_horizon_us = -1"),
+                               "[training] train_horizon_us"),
 }
 
 
@@ -623,6 +647,29 @@ class TestErrors:
         bad.write_text(json.dumps({"schema": "other"}))
         assert run("characterize", "--model", bad) == 2
 
+    def test_diverging_generate_reports_one_line(self, tmp_path, capsys):
+        """A rate of 1e300 per us overflows the step increments; the divergence
+        check reports it, and nothing warns before it."""
+        text = BASE_CONFIG.replace("1686, 1686, 688", "1686, 1e-300, 688")
+        assert run("generate", "--config", write_config(tmp_path, text), "--out",
+                   tmp_path / "data") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+    def test_diverging_evaluate_reports_one_line(self, config_path, tmp_path, capsys):
+        """SP parameters of 1e200 square past the float range in the rates."""
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        model = tmp_path / "model.json"
+        dev = cli.RunConfig.load(config_path).device()
+        src = models.make_source("sp")
+        cli.save_model(model, src.with_params(np.full(src.pack().shape, 1e200)), dev,
+                       "exp-gen", 0.5, 4.0, 0)
+        capsys.readouterr()
+        assert run("evaluate", "--model", model, "--dataset", tmp_path / "data" / "manifest.json",
+                   "--out", tmp_path / "eval") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
 
 def rewrite_line(path: Path, number: int, edit) -> None:
     """Replace line ``number`` by ``edit(line, line before it)``."""
@@ -700,6 +747,7 @@ MODEL_FAULTS = {
     "report-flag-negative": ("report", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
     "train-flag-zero": ("train", {}, ("--train-horizon-us", 0), ("--train-horizon-us",)),
     "train-flag-negative": ("train", {}, ("--train-horizon-us", -1), ("--train-horizon-us",)),
+    "train-seed-flag-negative": ("train", {}, ("--seed", -1), ("--seed",)),
 }
 
 

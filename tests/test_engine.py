@@ -38,8 +38,8 @@ def group_loss_grad(group, src, weights, linear: bool):
     if linear:
         loss, forward = train._linear_loss(group, src, weights)
         return loss, train._linear_grad(group, src, weights, forward)
-    loss, xs = train._network_loss(group, src, weights)
-    return loss, train._network_grad(group, src, weights, xs)
+    loss, windows = train._network_loss(group, src, weights)
+    return loss, train._network_grad(group, src, weights, windows)
 
 
 def twin(n_sub: int, n_experiments: int, seed: int = 31) -> tuple[train.Dataset, float]:
@@ -148,13 +148,14 @@ class TestBatchedPrediction:
         sample_dt, dt_internal = N_SUB_CASES[n_sub]
         (group,) = dynamics.grid_groups(DEV1, self.experiments([(sample_dt, 1.0)]), dt_internal)
         src = make_case("nonlinear")
-        steps = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
-                                           group.n_samples * n_sub)
-        assert steps.shape == (3, group.n_samples * n_sub, 4)
+        states = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                            group.n_samples * n_sub)
+        assert states.shape == (3, group.n_samples * n_sub + 1, 4)
+        np.testing.assert_array_equal(states[:, 0], group.x0)
         for e in range(3):
             ref = loop_oracle.network_step_loop(group.a_base[e], src, group.x0[e], group.h_us,
                                                 group.n_samples, n_sub)
-            assert relative(steps[e, n_sub - 1 :: n_sub], ref) <= TOL
+            assert relative(states[e, n_sub::n_sub], ref) <= TOL
 
     def test_network_chunks_change_no_prediction(self, monkeypatch):
         """Each chunk is its own Newton window, so chunk edges move only rounding."""
@@ -247,14 +248,14 @@ class TestTrainingEngine:
             assert relative(problem.evaluate(theta, src)[1], ref_grad) <= TOL
 
     def test_network_chunk_edges_change_nothing(self, monkeypatch):
-        """Forward and reverse chunks that end mid-sample and leave a ragged tail."""
+        """4-sample windows, 37 samples in all: the forward and the reverse
+        sweep cut the horizon at the same edges and leave a ragged tail."""
         ds, dt_internal = twin(5, 3)
         problem = train.Problem(ds, DEV1, dt_internal)
         (group,) = problem.groups
         src = make_case("nonlinear")
         whole_loss, _ = group_loss_grad(group, src, problem.weights, linear=False)
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
-        monkeypatch.setattr(train, "REVERSE_CHUNK_STEPS", 7)
         loss, grad = group_loss_grad(group, src, problem.weights, linear=False)
         assert relative(loss, whole_loss) <= TOL
         ref_loss, ref_grad = loop_oracle.network_group_loss_grad(
@@ -262,6 +263,34 @@ class TestTrainingEngine:
         )
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
+
+    def test_reverse_sweep_walks_the_forward_windows(self, monkeypatch):
+        """One loss-and-gradient evaluation rebuilds the stages once per Newton
+        window, last window first, from that window's own states."""
+        ds, dt_internal = twin(5, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
+        src = make_case("nonlinear")
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
+        windows, calls = [], []
+        chunks, stages = dynamics.network_chunks, dynamics.rk4_stages
+
+        def recorded_chunks(*args):
+            for window in chunks(*args):
+                windows.append(window[2])
+                yield window
+            calls.clear()  # the calls so far were the forward's
+
+        def recorded_stages(a_base, source, h_us, x):
+            calls.append(x)
+            return stages(a_base, source, h_us, x)
+
+        monkeypatch.setattr(dynamics, "network_chunks", recorded_chunks)
+        monkeypatch.setattr(dynamics, "rk4_stages", recorded_stages)
+        problem.evaluate(src.pack(), src)
+        assert len(windows) == 10 and len(calls) == len(windows)
+        for x, states in zip(calls, reversed(windows)):
+            assert np.shares_memory(x, states)
+            np.testing.assert_array_equal(x, states[:, :-1])
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_affine_matches_network_path(self, n_sub):
@@ -348,8 +377,8 @@ class TestNewtonForward:
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * n_sub)
         monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 0)
-        steps = np.concatenate([s for _, _, s in dynamics.network_chunks(group, src)], axis=1)
-        np.testing.assert_array_equal(steps, ref)
+        for lo, hi, states in dynamics.network_chunks(group, src):
+            np.testing.assert_array_equal(states, ref[:, lo * n_sub : hi * n_sub + 1])
 
     def test_unconverged_window_is_the_step_loop(self, monkeypatch):
         """At 1000 times the template the iterates of the one 185-step window
@@ -359,11 +388,13 @@ class TestNewtonForward:
         src = scaled_template(1000.0)
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * group.n_sub)
+        (states,) = [states for _, _, states in dynamics.network_chunks(group, src)]
+        np.testing.assert_array_equal(states, ref)
         windows = newton_windows(monkeypatch)
-        np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 4::5])
+        np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 5::5])
         # every evaluation of the window, and none of the step loop's rk4_stages calls
         assert windows == [(True, dynamics.NEWTON_MAX_ITERS)]
-        assert relative(ref[:, 4::5], loop_samples(group, src)) <= TOL
+        assert relative(ref[:, 5::5], loop_samples(group, src)) <= TOL
 
     def test_each_experiment_converges_on_its_own_scale(self, monkeypatch):
         """A state 1e12 times larger in the group does not loosen the others' tolerance."""
@@ -423,7 +454,7 @@ class TestNewtonForward:
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us, 135 * 5)
         windows = newton_windows(monkeypatch)
         assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
-        assert relative(dynamics.group_samples(group, src), ref[:, 4::5]) <= TOL
+        assert relative(dynamics.group_samples(group, src), ref[:, 5::5]) <= TOL
         loss, grad = problem.evaluate(src.pack(), src)
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL

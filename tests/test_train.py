@@ -304,6 +304,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             train.TrainConfig(adam_lr=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("adam_lr", np.nan), ("adam_lr", np.inf), ("adam_epochs", -1),
+        ("lbfgs_max_iters", -1), ("seed", -1)])
+    def test_out_of_range_value_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            train.TrainConfig(**{field: value})
+
 
 class TestDataset:
     def test_records_sorted_on_construction(self):
