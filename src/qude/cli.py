@@ -26,8 +26,10 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +405,12 @@ def load_model(path: str | Path):
         raise ConfigError(f"{path}: {err}") from None
 
 
+def _row_prefix(exp: Experiment) -> str:
+    """The exp_id and amplitude that begin each record row of ``exp``."""
+    return '{"exp_id": %s, "amplitude_MHz": %s, ' % (json.dumps(exp.id),
+                                                      json.dumps(exp.amplitude_p_MHz))
+
+
 def write_dataset(
     out_dir: Path,
     dev: DeviceModel,
@@ -429,10 +437,7 @@ def write_dataset(
         counts = block.counts.astype(np.int64).astype(object)
         noiseless = block.shots == 0
         counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
-        prefix = '{"exp_id": %s, "amplitude_MHz": %s, ' % (
-            json.dumps(exp.id), json.dumps(exp.amplitude_p_MHz)
-        )
-        row = (prefix.replace("%", "%%")
+        row = (_row_prefix(exp).replace("%", "%%")
                + '"time_us": %r, "shots": %r, "kx": %r, "ky": %r, "kz": %r}\n')
         with (out_dir / fname).open("w") as fh:
             fh.writelines(map(row.__mod__, zip(block.times_us.tolist(), block.shots.tolist(),
@@ -466,43 +471,47 @@ def write_dataset(
 
 
 RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")
+_NUMBER = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"  # unsigned JSON, ASCII digits
+# one whole line of the row form write_dataset writes: its only '{' is its first character
+CANONICAL_ROW = re.compile(r'^\{"exp_id": "[^"\\{\n]*", "amplitude_MHz": %s, %s\}\n' % (
+    _NUMBER, ", ".join(f'"{field}": ({_NUMBER})' for field in RECORD_FIELDS)), re.MULTILINE)
 
 
-def _joined_rows(lines: list[str]) -> list[dict] | None:
-    """The objects of ``lines`` from one json.loads of them joined as a JSON array,
-    or None when the guard fails or the array does not decode.
-
-    The guard: each stripped line starts with '{' and ends with '}', and the lines
-    hold no other brace. The joint ',\n' cannot lie inside a strict JSON string,
-    so no brace is quoted, objects cannot nest and element k is the object of
-    line k alone: a row can neither cross a line nor share one."""
-    joined = ",\n".join(lines)
-    if not (joined.count("{") == len(lines) == joined.count("}")
-            and all(s[0] == "{" and s[-1] == "}" for s in map(str.strip, lines))):
+def _canonical_table(path: Path, exp: Experiment) -> tuple[np.ndarray, range] | None:
+    """The (n, 5) RECORD_FIELDS columns and line numbers of a record file whose
+    every line is the row write_dataset writes for ``exp``, or None (bytes not
+    UTF-8, a line off CANONICAL_ROW, no final newline, a value past the floats).
+    ``_row_prefix(exp)`` begins with '{' and holds no newline, so it is found
+    once per line exactly when it begins every line: the exp_id and amplitude."""
+    text = path.read_bytes().decode("utf-8", "replace")  # no accepted line holds U+FFFD
+    n = text.count("\n")
+    if not (text.endswith("\n") and text.count(_row_prefix(exp)) == n
+            and CANONICAL_ROW.match(text)):  # a first line off the form declines at once
         return None
+    rows = CANONICAL_ROW.findall(text)
+    table = np.array(rows, dtype=float)  # correctly rounded, as float() of what json reads
+    return (table, range(1, n + 1)) if len(rows) == n and np.isfinite(table).all() else None
+
+
+def _overflows(value) -> bool:
     try:
-        return json.loads(f"[{joined}]")
-    except ValueError:
-        return None
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
-def _line_rows(path: Path, lines: list[str], numbers: list[int]) -> list[dict]:
-    """The objects of ``lines`` decoded one by one; the first bad line is a data
-    error naming its number."""
-    rows = []
-    for number, line in zip(numbers, lines):
-        try:
-            rows.append(json.loads(line))
-        except ValueError as err:
-            raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
-        if not isinstance(rows[-1], dict):
-            raise ConfigError(f"{path}:{number}: expected a JSON object")
-    return rows
+def _reject(path: Path, line_numbers, bad, field: str, problem: str) -> None:
+    bad = np.asarray(bad, dtype=bool)
+    if bad.any():
+        number = line_numbers[int(np.argmax(bad))]
+        raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
 
 
-def _record_rows(path: Path) -> tuple[list[dict], list[int]]:
-    """The objects of a JSON Lines file's non-blank lines and their line numbers,
-    decoded by one json.loads when ``_joined_rows`` allows it."""
+def _line_table(path: Path, exp: Experiment) -> tuple[np.ndarray, list[int]]:
+    """``_canonical_table`` for any JSON Lines layout: each non-blank line decoded
+    on its own, every fault a data error naming its line (and field). The checks
+    run on whole columns; the row comprehensions run only to locate a bad row."""
     raw = path.read_bytes()
     try:
         # the lines text-mode iteration gives: universal newlines, then split after each
@@ -515,35 +524,18 @@ def _record_rows(path: Path) -> tuple[list[dict], list[int]]:
             number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
             raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
         raise
-    del raw
-    numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
-    lines = [lines[number - 1] for number in numbers]
-    rows = _joined_rows(lines)
-    return (_line_rows(path, lines, numbers) if rows is None else rows), numbers
-
-
-def _overflows(value) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
-
-
-def _read_records(path: Path, exp: Experiment) -> RecordBlock:
-    """The record block of one JSON Lines file, every row checked against
-    itself and against the manifest entry ``exp``. The checks run on whole
-    columns; the row comprehensions run only to locate a bad row."""
-    rows, line_numbers = _record_rows(path)
-    if not rows:
+    line_numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
+    if not line_numbers:
         raise ConfigError(f"{path}: no records")
-
-    def reject(bad, field: str, problem: str) -> None:
-        bad = np.asarray(bad, dtype=bool)
-        if bad.any():
-            number = line_numbers[int(np.argmax(bad))]
-            raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
-
+    rows = []
+    for number in line_numbers:
+        try:
+            rows.append(json.loads(lines[number - 1]))
+        except ValueError as err:
+            raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
+        if not isinstance(rows[-1], dict):
+            raise ConfigError(f"{path}:{number}: expected a JSON object")
+    reject = partial(_reject, path, line_numbers)
     for field, expected in (("exp_id", exp.id), ("amplitude_MHz", exp.amplitude_p_MHz)):
         values = [row.get(field) for row in rows]
         # list.count matches an object to itself first, so a shared NaN would count as
@@ -551,32 +543,40 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
         if values.count(expected) != len(values):
             reject([v != expected for v in values], field,
                    f"does not match the manifest entry ({expected!r})")
-    columns = {}
+    columns = []
     for field in RECORD_FIELDS:
         values = [row.get(field) for row in rows]
         if not set(map(type, values)) <= {int, float}:
             reject([type(v) not in (int, float) for v in values], field,
                    "is missing or not a number")
         try:
-            columns[field] = np.array(values, dtype=float)
+            columns.append(np.array(values, dtype=float))
         except OverflowError:  # an int too large for a float
             reject([_overflows(v) for v in values], field, "is too large for a float")
-        reject(~np.isfinite(columns[field]), field, "is not finite")
-    del rows  # the row dicts are most of a file's memory: free them before the block
-    times = columns["time_us"]  # tested as train.Dataset tests it, with total = duration
+        reject(~np.isfinite(columns[-1]), field, "is not finite")
+    return np.stack(columns, axis=1), line_numbers
+
+
+def _read_records(path: Path, exp: Experiment) -> RecordBlock:
+    """The record block of one JSON Lines file, every row checked against
+    itself and against the manifest entry ``exp``: by ``_canonical_table`` when
+    the file is in write_dataset's row form, else by ``_line_table``, then on
+    whole columns against the sample grid, the shot range and the counts."""
+    table, line_numbers = _canonical_table(path, exp) or _line_table(path, exp)
+    reject = partial(_reject, path, line_numbers)
+    # copies, so that the block holds no view of the table
+    times, shots, counts = table[:, 0].copy(), table[:, 1], table[:, 2:].copy()
+    # tested as train.Dataset tests it, with total = duration
     reject(exp.off_grid(times) | ~train.in_train_split(times, exp.duration_us), "time_us",
            f"is off the {exp.sample_dt_ns} ns sample grid, repeated, after a gap or past "
            f"{exp.duration_us} us")
-    shots = columns["shots"]
     reject((shots < 0) | (shots > MAX_SHOTS) | (shots != np.floor(shots)), "shots",
            "is not an integer in [0, 2**53]")
     limit = np.where(shots > 0, shots, 1.0)
-    for field in ("kx", "ky", "kz"):
-        count = columns[field]
+    for field, count in zip(("kx", "ky", "kz"), counts.T):
         problem = "is not an integer in [0, shots] (a number in [0, 1] when shots is 0)"
         reject((count < 0) | (count > limit) | ((shots > 0) & (count != np.floor(count))), field,
                problem)
-    counts = np.stack([columns["kx"], columns["ky"], columns["kz"]], axis=1)
     return RecordBlock.from_counts(times, shots, counts)
 
 
@@ -634,6 +634,9 @@ def load_dataset(
 
 def cmd_generate(args) -> int:
     cfg = RunConfig.load(args.config)
+    # nothing is trained, but [training] is checked as train checks it; generate's
+    # --seed is the experiments' seed, so no flag reaches the TrainConfig
+    dt_internal = cfg.train_config(argparse.Namespace()).dt_internal_ns
     dev = cfg.device()
     latent = cfg.latent_source()
     seed = cfg.get("experiments", "seed", args.seed)
@@ -646,7 +649,6 @@ def cmd_generate(args) -> int:
     if shots and tomography.axis_shot_budget(shots, shot_mode) < 1:
         raise ConfigError(f"{cfg.path}: '[experiments] shots' = {shots} is too few for "
                           f"shot_mode {shot_mode!r}")
-    dt_internal = cfg.get("training", "dt_internal_ns")
     out_dir = Path(cfg.get("output", "directory", args.out))
 
     amp_rng = np.random.default_rng([seed, 0])

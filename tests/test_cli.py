@@ -207,6 +207,24 @@ class TestConfig:
         assert err.startswith("config error: ") and "bad.cfg" in err and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fault", sorted(f for f, (_, _, key) in BAD_VALUES.items()
+                                             if key.startswith("bad [training]")))
+    def test_generate_checks_training_values(self, config_path, tmp_path, capsys, monkeypatch,
+                                             fault):
+        """generate trains nothing, yet rejects the [training] values train would,
+        before an amplitude is drawn (a draw raises here) or a file written."""
+        _, edit, key = BAD_VALUES[fault]
+
+        def no_draws(*_):
+            raise AssertionError("amplitudes drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        bad = write_config(tmp_path, BASE_CONFIG.replace(*edit), "bad.cfg")
+        assert run("generate", "--config", bad, "--out", tmp_path / "o", "--seed", 4) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bad.cfg" in err and key in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_experiment_count_is_bounded_before_drawing(self, config_path, tmp_path, capsys,
                                                         monkeypatch):
         """A count of hundreds of digits exits 2 at once: no amplitude is drawn (a draw
@@ -729,8 +747,8 @@ JOIN_ONLY_FAULTS = {
 
 
 def per_line_parse():
-    """Record files decoded line by line, as when the joined decode's guard fails."""
-    return mock.patch.object(cli, "_joined_rows", lambda lines: None)
+    """Record files decoded line by line, as when the column decode declines."""
+    return mock.patch.object(cli, "_canonical_table", lambda path, exp: None)
 
 
 # fault -> (verb, model-file changes, extra arguments, texts the message must name)
@@ -818,13 +836,31 @@ class TestDataValidation:
         with pytest.raises(cli.ConfigError, match="exp-001.jsonl:3: malformed JSON"):
             cli.load_dataset(dataset_dir / "manifest.json")
 
-    def test_one_json_decode_per_record_file(self, dataset_dir, monkeypatch):
-        """A generated dataset takes the joined decode: one json.loads for the
-        manifest and one per record file, none per line."""
+    def test_record_files_take_no_json_decode(self, dataset_dir, monkeypatch):
+        """A generated dataset's record files take the column decode: the one
+        json.loads is the manifest's."""
         decodes, loads = [], json.loads
         monkeypatch.setattr(json, "loads", lambda text, **kw: decodes.append(text) or loads(text, **kw))
         cli.load_dataset(dataset_dir / "manifest.json")
-        assert len(decodes) == 1 + 2
+        assert decodes == [(dataset_dir / "manifest.json").read_text()]
+
+    def test_non_canonical_record_file_loads_the_same_block(self, dataset_dir):
+        """Any valid JSON Lines layout of the rows (keys reordered, other spacing,
+        CRLF endings, a blank line, no final newline) loads line by line to the
+        block of the file write_dataset wrote."""
+        manifest = dataset_dir / "manifest.json"
+        records = dataset_dir / "exp-001.jsonl"
+        exp, before = cli.load_dataset(manifest)[0].experiments[1]
+        assert cli._canonical_table(records, exp) is not None
+        rows = [json.loads(line) for line in records.read_text().splitlines()]
+        lines = [json.dumps(dict(reversed(row.items())), separators=(" , ", ":  "))
+                 for row in rows]
+        lines.insert(7, "")
+        records.write_bytes("\r\n".join(lines).encode())
+        assert cli._canonical_table(records, exp) is None
+        after = cli.load_dataset(manifest)[0].experiments[1][1]
+        for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
+            assert getattr(after, column).tobytes() == getattr(before, column).tobytes(), column
 
     @pytest.mark.parametrize("newline, line", [("\n", 2), ("\r\n", 150)])
     def test_non_utf8_record_file_is_rejected(self, newline, line, dataset_dir, tmp_path, capsys):

@@ -2,10 +2,12 @@
 over random parameter scales, grid lengths, substep counts and depths, the
 exact round trips of the coefficient expansion, the parameter packing and
 the record files, one verdict from the in-memory record gate and the
-record-file check, and clean exits on corrupted input files."""
+record-file check, the column decode of record files against the line-by-line
+decode, and clean exits on corrupted input files."""
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from qude import cli, dynamics, models, qcore, tomography, train
 import loop_oracle
 from conftest import DEV1, make_twin_dataset
 from test_acceptance import DETERMINISM_CONFIG
-from test_cli import per_line_parse
+from test_cli import PAST_FLOATS, per_line_parse
 from test_engine import TOL, loop_samples, relative
 
 
@@ -105,6 +107,74 @@ def test_record_write_load_round_trip(data):
         assert back.dtype == original.dtype and back.tobytes() == original.tobytes(), column
     for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
         assert getattr(slow, column).tobytes() == getattr(loaded, column).tobytes(), column
+
+
+# number texts of a record row: repr of finite floats (subnormals included), integers
+# up to and past 2**53, and exponent forms
+NUMBER_TEXTS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(0, 2**64).map(str),
+    st.builds("{}{}{}{}".format, st.integers(0, 10**6), st.sampled_from(["", ".5", ".0625"]),
+              st.sampled_from(["e", "E"]), st.sampled_from(["-05", "+5", "5", "-320"])),
+    st.sampled_from(["1e-05", "1E+5", "0.0", "0"]),
+)
+# texts past every float, signed, or that JSON reads otherwise than float() does or not at all
+ODD_TEXTS = [str(PAST_FLOATS), "1e400", "-0", "-1.5", "01", "00", ".5", "1.", "+1", "1e", "NaN",
+             "Infinity", "1_0", "1\u0661", "0x1"]
+
+
+def reads_as_float(text: str) -> bool:
+    """Whether JSON reads ``text`` as a finite number whose float is float(text)'s."""
+    try:
+        value = float(json.loads(text))
+    except (ValueError, OverflowError):
+        return False
+    return bool(np.isfinite(value)) and np.float64(value).tobytes() == np.float64(
+        float(text)).tobytes()
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(rows=st.lists(st.lists(NUMBER_TEXTS, min_size=5, max_size=5), min_size=1,
+                                max_size=4),
+                  odd=st.one_of(st.none(), st.tuples(st.integers(0, 19), st.one_of(
+                      st.floats(max_value=-0.0, allow_infinity=False).map(repr),
+                      st.sampled_from(ODD_TEXTS)))),
+                  amplitude=st.floats(0.0, 10.0))
+def test_column_decode_declines_or_matches_line_decode(rows, odd, amplitude):
+    """Rows in write_dataset's form with arbitrary number texts, one of them
+    perhaps odd: the column decode declines, or its (n, 5) table is the
+    line-by-line decode's bit for bit. It declines every text that JSON reads
+    otherwise than float() does ('-0', '01') or not at all ('.5', '1.')."""
+    if odd is not None:
+        at, text = odd
+        rows[at // 5 % len(rows)][at % 5] = text
+    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=amplitude, duration_us=1.0,
+                              sample_dt_ns=4.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp-000.jsonl"
+        path.write_text("".join(cli._row_prefix(exp) + ", ".join(
+            f'"{field}": {text}' for field, text in zip(cli.RECORD_FIELDS, row)) + "}\n"
+            for row in rows), encoding="utf-8")
+        decoded = cli._canonical_table(path, exp)
+        if not all(map(reads_as_float, (text for row in rows for text in row))):
+            assert decoded is None
+        if decoded is not None:
+            (table, numbers), (lines, line_numbers) = decoded, cli._line_table(path, exp)
+            assert table.shape == (len(rows), 5) and list(numbers) == line_numbers
+            assert table.tobytes() == lines.tobytes()
+
+
+@pytest.mark.parametrize("text", ODD_TEXTS)
+@pytest.mark.parametrize("field", cli.RECORD_FIELDS)
+def test_column_decode_declines_odd_number_texts(text, field, tmp_path):
+    """Each odd text in any field leaves the file to the line-by-line decode."""
+    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=1.0, duration_us=1.0,
+                              sample_dt_ns=4.0)
+    values = dict(zip(cli.RECORD_FIELDS, ["0.004", "5000", "2", "3", "4"]), **{field: text})
+    path = tmp_path / "exp-000.jsonl"
+    path.write_text(cli._row_prefix(exp) + ", ".join(f'"{k}": {v}' for k, v in values.items())
+                    + "}\n", encoding="utf-8")
+    assert cli._canonical_table(path, exp) is None
 
 
 def accepts(check) -> bool:
