@@ -61,7 +61,14 @@ class ConfigError(Exception):
 # -- configuration ----------------------------------------------------------------
 
 
-def _field(data, key: str, path: Path, cast=float, where: str = "", default=REQUIRED):
+def _json_number(value) -> float:
+    """A JSON number as a float; a boolean, a string or any other type is a ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError("not a JSON number")
+    return float(value)
+
+
+def _field(data, key: str, path: Path, cast=_json_number, where: str = "", default=REQUIRED):
     """``cast(data[key])`` of a config section or a JSON object, ``default`` if absent;
     a missing required key or a bad value is a data error naming file and key."""
     if not isinstance(data, dict) or key not in data:
@@ -87,6 +94,20 @@ def _choices(*values: str) -> tuple:
 
 def _floats(raw: str) -> list[float]:
     return [float(part) for part in raw.replace(",", " ").split()]
+
+
+def _json_positive(value) -> float:
+    return _positive(_json_number(value))
+
+
+def _json_numbers(value) -> np.ndarray:
+    """A JSON array of numbers as floats; ValueError naming the first entry that is not one."""
+    if not isinstance(value, list):
+        raise ValueError("not a JSON array")
+    for i, entry in enumerate(value):
+        if type(entry) not in (int, float):
+            raise ValueError(f"entry {i}, {entry!r}, is not a JSON number")
+    return np.array(value, dtype=float)
 
 
 def _json_bool(value) -> bool:
@@ -379,13 +400,13 @@ def load_model(path: str | Path):
         raise ConfigError(f"{path} is not a {MODEL_SCHEMA} file")
     kind = _field(data, "ansatz", path, str)
     dim = _field(data, "dim", path, _integral)
-    theta = _field(data, "params", path, lambda v: np.asarray(v, dtype=float))
+    theta = _field(data, "params", path, _json_numbers)
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ConfigError(f"{path}: bad value for 'params[{bad[0]}]': {theta.flat[bad[0]]} "
                           "(not finite)")
     for key in ("train_horizon_us", "dt_internal_ns"):
-        data[key] = _field(data, key, path, _positive)
+        data[key] = _field(data, key, path, _json_positive)
     signed = _field(data, "signed_gamma", path, _json_bool, default=False)
     hidden = _field(data, "n_layers", path, _integral, default=1) - 1
     # a source of dimension d has at least d * d - 1 parameters and one per layer,
@@ -602,7 +623,8 @@ def load_dataset(
             exp = Experiment(
                 id=_field(entry, "id", manifest_path, str, where),
                 amplitude_p_MHz=_field(entry, "amplitude_p_MHz", manifest_path, where=where),
-                amplitude_q_MHz=_field(entry, "amplitude_q_MHz", manifest_path, float, where, 0.0),
+                amplitude_q_MHz=_field(entry, "amplitude_q_MHz", manifest_path, _json_number, where,
+                                       0.0),
                 duration_us=_field(entry, "duration_us", manifest_path, where=where),
                 sample_dt_ns=_field(entry, "sample_dt_ns", manifest_path, where=where),
             )
@@ -756,7 +778,7 @@ def cmd_train(args) -> int:
 def _load_model_or_base(args, manifest_dev: DeviceModel, manifest: dict):
     if args.model == "base":
         dev = replace(manifest_dev, base_kind=args.base) if args.base else manifest_dev
-        step = _field(manifest, "dt_internal_ns", Path(args.dataset), _positive,
+        step = _field(manifest, "dt_internal_ns", Path(args.dataset), _json_positive,
                       default=dynamics.DEFAULT_DT_INTERNAL_NS)
         return None, dev, {"ansatz": "base", "train_horizon_us": None, "dt_internal_ns": step}
     source, data = load_model(args.model)
@@ -822,6 +844,9 @@ def cmd_characterize(args) -> int:
         )
     if args.config:
         dev = RunConfig.load(args.config).device()
+        if dev.dim != source.dim:
+            raise ConfigError(f"{args.config}: '[device] dim' is {dev.dim}, but the model "
+                              f"{args.model} has dimension {source.dim}")
     else:
         dev = _device_from_json(data, Path(args.model))
 

@@ -242,9 +242,10 @@ def lindblad_dissipator(dev: DeviceModel, rho: np.ndarray) -> np.ndarray:
 def rhs(dev: DeviceModel, exp: Experiment, rho: np.ndarray) -> np.ndarray:
     """Time derivative of rho under the baseline master equation.
 
-    The physics definition -i[H, rho] + lindblad_dissipator(rho) that
-    ``base_generator`` expands column by column. A source enters only in
-    coefficient space (qude.models).
+    The physics definition -i[H, rho] + lindblad_dissipator(rho), for one
+    state (dim, dim) or a stack of states (m, dim, dim), each of which must
+    be Hermitian; ``base_generator`` applies it to the whole Hermitian basis
+    at once. A source enters only in coefficient space (qude.models).
     """
     qcore.assert_hermitian(rho, 1e-9, "rhs() state")
     h = hamiltonian(dev, exp)
@@ -258,10 +259,11 @@ def base_generator(dev: DeviceModel, exp: Experiment) -> np.ndarray:
 
     Columns are the Hermitian-basis coefficients of the baseline right-hand
     side applied to each basis element, so the matrix and the matrix-space
-    ``rhs`` agree by construction.
+    ``rhs`` agree by construction. One ``rhs`` call takes the stacked basis,
+    so the Hamiltonian and the dissipators are formed once per experiment.
     """
     basis = qcore.hermitian_basis(dev.dim)
-    return qcore.expand_many(np.stack([rhs(dev, exp, el) for el in basis.elements]), basis).T
+    return qcore.expand_many(rhs(dev, exp, basis.elements), basis).T
 
 
 def augmented_generator(a_base: np.ndarray, source=None) -> np.ndarray:
@@ -344,7 +346,7 @@ def propagate_linear(increments: list[np.ndarray], x0: np.ndarray, n_samples: in
                 break
             count = min(m, n_samples - m)
             block = out[..., :count, :]
-            out[..., m : m + count, :] = block + block @ np.swapaxes(e, -1, -2)
+            out[..., m : m + count, :] = block + block @ e.swapaxes(-1, -2)
             m *= 2
     return out
 

@@ -48,6 +48,7 @@ accepted candidate's gradient comes from the same evaluation.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -111,10 +112,13 @@ class Dataset:
     def restrict(self, experiment_id: str | None) -> "Dataset":
         """View containing a single experiment (Experiment-Specific mode).
 
-        No id (None or empty) picks the first experiment.
+        No id (None or empty) picks the first experiment. A dataset that holds
+        only that experiment is returned itself, not gated again.
         """
         for exp, block in self.experiments:
             if not experiment_id or exp.id == experiment_id:
+                if len(self.experiments) == 1:
+                    return self
                 return Dataset(
                     [(exp, block)],
                     train_horizon_us=self.train_horizon_us,
@@ -229,13 +233,15 @@ def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndar
     g = np.zeros(samples.shape)
     np.multiply(delta, 2.0 * weights, out=g[..., :-1])
     lam = dynamics.adjoint_scan(increments, g)
-    p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
+    p_s = lam.swapaxes(-1, -2) @ states[:, :-1, :]
 
     # dL/dM, the derivative of S = R(hM)^n_sub at M^T in the direction dL/dS, is
     # the upper-right block of the same polynomial of [[M^T, dL/dS], [0, M^T]];
     # then on to the parameters through M = [[A + W, b], [0, 0]].
-    kk, m_t = m.shape[-1], np.swapaxes(m, -1, -2)
-    block = np.block([[m_t, p_s], [np.zeros_like(m_t), m_t]])
+    kk, m_t = m.shape[-1], m.swapaxes(-1, -2)
+    block = np.zeros((len(m), 2 * kk, 2 * kk))
+    block[:, :kk, :kk] = block[:, kk:, kk:] = m_t
+    block[:, :kk, kk:] = p_s
     step = dynamics.rk4_step_increment(block, group.h_us)
     q = dynamics.power_increments(step, group.n_sub, 1)[0][..., :kk, kk:].sum(axis=0)
     return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
@@ -428,21 +434,27 @@ def split_losses(
 # -- optimizers -------------------------------------------------------------------
 
 
-def _two_loop_direction(grad: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float vector, as ``np.linalg.norm`` computes it."""
+    return float(np.sqrt(v.dot(v)))
+
+
+def _two_loop_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """The L-BFGS direction -H grad from the kept pairs (s, y, rho = 1 / (y^T s)),
+    oldest first."""
     q = grad.copy()
     alphas = []
-    rhos = [1.0 / float(np.dot(y, s)) for s, y in zip(s_hist, y_hist)]
-    for i in range(len(s_hist) - 1, -1, -1):
-        a = rhos[i] * float(np.dot(s_hist[i], q))
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.dot(s, q))
         alphas.append(a)
-        q -= a * y_hist[i]
+        q -= a * y
     alphas.reverse()
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for i in range(len(s_hist)):
-        beta = rhos[i] * float(np.dot(y_hist[i], q))
-        q += (alphas[i] - beta) * s_hist[i]
+    for (s, y, rho), a in zip(pairs, alphas):
+        beta = rho * float(np.dot(y, q))
+        q += (a - beta) * s
     return -q
 
 
@@ -467,7 +479,7 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
 
     def record(phase: str, value: float, grad: np.ndarray) -> None:
         elapsed = time.perf_counter() - t_start
-        rows.append(FitRow(phase, value, float(np.linalg.norm(grad)), elapsed))
+        rows.append(FitRow(phase, value, _norm(grad), elapsed))
 
     # Phase 1: ADAM over mini-batches of whole experiments.
     rng = np.random.default_rng(config.seed)
@@ -496,13 +508,12 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
     best_theta = theta.copy()
     best_f = f_cur
     stalled = False
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (y^T s)), rho formed once
     for _ in range(config.lbfgs_max_iters):
         gnorm = float(np.max(np.abs(g_cur)))
         if gnorm <= LBFGS_GRAD_TOL * (1.0 + abs(f_cur)):
             break
-        direction = _two_loop_direction(g_cur, s_hist, y_hist)
+        direction = _two_loop_direction(g_cur, pairs)
         slope = float(np.dot(direction, g_cur))
         if not np.isfinite(slope) or slope >= 0.0:
             direction = -g_cur
@@ -527,12 +538,8 @@ def fit(dataset: Dataset, dev: DeviceModel, ansatz, config: TrainConfig) -> FitR
         progress = f_cur - f_new
         s = step * direction
         y = g_new - g_cur
-        if float(np.dot(s, y)) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        if float(np.dot(s, y)) > 1e-12 * (_norm(s) * _norm(y)):
+            pairs.append((s, y, 1.0 / float(np.dot(y, s))))
         theta = cand
         f_cur, g_cur = f_new, g_new
         if f_cur < best_f:

@@ -17,6 +17,12 @@ train/validation loss report the CLI's ``train`` verb gave before it used
 the training engine. ``finite_difference_gradient`` is the other gradient
 oracle: central differences of the engine's own loss, so it checks each
 engine's adjoint against its forward.
+
+The last section keeps the forms that faster code in qude replaced without
+changing any floating-point operation, so the tests require bit-for-bit
+equality with them: the base generator built by one ``rhs`` call per basis
+element, the ``np.block`` assembly of the linear engine's dL/dM block and
+the L-BFGS two-loop recursion that recomputes every rho = 1 / (y^T s).
 """
 
 from __future__ import annotations
@@ -289,3 +295,48 @@ def finite_difference_gradient(problem: train.Problem, theta: np.ndarray, templa
     if not np.all(np.isfinite(grad)):
         raise train.GradientFailureError("gradient has non-finite components")
     return grad
+
+
+# -- the forms replaced by faster code with the same floating-point operations ----
+
+
+def base_generator_per_element(dev, exp) -> np.ndarray:
+    """``dynamics.base_generator`` with one ``rhs`` call per basis element."""
+    basis = qcore.hermitian_basis(dev.dim)
+    return qcore.expand_many(
+        np.stack([dynamics.rhs(dev, exp, el) for el in basis.elements]), basis).T
+
+
+def linear_grad_block(group, source, weights: np.ndarray, forward) -> np.ndarray:
+    """``train._linear_grad`` with [[M^T, dL/dS], [0, M^T]] assembled by ``np.block``."""
+    m, increments, samples, delta = forward
+    x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
+    states = np.concatenate([x0[:, None, :], samples], axis=1)
+    g = np.zeros(samples.shape)
+    np.multiply(delta, 2.0 * weights, out=g[..., :-1])
+    lam = dynamics.adjoint_scan(increments, g)
+    p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
+    kk, m_t = m.shape[-1], np.swapaxes(m, -1, -2)
+    block = np.block([[m_t, p_s], [np.zeros_like(m_t), m_t]])
+    step = dynamics.rk4_step_increment(block, group.h_us)
+    q = dynamics.power_increments(step, group.n_sub, 1)[0][..., :kk, kk:].sum(axis=0)
+    return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
+
+
+def two_loop_direction(grad: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
+    """The L-BFGS two-loop recursion, forming every rho = 1 / (y^T s) on each call."""
+    q = grad.copy()
+    alphas = []
+    rhos = [1.0 / float(np.dot(y, s)) for s, y in zip(s_hist, y_hist)]
+    for i in range(len(s_hist) - 1, -1, -1):
+        a = rhos[i] * float(np.dot(s_hist[i], q))
+        alphas.append(a)
+        q -= a * y_hist[i]
+    alphas.reverse()
+    if s_hist:
+        s, y = s_hist[-1], y_hist[-1]
+        q *= float(np.dot(s, y)) / float(np.dot(y, y))
+    for i in range(len(s_hist)):
+        beta = rhos[i] * float(np.dot(y_hist[i], q))
+        q += (alphas[i] - beta) * s_hist[i]
+    return -q

@@ -574,6 +574,24 @@ class TestTrainEvaluate:
         model = json.loads((fit_dir / "model.json").read_text())
         assert model["mode"] == "exp-spec"
 
+    def test_exp_spec_model_bytes_with_one_gate(self, config_path, dataset_dir, tmp_path,
+                                                monkeypatch):
+        """``fit`` gets back the dataset ``train`` restricted, not a second gated
+        copy; model.json keeps the bytes that a copy on every restriction gives."""
+        argv = ("train", "--config", config_path, "--dataset", dataset_dir / "manifest.json",
+                "--mode", "exp-spec", "--out")
+        assert run(*argv, tmp_path / "once") == 0
+        restrict = train.Dataset.restrict
+
+        def copying(dataset, experiment_id):
+            view = restrict(dataset, experiment_id)
+            return train.Dataset(view.experiments, view.train_horizon_us, view.total_horizon_us)
+
+        monkeypatch.setattr(train.Dataset, "restrict", copying)
+        assert run(*argv, tmp_path / "copied") == 0
+        once, copied = (tmp_path / name / "model.json" for name in ("once", "copied"))
+        assert once.read_bytes() == copied.read_bytes()
+
 
 class TestCharacterize:
     @pytest.fixture()
@@ -636,6 +654,18 @@ class TestCharacterize:
         assert "model.json: bad value for 'params[0]': nan" in capsys.readouterr().err
         assert not (tmp_path / "char").exists()
 
+    def test_config_dim_must_match_the_model(self, sp_model, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUTRIT_CONFIG, "qutrit.cfg")
+        assert run("characterize", "--model", sp_model, "--config", cfg,
+                   "--out", tmp_path / "char") == 2
+        assert QUTRIT_MISMATCH in capsys.readouterr().err
+        assert not (tmp_path / "char").exists()
+
+
+# a qubit's config with [device] dim = 3, and what a qubit model is told about it
+QUTRIT_CONFIG = BASE_CONFIG.replace("base_model = lindblad", "base_model = lindblad\ndim = 3")
+QUTRIT_MISMATCH = "qutrit.cfg: '[device] dim' is 3, but the model"
+
 
 class TestReport:
     def test_report_combines_outputs(self, config_path, tmp_path):
@@ -651,6 +681,19 @@ class TestReport:
         )
         assert (rep / "moments.csv").is_file()
         assert (rep / "characterization.json").is_file()
+
+    def test_config_dim_must_match_the_model(self, config_path, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("generate", "--config", config_path, "--out", data) == 0
+        model = tmp_path / "model.json"
+        cli.save_model(model, models.make_source("sp"), cli.RunConfig.load(config_path).device(),
+                       "exp-gen", 0.5, 4.0, 0)
+        cfg = write_config(tmp_path, QUTRIT_CONFIG, "qutrit.cfg")
+        capsys.readouterr()
+        assert run("report", "--model", model, "--dataset", data / "manifest.json",
+                   "--out", tmp_path / "report", "--config", cfg) == 2
+        assert QUTRIT_MISMATCH in capsys.readouterr().err
+        assert not (tmp_path / "report" / "characterization.json").exists()
 
 
 class TestErrors:

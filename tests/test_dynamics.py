@@ -3,6 +3,7 @@ import pytest
 
 from qude import dynamics, models, qcore
 
+import loop_oracle
 import states
 
 TWO_PI = 2.0 * np.pi
@@ -204,6 +205,29 @@ class TestBaseGenerator:
             lhs = qcore.reconstruct_many((a @ x)[None], basis)[0]
             rhs_matrix = dynamics.rhs(dev, exp, rho)
             assert np.max(np.abs(lhs - rhs_matrix)) < 1e-12
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("base", ["lindblad", "lvn"])
+    def test_one_rhs_call_is_the_per_element_form(self, dim, base):
+        """Bit for bit, with a quadrature drive and a detuned frame too."""
+        for omega_rot, q_MHz in ((None, 0.0), (3.4475, 0.0), (3.4475, 0.7)):
+            dev = dynamics.DeviceModel(omega01_GHz=3.448, T1_us=214.0, T2_us=32.0,
+                                       base_kind=base, omega_rot_GHz=omega_rot, dim=dim)
+            exp = dynamics.Experiment("e", 1.4, 1.0, 4.0, amplitude_q_MHz=q_MHz)
+            a = dynamics.base_generator(dev, exp)
+            ref = loop_oracle.base_generator_per_element(dev, exp)
+            assert a.shape == ref.shape == (dim * dim, dim * dim)
+            assert a.tobytes() == ref.tobytes()
+
+    def test_non_hermitian_state_rejected(self):
+        dev = lindblad_device()
+        exp = dynamics.Experiment("e", 1.4, 1.0, 4.0)
+        rho = np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex)
+        message = r"^rhs\(\) state is not Hermitian: max \|A - A\^dagger\| = 5\.000e-01 > 1\.0e-09$"
+        for state in (rho, np.stack([qcore.ground_state(2), rho])):
+            with pytest.raises(ValueError, match=message):
+                dynamics.rhs(dev, exp, state)
 
 
 class TestIntegrateRk4:

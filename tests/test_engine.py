@@ -247,6 +247,22 @@ class TestTrainingEngine:
         if src is not None:
             assert relative(problem.evaluate(theta, src)[1], ref_grad) <= TOL
 
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    @pytest.mark.parametrize("kind", ["sp", "affine"])
+    def test_linear_grad_block_is_the_np_block_form(self, kind, n_sub):
+        """[[M^T, dL/dS], [0, M^T]] filled in place gives the gradient bit for bit."""
+        ds, dt_internal = twin(n_sub, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
+        tmpl = models.make_source(kind, seed=3)
+        rng = np.random.default_rng(12)
+        for scale in (0.0, 0.05, 0.5):
+            src = tmpl.with_params(tmpl.pack() + scale * rng.standard_normal(tmpl.pack().shape))
+            _, forward = train._linear_loss(group, src, problem.weights)
+            got = train._linear_grad(group, src, problem.weights, forward)
+            ref = loop_oracle.linear_grad_block(group, src, problem.weights, forward)
+            assert got.tobytes() == ref.tobytes()
+
     def test_network_chunk_edges_change_nothing(self, monkeypatch):
         """4-sample windows, 37 samples in all: the forward and the reverse
         sweep cut the horizon at the same edges and leave a ragged tail."""

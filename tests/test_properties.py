@@ -3,7 +3,8 @@ over random parameter scales, grid lengths, substep counts and depths, the
 exact round trips of the coefficient expansion, the parameter packing and
 the record files, one verdict from the in-memory record gate and the
 record-file check, the column decode of record files against the line-by-line
-decode, and clean exits on corrupted input files."""
+decode, clean exits on corrupted input files, and a data error for a boolean
+or a string where a manifest or a model holds a number."""
 
 import contextlib
 import io
@@ -278,3 +279,51 @@ def test_corrupt_input_exits_cleanly(chain_files, data):
             code = cli.main(argv)
     assert code in (0, 2, 3, 4), (name, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def number_fields(files: dict[str, bytes]) -> list[tuple[str, tuple, tuple]]:
+    """(file, keys to the value, texts the message must hold) of every JSON number
+    that ``evaluate`` reads as a float from the chain's manifest and model."""
+    manifest, model = "data/manifest.json", "fit/model.json"
+    fields = [(manifest, ("dt_internal_ns",), ("'dt_internal_ns'",))]
+    for key in ("omega01_GHz", "omega_rot_GHz", "T1_us", "T2_us"):
+        fields += [(name, ("device", key), (f"'device.{key}'",)) for name in (manifest, model)]
+    for n in range(len(json.loads(files[manifest])["experiments"])):
+        fields += [(manifest, ("experiments", n, key), (f"'experiments[{n}].{key}'",))
+                   for key in ("amplitude_p_MHz", "amplitude_q_MHz", "duration_us",
+                               "sample_dt_ns")]
+    fields += [(model, (key,), (f"'{key}'",)) for key in ("train_horizon_us", "dt_internal_ns")]
+    fields += [(model, ("params", i), ("'params'", f"(entry {i}, "))
+               for i in range(len(json.loads(files[model])["params"]))]
+    return fields
+
+
+@pytest.mark.parametrize("value", [False, True, "3.448"])
+def test_json_number_of_another_type_exits_2(chain_files, value, tmp_path):
+    """A boolean or a string where the manifest or the model holds a number is a
+    data error naming the file and the field, not a number read through float()."""
+    root = tmp_path
+    for name in ("data", "fit"):
+        (root / name).mkdir()
+    for name, keys, texts in number_fields(chain_files):
+        for other, raw in chain_files.items():
+            (root / other).write_bytes(raw)
+        data = json.loads(chain_files[name])
+        *parents, last = keys
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        (root / name).write_text(json.dumps(data, indent=2) + "\n")
+        # the manifest's internal step is read only for the base model
+        base = name == "data/manifest.json" and keys == ("dt_internal_ns",)
+        model = "base" if base else str(root / "fit" / "model.json")
+        argv = ["evaluate", "--model", model, "--dataset", str(root / "data" / "manifest.json"),
+                "--out", str(root / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        message = err.getvalue()
+        assert code == 2, (name, keys, message)
+        assert all(text in message for text in (Path(name).name, *texts)), (keys, message)
+        assert "not a JSON number" in message, message

@@ -1,4 +1,5 @@
 import warnings
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,47 @@ class TestFit:
         assert elapsed[0] > 0.0
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
 
+    def test_kept_rho_and_norms_leave_the_fit_as_it_was(self, monkeypatch):
+        """A fit with the two-loop that recomputes every rho and with np.linalg.norm
+        takes the same iterates, bit for bit, past the L-BFGS memory."""
+        ds = make_twin_dataset(seed=12, n_experiments=2, duration_us=2.0,
+                               sample_dt_ns=20.0, shots=500)
+        tmpl = models.make_source("sp")
+        res = train.fit(ds, DEV1, tmpl, self._small_config())
+        assert [row.phase for row in res.rows].count("lbfgs") > train.LBFGS_MEMORY
+        monkeypatch.setattr(train, "_two_loop_direction", lambda grad, pairs: (
+            loop_oracle.two_loop_direction(grad, [p[0] for p in pairs], [p[1] for p in pairs])))
+        monkeypatch.setattr(train, "_norm", lambda v: float(np.linalg.norm(v)))
+        ref = train.fit(ds, DEV1, tmpl, self._small_config())
+        assert res.theta_star.tobytes() == ref.theta_star.tobytes()
+        assert [row[:3] for row in res.rows] == [row[:3] for row in ref.rows]
+
+
+class TestTwoLoop:
+    @pytest.mark.parametrize("n_pairs", range(13))
+    def test_kept_rho_is_the_recomputed_one(self, n_pairs):
+        """Random histories of 0 to 12 pairs, kept as fit keeps them (the last
+        LBFGS_MEMORY): the same direction as recomputing rho, bit for bit."""
+        rng = np.random.default_rng(n_pairs)
+        grad = rng.standard_normal(20)
+        pairs = deque(maxlen=train.LBFGS_MEMORY)
+        s_hist, y_hist = [], []
+        for _ in range(n_pairs):
+            s = rng.standard_normal(20) * 10.0 ** rng.uniform(-6.0, 0.0)
+            y = rng.standard_normal(20) * 10.0 ** rng.uniform(-6.0, 0.0)
+            pairs.append((s, y, 1.0 / float(np.dot(y, s))))
+            s_hist.append(s)
+            y_hist.append(y)
+        kept = slice(-train.LBFGS_MEMORY, None)
+        ref = loop_oracle.two_loop_direction(grad, s_hist[kept], y_hist[kept])
+        assert train._two_loop_direction(grad, pairs).tobytes() == ref.tobytes()
+
+    def test_norm_is_numpy_norm(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 26, 1000):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert train._norm(v) == float(np.linalg.norm(v))
+
 
 class TestConfigValidation:
     def test_mode(self):
@@ -382,6 +424,18 @@ class TestDataset:
                                sample_dt_ns=100.0, shots=0)
         with pytest.raises(ValueError):
             ds.restrict("nope")
+
+    def test_restrict_of_its_only_experiment_is_itself(self):
+        """exp-spec ``train`` restricts and ``fit`` restricts again; the second
+        call returns the dataset, so the record gate runs once."""
+        ds = make_twin_dataset(seed=17, n_experiments=2, duration_us=0.3,
+                               sample_dt_ns=100.0, shots=0)
+        single = ds.restrict("exp-001")
+        assert single is not ds
+        for experiment_id in ("exp-001", None, ""):
+            assert single.restrict(experiment_id) is single
+        with pytest.raises(ValueError, match="no experiment with id 'exp-000'"):
+            single.restrict("exp-000")
 
     def test_restrict_without_id_picks_the_first(self):
         ds = make_twin_dataset(seed=17, n_experiments=2, duration_us=0.3,
