@@ -110,6 +110,12 @@ def _json_numbers(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def _json_objects(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+        raise ValueError("not a JSON array of objects")
+    return value
+
+
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("not a JSON boolean")
@@ -415,6 +421,9 @@ def load_model(path: str | Path):
         if least > theta.size:
             raise ConfigError(f"{path}: {key!r} is {data[key]!r}, too large for "
                               f"{theta.size} params")
+    device_dim = _field(data.get("device"), "dim", path, _integral, "device.", default=dim)
+    if device_dim != dim:
+        raise ConfigError(f"{path}: 'dim' is {dim}, but 'device.dim' is {device_dim}")
     try:
         template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0), signed=signed)
         for key in ("n_layers", "activation"):  # what save_model writes for a network
@@ -617,7 +626,7 @@ def load_dataset(
         raise ConfigError(f"{manifest_path}: 'device.dim' is {dev.dim}, not a qubit's 2")
     experiments, first_of = [], {}
     total = 0.0
-    for n, entry in enumerate(_field(manifest, "experiments", manifest_path, list)):
+    for n, entry in enumerate(_field(manifest, "experiments", manifest_path, _json_objects)):
         where = f"experiments[{n}]."
         try:
             exp = Experiment(

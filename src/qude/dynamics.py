@@ -29,12 +29,18 @@ one cut of the horizon: the training adjoint walks back over the same
 windows. Every step x_n = F(x_{n-1}) of the current iterate is evaluated
 in bulk (``rk4_stages``), and the tangent recurrence
 delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
-The Jacobian increments D_n = dF/dx - I (``rk4_increment``, dearer than an
-evaluation) are formed once per window, at its first iterate, and reused by
-every later correction: a chord method, whose convergence is linear, not
-quadratic, so a window may take one evaluation more. The first
-iterate is the base-model trajectory from the window's start state,
-propagated by doubling, and the window is done once
+While the network works in its near-linear range the Jacobian increments
+D_n = dF/dx - I barely move along a window, so the corrections take one
+window-mean D_bar per experiment, carried from window to window, and the
+recurrence becomes a scan over powers of one matrix: ``adjoint_scan`` on
+the time-reversed residual (Blelloch, CMU-CS-90-190). The step increments
+(``rk4_increment``, dearer than an evaluation) are formed in the first
+window, and again only where a correction shrinks the residual less than
+NEWTON_MIN_SHRINK times; that window then corrects with them step by step
+(``tangent_recurrence``, a chord method) and D_bar becomes their mean. The
+first window starts from the base-model trajectory of its start state,
+every later one from the affine map x -> (I + D_bar) x + c_bar fitted to
+the window before, both propagated by doubling. A window is done once
 max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of the largest state,
 experiment by experiment. A window that does not converge in
 NEWTON_MAX_ITERS evaluations, or whose iterate is not finite, is run again
@@ -392,15 +398,15 @@ def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
     """One RK4 step of x' = A x + net(x) from every state of x (E, C, k) at once.
 
     Returns F(x), the state after each step, and per stage the layer inputs
-    and hidden-layer tanh derivatives of ``source.layers``; ``rk4_increment``
-    takes the stages to the step Jacobians.
+    of ``source.layers``; ``rk4_increment`` takes the stages to the step
+    Jacobians.
     """
     a_t = _transposed(a_base)
     stages, slopes = [], []
     c = x
     for s in range(4):
-        z, ins, derivs = source.layers(c)
-        stages.append((ins, derivs))
+        z, ins = source.layers(c)
+        stages.append(ins)
         slopes.append(c @ a_t + z)
         if s < 3:
             c = x + (_RK4_STAGE_STEPS[s] * h_us) * slopes[-1]
@@ -433,23 +439,25 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
     """D = dF/dx - I of every step of ``rk4_stages``, step-major (C, E, k, k).
 
     Stage s has the Jacobian J_s = A + W_L diag(d_{L-1}) W_{L-1} ... diag(d_0) W_0
-    and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx.
+    and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx;
+    d_l = 1 - a * a, with a the input of layer l + 1 (the tanh output of layer l).
     They are formed transposed, P^T J^T, and laid out (E, k_in, C, k_out):
     each shared weight then multiplies the rows of one 2-D array over all
     steps, and each diag(d) scales contiguous (C, k_out) blocks.
     """
     a_t = _transposed(a_base)
     w_t = source.weights_t
-    e, c, k = stages[0][0][0].shape  # the first stage's first layer input is x
+    e, c, k = stages[0][0].shape  # the first stage's first layer input is x
     eye = np.zeros((e, k, c, k))
     diag = np.arange(k)
     eye[:, diag, :, diag] = 1.0
     slopes = []
-    for s, (_, derivs) in enumerate(stages):
+    for s, ins in enumerate(stages):
         p = eye if s == 0 else (_RK4_STAGE_STEPS[s - 1] * h_us) * slopes[-1] + eye
         q = _rows(p, w_t[0])
         for l in range(1, len(w_t)):
-            q = _rows(q * derivs[l - 1][:, None], w_t[l])
+            a = ins[l][:, None]
+            q = _rows(q * (1.0 - a * a), w_t[l])
         slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
     k1, k2, k3, k4 = slopes
     return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (2, 0, 3, 1))
@@ -479,43 +487,75 @@ NEWTON_MAX_ITERS = 8  # residual evaluations per window before the step loop tak
 # rounding of F, measured at up to 2 ulp; the iterate before is typically
 # 1e6 ulp or more off.
 NEWTON_TOL_ULPS = 4.0
+# A correction must shrink every open experiment's residual this many times,
+# or the window forms its own step Jacobians: taking a residual of 1e-3 to
+# 4 ulp in the 7 corrections of NEWTON_MAX_ITERS needs about 50-fold each.
+NEWTON_MIN_SHRINK = 100.0
+
+
+def window_jacobian(d_bar: np.ndarray, n_steps: int):
+    """The Jacobian a Newton window carries to the next: the window-mean step
+    increment D_bar (E, k, k) with the increments of the doubling powers of
+    I + D_bar^T over ``n_steps`` steps, which also serve every shorter window."""
+    return d_bar, power_increments(_transposed(d_bar), 1, n_steps)
 
 
 def newton_window(
-    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, guess: np.ndarray
-) -> np.ndarray | None:
+    a_base: np.ndarray, source, x0: np.ndarray, h_us: float, guess: np.ndarray, jac=None
+):
     """The states (E, L + 1, k) of ``propagate_network`` over one window, by
-    Newton's method in time from ``guess`` (E, L, k); None if it does not converge.
+    Newton's method in time from ``guess`` (E, L, k), and the Jacobian for
+    the next window: (states, or None if it does not converge; jac).
 
     Each iteration evaluates every step x_n = F(x_{n-1}) of the current
     iterate at once (``rk4_stages``) and stops when, for every experiment,
     the residual max |F(x_{n-1}) - x_n| is within NEWTON_TOL_ULPS ulp of its
-    largest state; otherwise it adds the solution of the tangent recurrence
+    largest state. Otherwise it adds the solution of the tangent recurrence
     delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n, delta_0 = 0, with
-    the step Jacobian increments D_n of the first iterate (chord Newton). A
-    non-finite iterate, or no convergence in NEWTON_MAX_ITERS evaluations,
-    gives None.
+    one of two Jacobians:
+
+    * the carried ``jac`` (``window_jacobian``), one D_bar per experiment
+      for every step: ``adjoint_scan`` on the time-reversed residual, log2(L)
+      batched products;
+    * the step increments D_n of one iterate of this window
+      (``rk4_increment``), step by step (``tangent_recurrence``): a chord.
+
+    The increments are formed when no ``jac`` is carried in, or when a
+    correction shrank an open experiment's residual less than
+    NEWTON_MIN_SHRINK times; every later correction of the window uses them,
+    and their mean is the jac returned. A non-finite iterate, or no
+    convergence in NEWTON_MAX_ITERS evaluations, gives None.
     """
     e, n, k = guess.shape
     xs = np.empty((e, n + 1, k))
     xs[:, 0] = x0
     xs[:, 1:] = guess
-    d = None
+    tol = NEWTON_TOL_ULPS * np.finfo(float).eps
+    last = d = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_ITERS):
+        for evaluations in range(1, NEWTON_MAX_ITERS + 1):
             f, stages = rk4_stages(a_base, source, h_us, xs[:, :-1])
             residual = f - xs[:, 1:]
             err = np.max(np.abs(residual), axis=(1, 2))
             if not np.all(np.isfinite(err)):
-                return None
-            scale = np.max(np.abs(xs), axis=(1, 2))
-            if np.all(err <= NEWTON_TOL_ULPS * np.finfo(float).eps * scale):
-                return xs
-            if d is None:  # the chord: the first iterate's Jacobians serve every solve
-                d = np.ascontiguousarray(rk4_increment(a_base, source, h_us, stages)[1:])
-            delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
-            xs[:, 1:] += np.moveaxis(delta, 0, 1)
-    return None
+                return None, jac
+            open_ = err > tol * np.max(np.abs(xs), axis=(1, 2))
+            if not open_.any():
+                return xs, jac
+            if evaluations == NEWTON_MAX_ITERS:  # no evaluation left to check a correction
+                break
+            slow = last is not None and np.any(open_ & (err * NEWTON_MIN_SHRINK > last))
+            if jac is None or slow:
+                d = rk4_increment(a_base, source, h_us, stages)
+                jac = window_jacobian(d.mean(axis=0), n)
+                d = np.ascontiguousarray(d[1:])
+            last = err
+            if d is None:
+                xs[:, 1:] += adjoint_scan(jac[1], residual[:, ::-1])[:, ::-1]
+            else:
+                delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
+                xs[:, 1:] += np.moveaxis(delta, 0, 1)
+    return None, jac
 
 
 FORWARD_CHUNK_SAMPLES = 128  # samples per Newton window, forward and reverse
@@ -610,22 +650,31 @@ def network_chunks(group: GridGroup, source):
     Yields (lo, hi, states) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
     time: ``states`` (E, (hi - lo) n_sub + 1, k) holds the window's start
     state, the last of the window before, and the state after every step.
-    A window is solved by ``newton_window`` from the base-model trajectory of
-    its start state, or, if that does not converge, by ``propagate_network``.
-    Its samples ``states[:, n_sub::n_sub]`` are checked before it is yielded.
+    A window is solved by ``newton_window`` or, if that does not converge,
+    by ``propagate_network``. The window-mean Jacobian D_bar passes from
+    window to window, so a forward usually forms it once. Each window's first
+    iterate follows an affine step x -> (I + D) x + c from its start state,
+    propagated by doubling: the base model's step in the first window, then
+    D_bar with the mean step residual c of the window before. Each window's
+    samples ``states[:, n_sub::n_sub]`` are checked before it is yielded.
     """
-    increments = power_increments(
-        rk4_step_increment(group.a_base, group.h_us), 1, FORWARD_CHUNK_SAMPLES * group.n_sub
-    )
-    x = group.x0
+    e, k = group.x0.shape
+    step = np.zeros((e, k + 1, k + 1))  # [[D, c], [0, 0]] on the augmented state [x; 1]
+    step[:, :k, :k] = rk4_step_increment(group.a_base, group.h_us)
+    x, jac = group.x0, None
     for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
         hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
         n_steps = (hi - lo) * group.n_sub
-        guess = propagate_linear(increments, x, n_steps)
-        states = newton_window(group.a_base, source, x, group.h_us, guess)
+        guess = propagate_linear(power_increments(step, 1, n_steps),
+                                 np.concatenate([x, np.ones((e, 1))], axis=1), n_steps)
+        states, jac = newton_window(group.a_base, source, x, group.h_us, guess[..., :k], jac)
         if states is None:
             states = propagate_network(group.a_base, source, x, group.h_us, n_steps)
         check_finite(states[:, group.n_sub :: group.n_sub], group, first=lo)
+        if jac is not None:  # c = mean_n (x_n - (I + D_bar) x_{n-1}) over this window
+            step[:, :k, :k] = jac[0]
+            step[:, :k, k] = ((states[:, -1] - x) / n_steps
+                              - (jac[0] @ states[:, :-1].mean(axis=1)[..., None])[..., 0])
         x = states[:, -1]
         yield lo, hi, states
 

@@ -15,8 +15,8 @@ agnostic:
   and the pullback of dL/dW, dL/db to the packed parameters.
 * ``pack()`` / ``with_params(theta)`` -- flat parameter vector round trip.
 * ``layers(x)`` -- networks only: the output at coefficient vectors x with
-  every layer's input and every hidden layer's tanh derivative, the one
-  layer loop the network engine runs (qude.dynamics.rk4_stages).
+  every layer's input, the one layer loop the network engine runs
+  (qude.dynamics.rk4_stages).
 
 The structure-preserving source keeps its rates non-negative by training
 gamma_raw with gamma = gamma_raw**2 (a ``signed`` mode exposes raw rates for
@@ -231,22 +231,23 @@ class NetworkSource:
         return len(self.weights)
 
     def layers(self, x: np.ndarray):
-        """The output at coefficient vectors x (..., k), each layer's input and
-        each hidden layer's tanh derivative 1 - tanh^2, all shaped like x.
+        """The output at coefficient vectors x (..., k) and each layer's input,
+        all shaped like x. The input a of layer l > 0 is the tanh output of
+        layer l - 1, whose derivative 1 - a * a its readers form.
 
         Every layer is one 2-D product over all leading axes of x.
         """
         shape = x.shape
         z = x.reshape(-1, shape[-1])
         last = len(self.weights_t) - 1
-        ins, derivs = [z], []
+        ins = [z]
         for l, (w_t, b) in enumerate(zip(self.weights_t, self.biases)):
-            z = z @ w_t + b
+            z = z @ w_t
+            z += b
             if l < last:  # only a tanh network has hidden layers
-                z = np.tanh(z)
-                derivs.append(1.0 - z * z)
+                np.tanh(z, out=z)
                 ins.append(z)
-        return z.reshape(shape), [a.reshape(shape) for a in ins], [d.reshape(shape) for d in derivs]
+        return z.reshape(shape), [a.reshape(shape) for a in ins]
 
     def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(W_0, b_0) of the one-layer identity-activation net x -> W_0 x + b_0."""

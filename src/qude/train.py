@@ -20,13 +20,16 @@ gives dL/dM, and ``coeff_affine_vjp`` takes it to the parameters.
 
 Nonlinear networks run ``dynamics.network_chunks``: the loss is the sum of
 its Newton windows' losses, and the reverse sweep walks back over the same
-windows. From a window's states the bulk RK4 step of the forward
-(``dynamics.rk4_stages`` / ``rk4_increment``) rebuilds the four stages'
-layer inputs and tanh derivatives and each step's Jacobian increment
+windows. The forward corrects most windows with one carried window-mean
+Jacobian by the doubling scan and forms the step Jacobians about once per
+forward; the adjoint needs every step's own. From a window's states the
+bulk RK4 step of the forward (``dynamics.rk4_stages`` / ``rk4_increment``)
+rebuilds the four stages' layer inputs and each step's Jacobian increment
 D_n = dx_n/dx_{n-1} - I; then lam_{n-1} = (I + D_n^T) lam_n (plus dl/dx on
 sample steps) runs step by step (``dynamics.tangent_recurrence``), and the
-stage adjoints are pushed through the network and contracted with the
-layer inputs for the whole window at once. The test suite checks both
+stage adjoints are pushed through the network, its tanh derivatives
+1 - a * a formed from the layer inputs a, and contracted with the layer
+inputs for the whole window at once. The test suite checks both
 engines' gradients against central finite differences of the same loss.
 
 A ``Problem`` compiles the train split once into grid groups with their
@@ -296,14 +299,15 @@ def _network_grad(
         # Stage adjoints of the RK4 update, last stage first, and each layer's
         # output gradient contracted with its inputs over the whole window.
         q = None
-        for (ins, derivs), c_lam, c_q in zip(
+        for ins, c_lam, c_q in zip(
             reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
         ):
             u = c_lam * lams if q is None else c_lam * lams + c_q * q
             delta = u
             for l in range(last, -1, -1):
-                if l < last:
-                    delta = delta * derivs[l]
+                if l < last:  # through the tanh whose output is layer l + 1's input
+                    a = ins[l + 1]
+                    delta = delta * (1.0 - a * a)
                 grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
                 grad_b[l] += delta.sum(axis=(0, 1))
                 delta = delta @ source.weights[l]

@@ -7,6 +7,8 @@ scoped so the acceptance tests can share them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -64,25 +66,40 @@ def make_twin_dataset(
     )
 
 
-def newton_windows(monkeypatch) -> list[tuple[bool, int]]:
-    """Record, per Newton window, whether it fell back and its evaluations of F.
+class Window(NamedTuple):
+    """One Newton window: whether it fell back to the step loop, its evaluations
+    of F (``rk4_stages``) and its Jacobian formations (``rk4_increment``)."""
 
-    The step loop also calls ``rk4_stages``, but only after its window is
-    recorded, and the next window starts its count from zero."""
-    windows, evaluations = [], [0]
-    window, stages = dynamics.newton_window, dynamics.rk4_stages
+    fell_back: bool
+    evaluations: int
+    jacobians: int
+
+
+def newton_windows(monkeypatch) -> list[Window]:
+    """Record every Newton window as a ``Window``.
+
+    The step loop and the reverse sweep also call ``rk4_stages`` and
+    ``rk4_increment``, but only outside a window, and each window starts its
+    counts from zero."""
+    windows, counts = [], {"evaluations": 0, "jacobians": 0}
+    window, stages, increment = dynamics.newton_window, dynamics.rk4_stages, dynamics.rk4_increment
 
     def counted_stages(*args):
-        evaluations[0] += 1
+        counts["evaluations"] += 1
         return stages(*args)
 
+    def counted_increment(*args):
+        counts["jacobians"] += 1
+        return increment(*args)
+
     def counted_window(*args):
-        evaluations[0] = 0
-        steps = window(*args)
-        windows.append((steps is None, evaluations[0]))
-        return steps
+        counts.update(evaluations=0, jacobians=0)
+        result = window(*args)
+        windows.append(Window(result[0] is None, counts["evaluations"], counts["jacobians"]))
+        return result
 
     monkeypatch.setattr(dynamics, "rk4_stages", counted_stages)
+    monkeypatch.setattr(dynamics, "rk4_increment", counted_increment)
     monkeypatch.setattr(dynamics, "newton_window", counted_window)
     return windows
 

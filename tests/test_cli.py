@@ -1013,6 +1013,36 @@ class TestDataValidation:
                    "--out", tmp_path / "eval") == 2
         assert "manifest.json: 'device.dim' is 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiments", ["ab", {"id": "exp-000"}, [1, 2], ["ab"], None])
+    def test_experiments_must_be_an_array_of_objects(self, experiments, dataset_dir, tmp_path,
+                                                     capsys):
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["experiments"] = experiments
+        manifest.write_text(json.dumps(data))
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: bad value for 'experiments'" in err, err
+        assert "not a JSON array of objects" in err, err
+        assert not (tmp_path / "eval").exists()
+
+    def test_model_dim_must_match_its_device(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """A qubit model edited to dim 3 with a qutrit's 16 params, its device
+        block left at dim 2, is rejected before anything is propagated."""
+        model = tmp_path / "model.json"
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad")
+        cli.save_model(model, models.make_source("sp"), dev, "exp-gen", 0.5, 4.0, 0)
+        data = json.loads(model.read_text())
+        data.update(dim=3, params=[0.0] * 16)
+        model.write_text(json.dumps(data))
+        monkeypatch.setattr(dynamics, "grid_groups", None)  # any propagation fails loudly
+        assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"{model}: 'dim' is 3, but 'device.dim' is 2" in err, err
+        assert not (tmp_path / "eval").exists()
+
     def test_manifest_missing_device_key(self, config_path, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.json"
         data = json.loads(manifest.read_text())

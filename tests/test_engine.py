@@ -341,6 +341,14 @@ def loop_samples(group, src) -> np.ndarray:
     ])
 
 
+def base_guess(group) -> np.ndarray:
+    """The base-model trajectory over a group's whole horizon, a first Newton iterate."""
+    n_steps = group.n_samples * group.n_sub
+    base = dynamics.power_increments(dynamics.rk4_step_increment(group.a_base, group.h_us),
+                                     1, n_steps)
+    return dynamics.propagate_linear(base, group.x0, n_steps)
+
+
 class TestNewtonForward:
     """The Newton-in-time network forward against the step loop, and its fallback."""
 
@@ -362,7 +370,7 @@ class TestNewtonForward:
         assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
         n_windows = -(-group.n_samples // dynamics.FORWARD_CHUNK_SAMPLES)
         # three forwards, every window converged
-        assert [fell_back for fell_back, _ in windows] == [False] * 3 * n_windows
+        assert [w.fell_back for w in windows] == [False] * 3 * n_windows
 
     @pytest.mark.parametrize("dim, hidden_layers", [(2, 0), (2, 3), (3, 1)])
     def test_any_depth_and_dimension(self, dim, hidden_layers, monkeypatch):
@@ -383,7 +391,7 @@ class TestNewtonForward:
                                      linear=False)
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
-        assert [fell_back for fell_back, _ in windows] == [False, False]
+        assert [w.fell_back for w in windows] == [False, False]
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
@@ -406,10 +414,13 @@ class TestNewtonForward:
                                          group.n_samples * group.n_sub)
         (states,) = [states for _, _, states in dynamics.network_chunks(group, src)]
         np.testing.assert_array_equal(states, ref)
+        states, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0, group.h_us,
+                                                    base_guess(group))
+        assert states is None and d_bar.shape == group.a_base.shape
         windows = newton_windows(monkeypatch)
         np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 5::5])
         # every evaluation of the window, and none of the step loop's rk4_stages calls
-        assert windows == [(True, dynamics.NEWTON_MAX_ITERS)]
+        assert [w[:2] for w in windows] == [(True, dynamics.NEWTON_MAX_ITERS)]
         assert relative(ref[:, 5::5], loop_samples(group, src)) <= TOL
 
     def test_each_experiment_converges_on_its_own_scale(self, monkeypatch):
@@ -422,7 +433,7 @@ class TestNewtonForward:
         ref = loop_samples(group, src)
         windows = newton_windows(monkeypatch)
         samples = dynamics.group_samples(group, src)
-        assert not any(fell_back for fell_back, _ in windows)
+        assert not any(w.fell_back for w in windows)
         for e in range(2):
             assert relative(samples[e], ref[e]) <= TOL
 
@@ -442,7 +453,7 @@ class TestNewtonForward:
         with pytest.raises(dynamics.DivergenceError) as err:
             dynamics.integrate_rk4(dev, exp, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
-        assert [fell_back for fell_back, _ in windows] == [False, True]
+        assert [w.fell_back for w in windows] == [False, True]
 
         ds = make_twin_dataset(seed=3, n_experiments=1, duration_us=c["duration_us"],
                                sample_dt_ns=c["sample_dt_ns"], shots=0, p_max=c["p_max"])
@@ -453,7 +464,7 @@ class TestNewtonForward:
         with pytest.raises(dynamics.DivergenceError) as err:
             train.loss(src.pack(), ds, DEV1, src, c["dt_internal_ns"])
         assert err.value.time_us == exp.times_us()[bad]
-        assert windows[0][0] is False and windows[-1][0] is True
+        assert not windows[0].fell_back and windows[-1].fell_back
 
     def test_ragged_windows_with_substeps_match_loop(self, monkeypatch):
         """135 samples of 5 steps each: a full 128-sample window of 640 steps,
@@ -474,12 +485,14 @@ class TestNewtonForward:
         loss, grad = problem.evaluate(src.pack(), src)
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
-        assert [fell_back for fell_back, _ in windows] == [False] * 2 * 3
-        assert max(n for _, n in windows) > 2  # a chord iteration past the first correction
+        assert [w.fell_back for w in windows] == [False] * 2 * 3
+        assert max(w.evaluations for w in windows) > 2  # an iteration past the first correction
 
     def test_no_window_falls_back_on_the_rank_twin(self, twin_noisy_20us, monkeypatch):
         """The fit-rank20 twin (criterion 07's) over its 2500 train samples, at the
-        template and at the benchmark's fitted weights (one L-BFGS iteration)."""
+        template and at the benchmark's fitted weights (one L-BFGS iteration). At
+        the template the forward forms its Jacobian once, in the first window, and
+        every window converges in 2 evaluations."""
         problem = train.Problem(twin_noisy_20us, DEV1)
         template = models.make_source("nonlinear", seed=1)
         fitted = train.fit(twin_noisy_20us, DEV1, template,
@@ -489,8 +502,12 @@ class TestNewtonForward:
             windows.clear()
             problem.evaluate(theta, template, want_grad=False)
             assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES)
-            assert not any(fell_back for fell_back, _ in windows)
-            print(f"\n{name}: {np.mean([n for _, n in windows]):.2f} evaluations per window")
+            assert not any(w.fell_back for w in windows)
+            jacobians = sum(w.jacobians for w in windows)
+            if name == "template":
+                assert jacobians == 1 and all(w.evaluations == 2 for w in windows), windows
+            print(f"\n{name}: {np.mean([w.evaluations for w in windows]):.2f} evaluations per "
+                  f"window, {jacobians} Jacobians per forward")
 
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""
@@ -501,6 +518,65 @@ class TestNewtonForward:
         other = scaled_template(100.0)
         problem.evaluate(other.pack(), other, want_grad=False)
         assert problem.evaluate(src.pack(), src, want_grad=False)[0] == first
+
+
+def perturbed_template(perturbation: float) -> models.NetworkSource:
+    """The benchmark's nonlinear template (seed 1) plus seeded normal noise."""
+    tmpl = models.make_source("nonlinear", seed=1)
+    noise = np.random.default_rng(21).standard_normal(tmpl.pack().shape)
+    return tmpl.with_params(tmpl.pack() + perturbation * noise)
+
+
+class TestScanWindow:
+    """Every window after the first starts from the affine map fitted to the
+    window before and corrects with the carried window-mean Jacobian by the
+    doubling scan; its states are the step loop's to 1e-12."""
+
+    @staticmethod
+    def grid(n_sub: int) -> train._Group:
+        if n_sub == 1:  # 185 samples of one step
+            ds, dt_internal = twin(1, 3)
+        else:  # chain-tiny's grid: 2 experiments, 100 samples of 5 steps
+            ds = make_twin_dataset(seed=5, n_experiments=2, duration_us=2.0,
+                                   sample_dt_ns=20.0, shots=5000)
+            dt_internal = 4.0
+        (group,) = train.Problem(ds, DEV1, dt_internal).groups
+        return group
+
+    @pytest.mark.parametrize("perturbation", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_window_states_match_the_loops(self, n_sub, perturbation, monkeypatch):
+        """16-sample windows, the last one ragged."""
+        group = self.grid(n_sub)
+        src = perturbed_template(perturbation)
+        ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                         group.n_samples * n_sub)
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 16)
+        windows = newton_windows(monkeypatch)
+        for lo, hi, states in dynamics.network_chunks(group, src):
+            assert relative(states, ref[:, lo * n_sub : hi * n_sub + 1]) <= TOL
+        assert len(windows) == -(-group.n_samples // 16)
+        assert not any(w.fell_back for w in windows)
+        if perturbation == 0.0:  # formed in the first window, carried to every other
+            assert [w.jacobians for w in windows] == [1] + [0] * (len(windows) - 1)
+        assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
+
+    @pytest.mark.parametrize("n_sub", [1, 5])
+    def test_stale_jacobian_is_formed_again_once(self, n_sub, monkeypatch):
+        """A window handed D_bar = 0 converges without the step loop, forming
+        its Jacobian once and returning it in place of the stale one."""
+        group = self.grid(n_sub)
+        src = perturbed_template(0.0)
+        n_steps = group.n_samples * n_sub
+        ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us, n_steps)
+        stale = dynamics.window_jacobian(np.zeros_like(group.a_base), n_steps)
+        windows = newton_windows(monkeypatch)
+        states, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0, group.h_us,
+                                                    base_guess(group), stale)
+        ((fell_back, _, jacobians),) = windows
+        assert not fell_back and jacobians == 1
+        assert relative(states, ref) <= TOL
+        assert np.max(np.abs(d_bar)) > 0.0
 
 
 class TestDivergenceTime:

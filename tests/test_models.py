@@ -166,7 +166,7 @@ class TestNetworkSource:
         (4, models.ACTIVATION_IDENTITY), (4, models.ACTIVATION_TANH)])
     def test_coeff_forward_is_the_layer_loop(self, n_layers, activation):
         """Bit for bit x -> act(W x + b) layer by layer, identity on the last layer,
-        with each layer's input and each hidden layer's tanh derivative.
+        with each layer's input.
 
         An identity network has one layer: a deeper one is rejected when it is built."""
         rng = np.random.default_rng(n_layers)
@@ -178,17 +178,16 @@ class TestNetworkSource:
             return
         src = models.NetworkSource(dim=2, weights=weights, biases=biases, activation=activation)
         x = rng.standard_normal((3, 5, 4))
-        z, ins, derivs = x, [x], []
+        z, ins = x, [x]
         for l, (w, b) in enumerate(zip(src.weights, src.biases)):
             z = z @ w.T + b
             if l < n_layers - 1 and activation == models.ACTIVATION_TANH:
                 z = np.tanh(z)
                 ins.append(z)
-                derivs.append(1.0 - z * z)
-        out, out_ins, out_derivs = src.layers(x)
+        out, out_ins = src.layers(x)
         np.testing.assert_array_equal(out, z)
-        assert (len(out_ins), len(out_derivs)) == (n_layers, n_layers - 1)
-        for got, want in zip(out_ins + out_derivs, ins + derivs):
+        assert len(out_ins) == n_layers
+        for got, want in zip(out_ins, ins):
             np.testing.assert_array_equal(got, want)
 
     def test_kind_follows_activation(self):
