@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import re
+import reprlib
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -52,6 +53,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 REQUIRED = object()  # the schema default of a key that must be set
+_SHOWN = reprlib.Repr()  # a bad value as a message shows it: long arrays and strings cut
+_SHOWN.maxlevel = 1  # and nested objects and arrays as {...} and [...]
 
 
 class ConfigError(Exception):
@@ -71,18 +74,20 @@ def _json_number(value) -> float:
 def _field(data, key: str, path: Path, cast=_json_number, where: str = "", default=REQUIRED):
     """``cast(data[key])`` of a config section or a JSON object, ``default`` if absent;
     a missing required key or a bad value is a data error naming file and key."""
-    if not isinstance(data, dict) or key not in data:
+    if key not in data:
         if default is REQUIRED:
             raise ConfigError(f"{path}: missing key {where + key!r}")
         return default
     try:
         return cast(data[key])
     except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past floats
-        raise ConfigError(f"{path}: bad value for {where + key!r}: {data[key]!r} ({err})") from None
+        raise ConfigError(f"{path}: bad value for {where + key!r}: {_SHOWN.repr(data[key])} "
+                          f"({err})") from None
 
 
 def _choices(*values: str) -> tuple:
-    """The SCHEMA row of a key that takes one of ``values``, the first by default."""
+    """The SCHEMA row of a key that takes one of ``values``, the first by default
+    (a JSON value of another type is none of them)."""
 
     def cast(raw: str) -> str:
         if raw not in values:
@@ -110,15 +115,28 @@ def _json_numbers(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def _json_is(kind: type, name: str):
+    """The cast of a JSON value of Python type ``kind``, kept as it is."""
+
+    def cast(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"not a JSON {name}")
+        return value
+
+    return cast
+
+
+_json_bool, _json_object, _json_string = (_json_is(bool, "boolean"), _json_is(dict, "object"),
+                                          _json_is(str, "string"))
+
+
 def _json_objects(value) -> list:
-    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+    """A JSON array of objects; ValueError naming the first entry that is not one."""
+    if not isinstance(value, list):
         raise ValueError("not a JSON array of objects")
-    return value
-
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError("not a JSON boolean")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValueError(f"not a JSON array of objects: entry {i} is {_SHOWN.repr(entry)}")
     return value
 
 
@@ -137,12 +155,16 @@ def _positive(value) -> float:
     return value
 
 
-def _count(raw) -> int:
-    """``raw`` as a non-negative int; ValueError otherwise."""
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"{value} is negative")
-    return value
+def _int_in(least: int, most: float = np.inf, parse=int):
+    """The cast of an int in [least, most], read by ``parse`` (``_integral`` for JSON)."""
+
+    def cast(raw) -> int:
+        value = parse(raw)
+        if not least <= value <= most:
+            raise ValueError(f"{value} is not in [{least}, {most}]")
+        return value
+
+    return cast
 
 
 # generate draws, integrates and holds every experiment in memory and writes one
@@ -150,25 +172,7 @@ def _count(raw) -> int:
 # a hundredfold margin; a count past it is a typo, and one of hundreds of digits
 # would never finish drawing its amplitudes.
 MAX_EXPERIMENTS = 10**4
-
-
-def _experiment_count(raw) -> int:
-    """``raw`` as an int in [1, MAX_EXPERIMENTS]; ValueError otherwise."""
-    value = int(raw)
-    if not 1 <= value <= MAX_EXPERIMENTS:
-        raise ValueError(f"{value} is not an experiment count in [1, {MAX_EXPERIMENTS}]")
-    return value
-
-
 MAX_SHOTS = 2**53  # counts are held as floats, which are integers exactly up to here
-
-
-def _shot_count(raw) -> int:
-    """``raw`` as an int in [0, MAX_SHOTS]; ValueError otherwise."""
-    value = int(raw)
-    if not 0 <= value <= MAX_SHOTS:
-        raise ValueError(f"{value} is not a shot count in [0, 2**53]")
-    return value
 
 
 class RunConfig:
@@ -180,18 +184,18 @@ class RunConfig:
     """
 
     SCHEMA = {
-        "device": {"base_model": (str, "lindblad"), "omega01_GHz": (float, REQUIRED),
+        "device": {"base_model": _choices(*dynamics.BASE_KINDS), "omega01_GHz": (float, REQUIRED),
                    "omega_rot_GHz": (float, None), "T1_us": (float, REQUIRED),
                    "T2_us": (float, REQUIRED), "dim": (int, 2)},
         "latent": {"ansatz": (str, "none"), "model_file": (str, None),
                    "alpha_kHz": (_floats, ()), "gamma_inv_us": (_floats, ())},  # (): zeros
-        "experiments": {"seed": (_count, 0), "n_experiments": (_experiment_count, 5),
+        "experiments": {"seed": (_int_in(0), 0), "n_experiments": (_int_in(1, MAX_EXPERIMENTS), 5),
                         "p_max_MHz": (_positive, REQUIRED), "duration_us": (_positive, REQUIRED),
-                        "sample_dt_ns": (_positive, 4.0), "shots": (_shot_count, 5000),
+                        "sample_dt_ns": (_positive, 4.0), "shots": (_int_in(0, MAX_SHOTS), 5000),
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
         "training": {
-            "ansatz": _choices(models.KIND_SP, models.KIND_AFFINE, models.KIND_NONLINEAR),
-            "train_horizon_us": (_positive, None), "hidden_layers": (_count, 2),
+            "ansatz": _choices(*models.KINDS),
+            "train_horizon_us": (_positive, None), "hidden_layers": (_int_in(0), 2),
             "gamma_mode": _choices("squared", "signed"),
             **{f.name: (type(f.default) if isinstance(f.default, (int, float)) else str, f.default)
                for f in fields(TrainConfig)},
@@ -238,18 +242,9 @@ class RunConfig:
         cast, default = self.SCHEMA[section][key]
         return _field(self._raw.get(section, {}), key, self.path, cast, f"[{section}] ", default)
 
-    def device(self, base_override: str | None = None) -> DeviceModel:
-        try:
-            return DeviceModel(
-                omega01_GHz=self.get("device", "omega01_GHz"),
-                omega_rot_GHz=self.get("device", "omega_rot_GHz"),
-                T1_us=self.get("device", "T1_us"),
-                T2_us=self.get("device", "T2_us"),
-                base_kind=base_override or self.get("device", "base_model"),
-                dim=self.get("device", "dim"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{self.path}: bad [device]: {err}") from None
+    def device(self) -> DeviceModel:
+        return _device({key: self.get("device", key) for key in self.SCHEMA["device"]},
+                       self.path, "[device]")
 
     def latent_source(self):
         kind = self.get("latent", "ansatz")
@@ -326,41 +321,73 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
         fh.writelines(map("%s\r\n".__mod__, rows))
 
 
+# The keys read from the JSON files, in RunConfig.SCHEMA's (cast, default) rows: a
+# nested table is a JSON object and [table] an array of such objects. Keys that no
+# table declares (toolkit_version, units, latent, final_*_loss, ...) are not read.
+DEVICE_KEYS = {"omega01_GHz": (_json_number, REQUIRED), "omega_rot_GHz": (_json_number, REQUIRED),
+               "T1_us": (_json_number, REQUIRED), "T2_us": (_json_number, REQUIRED),
+               "base_model": (_choices(*dynamics.BASE_KINDS)[0], REQUIRED),
+               "dim": (_int_in(2, parse=_integral), REQUIRED)}
+EXPERIMENT_FIELDS = {"id": (_json_string, REQUIRED), "amplitude_p_MHz": (_json_number, REQUIRED),
+                     "amplitude_q_MHz": (_json_number, 0.0),
+                     "duration_us": (_json_number, REQUIRED),
+                     "sample_dt_ns": (_json_number, REQUIRED)}  # the Experiment of an entry
+EXPERIMENT_KEYS = {**EXPERIMENT_FIELDS, "file": (_json_string, REQUIRED),
+                   "n_records": (_int_in(0, parse=_integral), REQUIRED)}
+MANIFEST_KEYS = {"schema": (_choices(DATASET_SCHEMA)[0], REQUIRED), "device": DEVICE_KEYS,
+                 "dt_internal_ns": (_json_positive, dynamics.DEFAULT_DT_INTERNAL_NS),
+                 "experiments": [EXPERIMENT_KEYS]}
+MODEL_KEYS = {"schema": (_choices(MODEL_SCHEMA)[0], REQUIRED),
+              "ansatz": (_choices(*models.KINDS)[0], REQUIRED), "dim": DEVICE_KEYS["dim"],
+              "params": (_json_numbers, REQUIRED), "train_horizon_us": (_json_positive, REQUIRED),
+              "dt_internal_ns": (_json_positive, REQUIRED), "signed_gamma": (_json_bool, False),
+              "n_layers": (_int_in(1, parse=_integral), None),  # None: the ansatz's own
+              "activation": (_choices(models.ACTIVATION_IDENTITY, models.ACTIVATION_TANH)[0], None),
+              "device": DEVICE_KEYS}
+
+
 def _device_to_json(dev: DeviceModel) -> dict:
-    return {
-        "omega01_GHz": dev.omega01_GHz,
-        "omega_rot_GHz": dev.omega_rot_GHz,
-        "T1_us": dev.T1_us,
-        "T2_us": dev.T2_us,
-        "base_model": dev.base_kind,
-        "dim": dev.dim,
-    }
+    return {key: getattr(dev, "base_kind" if key == "base_model" else key) for key in DEVICE_KEYS}
 
 
-def _read_json(path: Path) -> dict:
-    """The JSON object in a file; malformed JSON is a data error."""
+def _read_table(data: dict, table: dict, path: Path, where: str = "") -> dict:
+    """The JSON object ``data`` with every key of ``table`` read by its row and
+    every other key kept as it is; a fault names the file and the key path."""
+    read = dict(data)
+    for key, row in table.items():
+        if isinstance(row, dict):
+            read[key] = _read_table(_field(data, key, path, _json_object, where), row, path,
+                                    f"{where}{key}.")
+        elif isinstance(row, list):
+            read[key] = [_read_table(entry, row[0], path, f"{where}{key}[{n}].")
+                         for n, entry in enumerate(_field(data, key, path, _json_objects, where))]
+        else:
+            read[key] = _field(data, key, path, row[0], where, row[1])
+    return read
+
+
+def _read_json(path: Path, table: dict, what: str) -> dict:
+    """The JSON object in the file ``path`` with the keys of ``table`` read; a
+    missing file, malformed JSON or a key that does not read is a data error."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
     try:
         data = json.loads(path.read_text())
     except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{path}: malformed JSON: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    return data
+    return _read_table(data, table, path)
 
 
-def _device_from_json(data: dict, path: Path, base_override: str | None = None) -> DeviceModel:
-    device = data.get("device")
+def _device(values: dict, path: Path, block: str, base_override: str | None = None) -> DeviceModel:
+    """The DeviceModel of a device block read by its table; a value DeviceModel
+    rejects is a data error naming the file and the block."""
     try:
-        return DeviceModel(
-            omega01_GHz=_field(device, "omega01_GHz", path, where="device."),
-            omega_rot_GHz=_field(device, "omega_rot_GHz", path, where="device."),
-            T1_us=_field(device, "T1_us", path, where="device."),
-            T2_us=_field(device, "T2_us", path, where="device."),
-            base_kind=base_override or _field(device, "base_model", path, str, "device."),
-            dim=_field(device, "dim", path, _integral, "device."),
-        )
+        return DeviceModel(**{key: values[key] for key in DEVICE_KEYS if key != "base_model"},
+                           base_kind=base_override or values["base_model"])
     except ValueError as err:
-        raise ConfigError(f"{path}: bad device: {err}") from None
+        raise ConfigError(f"{path}: bad {block}: {err}") from None
 
 
 def save_model(
@@ -399,40 +426,31 @@ def save_model(
 
 def load_model(path: str | Path):
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"model file not found: {path}")
-    data = _read_json(path)
-    if data.get("schema") != MODEL_SCHEMA:
-        raise ConfigError(f"{path} is not a {MODEL_SCHEMA} file")
-    kind = _field(data, "ansatz", path, str)
-    dim = _field(data, "dim", path, _integral)
-    theta = _field(data, "params", path, _json_numbers)
+    data = _read_json(path, MODEL_KEYS, "model file")
+    kind, dim, theta, layers = data["ansatz"], data["dim"], data["params"], data["n_layers"]
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ConfigError(f"{path}: bad value for 'params[{bad[0]}]': {theta.flat[bad[0]]} "
                           "(not finite)")
-    for key in ("train_horizon_us", "dt_internal_ns"):
-        data[key] = _field(data, key, path, _json_positive)
-    signed = _field(data, "signed_gamma", path, _json_bool, default=False)
-    hidden = _field(data, "n_layers", path, _integral, default=1) - 1
     # a source of dimension d has at least d * d - 1 parameters and one per layer,
     # so neither integer can ask for more memory than the params already hold
-    for key, least in (("dim", dim * dim - 1), ("n_layers", hidden + 1)):
+    for key, least in (("dim", dim * dim - 1), ("n_layers", layers or 1)):
         if least > theta.size:
             raise ConfigError(f"{path}: {key!r} is {data[key]!r}, too large for "
                               f"{theta.size} params")
-    device_dim = _field(data.get("device"), "dim", path, _integral, "device.", default=dim)
-    if device_dim != dim:
-        raise ConfigError(f"{path}: 'dim' is {dim}, but 'device.dim' is {device_dim}")
-    try:
-        template = models.make_source(kind, dim=dim, hidden_layers=max(hidden, 0), signed=signed)
-        for key in ("n_layers", "activation"):  # what save_model writes for a network
-            expected = getattr(template, key, None)
-            if data.get(key, expected) != expected:
-                raise ConfigError(f"{path}: {key!r} is {data[key]!r}, not {kind}'s {expected!r}")
-        return template.with_params(theta), data
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from None
+    if data["device"]["dim"] != dim:
+        raise ConfigError(f"{path}: 'dim' is {dim}, but 'device.dim' is {data['device']['dim']}")
+    template = models.make_source(kind, dim=dim, hidden_layers=(layers or 1) - 1,
+                                  signed=data["signed_gamma"])
+    for key in ("n_layers", "activation"):  # what save_model writes for a network
+        expected = getattr(template, key, None)
+        if data[key] not in (None, expected):
+            raise ConfigError(f"{path}: {key!r} is {data[key]!r}, not {kind}'s {expected!r}")
+    if theta.size != template.pack().size:
+        shape = "" if kind == models.KIND_SP else f" and 'n_layers' {template.n_layers}"
+        raise ConfigError(f"{path}: 'params' has {theta.size} entries, but 'ansatz' {kind!r} "
+                          f"of 'dim' {dim}{shape} has {template.pack().size}")
+    return template.with_params(theta), data
 
 
 def _row_prefix(exp: Experiment) -> str:
@@ -472,17 +490,8 @@ def write_dataset(
         with (out_dir / fname).open("w") as fh:
             fh.writelines(map(row.__mod__, zip(block.times_us.tolist(), block.shots.tolist(),
                                                *counts.T.tolist())))
-        manifest_entries.append(
-            {
-                "id": exp.id,
-                "amplitude_p_MHz": exp.amplitude_p_MHz,
-                "amplitude_q_MHz": exp.amplitude_q_MHz,
-                "duration_us": exp.duration_us,
-                "sample_dt_ns": exp.sample_dt_ns,
-                "file": fname,
-                "n_records": len(block),
-            }
-        )
+        manifest_entries.append({**{key: getattr(exp, key) for key in EXPERIMENT_FIELDS},
+                                 "file": fname, "n_records": len(block)})
     manifest = {
         "schema": DATASET_SCHEMA,
         "toolkit_version": __version__,
@@ -610,46 +619,32 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
     return RecordBlock.from_counts(times, shots, counts)
 
 
-def load_dataset(
-    manifest_path: str | Path,
-    train_horizon_us: float | None = None,
-    base_override: str | None = None,
-) -> tuple[Dataset, DeviceModel, dict]:
+def load_dataset(manifest_path: str | Path, train_horizon_us: float | None = None,
+                 base_override: str | None = None) -> tuple[Dataset, DeviceModel, dict]:
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise ConfigError(f"dataset manifest not found: {manifest_path}")
-    manifest = _read_json(manifest_path)
-    if manifest.get("schema") != DATASET_SCHEMA:
-        raise ConfigError(f"{manifest_path} is not a {DATASET_SCHEMA} manifest")
-    dev = _device_from_json(manifest, manifest_path, base_override)
-    if dev.dim != 2:  # kx, ky, kz: every record is a qubit's tomography
-        raise ConfigError(f"{manifest_path}: 'device.dim' is {dev.dim}, not a qubit's 2")
+    manifest = _read_json(manifest_path, MANIFEST_KEYS, "dataset manifest")
+    if manifest["device"]["dim"] != 2:  # kx, ky, kz: every record is a qubit's tomography
+        raise ConfigError(f"{manifest_path}: 'device.dim' is {manifest['device']['dim']}, "
+                          "not a qubit's 2")
+    dev = _device(manifest["device"], manifest_path, "device", base_override)
     experiments, first_of = [], {}
     total = 0.0
-    for n, entry in enumerate(_field(manifest, "experiments", manifest_path, _json_objects)):
-        where = f"experiments[{n}]."
+    for n, entry in enumerate(manifest["experiments"]):
         try:
-            exp = Experiment(
-                id=_field(entry, "id", manifest_path, str, where),
-                amplitude_p_MHz=_field(entry, "amplitude_p_MHz", manifest_path, where=where),
-                amplitude_q_MHz=_field(entry, "amplitude_q_MHz", manifest_path, _json_number, where,
-                                       0.0),
-                duration_us=_field(entry, "duration_us", manifest_path, where=where),
-                sample_dt_ns=_field(entry, "sample_dt_ns", manifest_path, where=where),
-            )
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{manifest_path}: bad {where[:-1]}: {err}") from None
+            exp = Experiment(**{key: entry[key] for key in EXPERIMENT_FIELDS})
+        except ValueError as err:
+            raise ConfigError(f"{manifest_path}: bad experiments[{n}]: {err}") from None
         first = first_of.setdefault(exp.id, n)
         if first != n:
-            raise ConfigError(f"{manifest_path}: {where}id {exp.id!r} repeats "
+            raise ConfigError(f"{manifest_path}: experiments[{n}].id {exp.id!r} repeats "
                               f"experiments[{first}].id")
-        data_file = manifest_path.parent / _field(entry, "file", manifest_path, str, where)
-        n_records = _field(entry, "n_records", manifest_path, _integral, where)
+        data_file = manifest_path.parent / entry["file"]
         if not data_file.is_file():
             raise ConfigError(f"dataset file missing: {data_file}")
         block = _read_records(data_file, exp)
-        if len(block) != n_records:
-            raise ConfigError(f"{data_file}: {len(block)} rows, not {where}n_records = {n_records}")
+        if len(block) != entry["n_records"]:
+            raise ConfigError(f"{data_file}: {len(block)} rows, not experiments[{n}].n_records = "
+                              f"{entry['n_records']}")
         experiments.append((exp, block))
         total = max(total, exp.duration_us)
     horizon = train_horizon_us if train_horizon_us is not None else total
@@ -787,21 +782,18 @@ def cmd_train(args) -> int:
 def _load_model_or_base(args, manifest_dev: DeviceModel, manifest: dict):
     if args.model == "base":
         dev = replace(manifest_dev, base_kind=args.base) if args.base else manifest_dev
-        step = _field(manifest, "dt_internal_ns", Path(args.dataset), _json_positive,
-                      default=dynamics.DEFAULT_DT_INTERNAL_NS)
-        return None, dev, {"ansatz": "base", "train_horizon_us": None, "dt_internal_ns": step}
+        return None, dev, {"ansatz": "base", "train_horizon_us": None,
+                           "dt_internal_ns": manifest["dt_internal_ns"]}
     source, data = load_model(args.model)
-    dev = _device_from_json(data, Path(args.model), args.base)
-    return source, dev, data
+    return source, _device(data["device"], Path(args.model), "device", args.base), data
 
 
 def cmd_evaluate(args) -> int:
     dataset, manifest_dev, manifest = load_dataset(args.dataset)
     source, dev, model_data = _load_model_or_base(args, manifest_dev, manifest)
     if dev.dim != manifest_dev.dim:
-        raise ConfigError(
-            f"model dimension {dev.dim} does not match dataset dimension {manifest_dev.dim}"
-        )
+        raise ConfigError(f"{args.model}: model dimension {dev.dim} ('dim') does not match "
+                          f"dataset dimension {manifest_dev.dim} ('device.dim' of {args.dataset})")
     horizon = args.train_horizon_us
     if horizon is None:
         horizon = model_data["train_horizon_us"] or dataset.total_horizon_us
@@ -857,7 +849,7 @@ def cmd_characterize(args) -> int:
             raise ConfigError(f"{args.config}: '[device] dim' is {dev.dim}, but the model "
                               f"{args.model} has dimension {source.dim}")
     else:
-        dev = _device_from_json(data, Path(args.model))
+        dev = _device(data["device"], Path(args.model), "device")
 
     s_h = models.sp_hermitian(source)
     to_khz = 1e3 / TWO_PI
@@ -935,19 +927,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--dataset", required=True, help="dataset manifest path")
     p_train.add_argument("--out", default=None)
-    p_train.add_argument("--ansatz", choices=["sp", "affine", "nonlinear"], default=None)
-    p_train.add_argument("--base", choices=["lvn", "lindblad"], default=None)
-    p_train.add_argument("--mode", choices=["exp-gen", "exp-spec"], default=None)
+    p_train.add_argument("--ansatz", choices=models.KINDS, default=None)
+    p_train.add_argument("--base", choices=dynamics.BASE_KINDS, default=None)
+    p_train.add_argument("--mode", choices=train.MODES, default=None)
     p_train.add_argument("--train-horizon-us", type=float, default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="evaluate a model against a dataset")
-    p_eval.add_argument("--model", required=True, help="model file or 'base'")
-    p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--base", choices=["lvn", "lindblad"], default=None)
-    p_eval.add_argument("--train-horizon-us", type=float, default=None)
+    scoring = argparse.ArgumentParser(add_help=False)  # what evaluate and report share
+    scoring.add_argument("--model", required=True, help="model file or 'base'")
+    scoring.add_argument("--dataset", required=True)
+    scoring.add_argument("--out", required=True)
+    scoring.add_argument("--base", choices=dynamics.BASE_KINDS, default=None)
+    scoring.add_argument("--train-horizon-us", type=float, default=None)
+    p_eval = sub.add_parser("evaluate", parents=[scoring],
+                            help="evaluate a model against a dataset")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_char = sub.add_parser("characterize", help="interpret a structure-preserving model")
@@ -956,12 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--out", default=None)
     p_char.set_defaults(func=cmd_characterize)
 
-    p_rep = sub.add_parser("report", help="evaluate and characterize into one directory")
-    p_rep.add_argument("--model", required=True)
-    p_rep.add_argument("--dataset", required=True)
-    p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--base", choices=["lvn", "lindblad"], default=None)
-    p_rep.add_argument("--train-horizon-us", type=float, default=None)
+    p_rep = sub.add_parser("report", parents=[scoring],
+                           help="evaluate and characterize into one directory")
     p_rep.add_argument("--config", default=None)
     p_rep.set_defaults(func=cmd_report)
 

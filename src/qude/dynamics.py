@@ -70,6 +70,7 @@ TWO_PI = 2.0 * np.pi
 
 BASE_LVN = "lvn"
 BASE_LINDBLAD = "lindblad"
+BASE_KINDS = (BASE_LINDBLAD, BASE_LVN)  # the first is the default
 
 DEFAULT_DT_INTERNAL_NS = 4.0
 
@@ -105,7 +106,7 @@ class DeviceModel:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.base_kind not in (BASE_LVN, BASE_LINDBLAD):
+        if self.base_kind not in BASE_KINDS:
             raise ValueError(f"base_kind must be '{BASE_LVN}' or '{BASE_LINDBLAD}', got {self.base_kind!r}")
         if self.base_kind == BASE_LINDBLAD and (self.T1_us <= 0 or self.T2_us <= 0):
             raise ValueError("Lindblad base model requires T1 > 0 and T2 > 0")

@@ -37,6 +37,7 @@ from . import dynamics, qcore
 KIND_SP = "sp"
 KIND_AFFINE = "affine"
 KIND_NONLINEAR = "nonlinear"
+KINDS = (KIND_SP, KIND_AFFINE, KIND_NONLINEAR)
 
 ACTIVATION_IDENTITY = "identity"
 ACTIVATION_TANH = "tanh"

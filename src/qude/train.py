@@ -63,6 +63,7 @@ from .tomography import RecordBlock
 
 MODE_EXP_GEN = "exp-gen"
 MODE_EXP_SPEC = "exp-spec"
+MODES = (MODE_EXP_GEN, MODE_EXP_SPEC)
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator guard
 LBFGS_MEMORY, ARMIJO_C, MIN_STEP = 10, 1e-4, 1e-14  # pairs kept, Armijo fraction, least step
@@ -142,7 +143,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_EXP_GEN, MODE_EXP_SPEC):
+        if self.mode not in MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not 0 < self.adam_lr < np.inf:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")

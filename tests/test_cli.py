@@ -130,6 +130,8 @@ BAD_VALUES = {
                              "bad [training]: lbfgs_max_iters"),
     "experiments-seed-negative": ("generate", ("seed = 11", "seed = -11"), "[experiments] seed"),
     "training-seed-negative": ("train", ("seed = 3", "seed = -3"), "bad [training]: seed"),
+    "base-model-typo": ("generate", ("base_model = lindblad", "base_model = lindblat"),
+                        "[device] base_model"),
     "hidden-layers-negative": ("train", ("mode = exp-gen", "mode = exp-gen\nhidden_layers = -1"),
                                "[training] hidden_layers"),
     "dt-internal-nan": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = nan"),
@@ -299,6 +301,47 @@ class TestConfig:
         assert run("train", "--config", config_path, "--dataset", "out/manifest.json") == 0
         assert read == {(section, key) for section, keys in cli.RunConfig.SCHEMA.items()
                         for key in keys}
+
+    def test_json_keys_read_are_the_keys_written(self, config_path, tmp_path, monkeypatch):
+        """Every REQUIRED key of cli.MANIFEST_KEYS and cli.MODEL_KEYS, nested tables
+        included, is in every manifest generate writes and every model train writes
+        (sp, affine, nonlinear), and every other declared key is in one of them."""
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "--config", config_path) == 0
+        quick = write_config(tmp_path, BASE_CONFIG.replace("adam_epochs = 5", "adam_epochs = 1")
+                             .replace("lbfgs_max_iters = 30", "lbfgs_max_iters = 1"), "quick.cfg")
+        models_written = []
+        for kind in models.KINDS:
+            assert run("train", "--config", quick, "--dataset", "out/manifest.json",
+                       "--ansatz", kind, "--out", kind) == 0
+            models_written.append(json.loads((tmp_path / kind / "model.json").read_text()))
+
+        def held(table, obj, where=""):
+            """The key paths of ``table`` that the JSON object ``obj`` holds."""
+            for key, row in table.items():
+                if key in obj:
+                    yield where + key
+                    if isinstance(row, dict):
+                        yield from held(row, obj[key], f"{where}{key}.")
+                    elif isinstance(row, list):  # [table]: each entry holds them
+                        yield from set.intersection(*(set(held(row[0], entry, f"{where}{key}[]."))
+                                                      for entry in obj[key]))
+
+        def declared(table, where=""):
+            """(key path, whether it is REQUIRED) of every key of ``table``."""
+            for key, row in table.items():
+                nested = row if isinstance(row, dict) else row[0] if isinstance(row, list) else None
+                yield where + key, nested is not None or row[1] is cli.REQUIRED
+                if nested is not None:
+                    yield from declared(nested, f"{where}{key}[]." if isinstance(row, list)
+                                        else f"{where}{key}.")
+
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for table, objects in ((cli.MANIFEST_KEYS, [manifest]), (cli.MODEL_KEYS, models_written)):
+            files = [set(held(table, obj)) for obj in objects]
+            for key, is_required in declared(table):
+                assert all(key in keys for keys in files) if is_required else any(
+                    key in keys for keys in files), key
 
 
 class TestGenerate:
@@ -827,6 +870,9 @@ MODEL_FIELD_FAULTS = {
     "n-layers-past-params": ("nonlinear", {"n_layers": PAST_FLOATS}, "'n_layers'"),
     "params-nan": ("sp", {"params": [0.0, 0.0, float("nan"), 0.0, 0.0, 0.0]}, "'params[2]'"),
     "params-infinite": ("affine", {"params": [float("-inf")] + [0.0] * 19}, "'params[0]'"),
+    "params-one-short": ("sp", {"params": [0.0] * 5}, "'params'"),
+    "params-one-long": ("affine", {"params": [0.0] * 21}, "'params'"),
+    "n-layers-one-short": ("nonlinear", {"n_layers": 2}, "'n_layers'"),
 }
 
 
@@ -1098,7 +1144,9 @@ class TestDataValidation:
                        4.0, 0)
         assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
                    "--out", tmp_path / "eval") == 2
-        assert "dimension" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dimension" in err
+        assert f"{model}: " in err and f"'device.dim' of {dataset_dir / 'manifest.json'}" in err, err
 
 
 # fault -> (verb, config edit (old, new), extra train arguments, record line to delete)

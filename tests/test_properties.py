@@ -3,8 +3,8 @@ over random parameter scales, grid lengths, substep counts and depths, the
 exact round trips of the coefficient expansion, the parameter packing and
 the record files, one verdict from the in-memory record gate and the
 record-file check, the column decode of record files against the line-by-line
-decode, clean exits on corrupted input files, and a data error for a boolean
-or a string where a manifest or a model holds a number."""
+decode, clean exits on corrupted input files, and a data error for a value of
+another JSON type at any node of a manifest or a model."""
 
 import contextlib
 import io
@@ -281,49 +281,96 @@ def test_corrupt_input_exits_cleanly(chain_files, data):
     assert "Traceback" not in err.getvalue()
 
 
-def number_fields(files: dict[str, bytes]) -> list[tuple[str, tuple, tuple]]:
-    """(file, keys to the value, texts the message must hold) of every JSON number
-    that ``evaluate`` reads as a float from the chain's manifest and model."""
-    manifest, model = "data/manifest.json", "fit/model.json"
-    fields = [(manifest, ("dt_internal_ns",), ("'dt_internal_ns'",))]
-    for key in ("omega01_GHz", "omega_rot_GHz", "T1_us", "T2_us"):
-        fields += [(name, ("device", key), (f"'device.{key}'",)) for name in (manifest, model)]
+# the JSON type of each node that evaluate reads: "name" is a string from a fixed set
+DEVICE_NODES = {"omega01_GHz": "number", "omega_rot_GHz": "number", "T1_us": "number",
+                "T2_us": "number", "base_model": "name", "dim": "integer"}
+ENTRY_NODES = {"id": "string", "amplitude_p_MHz": "number", "amplitude_q_MHz": "number",
+               "duration_us": "number", "sample_dt_ns": "number", "file": "string",
+               "n_records": "integer"}
+MODEL_NODES = {"schema": "name", "ansatz": "name", "dim": "integer", "params": "array",
+               "train_horizon_us": "number", "dt_internal_ns": "number", "device": "object",
+               "signed_gamma": "bool", "n_layers": "integer", "activation": "name"}
+IS_OF_TYPE = {"number": lambda v: type(v) in (int, float), "integer": lambda v: type(v) is int,
+              "string": lambda v: isinstance(v, str), "name": lambda v: False,
+              "object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+              "bool": lambda v: isinstance(v, bool)}
+
+
+@pytest.fixture(scope="module")
+def net_model(chain_files, tmp_path_factory) -> bytes:
+    """A nonlinear model.json trained for one iteration on the chain's dataset."""
+    root = tmp_path_factory.mktemp("net")
+    (root / "data").mkdir()
+    for name in ("data/manifest.json", "data/exp-000.jsonl", "data/exp-001.jsonl"):
+        (root / name).write_bytes(chain_files[name])
+    config = root / "net.cfg"
+    config.write_text(DETERMINISM_CONFIG.replace("adam_epochs = 10", "adam_epochs = 1")
+                      .replace("lbfgs_max_iters = 50", "lbfgs_max_iters = 1"))
+    assert cli.main(["train", "--config", str(config), "--ansatz", "nonlinear", "--out",
+                     str(root / "net"), "--dataset", str(root / "data" / "manifest.json")]) == 0
+    return (root / "net" / "model.json").read_bytes()
+
+
+def key_path(keys: tuple) -> str:
+    """The quoted key path a message names, such as 'experiments[1].id'."""
+    return repr("".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:])
+
+
+def read_nodes(files: dict[str, bytes]) -> list[tuple[str, tuple, str, tuple]]:
+    """(file, keys to the node, its JSON type, texts the message must hold) of every
+    node that ``evaluate`` reads from the chain's manifest and the two models."""
+    manifest, models_ = "data/manifest.json", ("fit/model.json", "net/model.json")
+    nodes = [(manifest, (key,), kind) for key, kind in (
+        ("schema", "name"), ("dt_internal_ns", "number"), ("device", "object"),
+        ("experiments", "array"))]
+    nodes += [(name, ("device", key), kind) for name in (manifest, *models_)
+              for key, kind in DEVICE_NODES.items()]
     for n in range(len(json.loads(files[manifest])["experiments"])):
-        fields += [(manifest, ("experiments", n, key), (f"'experiments[{n}].{key}'",))
-                   for key in ("amplitude_p_MHz", "amplitude_q_MHz", "duration_us",
-                               "sample_dt_ns")]
-    fields += [(model, (key,), (f"'{key}'",)) for key in ("train_horizon_us", "dt_internal_ns")]
-    fields += [(model, ("params", i), ("'params'", f"(entry {i}, "))
-               for i in range(len(json.loads(files[model])["params"]))]
-    return fields
+        nodes += [(manifest, ("experiments", n, key), kind) for key, kind in ENTRY_NODES.items()]
+    for model in models_:
+        nodes += [(model, (key,), kind) for key, kind in MODEL_NODES.items()
+                  if key in json.loads(files[model])]
+    nodes = [(*node, (key_path(node[1]),)) for node in nodes]
+    # an entry of an array is named by the array and its index
+    for n in range(len(json.loads(files[manifest])["experiments"])):
+        nodes += [(manifest, ("experiments", n), "object", ("'experiments'", f"entry {n} is"))]
+    for model in models_:
+        nodes += [(model, ("params", i), "number", ("'params'", f"(entry {i}, "))
+                  for i in range(len(json.loads(files[model])["params"]))]
+    return nodes
 
 
-@pytest.mark.parametrize("value", [False, True, "3.448"])
-def test_json_number_of_another_type_exits_2(chain_files, value, tmp_path):
-    """A boolean or a string where the manifest or the model holds a number is a
-    data error naming the file and the field, not a number read through float()."""
-    root = tmp_path
-    for name in ("data", "fit"):
-        (root / name).mkdir()
-    for name, keys, texts in number_fields(chain_files):
-        for other, raw in chain_files.items():
-            (root / other).write_bytes(raw)
-        data = json.loads(chain_files[name])
+@pytest.mark.parametrize("value", [False, True, "3.448", pytest.param(3.448, id="number"),
+                                   pytest.param(None, id="null"),
+                                   pytest.param([1, 2], id="array"),
+                                   pytest.param({"a": 1}, id="object")])
+def test_json_number_of_another_type_exits_2(chain_files, net_model, value, tmp_path):
+    """A value of another JSON type at any node of the manifest or a model that
+    evaluate reads is a data error naming the file and the key path, not a value
+    read through float() or str(); a number node's message says so."""
+    files = {**chain_files, "net/model.json": net_model}
+    for name in ("data", "fit", "net"):
+        (tmp_path / name).mkdir()
+    for name, keys, kind, texts in read_nodes(files):
+        if IS_OF_TYPE[kind](value):
+            continue
+        for other, raw in files.items():
+            (tmp_path / other).write_bytes(raw)
+        data = json.loads(files[name])
         *parents, last = keys
         target = data
         for key in parents:
             target = target[key]
         target[last] = value
-        (root / name).write_text(json.dumps(data, indent=2) + "\n")
-        # the manifest's internal step is read only for the base model
-        base = name == "data/manifest.json" and keys == ("dt_internal_ns",)
-        model = "base" if base else str(root / "fit" / "model.json")
-        argv = ["evaluate", "--model", model, "--dataset", str(root / "data" / "manifest.json"),
-                "--out", str(root / "out")]
+        (tmp_path / name).write_text(json.dumps(data, indent=2) + "\n")
+        model = tmp_path / ("net" if name == "net/model.json" else "fit") / "model.json"
+        argv = ["evaluate", "--model", str(model), "--dataset",
+                str(tmp_path / "data" / "manifest.json"), "--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv)
         message = err.getvalue()
         assert code == 2, (name, keys, message)
         assert all(text in message for text in (Path(name).name, *texts)), (keys, message)
-        assert "not a JSON number" in message, message
+        if kind == "number":
+            assert "not a JSON number" in message, message
