@@ -252,7 +252,13 @@ class RunConfig:
             return None
         model_file = self.get("latent", "model_file")
         if model_file is not None:
-            source, _ = load_model(Path(self.path).parent / model_file)
+            path = Path(self.path).parent / model_file
+            source, _ = load_model(path)
+            for key, wanted, found in (("[latent] ansatz", kind, source.kind),
+                                       ("[device] dim", self.get("device", "dim"), source.dim)):
+                if found != wanted:
+                    raise ConfigError(f"{self.path}: {key!r} is {wanted!r}, but the model "
+                                      f"{path} ('[latent] model_file') has {found!r}")
             return source
         if kind != models.KIND_SP:
             raise ConfigError(
@@ -640,7 +646,8 @@ def load_dataset(manifest_path: str | Path, train_horizon_us: float | None = Non
                               f"experiments[{first}].id")
         data_file = manifest_path.parent / entry["file"]
         if not data_file.is_file():
-            raise ConfigError(f"dataset file missing: {data_file}")
+            raise ConfigError(f"{manifest_path}: bad value for 'experiments[{n}].file': "
+                              f"{_SHOWN.repr(entry['file'])} (no such file: {data_file})")
         block = _read_records(data_file, exp)
         if len(block) != entry["n_records"]:
             raise ConfigError(f"{data_file}: {len(block)} rows, not experiments[{n}].n_records = "

@@ -17,17 +17,14 @@ every linear source take one path. There the classic four-stage Runge-Kutta
 step collapses to a constant matrix R = sum_{m<=4} (h G)^m / m!, the
 sample-to-sample map is S = R^n_sub, and x_s = S^s x_0 is computed by
 doubling: block [m, 2m) of the sample states is S^m applied to block
-[0, m), so n samples cost about log2(n) batched matrix products. The
-adjoint recurrence lam_s = S^T lam_{s+1} + g_s of the training code runs
-over the same powers as a log-depth scan. Powers are carried as increments
-S^d - I so that the identity does not round away the small per-step
-change.
+[0, m), so n samples cost about log2(n) batched matrix products. Powers
+are carried as increments S^d - I so that the identity does not round away
+the small per-step change.
 
 Nonlinear networks are solved by Newton's method in time (DEER: Lim et
 al., ICLR 2024), one window of FORWARD_CHUNK_SAMPLES samples at a time, the
-one cut of the horizon: the training adjoint walks back over the same
-windows. Every step x_n = F(x_{n-1}) of the current iterate is evaluated
-in bulk (``rk4_stages``), and the tangent recurrence
+one cut of the horizon. Every step x_n = F(x_{n-1}) of the current iterate
+is evaluated in bulk (``rk4_stages``), and the tangent recurrence
 delta_n = (I + D_n) delta_{n-1} + F(x_{n-1}) - x_n corrects the iterate.
 While the network works in its near-linear range the Jacobian increments
 D_n = dF/dx - I barely move along a window, so the corrections take one
@@ -52,9 +49,24 @@ converged states agree with the step loop to rounding, not bit for bit.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
 generators and initial states of the experiments that share a sample grid.
-``linear_forward`` and ``network_chunks`` are the only forwards of a group;
-prediction (``integrate_many``) and training (qude.train) both run them,
-and ``check_finite`` is their one divergence check.
+``GroupForward`` is the one forward of a group, for prediction
+(``integrate_many``) and training (qude.train), and the one place that
+picks the engine: it runs ``linear_forward`` or ``network_chunks``, whose
+states ``check_finite`` checks, and then their pullback. A pullback is the
+discrete adjoint of the RK4 recursion: it maps g = dl/dx at every sample,
+for any loss l, to the exact gradient of the packed parameters.
+``linear_pullback`` solves lam_s = S^T lam_{s+1} + g_s by a log-depth scan
+over the forward's powers (``adjoint_scan``), and dL/dS = sum_s lam_s
+x_{s-1}^T. S is a matrix polynomial of the generator M, whose derivative
+at X in direction E is the upper-right block of S([[X, E], [0, X]])
+(Mathias, SIAM J. Matrix Anal. Appl. 17, 1996): the forward's polynomial of
+[[M^T, dL/dS], [0, M^T]] gives dL/dM, and ``coeff_affine_vjp`` the
+parameters. ``network_pullback`` needs each step's own Jacobian, so it
+walks back over the forward's windows, rebuilding each window's stages
+(``rk4_stages``) and D_n (``rk4_increment``) from its states; lam runs
+back step by step (``tangent_recurrence`` with D_n^T, plus g on sample
+steps), and the stage adjoints go back through the network (its ``slope``)
+into views of the packed gradient (``NetworkSource.unpacked``).
 """
 
 from __future__ import annotations
@@ -441,7 +453,8 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
 
     Stage s has the Jacobian J_s = A + W_L diag(d_{L-1}) W_{L-1} ... diag(d_0) W_0
     and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx;
-    d_l = 1 - a * a, with a the input of layer l + 1 (the tanh output of layer l).
+    d_l = ``source.slope(a)``, with a the input of layer l + 1 (the tanh output
+    of layer l).
     They are formed transposed, P^T J^T, and laid out (E, k_in, C, k_out):
     each shared weight then multiplies the rows of one 2-D array over all
     steps, and each diag(d) scales contiguous (C, k_out) blocks.
@@ -457,8 +470,7 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
         p = eye if s == 0 else (_RK4_STAGE_STEPS[s - 1] * h_us) * slopes[-1] + eye
         q = _rows(p, w_t[0])
         for l in range(1, len(w_t)):
-            a = ins[l][:, None]
-            q = _rows(q * (1.0 - a * a), w_t[l])
+            q = _rows(q * source.slope(ins[l][:, None]), w_t[l])
         slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
     k1, k2, k3, k4 = slopes
     return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (2, 0, 3, 1))
@@ -680,14 +692,108 @@ def network_chunks(group: GridGroup, source):
         yield lo, hi, states
 
 
+def linear_pullback(group: GridGroup, source, forward, g: np.ndarray) -> np.ndarray:
+    """The packed-parameter gradient of a linear source from g = dl/dx (E, S, k)
+    at every sample, on its ``linear_forward`` (m, increments, samples)."""
+    m, increments, samples = forward
+    x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
+    states = np.concatenate([x0[:, None, :], samples], axis=1)
+
+    # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
+    # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
+    g_aug = np.zeros(samples.shape)
+    g_aug[..., :-1] = g
+    lam = adjoint_scan(increments, g_aug)
+    p_s = lam.swapaxes(-1, -2) @ states[:, :-1, :]
+
+    # dL/dM, the derivative of S = R(hM)^n_sub at M^T in the direction dL/dS, is
+    # the upper-right block of the same polynomial of [[M^T, dL/dS], [0, M^T]];
+    # then on to the parameters through M = [[A + W, b], [0, 0]].
+    kk, m_t = m.shape[-1], m.swapaxes(-1, -2)
+    block = np.zeros((len(m), 2 * kk, 2 * kk))
+    block[:, :kk, :kk] = block[:, kk:, kk:] = m_t
+    block[:, :kk, kk:] = p_s
+    step = rk4_step_increment(block, group.h_us)
+    q = power_increments(step, group.n_sub, 1)[0][..., :kk, kk:].sum(axis=0)
+    return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
+
+
+def network_pullback(group: GridGroup, source, windows: list, g: np.ndarray) -> np.ndarray:
+    """The packed-parameter gradient of a network from g = dl/dx (E, S, k) at
+    every sample, walking back over the windows (lo, hi, states) of its
+    ``network_chunks``."""
+    h, n_sub = group.h_us, group.n_sub
+    last, k = source.n_layers - 1, group.x0.shape[-1]
+    grad = np.zeros_like(source.pack())
+    grad_w, grad_b = source.unpacked(grad)
+    lam = np.zeros_like(group.x0)
+    for lo, hi, states in reversed(windows):
+        _, stages = rk4_stages(group.a_base, source, h, states[:, :-1])
+        d_step = rk4_increment(group.a_base, source, h, stages)
+        # D_n^T of the window's steps, last step first.
+        d_t = np.ascontiguousarray(np.swapaxes(d_step, -1, -2)[::-1])
+
+        # dl/dx_n of the window's steps, nonzero on sample steps, step-major.
+        g_steps = np.zeros((states.shape[1] - 1,) + group.x0.shape)
+        g_steps[n_sub - 1 :: n_sub] = np.swapaxes(g[:, lo:hi], 0, 1)
+
+        # lam_n = dL/dx_n for the window's steps, walking back by
+        # lam_{n-1} = (I + D_n^T) lam_n + dl/dx_{n-1}; lam carries
+        # (I + D^T) lam in from the first step of the window after.
+        r = g_steps[::-1]
+        r[0] += lam
+        lams = tangent_recurrence(d_t[:-1], r)
+        lam = lams[-1] + (d_t[-1] @ lams[-1][..., None])[..., 0]
+        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), the window's steps in order
+
+        # Stage adjoints of the RK4 update, last stage first, and each layer's
+        # output gradient contracted with its inputs over the whole window.
+        q = None
+        for ins, c_lam, c_q in zip(
+            reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
+        ):
+            u = c_lam * lams if q is None else c_lam * lams + c_q * q
+            delta = u
+            for l in range(last, -1, -1):
+                if l < last:  # through the tanh whose output is layer l + 1's input
+                    delta = delta * source.slope(ins[l + 1])
+                grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
+                grad_b[l] += delta.sum(axis=(0, 1))
+                delta = delta @ source.weights[l]
+            q = delta + u @ group.a_base  # A^T u, row-wise
+    return grad
+
+
+class GroupForward:
+    """A grid group's forward under ``source`` (None: the base model) and its
+    pullback. Iterating yields (lo, hi, samples), the checked states
+    (E, hi - lo, k) at samples lo..hi-1, window by window; then ``pullback(g)``
+    takes g (E, n_samples, k) to the gradient of the packed parameters."""
+
+    def __init__(self, group: GridGroup, source=None):
+        self.group, self.source = group, source
+        self.linear = source is None or source.is_linear
+
+    def __iter__(self):
+        group, self._kept = self.group, []  # the linear forward, or the network's windows
+        if self.linear:
+            self._kept.append(linear_forward(group, self.source))
+            yield 0, group.n_samples, self._kept[0][-1][..., :-1]
+            return
+        for lo, hi, states in network_chunks(group, self.source):
+            self._kept.append((lo, hi, states))
+            yield lo, hi, states[:, group.n_sub :: group.n_sub]
+
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        if self.linear:
+            return linear_pullback(self.group, self.source, self._kept[0], g)
+        return network_pullback(self.group, self.source, self._kept, g)
+
+
 def group_samples(group: GridGroup, source=None) -> np.ndarray:
     """Checked coefficient states on the sample grid of a group, (E, n_samples, k)."""
-    if source is None or source.is_linear:
-        return linear_forward(group, source)[-1][..., :-1]
-    return np.concatenate(
-        [states[:, group.n_sub :: group.n_sub] for _, _, states in network_chunks(group, source)],
-        axis=1,
-    )
+    windows = [samples for _, _, samples in GroupForward(group, source)]
+    return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=1)  # no copy of one
 
 
 def integrate_many(

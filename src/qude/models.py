@@ -16,7 +16,9 @@ agnostic:
 * ``pack()`` / ``with_params(theta)`` -- flat parameter vector round trip.
 * ``layers(x)`` -- networks only: the output at coefficient vectors x with
   every layer's input, the one layer loop the network engine runs
-  (qude.dynamics.rk4_stages).
+  (qude.dynamics.rk4_stages); ``slope(a)``, the activation's derivative
+  at a layer input a it produced; and ``unpacked(theta)``, the packed
+  layout as views, which the engine's pullback writes its gradient into.
 
 The structure-preserving source keeps its rates non-negative by training
 gamma_raw with gamma = gamma_raw**2 (a ``signed`` mode exposes raw rates for
@@ -234,7 +236,7 @@ class NetworkSource:
     def layers(self, x: np.ndarray):
         """The output at coefficient vectors x (..., k) and each layer's input,
         all shaped like x. The input a of layer l > 0 is the tanh output of
-        layer l - 1, whose derivative 1 - a * a its readers form.
+        layer l - 1, whose derivative there is ``slope(a)``.
 
         Every layer is one 2-D product over all leading axes of x.
         """
@@ -249,6 +251,18 @@ class NetworkSource:
                 np.tanh(z, out=z)
                 ins.append(z)
         return z.reshape(shape), [a.reshape(shape) for a in ins]
+
+    @staticmethod
+    def slope(a: np.ndarray) -> np.ndarray:
+        """The tanh's derivative 1 - a * a where it gave the output a."""
+        return 1.0 - a * a
+
+    def unpacked(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The weights and biases of the packed vector ``theta``, layer by layer,
+        as views of it: W_0 (row-major), b_0, W_1, b_1, ..."""
+        n2 = self.dim * self.dim
+        rows = theta.reshape(self.n_layers, n2 * n2 + n2)
+        return [row[: n2 * n2].reshape(n2, n2) for row in rows], [row[n2 * n2 :] for row in rows]
 
     def coeff_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(W_0, b_0) of the one-layer identity-activation net x -> W_0 x + b_0."""
@@ -269,21 +283,11 @@ class NetworkSource:
 
     def with_params(self, theta: np.ndarray) -> "NetworkSource":
         theta = np.asarray(theta, dtype=float)
-        n2 = self.dim * self.dim
-        per_layer = n2 * n2 + n2
-        if theta.shape != (per_layer * self.n_layers,):
-            raise ValueError(
-                f"expected {per_layer * self.n_layers} parameters, got shape {theta.shape}"
-            )
-        weights = []
-        biases = []
-        pos = 0
-        for _ in range(self.n_layers):
-            weights.append(theta[pos : pos + n2 * n2].reshape(n2, n2).copy())
-            pos += n2 * n2
-            biases.append(theta[pos : pos + n2].copy())
-            pos += n2
-        return replace(self, weights=tuple(weights), biases=tuple(biases))
+        if theta.shape != self.pack().shape:
+            raise ValueError(f"expected {self.pack().size} parameters, got shape {theta.shape}")
+        weights, biases = self.unpacked(theta)
+        return replace(self, weights=tuple(w.copy() for w in weights),
+                       biases=tuple(b.copy() for b in biases))
 
 
 def make_source(

@@ -6,37 +6,13 @@ experiment; predictions integrate the augmented equation with the same
 fixed-step RK4 discretization used everywhere else (see qude.dynamics), and
 are not spectral-filtered during training.
 
-Gradients come from the discrete adjoint of the RK4 recursion, i.e. the
-exact gradient of the discretized loss. For the base model and every linear
-source (structure-preserving, affine) one step on the augmented state
-[x; 1] is a constant matrix R(theta) and one sample a constant S = R^n_sub.
-The states come from doubling and the sample adjoints
-lam_s = S^T lam_{s+1} + dl/dx_s from a log-depth scan over the same powers
-of S (see qude.dynamics), so dL/dS = sum_s lam_s x_{s-1}^T. S is a matrix
-polynomial of the generator M, whose derivative at X in direction E is the
-upper-right block of S([[X, E], [0, X]]) (Mathias, SIAM J. Matrix Anal.
-Appl. 17, 1996): the forward's own polynomial of [[M^T, dL/dS], [0, M^T]]
-gives dL/dM, and ``coeff_affine_vjp`` takes it to the parameters.
-
-Nonlinear networks run ``dynamics.network_chunks``: the loss is the sum of
-its Newton windows' losses, and the reverse sweep walks back over the same
-windows. The forward corrects most windows with one carried window-mean
-Jacobian by the doubling scan and forms the step Jacobians about once per
-forward; the adjoint needs every step's own. From a window's states the
-bulk RK4 step of the forward (``dynamics.rk4_stages`` / ``rk4_increment``)
-rebuilds the four stages' layer inputs and each step's Jacobian increment
-D_n = dx_n/dx_{n-1} - I; then lam_{n-1} = (I + D_n^T) lam_n (plus dl/dx on
-sample steps) runs step by step (``dynamics.tangent_recurrence``), and the
-stage adjoints are pushed through the network, its tanh derivatives
-1 - a * a formed from the layer inputs a, and contracted with the layer
-inputs for the whole window at once. The test suite checks both
-engines' gradients against central finite differences of the same loss.
-
 A ``Problem`` compiles the train split once into grid groups with their
 targets, and each of ``fit``, ``loss``, ``gradient`` and ``split_losses``
-builds one. Both engines take their forward from qude.dynamics, the one
-prediction uses, so evaluating a group is that forward followed by the
-adjoint on its states.
+builds one. Evaluating a group runs its ``dynamics.GroupForward``, the
+forward prediction uses, window by window into one residual array; the
+gradient, exact for the discretized loss, is the forward's pullback of that
+array scaled in place to dl/dx = 2 w (x - x_hat). The test suite checks it
+against central finite differences of the same loss.
 
 Training runs mini-batch ADAM over whole-experiment batches first, then
 full-batch L-BFGS (two-loop recursion, backtracking Armijo line search)
@@ -57,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, models, qcore
+from . import dynamics, qcore
 from .dynamics import DeviceModel, DivergenceError, Experiment, in_train_split
 from .tomography import RecordBlock
 
@@ -209,118 +185,6 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
     )
 
 
-def _sq_loss(delta: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted squared Frobenius distance summed over (E, S, k) residuals."""
-    with np.errstate(over="ignore"):  # an overflowing square is past any bound
-        return float(np.einsum("esk,k->", delta * delta, weights))
-
-
-# -- linear engine (base model and sources linear in [x; 1]) ----------------------
-
-
-def _linear_loss(group: _Group, source, weights: np.ndarray, limit: float = np.inf):
-    """Loss of a group and its forward with the residuals (E, S, k). The linear
-    forward is one chain of matrix products, so ``limit`` is checked by the
-    caller between groups."""
-    m, increments, samples = dynamics.linear_forward(group, source)
-    delta = samples[..., :-1] - group.targets
-    return _sq_loss(delta, weights), (m, increments, samples, delta)
-
-
-def _linear_grad(group: _Group, source, weights: np.ndarray, forward) -> np.ndarray:
-    m, increments, samples, delta = forward
-    x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
-    states = np.concatenate([x0[:, None, :], samples], axis=1)
-
-    # Sample adjoints lam_s = S^T lam_{s+1} + dl/dx_s by the log-depth scan,
-    # then dL/dS = sum_s lam_s x_{s-1}^T as one batched product.
-    g = np.zeros(samples.shape)
-    np.multiply(delta, 2.0 * weights, out=g[..., :-1])
-    lam = dynamics.adjoint_scan(increments, g)
-    p_s = lam.swapaxes(-1, -2) @ states[:, :-1, :]
-
-    # dL/dM, the derivative of S = R(hM)^n_sub at M^T in the direction dL/dS, is
-    # the upper-right block of the same polynomial of [[M^T, dL/dS], [0, M^T]];
-    # then on to the parameters through M = [[A + W, b], [0, 0]].
-    kk, m_t = m.shape[-1], m.swapaxes(-1, -2)
-    block = np.zeros((len(m), 2 * kk, 2 * kk))
-    block[:, :kk, :kk] = block[:, kk:, kk:] = m_t
-    block[:, :kk, kk:] = p_s
-    step = dynamics.rk4_step_increment(block, group.h_us)
-    q = dynamics.power_increments(step, group.n_sub, 1)[0][..., :kk, kk:].sum(axis=0)
-    return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
-
-
-# -- network engine (nonlinear sources) -------------------------------------------
-
-def _network_loss(
-    group: _Group, source: models.NetworkSource, weights: np.ndarray, limit: float = np.inf
-):
-    """Loss of a group, the sum of its Newton windows' losses, and the windows
-    (lo, hi, states); (inf, None) as soon as the running sum passes ``limit``."""
-    n_sub = group.n_sub
-    total = 0.0
-    windows = []
-    for lo, hi, states in dynamics.network_chunks(group, source):
-        total += _sq_loss(states[:, n_sub::n_sub] - group.targets[:, lo:hi], weights)
-        if total > limit:
-            return np.inf, None
-        windows.append((lo, hi, states))
-    return total, windows
-
-
-def _network_grad(
-    group: _Group, source: models.NetworkSource, weights: np.ndarray, windows: list
-) -> np.ndarray:
-    h, n_sub = group.h_us, group.n_sub
-    last, k = source.n_layers - 1, group.x0.shape[-1]
-    grad_w = [np.zeros_like(w) for w in source.weights]
-    grad_b = [np.zeros_like(b) for b in source.biases]
-    lam = np.zeros_like(group.x0)
-    for lo, hi, states in reversed(windows):
-        _, stages = dynamics.rk4_stages(group.a_base, source, h, states[:, :-1])
-        d_step = dynamics.rk4_increment(group.a_base, source, h, stages)
-        # D_n^T of the window's steps, last step first.
-        d_t = np.ascontiguousarray(np.swapaxes(d_step, -1, -2)[::-1])
-
-        # dl/dx_n of the window's steps, nonzero on sample steps, step-major.
-        g = np.zeros((states.shape[1] - 1,) + group.x0.shape)
-        g[n_sub - 1 :: n_sub] = np.swapaxes(
-            2.0 * weights * (states[:, n_sub::n_sub] - group.targets[:, lo:hi]), 0, 1)
-
-        # lam_n = dL/dx_n for the window's steps, walking back by
-        # lam_{n-1} = (I + D_n^T) lam_n + dl/dx_{n-1}; lam carries
-        # (I + D^T) lam in from the first step of the window after.
-        r = g[::-1]
-        r[0] += lam
-        lams = dynamics.tangent_recurrence(d_t[:-1], r)
-        lam = lams[-1] + (d_t[-1] @ lams[-1][..., None])[..., 0]
-        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), the window's steps in order
-
-        # Stage adjoints of the RK4 update, last stage first, and each layer's
-        # output gradient contracted with its inputs over the whole window.
-        q = None
-        for ins, c_lam, c_q in zip(
-            reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
-        ):
-            u = c_lam * lams if q is None else c_lam * lams + c_q * q
-            delta = u
-            for l in range(last, -1, -1):
-                if l < last:  # through the tanh whose output is layer l + 1's input
-                    a = ins[l + 1]
-                    delta = delta * (1.0 - a * a)
-                grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
-                grad_b[l] += delta.sum(axis=(0, 1))
-                delta = delta @ source.weights[l]
-            q = delta + u @ group.a_base  # A^T u, row-wise
-
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.reshape(-1))
-        parts.append(gb)
-    return np.concatenate(parts)
-
-
 # -- the compiled problem and the public loss / gradient -------------------------
 
 
@@ -358,34 +222,41 @@ class Problem:
         A loss evaluation returns inf as soon as its running total, a sum of
         non-negative terms, passes ``bound`` by more than BOUND_MARGIN relative:
         the full loss is then above the bound too, whatever the rounding of the
-        partial sums. The linear engine checks between groups, the network
-        engine after each Newton window; a loss that stays inside is
-        computed exactly as without a bound. The gradient comes from the adjoint
-        on the same forwards, and only when the loss is not above ``bound``, so
-        a rejected line-search candidate pays no adjoint.
+        partial sums. It checks after each window of a group's forward (the
+        linear engine has one, the network engine one per Newton window) and
+        after each group; a loss that stays inside is computed exactly as
+        without a bound. The gradient is the pullback of the same forwards,
+        and only when the loss is not above ``bound``, so a rejected
+        line-search candidate pays no adjoint.
         """
         theta = np.asarray(theta, dtype=float)
         source = None if template is None else template.with_params(theta)
-        linear = template is None or template.is_linear
-        group_loss = _linear_loss if linear else _network_loss
         limit = bound + BOUND_MARGIN * abs(bound)
         total = 0.0
-        forwards = []
+        pulled = []  # (forward, residuals) of each group
         for group in self.groups:
             sub = _group_subset(group, subset)
             if sub is None:
                 continue
-            value, forward = group_loss(sub, source, self.weights, limit - total)
+            forward = dynamics.GroupForward(sub, source)
+            delta = np.empty(sub.targets.shape)
+            value = 0.0
+            for lo, hi, samples in forward:  # the weighted squared Frobenius distance
+                window = np.subtract(samples, sub.targets[:, lo:hi], out=delta[:, lo:hi])
+                with np.errstate(over="ignore"):  # an overflowing square is past any bound
+                    value += float(np.einsum("esk,k->", window * window, self.weights))
+                if value > limit - total:
+                    return np.inf, None
             total += value
             if total > limit:
                 return np.inf, None
-            forwards.append((sub, forward))
+            pulled.append((forward, delta))
         if not want_grad or template is None or total > bound:
             return total, None
-        group_grad = _linear_grad if linear else _network_grad
         grad = np.zeros_like(theta)
-        for sub, forward in forwards:
-            grad += group_grad(sub, source, self.weights, forward)
+        for forward, delta in pulled:
+            delta *= 2.0 * self.weights  # g = dl/dx, in place
+            grad += forward.pullback(delta)
         if not np.all(np.isfinite(grad)):
             raise GradientFailureError("gradient has non-finite components")
         return total, grad

@@ -1,7 +1,7 @@
 """Step-by-step RK4 recurrences, one experiment at a time.
 
-The reference implementation the engines in qude.dynamics / qude.train are
-checked against; its step loops share nothing with them beyond the problem
+The reference implementation the engines in qude.dynamics are checked
+against; its step loops share nothing with them beyond the problem
 data and the source's parameters. For sources linear in the state (doubling
 propagation and the adjoint scan): one matrix-vector product per internal
 step forward, one per internal step in the reverse sweep. Generators act on
@@ -307,14 +307,14 @@ def base_generator_per_element(dev, exp) -> np.ndarray:
         np.stack([dynamics.rhs(dev, exp, el) for el in basis.elements]), basis).T
 
 
-def linear_grad_block(group, source, weights: np.ndarray, forward) -> np.ndarray:
-    """``train._linear_grad`` with [[M^T, dL/dS], [0, M^T]] assembled by ``np.block``."""
-    m, increments, samples, delta = forward
+def linear_grad_block(group, source, forward, g: np.ndarray) -> np.ndarray:
+    """``dynamics.linear_pullback`` with [[M^T, dL/dS], [0, M^T]] assembled by ``np.block``."""
+    m, increments, samples = forward
     x0 = np.concatenate([group.x0, np.ones((len(group.x0), 1))], axis=1)
     states = np.concatenate([x0[:, None, :], samples], axis=1)
-    g = np.zeros(samples.shape)
-    np.multiply(delta, 2.0 * weights, out=g[..., :-1])
-    lam = dynamics.adjoint_scan(increments, g)
+    g_aug = np.zeros(samples.shape)
+    g_aug[..., :-1] = g
+    lam = dynamics.adjoint_scan(increments, g_aug)
     p_s = np.swapaxes(lam, -1, -2) @ states[:, :-1, :]
     kk, m_t = m.shape[-1], np.swapaxes(m, -1, -2)
     block = np.block([[m_t, p_s], [np.zeros_like(m_t), m_t]])

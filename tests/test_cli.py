@@ -427,6 +427,60 @@ class TestGenerate:
         )
 
 
+class TestLatent:
+    """``[latent]`` sources of generate: none, the INI's sp rates or a model_file."""
+
+    @staticmethod
+    def generate(tmp_path, name: str, model=None, ansatz=None, config=BASE_CONFIG):
+        """Exit code and output directory of generate on ``config``, with ``model``
+        saved as its ``[latent] model_file`` under ``ansatz`` (the model's own
+        by default)."""
+        if model is not None:
+            config = config.replace("ansatz = sp\nalpha", f"ansatz = {ansatz or model.kind}\n"
+                                    f"model_file = {name}.json\nalpha")
+            dev = dynamics.DeviceModel(3.448, 214.0, 32.0, dim=model.dim)
+            cli.save_model(tmp_path / f"{name}.json", model, dev, "exp-gen", 0.5, 4.0, 0)
+        out = tmp_path / name
+        return run("generate", "--config", write_config(tmp_path, config, f"{name}.cfg"),
+                   "--out", out), out
+
+    @staticmethod
+    def latent(out: Path) -> dict:
+        return json.loads((out / "manifest.json").read_text())["latent"]
+
+    def test_none(self, tmp_path):
+        config = BASE_CONFIG.replace("ansatz = sp\nalpha", "ansatz = none\nalpha")
+        code, out = self.generate(tmp_path, "none", config=config)
+        assert code == 0 and self.latent(out) == {"ansatz": "none"}
+
+    def test_sp_model_file_is_the_ini_source(self, tmp_path):
+        """A model file of the source the INI rates build generates the same records."""
+        code, ini = self.generate(tmp_path, "ini")
+        planted = cli.RunConfig.load(tmp_path / "ini.cfg").latent_source()
+        assert code == 0 and self.generate(tmp_path, "file", planted)[0] == 0
+        for name in ("exp-000.jsonl", "exp-001.jsonl"):
+            assert (tmp_path / "file" / name).read_bytes() == (ini / name).read_bytes()
+        assert self.latent(tmp_path / "file") == self.latent(ini)
+
+    def test_network_model_file_writes_its_params(self, tmp_path):
+        code, out = self.generate(tmp_path, "net", models.make_source("nonlinear", seed=4))
+        assert code == 0
+        params = json.loads((tmp_path / "net.json").read_text())["params"]
+        assert self.latent(out) == {"ansatz": "nonlinear", "params": params}
+
+    @pytest.mark.parametrize("model, ansatz, key, found", [
+        (models.make_source("sp"), "affine", "'[latent] ansatz' is 'affine'", "'sp'"),
+        (models.make_source("sp", dim=3), None, "'[device] dim' is 2", "3"),
+    ], ids=["sp-model-as-affine", "qutrit-model-on-a-qubit"])
+    def test_model_file_must_match_the_config(self, model, ansatz, key, found, tmp_path, capsys):
+        code, out = self.generate(tmp_path, "bad", model, ansatz)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'bad.cfg'}: {key}, but the model {tmp_path / 'bad.json'} "
+                f"('[latent] model_file') has {found}") in err, err
+        assert not out.exists()
+
+
 class TestDatasetRoundTrip:
     @pytest.mark.parametrize("shots", [500, 0])
     def test_load_returns_the_simulated_arrays(self, config_path, tmp_path, shots):
@@ -820,6 +874,7 @@ RECORD_FAULTS = {
     "off-grid-time": (set_fields(time_us=0.065), "'time_us'"),
     "repeated-time": (set_fields(time_us=0.04), "'time_us'"),
     "row-repeated": (lambda _, previous: previous, "'time_us'"),
+    "not-an-object": (lambda line, _: f"[{line}]", "expected a JSON object"),
 }
 
 
@@ -1088,6 +1143,22 @@ class TestDataValidation:
         err = capsys.readouterr().err
         assert f"{model}: 'dim' is 3, but 'device.dim' is 2" in err, err
         assert not (tmp_path / "eval").exists()
+
+    def test_manifest_that_is_not_an_object(self, dataset_dir, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.json"
+        manifest.write_text(f"[{manifest.read_text()}]")
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
+        assert f"{manifest}: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_missing_record_file_names_the_key(self, config_path, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "exp-001.jsonl").unlink()
+        assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert (f"{dataset_dir / 'manifest.json'}: bad value for 'experiments[1].file': "
+                f"'exp-001.jsonl' (no such file: {dataset_dir / 'exp-001.jsonl'})") in err, err
+        assert not (tmp_path / "fit").exists()
 
     def test_manifest_missing_device_key(self, config_path, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.json"

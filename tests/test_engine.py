@@ -6,6 +6,7 @@ loops to 1e-12 relative (max-norm), not bit for bit.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,10 +37,16 @@ def make_case(kind: str):
 def group_loss_grad(group, src, weights, linear: bool):
     """One group's loss and gradient through the linear or the network engine."""
     if linear:
-        loss, forward = train._linear_loss(group, src, weights)
-        return loss, train._linear_grad(group, src, weights, forward)
-    loss, windows = train._network_loss(group, src, weights)
-    return loss, train._network_grad(group, src, weights, windows)
+        forward = dynamics.linear_forward(group, src)
+        samples = forward[-1][..., :-1]
+        pullback = partial(dynamics.linear_pullback, group, src, forward)
+    else:
+        windows = list(dynamics.network_chunks(group, src))
+        samples = np.concatenate([states[:, group.n_sub :: group.n_sub]
+                                  for _, _, states in windows], axis=1)
+        pullback = partial(dynamics.network_pullback, group, src, windows)
+    delta = samples - group.targets
+    return float(np.einsum("esk,k->", delta * delta, weights)), pullback(2.0 * weights * delta)
 
 
 def twin(n_sub: int, n_experiments: int, seed: int = 31) -> tuple[train.Dataset, float]:
@@ -258,9 +265,10 @@ class TestTrainingEngine:
         rng = np.random.default_rng(12)
         for scale in (0.0, 0.05, 0.5):
             src = tmpl.with_params(tmpl.pack() + scale * rng.standard_normal(tmpl.pack().shape))
-            _, forward = train._linear_loss(group, src, problem.weights)
-            got = train._linear_grad(group, src, problem.weights, forward)
-            ref = loop_oracle.linear_grad_block(group, src, problem.weights, forward)
+            forward = dynamics.linear_forward(group, src)
+            g = 2.0 * problem.weights * (forward[-1][..., :-1] - group.targets)
+            got = dynamics.linear_pullback(group, src, forward, g)
+            ref = loop_oracle.linear_grad_block(group, src, forward, g)
             assert got.tobytes() == ref.tobytes()
 
     def test_network_chunk_edges_change_nothing(self, monkeypatch):

@@ -309,6 +309,85 @@ class TestFit:
         assert [row[:3] for row in res.rows] == [row[:3] for row in ref.rows]
 
 
+class TestLbfgsBranches:
+    """The L-BFGS exits and fallbacks, each forced on a small sp twin."""
+
+    @staticmethod
+    def fit(monkeypatch, evaluate=None, direction=None, lbfgs_max_iters=1):
+        """An sp fit of L-BFGS alone, with ``train.Problem.evaluate`` replaced by
+        ``evaluate(original, *args, **kwargs)`` and the two-loop direction by
+        ``direction``."""
+        ds = make_twin_dataset(seed=12, n_experiments=2, duration_us=1.0,
+                               sample_dt_ns=20.0, shots=500)
+        if evaluate is not None:
+            original = train.Problem.evaluate
+            monkeypatch.setattr(train.Problem, "evaluate",
+                                lambda *args, **kwargs: evaluate(original, *args, **kwargs))
+        if direction is not None:
+            monkeypatch.setattr(train, "_two_loop_direction", direction)
+        config = train.TrainConfig(adam_epochs=0, lbfgs_max_iters=lbfgs_max_iters)
+        return train.fit(ds, DEV1, models.make_source("sp"), config)
+
+    def test_gradient_tolerance_stops(self, monkeypatch):
+        def flat(original, *args, **kwargs):
+            value, grad = original(*args, **kwargs)
+            return value, grad * 0.0
+
+        directions = []
+        res = self.fit(monkeypatch, flat, lambda grad, pairs: directions.append(grad) or -grad,
+                       lbfgs_max_iters=5)
+        assert directions == [] and res.phases == ["adam"] and not res.stalled
+        assert res.theta_star.tobytes() == models.make_source("sp").pack().tobytes()
+
+    @pytest.mark.parametrize("direction", [np.copy, lambda grad: np.full_like(grad, np.nan)],
+                             ids=["ascent", "not-finite"])
+    def test_steepest_descent_when_not_a_descent_direction(self, direction, monkeypatch):
+        """With no pairs kept the two-loop direction is -grad, the fallback's."""
+        ref = self.fit(monkeypatch)
+        res = self.fit(monkeypatch, direction=lambda grad, pairs: direction(grad))
+        assert res.phases == ["adam", "lbfgs"]
+        assert res.theta_star.tobytes() == ref.theta_star.tobytes()
+        assert [row[:3] for row in res.rows] == [row[:3] for row in ref.rows]
+
+    def test_step_halves_when_a_candidate_diverges(self, monkeypatch):
+        candidates = []
+
+        def first_diverges(original, self_, theta, *args, bound=np.inf, **kwargs):
+            if bound < np.inf:
+                candidates.append(np.array(theta))
+                if len(candidates) == 1:
+                    raise dynamics.DivergenceError("state became non-finite", 0.5)
+            return original(self_, theta, *args, bound=bound, **kwargs)
+
+        start = models.make_source("sp").pack()
+        res = self.fit(monkeypatch, first_diverges)
+        assert res.phases == ["adam", "lbfgs"] and not res.stalled
+        assert len(candidates) >= 2
+        np.testing.assert_allclose(candidates[1] - start, 0.5 * (candidates[0] - start),
+                                   rtol=1e-12, atol=0)
+        assert res.theta_star.tobytes() == candidates[-1].tobytes()
+
+    def test_stall_returns_the_best_iterate(self, monkeypatch):
+        """Every candidate past the second accepted step is rejected: the line
+        search halves below MIN_STEP, and the fit returns the second iterate."""
+        ref = self.fit(monkeypatch, lbfgs_max_iters=2)
+        monkeypatch.undo()
+        accepted = []
+
+        def two_accepted(original, *args, bound=np.inf, **kwargs):
+            if bound < np.inf and len(accepted) == 2:
+                return np.inf, None
+            value, grad = original(*args, bound=bound, **kwargs)
+            if value <= bound < np.inf:
+                accepted.append(value)
+            return value, grad
+
+        res = self.fit(monkeypatch, two_accepted, lbfgs_max_iters=10)
+        assert res.stalled and not ref.stalled
+        assert res.phases == ref.phases == ["adam", "lbfgs", "lbfgs"]
+        assert res.theta_star.tobytes() == ref.theta_star.tobytes()
+
+
 class TestTwoLoop:
     @pytest.mark.parametrize("n_pairs", range(13))
     def test_kept_rho_is_the_recomputed_one(self, n_pairs):
