@@ -4,8 +4,8 @@ Verbs: ``generate`` (synthetic twin datasets), ``train``, ``evaluate``,
 ``characterize`` (structure-preserving readout), and ``report`` (evaluate
 plus characterize into one directory).
 
-Formats are diff-able and locale-free: INI-style run configs, JSON for
-models and dataset manifests, JSON Lines for records with fields
+Formats are diff-able and locale-free, every file UTF-8: INI-style run
+configs, JSON for models and dataset manifests, JSON Lines for records with fields
 {exp_id, amplitude_MHz, time_us, shots, kx, ky, kz} (``shots == 0`` marks a
 noiseless record whose counts hold exact probabilities), and RFC-4180 CSV
 with '.' decimals for tables. Everything is deterministic under a fixed
@@ -204,8 +204,8 @@ class RunConfig:
         "output": {"directory": (str, "out")},
     }
 
-    def __init__(self, parser: configparser.ConfigParser, path: Path):
-        self.path = path
+    def __init__(self, parser: configparser.ConfigParser, path: Path, sha256: str):
+        self.path, self._sha256 = path, sha256
         self._raw = {}  # section -> {declared key: text}
         for section in parser.sections():
             if section not in self.SCHEMA:
@@ -222,17 +222,19 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+        text = _read_input(path, "config file")
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
-            parser.read(path)
-            return cls(parser, path)  # reading a value can raise an interpolation error
+            # the lines of a text-mode read (universal newlines), named as the file
+            parser.read_file(io.StringIO(text, newline=None), source=str(path))
+            # reading a value can raise an interpolation error; the text re-encodes
+            # to the bytes read, as a strict UTF-8 decode loses none
+            return cls(parser, path, hashlib.sha256(text.encode()).hexdigest())
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {path}: {err}") from err
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.path.read_bytes()).hexdigest()
+        return self._sha256
 
     def get(self, section: str, key: str, override=None):
         """``[section] key`` cast by its SCHEMA row, or the row's default when
@@ -277,13 +279,8 @@ class RunConfig:
         if not all(g >= 0 for g in gamma_inv):
             raise ConfigError(f"{self.path}: '[latent] gamma_inv_us' needs entries >= 0")
         alpha = TWO_PI * 1e-3 * np.asarray(alpha_khz) if alpha_khz else np.zeros(n)
-        if gamma_inv:
-            gammas = np.array([1.0 / g if g > 0 else 0.0 for g in gamma_inv])
-        else:
-            gammas = np.zeros(n)
-        return models.StructurePreservingSource(
-            dim=dim, alpha=alpha, gamma_raw=np.sqrt(gammas)
-        )
+        gammas = np.array([1.0 / g if g > 0 else 0.0 for g in gamma_inv] or [0.0] * n)
+        return models.StructurePreservingSource(dim=dim, alpha=alpha, gamma_raw=np.sqrt(gammas))
 
     def train_config(self, args) -> TrainConfig:
         """The ``[training]`` values of ``TrainConfig``'s fields; a flag of the
@@ -298,8 +295,38 @@ class RunConfig:
 # -- helpers ------------------------------------------------------------------------
 
 
+def _read_input(path: Path, what: str) -> str:
+    """The text of the input file ``path`` (a config, manifest, model or record
+    file): its bytes read once and decoded as strict UTF-8, whatever the locale.
+    A missing file, or a byte that is not UTF-8 (named by its line), is a data error."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
+        raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
+
+
+def _decode_json(text: str, path: Path, line: int | None = None) -> dict:
+    """The JSON object ``text`` holds, the whole file ``path`` or its ``line``;
+    malformed JSON (nesting past the decoder's depth included) or another JSON
+    value is a data error naming the file and the line."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        fault = f"malformed JSON: {err}"
+    else:
+        if isinstance(data, dict):
+            return data
+        fault = "expected a JSON object"
+    where = path if line is None else f"{path}:{line}"
+    raise ConfigError(f"{where}: {fault}")
+
+
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def _csv_field(value: str) -> str:
@@ -322,7 +349,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
         return map(repr, column)
 
     rows = map(",".join, zip(*map(cells, columns), strict=True))
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(cells(header)) + "\r\n")
         fh.writelines(map("%s\r\n".__mod__, rows))
 
@@ -374,16 +401,9 @@ def _read_table(data: dict, table: dict, path: Path, where: str = "") -> dict:
 
 def _read_json(path: Path, table: dict, what: str) -> dict:
     """The JSON object in the file ``path`` with the keys of ``table`` read; a
-    missing file, malformed JSON or a key that does not read is a data error."""
-    if not path.is_file():
-        raise ConfigError(f"{what} not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"{path}: malformed JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return _read_table(data, table, path)
+    missing file, bytes not UTF-8, malformed JSON or a key that does not read is
+    a data error."""
+    return _read_table(_decode_json(_read_input(path, what), path), table, path)
 
 
 def _device(values: dict, path: Path, block: str, base_override: str | None = None) -> DeviceModel:
@@ -459,6 +479,9 @@ def load_model(path: str | Path):
     return template.with_params(theta), data
 
 
+RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")  # after the exp_id and amplitude
+
+
 def _row_prefix(exp: Experiment) -> str:
     """The exp_id and amplitude that begin each record row of ``exp``."""
     return '{"exp_id": %s, "amplitude_MHz": %s, ' % (json.dumps(exp.id),
@@ -492,8 +515,8 @@ def write_dataset(
         noiseless = block.shots == 0
         counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
         row = (_row_prefix(exp).replace("%", "%%")
-               + '"time_us": %r, "shots": %r, "kx": %r, "ky": %r, "kz": %r}\n')
-        with (out_dir / fname).open("w") as fh:
+               + ", ".join(f'"{field}": %r' for field in RECORD_FIELDS) + "}\n")
+        with (out_dir / fname).open("w", encoding="utf-8") as fh:
             fh.writelines(map(row.__mod__, zip(block.times_us.tolist(), block.shots.tolist(),
                                                *counts.T.tolist())))
         manifest_entries.append({**{key: getattr(exp, key) for key in EXPERIMENT_FIELDS},
@@ -515,20 +538,18 @@ def write_dataset(
     return manifest_path
 
 
-RECORD_FIELDS = ("time_us", "shots", "kx", "ky", "kz")
 _NUMBER = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"  # unsigned JSON, ASCII digits
 # one whole line of the row form write_dataset writes: its only '{' is its first character
 CANONICAL_ROW = re.compile(r'^\{"exp_id": "[^"\\{\n]*", "amplitude_MHz": %s, %s\}\n' % (
     _NUMBER, ", ".join(f'"{field}": ({_NUMBER})' for field in RECORD_FIELDS)), re.MULTILINE)
 
 
-def _canonical_table(path: Path, exp: Experiment) -> tuple[np.ndarray, range] | None:
-    """The (n, 5) RECORD_FIELDS columns and line numbers of a record file whose
-    every line is the row write_dataset writes for ``exp``, or None (bytes not
-    UTF-8, a line off CANONICAL_ROW, no final newline, a value past the floats).
+def _canonical_table(text: str, exp: Experiment) -> tuple[np.ndarray, range] | None:
+    """The (n, 5) RECORD_FIELDS columns and line numbers of a record file's text
+    whose every line is the row write_dataset writes for ``exp``, or None (a line
+    off CANONICAL_ROW, no final newline, a value past the floats).
     ``_row_prefix(exp)`` begins with '{' and holds no newline, so it is found
     once per line exactly when it begins every line: the exp_id and amplitude."""
-    text = path.read_bytes().decode("utf-8", "replace")  # no accepted line holds U+FFFD
     n = text.count("\n")
     if not (text.endswith("\n") and text.count(_row_prefix(exp)) == n
             and CANONICAL_ROW.match(text)):  # a first line off the form declines at once
@@ -553,33 +574,18 @@ def _reject(path: Path, line_numbers, bad, field: str, problem: str) -> None:
         raise ConfigError(f"{path}:{number}: field {field!r} {problem}")
 
 
-def _line_table(path: Path, exp: Experiment) -> tuple[np.ndarray, list[int]]:
-    """``_canonical_table`` for any JSON Lines layout: each non-blank line decoded
-    on its own, every fault a data error naming its line (and field). The checks
-    run on whole columns; the row comprehensions run only to locate a bad row."""
-    raw = path.read_bytes()
-    try:
-        # the lines text-mode iteration gives: universal newlines, then split after each
-        # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
-        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
-    except UnicodeDecodeError:
-        try:  # the wrapper's position lies within its chunk; a whole decode gives the file's
-            raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            number = len((raw[:err.start] + b".").splitlines())  # '\n', '\r\n', '\r' end lines
-            raise ConfigError(f"{path}:{number}: not UTF-8 text") from None
-        raise
+def _line_table(path: Path, text: str, exp: Experiment) -> tuple[np.ndarray, list[int]]:
+    """``_canonical_table`` for any JSON Lines layout of the text of the record
+    file ``path``: each non-blank line decoded on its own, every fault a data
+    error naming its line (and field). The checks run on whole columns; the row
+    comprehensions run only to locate a bad row."""
+    # the lines text-mode iteration gives: universal newlines, then split after each
+    # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
+    lines = io.StringIO(text, newline=None).readlines()
     line_numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
     if not line_numbers:
         raise ConfigError(f"{path}: no records")
-    rows = []
-    for number in line_numbers:
-        try:
-            rows.append(json.loads(lines[number - 1]))
-        except ValueError as err:
-            raise ConfigError(f"{path}:{number}: malformed JSON: {err}") from None
-        if not isinstance(rows[-1], dict):
-            raise ConfigError(f"{path}:{number}: expected a JSON object")
+    rows = [_decode_json(lines[number - 1], path, number) for number in line_numbers]
     reject = partial(_reject, path, line_numbers)
     for field, expected in (("exp_id", exp.id), ("amplitude_MHz", exp.amplitude_p_MHz)):
         values = [row.get(field) for row in rows]
@@ -607,7 +613,8 @@ def _read_records(path: Path, exp: Experiment) -> RecordBlock:
     itself and against the manifest entry ``exp``: by ``_canonical_table`` when
     the file is in write_dataset's row form, else by ``_line_table``, then on
     whole columns against the sample grid, the shot range and the counts."""
-    table, line_numbers = _canonical_table(path, exp) or _line_table(path, exp)
+    text = _read_input(path, "record file")
+    table, line_numbers = _canonical_table(text, exp) or _line_table(path, text, exp)
     reject = partial(_reject, path, line_numbers)
     # copies, so that the block holds no view of the table
     times, shots, counts = table[:, 0].copy(), table[:, 1], table[:, 2:].copy()
@@ -687,15 +694,8 @@ def cmd_generate(args) -> int:
     amp_rng = np.random.default_rng([seed, 0])
     amplitudes = [p_max * (1.0 - amp_rng.random()) for _ in range(n_exp)]
     try:
-        exps = [
-            Experiment(
-                id=f"exp-{i:03d}",
-                amplitude_p_MHz=float(a),
-                duration_us=duration,
-                sample_dt_ns=sample_dt,
-            )
-            for i, a in enumerate(amplitudes)
-        ]
+        exps = [Experiment(id=f"exp-{i:03d}", amplitude_p_MHz=float(a), duration_us=duration,
+                           sample_dt_ns=sample_dt) for i, a in enumerate(amplitudes)]
     except ValueError as err:  # each value is checked on load, so only the grid can be off
         raise ConfigError(f"{cfg.path}: '[experiments] sample_dt_ns' does not fit "
                           f"'[experiments] duration_us': {err}") from None
@@ -715,25 +715,14 @@ def cmd_generate(args) -> int:
     if latent is None:
         latent_info = {"ansatz": "none"}
     elif latent.kind == models.KIND_SP:
-        latent_info = {
-            "ansatz": latent.kind,
-            "alpha_rad_per_us": [float(v) for v in latent.alpha],
-            "gamma_per_us": [float(v) for v in latent.gammas],
-        }
+        latent_info = {"ansatz": latent.kind, "alpha_rad_per_us": latent.alpha.tolist(),
+                       "gamma_per_us": latent.gammas.tolist()}
     else:
-        latent_info = {"ansatz": latent.kind, "params": [float(v) for v in latent.pack()]}
+        latent_info = {"ansatz": latent.kind, "params": latent.pack().tolist()}
 
-    manifest_path = write_dataset(
-        out_dir,
-        dev,
-        results,
-        seed=seed,
-        config_sha=cfg.sha256(),
-        shots=shots,
-        shot_mode=shot_mode,
-        dt_internal_ns=dt_internal,
-        latent_info=latent_info,
-    )
+    manifest_path = write_dataset(out_dir, dev, results, seed=seed, config_sha=cfg.sha256(),
+                                  shots=shots, shot_mode=shot_mode, dt_internal_ns=dt_internal,
+                                  latent_info=latent_info)
     n_records = sum(len(records) for _, records in results)
     print(f"wrote {len(results)} experiments, {n_records} records -> {manifest_path}")
     return EXIT_OK
@@ -796,6 +785,13 @@ def _load_model_or_base(args, manifest_dev: DeviceModel, manifest: dict):
 
 
 def cmd_evaluate(args) -> int:
+    _evaluate(args)
+    return EXIT_OK
+
+
+def _evaluate(args) -> tuple:
+    """evaluate's reports; returns the model as loaded, (source, data), with
+    source None for 'base'."""
     dataset, manifest_dev, manifest = load_dataset(args.dataset)
     source, dev, model_data = _load_model_or_base(args, manifest_dev, manifest)
     if dev.dim != manifest_dev.dim:
@@ -841,15 +837,15 @@ def cmd_evaluate(args) -> int:
     for row in report.moments:
         print(f"{row.model} {row.split}: mean={row.mean:.6g} stddev={row.stddev:.6g}")
     print(f"reports -> {out_dir}")
-    return EXIT_OK
+    return source, model_data
 
 
-def cmd_characterize(args) -> int:
-    source, data = load_model(args.model)
+def cmd_characterize(args, model: tuple | None = None) -> int:
+    """characterize ``model``, (source, data) as ``load_model`` gives it, or else
+    the model file ``args.model``."""
+    source, data = model or load_model(args.model)
     if source.kind != models.KIND_SP:
-        raise ConfigError(
-            f"characterize needs a structure-preserving model, got {source.kind!r}"
-        )
+        raise ConfigError(f"characterize needs a structure-preserving model, got {source.kind!r}")
     if args.config:
         dev = RunConfig.load(args.config).device()
         if dev.dim != source.dim:
@@ -864,22 +860,15 @@ def cmd_characterize(args) -> int:
     times = models.effective_times(dev, source)
     gammas = source.gammas
 
-    lines = []
-    lines.append("Hermitian perturbation (kHz):")
-    for row in range(source.dim):
-        entries = []
-        for col in range(source.dim):
-            z = s_h_khz[row, col]
-            entries.append(f"{z.real:+.4f}{z.imag:+.4f}i")
-        lines.append("  [ " + "  ".join(entries) + " ]")
-    lines.append(f"detuning perturbation: {s_h_khz[1, 1].real:.4f} kHz")
-    lines.append(
-        "inverse channel rates (us): "
-        + ", ".join(f"{t:.4g}" for t in times.per_channel_us)
-    )
-    lines.append(f"T1_eff = {times.T1_eff_us:.4g} us (bare {dev.T1_us:.4g} us)")
-    lines.append(f"T2_eff = {times.T2_eff_us:.4g} us (bare {dev.T2_us:.4g} us)")
-    text = "\n".join(lines)
+    text = "\n".join([
+        "Hermitian perturbation (kHz):",
+        *("  [ " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row) + " ]"
+          for row in s_h_khz),
+        f"detuning perturbation: {s_h_khz[1, 1].real:.4f} kHz",
+        "inverse channel rates (us): " + ", ".join(f"{t:.4g}" for t in times.per_channel_us),
+        f"T1_eff = {times.T1_eff_us:.4g} us (bare {dev.T1_us:.4g} us)",
+        f"T2_eff = {times.T2_eff_us:.4g} us (bare {dev.T2_us:.4g} us)",
+    ])
     print(text)
 
     payload = {
@@ -902,15 +891,15 @@ def cmd_characterize(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _json_dump(payload, out_dir / "characterization.json")
-        (out_dir / "characterization.txt").write_text(text + "\n")
+        (out_dir / "characterization.txt").write_text(text + "\n", encoding="utf-8")
         print(f"characterization -> {out_dir}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    cmd_evaluate(args)
-    if args.model != "base" and load_model(args.model)[0].kind == models.KIND_SP:
-        cmd_characterize(args)
+    source, data = _evaluate(args)  # the model file read once, for both halves
+    if source is not None and source.kind == models.KIND_SP:
+        cmd_characterize(args, (source, data))
     return EXIT_OK
 
 

@@ -373,12 +373,13 @@ def propagate_linear(increments: list[np.ndarray], x0: np.ndarray, n_samples: in
 def adjoint_scan(increments: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     """Solve lam_s = S^T lam_{s+1} + g_s backwards from lam_{n+1} = 0.
 
-    ``g`` is (..., n, k). A log-depth scan: after the round with shift d,
+    ``g`` is (..., n, k), solved in place: lam is ``g``, which the caller
+    owns and reads no more. A log-depth scan: after the round with shift d,
     lam_s holds sum_{j < 2d} (S^T)^j g_{s+j}, by adding (S^T)^d times the
     entry d samples later; S^d - I comes from ``power_increments``. Every
     round writes its product into one buffer.
     """
-    lam = g.copy()
+    lam = g
     buf = np.empty_like(g)
     n = g.shape[-2]
     d = 1
@@ -564,7 +565,8 @@ def newton_window(
                 d = np.ascontiguousarray(d[1:])
             last = err
             if d is None:
-                xs[:, 1:] += adjoint_scan(jac[1], residual[:, ::-1])[:, ::-1]
+                # a reversed copy: numpy's matmul takes a slow path for a reversed view
+                xs[:, 1:] += adjoint_scan(jac[1], residual[:, ::-1].copy())[:, ::-1]
             else:
                 delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
                 xs[:, 1:] += np.moveaxis(delta, 0, 1)

@@ -27,7 +27,7 @@ accepted candidate's gradient comes from the same evaluation.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -76,9 +76,9 @@ class Dataset:
                 f"(0, {self.total_horizon_us}]"
             )
         self.experiments = [(exp, block.sorted()) for exp, block in self.experiments]
-        ids = [exp.id for exp, _ in self.experiments]
+        uses = Counter(exp.id for exp, _ in self.experiments)
         for exp, block in self.experiments:
-            if ids.count(exp.id) > 1:
+            if uses[exp.id] > 1:
                 raise ValueError(f"experiment id {exp.id!r} is repeated")
             if exp.off_grid(block.times_us).any():
                 raise ValueError(f"experiment {exp.id} records are not a contiguous sample grid")

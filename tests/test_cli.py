@@ -1,6 +1,9 @@
+import builtins
 import csv
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -468,6 +471,21 @@ class TestLatent:
         params = json.loads((tmp_path / "net.json").read_text())["params"]
         assert self.latent(out) == {"ansatz": "nonlinear", "params": params}
 
+    def test_network_ansatz_needs_a_model_file(self, tmp_path, capsys):
+        config = BASE_CONFIG.replace("ansatz = sp\nalpha", "ansatz = affine\nalpha")
+        code, out = self.generate(tmp_path, "affine", config=config)
+        assert code == 2 and not out.exists()
+        assert "latent ansatz 'affine' needs a model_file" in capsys.readouterr().err
+
+    def test_rates_without_lifetimes_are_zero(self, tmp_path):
+        """alpha_kHz set and gamma_inv_us empty: the planted source has no dissipation."""
+        config = BASE_CONFIG.replace("1686, 1686, 688", "")
+        code, out = self.generate(tmp_path, "alpha", config=config)
+        assert code == 0
+        latent = self.latent(out)
+        assert latent["gamma_per_us"] == [0.0, 0.0, 0.0]
+        assert latent["alpha_rad_per_us"] == [2e-3 * np.pi * a for a in (0.15, 2.18, 5.66)]
+
     @pytest.mark.parametrize("model, ansatz, key, found", [
         (models.make_source("sp"), "affine", "'[latent] ansatz' is 'affine'", "'sp'"),
         (models.make_source("sp", dim=3), None, "'[device] dim' is 2", "3"),
@@ -805,6 +823,24 @@ class TestErrors:
         bad.write_text(json.dumps({"schema": "other"}))
         assert run("characterize", "--model", bad) == 2
 
+    def test_non_finite_gradient_exits_3(self, config_path, tmp_path, capsys, monkeypatch):
+        """A pullback that returns NaN raises GradientFailureError, which train
+        reports as a numerical failure."""
+        data = tmp_path / "data"
+        assert run("generate", "--config", config_path, "--out", data) == 0
+        monkeypatch.setattr(dynamics, "linear_pullback",
+                            lambda group, source, forward, g: np.full(6, np.nan))
+        dataset, dev, _ = cli.load_dataset(data / "manifest.json", train_horizon_us=0.5)
+        template = models.make_source("sp")
+        with pytest.raises(train.GradientFailureError, match="non-finite"):
+            train.gradient(template.pack(), dataset, dev, template)
+        capsys.readouterr()
+        assert run("train", "--config", config_path, "--dataset", data / "manifest.json",
+                   "--out", tmp_path / "fit") == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: gradient has non-finite components\n", err
+        assert not (tmp_path / "fit" / "model.json").exists()
+
     def test_diverging_generate_reports_one_line(self, tmp_path, capsys):
         """A rate of 1e300 per us overflows the step increments; the divergence
         check reports it, and nothing warns before it."""
@@ -889,7 +925,7 @@ JOIN_ONLY_FAULTS = {
 
 def per_line_parse():
     """Record files decoded line by line, as when the column decode declines."""
-    return mock.patch.object(cli, "_canonical_table", lambda path, exp: None)
+    return mock.patch.object(cli, "_canonical_table", lambda text, exp: None)
 
 
 # fault -> (verb, model-file changes, extra arguments, texts the message must name)
@@ -995,13 +1031,13 @@ class TestDataValidation:
         manifest = dataset_dir / "manifest.json"
         records = dataset_dir / "exp-001.jsonl"
         exp, before = cli.load_dataset(manifest)[0].experiments[1]
-        assert cli._canonical_table(records, exp) is not None
+        assert cli._canonical_table(records.read_text(), exp) is not None
         rows = [json.loads(line) for line in records.read_text().splitlines()]
         lines = [json.dumps(dict(reversed(row.items())), separators=(" , ", ":  "))
                  for row in rows]
         lines.insert(7, "")
         records.write_bytes("\r\n".join(lines).encode())
-        assert cli._canonical_table(records, exp) is None
+        assert cli._canonical_table(records.read_text(), exp) is None
         after = cli.load_dataset(manifest)[0].experiments[1][1]
         for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
             assert getattr(after, column).tobytes() == getattr(before, column).tobytes(), column
@@ -1018,6 +1054,53 @@ class TestDataValidation:
                    "--out", tmp_path / "eval") == 2
         assert f"exp-001.jsonl:{line}: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("target", ["manifest", "model", "record-line"])
+    def test_deep_nesting_is_malformed_json(self, target, config_path, dataset_dir, tmp_path,
+                                            capsys):
+        """JSON nested past the decoder's depth (100,000 '[') exits 2, naming the
+        file (and the line of a record file), not with a RecursionError."""
+        deep = "[" * 100_000 + "]" * 100_000
+        manifest, model = dataset_dir / "manifest.json", tmp_path / "model.json"
+        dev = cli.RunConfig.load(config_path).device()
+        cli.save_model(model, models.make_source("sp"), dev, "exp-gen", 0.5, 4.0, 0)
+        if target == "manifest":
+            manifest.write_text(deep[:100_000])
+            names = f"{manifest}: malformed JSON: "
+        elif target == "model":
+            model.write_text(deep[:100_000])
+            names = f"{model}: malformed JSON: "
+        else:
+            rewrite_line(dataset_dir / "exp-001.jsonl", 3, lambda line, _: f'{{"a": {deep}}}')
+            names = f"{dataset_dir / 'exp-001.jsonl'}:3: malformed JSON: "
+        assert run("evaluate", "--model", model, "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {names}") and err.count("\n") == 1, err[:300]
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("target", ["config", "manifest", "model"])
+    def test_non_utf8_byte_names_its_line(self, target, config_path, dataset_dir, tmp_path,
+                                          capsys):
+        """A byte that is not UTF-8 is a data error naming the file and the line in
+        the JSON and INI inputs too, as in a record file."""
+        model = tmp_path / "model.json"
+        dev = cli.RunConfig.load(config_path).device()
+        cli.save_model(model, models.make_source("sp"), dev, "exp-gen", 0.5, 4.0, 0)
+        path, token = {"config": (config_path, b"seed = 11"),
+                       "manifest": (dataset_dir / "manifest.json", b'"exp-001.jsonl"'),
+                       "model": (model, b'"exp-gen"')}[target]
+        raw = path.read_bytes()
+        line = raw[: raw.index(token)].count(b"\n") + 1
+        path.write_bytes(raw.replace(token, token[:-1] + b"\xff" + token[-1:], 1))
+        if target == "config":
+            argv = ["generate", "--config", config_path, "--out", tmp_path / "out"]
+        else:
+            argv = ["evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                    "--out", tmp_path / "out"]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"config error: {path}:{line}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_experiment_id_is_rejected(self, dataset_dir, tmp_path, capsys):
         """Two manifest entries with one id, each with consistent records, would
@@ -1253,6 +1336,45 @@ def test_inconsistent_input_is_config_error(fault, config_path, tmp_path, capsys
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_each_verb_reads_each_input_once(config_path, tmp_path, monkeypatch):
+    """generate, train, evaluate, characterize and report open each input file
+    once: the config, the manifest, model.json and both record files, one of them
+    in a layout (CRLF endings) that the column decode declines."""
+    data, model = tmp_path / "data", tmp_path / "fit" / "model.json"
+    manifest, declined = data / "manifest.json", data / "exp-001.jsonl"
+    assert run("generate", "--config", config_path, "--out", data) == 0
+    declined.write_bytes(declined.read_bytes().replace(b"\n", b"\r\n"))
+    records = [data / "exp-000.jsonl", declined]
+    experiments = [exp for exp, _ in cli.load_dataset(manifest)[0].experiments]
+    assert [cli._canonical_table(path.read_bytes().decode(), exp) is None
+            for path, exp in zip(records, experiments)] == [False, True]
+    assert run("train", "--config", config_path, "--dataset", manifest,
+               "--out", model.parent) == 0
+    opened, real_open = [], io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)  # pathlib's reads
+    monkeypatch.setattr(builtins, "open", spy)
+    for argv, inputs in [
+        (("generate", "--config", config_path, "--out", tmp_path / "again"), [config_path]),
+        (("train", "--config", config_path, "--dataset", manifest, "--out", tmp_path / "fit2"),
+         [config_path, manifest, *records]),
+        (("evaluate", "--model", model, "--dataset", manifest, "--out", tmp_path / "eval"),
+         [manifest, *records, model]),
+        (("characterize", "--model", model, "--config", config_path, "--out", tmp_path / "char"),
+         [model, config_path]),
+        (("report", "--model", model, "--dataset", manifest, "--config", config_path,
+          "--out", tmp_path / "report"), [manifest, *records, model, config_path]),
+    ]:
+        opened.clear()
+        assert run(*argv) == 0, argv[0]
+        assert sorted(opened) == sorted(map(str, inputs)), argv[0]
+
+
 def test_columnar_csv_is_csv_writer_output(tmp_path):
     """_write_csv's columns give the bytes csv.writer gives for the rows, with floats
     as repr: strings that need quoting or not, ints, 17-digit floats, -0.0, CRLF."""
@@ -1278,15 +1400,70 @@ class TestIOErrors:
         blocker.write_text("not a directory")
         assert run("generate", "--config", config_path, "--out", blocker) == 4
 
+    def test_unreadable_config_is_an_io_error(self, config_path, tmp_path, capsys, monkeypatch):
+        """A config that exists but cannot be opened exits 4, not as a config
+        that reads as empty (a missing key, exit 2)."""
+        real_open = io.open
+
+        def refuse(file, *args, **kwargs):
+            if str(file) == str(config_path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", refuse)  # pathlib's reads
+        monkeypatch.setattr(builtins, "open", refuse)
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 4
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 13] Permission denied: '{config_path}'\n", err
+
 
 class TestEntryPoint:
     @staticmethod
-    def python(*args) -> subprocess.CompletedProcess:
+    def python(*args, cwd=None, **env) -> subprocess.CompletedProcess:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
         return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
+
+    def test_chain_is_locale_free(self, tmp_path):
+        """generate -> train -> evaluate -> characterize in the C locale, with a UTF-8
+        comment in the config and the id 'exp-é' in the manifest and a record file,
+        exits 0 at every verb and writes the bytes the chain writes in UTF-8 mode."""
+        config = BASE_CONFIG.replace("[device]", "# T2 by Hahn echo, in µs\n[device]")
+        chain = [("generate", "--config", "run.cfg", "--out", "data"),
+                 ("train", "--config", "run.cfg", "--dataset", "data/manifest.json",
+                  "--out", "fit"),
+                 ("evaluate", "--model", "fit/model.json", "--dataset", "data/manifest.json",
+                  "--out", "eval"),
+                 ("characterize", "--model", "fit/model.json", "--out", "char")]
+        outputs = {}
+        for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                          ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+            root = tmp_path / name
+            root.mkdir()
+            (root / "run.cfg").write_bytes(config.encode("utf-8"))
+            for argv in chain:
+                proc = self.python("-m", "qude.cli", *argv, cwd=root, **env)
+                assert proc.returncode == 0, (name, argv[0], proc.stderr)
+                if argv[0] == "generate":  # kept as written, then exp-001 renamed exp-é
+                    shutil.copytree(root / "data", root / "generated")
+                    manifest = root / "data" / "manifest.json"
+                    data = json.loads(manifest.read_bytes())
+                    data["experiments"][1]["id"] = "exp-é"
+                    manifest.write_bytes(json.dumps(data, indent=2, ensure_ascii=False).encode())
+                    records = root / "data" / "exp-001.jsonl"
+                    records.write_bytes(records.read_bytes().replace(b'"exp-001"',
+                                                                     '"exp-é"'.encode()))
+            outputs[name] = {path.relative_to(root): path.read_bytes()
+                             for path in root.rglob("*") if path.is_file()}
+            log = Path("fit/training_log.csv")  # its last column is wall time
+            outputs[name][log] = b"".join(line.rsplit(b",", 1)[0]
+                                          for line in outputs[name][log].splitlines())
+        assert "exp-é".encode() in outputs["c"][Path("eval/energy.csv")]
+        assert outputs["c"].keys() == outputs["utf8"].keys()
+        for path, raw in outputs["utf8"].items():
+            assert outputs["c"][path] == raw, path
 
     def test_module_run_does_not_warn(self):
         proc = self.python("-m", "qude.cli", "--help")

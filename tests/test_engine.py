@@ -105,7 +105,7 @@ class TestPropagation:
         d = 0.2 * rng.standard_normal((2, 3, 3))
         s = np.eye(3) + d
         g = rng.standard_normal((2, n, 3))
-        lam = dynamics.adjoint_scan(dynamics.power_increments(d, 1, n), g)
+        lam = dynamics.adjoint_scan(dynamics.power_increments(d, 1, n), g.copy())
         ref = np.zeros_like(g)
         nxt = np.zeros((2, 3))
         for i in range(n - 1, -1, -1):

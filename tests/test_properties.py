@@ -151,31 +151,28 @@ def test_column_decode_declines_or_matches_line_decode(rows, odd, amplitude):
         rows[at // 5 % len(rows)][at % 5] = text
     exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=amplitude, duration_us=1.0,
                               sample_dt_ns=4.0)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "exp-000.jsonl"
-        path.write_text("".join(cli._row_prefix(exp) + ", ".join(
-            f'"{field}": {text}' for field, text in zip(cli.RECORD_FIELDS, row)) + "}\n"
-            for row in rows), encoding="utf-8")
-        decoded = cli._canonical_table(path, exp)
-        if not all(map(reads_as_float, (text for row in rows for text in row))):
-            assert decoded is None
-        if decoded is not None:
-            (table, numbers), (lines, line_numbers) = decoded, cli._line_table(path, exp)
-            assert table.shape == (len(rows), 5) and list(numbers) == line_numbers
-            assert table.tobytes() == lines.tobytes()
+    content = "".join(cli._row_prefix(exp) + ", ".join(
+        f'"{field}": {text}' for field, text in zip(cli.RECORD_FIELDS, row)) + "}\n"
+        for row in rows)
+    decoded = cli._canonical_table(content, exp)
+    if not all(map(reads_as_float, (text for row in rows for text in row))):
+        assert decoded is None
+    if decoded is not None:
+        (table, numbers), (lines, line_numbers) = decoded, cli._line_table(
+            Path("exp-000.jsonl"), content, exp)
+        assert table.shape == (len(rows), 5) and list(numbers) == line_numbers
+        assert table.tobytes() == lines.tobytes()
 
 
 @pytest.mark.parametrize("text", ODD_TEXTS)
 @pytest.mark.parametrize("field", cli.RECORD_FIELDS)
-def test_column_decode_declines_odd_number_texts(text, field, tmp_path):
+def test_column_decode_declines_odd_number_texts(text, field):
     """Each odd text in any field leaves the file to the line-by-line decode."""
     exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=1.0, duration_us=1.0,
                               sample_dt_ns=4.0)
     values = dict(zip(cli.RECORD_FIELDS, ["0.004", "5000", "2", "3", "4"]), **{field: text})
-    path = tmp_path / "exp-000.jsonl"
-    path.write_text(cli._row_prefix(exp) + ", ".join(f'"{k}": {v}' for k, v in values.items())
-                    + "}\n", encoding="utf-8")
-    assert cli._canonical_table(path, exp) is None
+    content = cli._row_prefix(exp) + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}\n"
+    assert cli._canonical_table(content, exp) is None
 
 
 def accepts(check) -> bool:
