@@ -29,7 +29,7 @@ import json
 import re
 import reprlib
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -416,6 +416,17 @@ def _device(values: dict, path: Path, block: str, base_override: str | None = No
         raise ConfigError(f"{path}: bad {block}: {err}") from None
 
 
+def _check_internal_step(dt_internal_ns: float, experiments, path: Path, key: str) -> None:
+    """A data error naming the file and the key that set ``dt_internal_ns``
+    unless it divides every experiment's sample step within MAX_SUBSTEPS."""
+    for exp in experiments:
+        try:
+            dynamics.integration_steps(exp, dt_internal_ns)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {key!r} does not fit the sample step of experiment "
+                              f"{exp.id}: {err}") from None
+
+
 def save_model(
     path: Path,
     source,
@@ -585,7 +596,9 @@ def _line_table(path: Path, text: str, exp: Experiment) -> tuple[np.ndarray, lis
     line_numbers = [number for number, line in enumerate(lines, 1) if line.strip()]
     if not line_numbers:
         raise ConfigError(f"{path}: no records")
-    rows = [_decode_json(lines[number - 1], path, number) for number in line_numbers]
+    # each line decoded without its '\n', so that the decoder's positions lie on it
+    rows = [_decode_json(lines[number - 1].removesuffix("\n"), path, number)
+            for number in line_numbers]
     reject = partial(_reject, path, line_numbers)
     for field, expected in (("exp_id", exp.id), ("amplitude_MHz", exp.amplitude_p_MHz)):
         values = [row.get(field) for row in rows]
@@ -699,11 +712,7 @@ def cmd_generate(args) -> int:
     except ValueError as err:  # each value is checked on load, so only the grid can be off
         raise ConfigError(f"{cfg.path}: '[experiments] sample_dt_ns' does not fit "
                           f"'[experiments] duration_us': {err}") from None
-    try:
-        dynamics.integration_steps(exps[0], dt_internal)
-    except ValueError as err:
-        raise ConfigError(f"{cfg.path}: '[training] dt_internal_ns' does not fit "
-                          f"'[experiments] sample_dt_ns': {err}") from None
+    _check_internal_step(dt_internal, exps, cfg.path, "[training] dt_internal_ns")
 
     trajectories = dynamics.integrate_many(dev, exps, latent, dt_internal)
     results = [
@@ -734,6 +743,8 @@ def cmd_train(args) -> int:
     horizon = cfg.get("training", "train_horizon_us", args.train_horizon_us)
     dataset, dev, _ = load_dataset(args.dataset, train_horizon_us=horizon, base_override=args.base)
     config = cfg.train_config(args)
+    _check_internal_step(config.dt_internal_ns, [exp for exp, _ in dataset.experiments],
+                         cfg.path, "[training] dt_internal_ns")
     template = models.make_source(
         ansatz_kind,
         dim=dev.dim,
@@ -775,13 +786,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_or_base(args, manifest_dev: DeviceModel, manifest: dict):
+def _load_model_or_base(args, manifest: dict):
+    """(source, device, model data, the file they were read from) of ``--model``,
+    with ``--base`` applied; 'base' is the manifest's device with no source."""
     if args.model == "base":
-        dev = replace(manifest_dev, base_kind=args.base) if args.base else manifest_dev
-        return None, dev, {"ansatz": "base", "train_horizon_us": None,
-                           "dt_internal_ns": manifest["dt_internal_ns"]}
-    source, data = load_model(args.model)
-    return source, _device(data["device"], Path(args.model), "device", args.base), data
+        path, source = Path(args.dataset), None
+        data = {"ansatz": "base", "train_horizon_us": None, "device": manifest["device"],
+                "dt_internal_ns": manifest["dt_internal_ns"]}
+    else:
+        path = Path(args.model)
+        source, data = load_model(path)
+    return source, _device(data["device"], path, "device", args.base), data, path
 
 
 def cmd_evaluate(args) -> int:
@@ -793,7 +808,7 @@ def _evaluate(args) -> tuple:
     """evaluate's reports; returns the model as loaded, (source, data), with
     source None for 'base'."""
     dataset, manifest_dev, manifest = load_dataset(args.dataset)
-    source, dev, model_data = _load_model_or_base(args, manifest_dev, manifest)
+    source, dev, model_data, model_path = _load_model_or_base(args, manifest)
     if dev.dim != manifest_dev.dim:
         raise ConfigError(f"{args.model}: model dimension {dev.dim} ('dim') does not match "
                           f"dataset dimension {manifest_dev.dim} ('device.dim' of {args.dataset})")
@@ -801,6 +816,8 @@ def _evaluate(args) -> tuple:
     if horizon is None:
         horizon = model_data["train_horizon_us"] or dataset.total_horizon_us
     dt_internal = model_data["dt_internal_ns"]
+    _check_internal_step(dt_internal, [exp for exp, _ in dataset.experiments], model_path,
+                         "dt_internal_ns")
     model_name = model_data["ansatz"]
 
     out_dir = Path(args.out)

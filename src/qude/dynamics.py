@@ -316,11 +316,21 @@ def rk4_step_increment(a: np.ndarray, h_us: float) -> np.ndarray:
     return d
 
 
+# The step matrix of a sample is a product of one factor per substep, and a
+# network window holds 128 n_sub + 1 states per experiment. The tests use at
+# most 100 substeps, so 10**3 leaves a tenfold margin at about 4 MB per qubit
+# window; a step of 1e-300 ns would ask for 2e301 factors and never finish.
+MAX_SUBSTEPS = 10**3
+
+
 def integration_steps(exp: Experiment, dt_internal_ns: float) -> tuple[int, float]:
     """Validate the internal step and return (substeps per sample, h in us)."""
     if not 0 < dt_internal_ns < np.inf:
         raise ValueError(f"dt_internal_ns must be positive and finite, got {dt_internal_ns}")
     ratio = exp.sample_dt_ns / dt_internal_ns
+    if not ratio < MAX_SUBSTEPS + 0.5:  # inf included, which round() cannot take
+        raise ValueError(f"internal step {dt_internal_ns} ns takes more than {MAX_SUBSTEPS} "
+                         f"substeps per sample step {exp.sample_dt_ns} ns")
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ValueError(
             f"internal step {dt_internal_ns} ns does not evenly divide "
@@ -598,9 +608,9 @@ def grid_groups(
 ) -> list[GridGroup]:
     """Group experiments by (samples, substeps per sample, internal step).
 
-    ``n_samples`` overrides each experiment's own sample count (training
-    propagates over the train split only). Groups come in sorted grid order,
-    members in input order.
+    ``n_samples`` overrides each experiment's own sample count: a consumer of
+    records predicts exactly the samples they hold. Groups come in sorted grid
+    order, members in input order.
     """
     basis = qcore.hermitian_basis(dev.dim)
     buckets: dict[tuple, list[int]] = {}
@@ -803,17 +813,18 @@ def integrate_many(
     experiments: list[Experiment],
     source=None,
     dt_internal_ns: float = DEFAULT_DT_INTERNAL_NS,
+    n_samples: list[int] | None = None,
 ) -> list[Trajectory]:
-    """``integrate_rk4`` for each experiment, one batched propagation per grid group.
+    """``integrate_rk4`` of each experiment (for ``n_samples`` samples), batched by grid group.
 
     Raises DivergenceError, with the experiment and the time of the earliest
     non-finite sample of its group, if a state leaves the finite range.
     """
     basis = qcore.hermitian_basis(dev.dim)
     trajectories: list[Trajectory] = [None] * len(experiments)
-    for g in grid_groups(dev, experiments, dt_internal_ns):
+    for g in grid_groups(dev, experiments, dt_internal_ns, n_samples):
+        times = g.dt_us * np.arange(1, g.n_samples + 1)
         for i, x in zip(g.indices, group_samples(g, source)):
-            times = experiments[i].times_us()
             trajectories[i] = Trajectory(times_us=times, states=qcore.reconstruct_many(x, basis))
     return trajectories
 

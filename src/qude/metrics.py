@@ -127,15 +127,14 @@ def evaluate_model(
     split, and the mean/standard-error of the per-experiment time-averaged
     trace distance, in one pass over the splits; an empty split is left out.
     Also returns, per experiment id, the spectral-filtered predictions at the
-    record times for reuse. All experiments are predicted in one batched
-    ``dynamics.integrate_many`` call. The records pass ``train.Dataset``'s
-    gate over the longest duration first.
+    record times for reuse. The records pass ``train.Dataset``'s gate over the
+    longest duration first; one batched ``dynamics.integrate_many`` call then
+    predicts the samples the records hold.
     """
     total = max((exp.duration_us for exp, _ in experiments), default=0.0)
     experiments = train.Dataset(experiments, total, total).experiments
-    trajectories = dynamics.integrate_many(
-        dev, [exp for exp, _ in experiments], source, dt_internal_ns
-    )
+    trajectories = dynamics.integrate_many(dev, [exp for exp, _ in experiments], source,
+                                           dt_internal_ns, [len(block) for _, block in experiments])
     predictions: dict[str, Trajectory] = {}
     splits: dict[str, list[np.ndarray]] = {"extrapolation": [], "interpolation": []}
     for (exp, records), pred in zip(experiments, trajectories):

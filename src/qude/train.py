@@ -6,9 +6,9 @@ experiment; predictions integrate the augmented equation with the same
 fixed-step RK4 discretization used everywhere else (see qude.dynamics), and
 are not spectral-filtered during training.
 
-A ``Problem`` compiles the train split once into grid groups with their
-targets, and each of ``fit``, ``loss``, ``gradient`` and ``split_losses``
-builds one. Evaluating a group runs its ``dynamics.GroupForward``, the
+A ``Problem`` compiles the train split (``split_losses``: every record)
+once into grid groups with their targets, and each of ``fit``, ``loss``,
+``gradient`` and ``split_losses`` builds one. Evaluating a group runs its ``dynamics.GroupForward``, the
 forward prediction uses, window by window into one residual array; the
 gradient, exact for the discretized loss, is the forward's pullback of that
 array scaled in place to dl/dx = 2 w (x - x_hat). The test suite checks it
@@ -189,18 +189,19 @@ def _group_subset(group: _Group, wanted: set[str] | None) -> _Group | None:
 
 
 class Problem:
-    """The training loss of one dataset, compiled once: ``groups``, the train
-    split's grid groups with their targets, and ``weights``, the Frobenius
-    weights of the coefficient basis. Evaluating leaves nothing behind, so one
-    Problem serves every loss and gradient of a fit, an oracle or a probe."""
+    """The loss of one dataset's records up to ``horizon_us`` (the train split by
+    default), compiled once: ``groups``, their grid groups with targets, and
+    ``weights``, the Frobenius weights of the coefficient basis. Evaluating leaves
+    nothing behind, so one Problem serves every loss and gradient of a fit."""
 
     def __init__(self, dataset: Dataset, dev: DeviceModel,
-                 dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS):
+                 dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
+                 horizon_us: float | None = None):
         basis = qcore.hermitian_basis(dev.dim)
         experiments = [exp for exp, _ in dataset.experiments]
         targets = []
         for exp, block in dataset.experiments:
-            keep = in_train_split(block.times_us, dataset.train_horizon_us)
+            keep = in_train_split(block.times_us, horizon_us or dataset.train_horizon_us)
             targets.append(qcore.expand_many(block.rho_hat[keep], basis))
         self.groups = [
             _Group(**vars(g), targets=np.stack([targets[i] for i in g.indices]))
@@ -292,18 +293,17 @@ def split_losses(
     source,
     dt_internal_ns: float = dynamics.DEFAULT_DT_INTERNAL_NS,
 ) -> tuple[float, float]:
-    """Unfiltered squared-Frobenius losses of ``source`` over the train and
-    the validation records, from the training engine run over all records."""
-    whole = Dataset(dataset.experiments, dataset.total_horizon_us, dataset.total_horizon_us)
-    problem = Problem(whole, dev, dt_internal_ns)
+    """Unfiltered squared-Frobenius losses of ``source`` over the train and the
+    validation records (split by their own times), one forward over all records."""
+    problem = Problem(dataset, dev, dt_internal_ns, dataset.total_horizon_us)
     train_loss = val_loss = 0.0
     for group in problem.groups:
         delta = dynamics.group_samples(group, source) - group.targets
         sq = np.einsum("esk,k->es", delta * delta, problem.weights)
-        times = group.dt_us * np.arange(1, group.n_samples + 1)
-        in_train = in_train_split(times, dataset.train_horizon_us)
-        train_loss += float(sq[:, in_train].sum())
-        val_loss += float(sq[:, ~in_train].sum())
+        in_train = np.stack([in_train_split(dataset.experiments[i][1].times_us,
+                                            dataset.train_horizon_us) for i in group.indices], 1)
+        train_loss += float(sq.T[in_train].sum())  # (S, E): summed sample by sample
+        val_loss += float(sq.T[~in_train].sum())
     return train_loss, val_loss
 
 

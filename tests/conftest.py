@@ -7,6 +7,8 @@ scoped so the acceptance tests can share them.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +66,26 @@ def make_twin_dataset(
         train_horizon_us=train_horizon_us if train_horizon_us is not None else duration_us,
         total_horizon_us=duration_us,
     )
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail the test if its block runs longer than ``seconds`` of wall time, so a
+    hang fails instead of stalling the suite. A real-time timer interrupts
+    Python code between bytecodes; a single long call into C finishes first.
+    The failure is pytest's outcome exception, which no ``except Exception``
+    (nor the CLI's handlers) catches."""
+
+    def expired(signum, frame):
+        pytest.fail(f"did not finish within {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class Window(NamedTuple):

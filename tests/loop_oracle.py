@@ -108,14 +108,16 @@ def integrate(dev, exp, source, dt_internal_ns: float) -> np.ndarray:
 
 
 def loss_by_split(dev, source, experiments, t_tr_us: float, dt_internal_ns: float):
-    """Unfiltered squared-Frobenius losses (train, validation), experiment by experiment."""
+    """Unfiltered squared-Frobenius losses (train, validation), experiment by
+    experiment; each record is compared with its nearest grid sample and split
+    by its own time."""
     basis = qcore.hermitian_basis(dev.dim)
     weights = basis.gram_norms
     train_loss = 0.0
     val_loss = 0.0
     for exp, block in experiments:
         x_pred = integrate(dev, exp, source, dt_internal_ns)
-        idx = np.searchsorted(exp.times_us(), block.times_us - 1e-12)
+        idx = np.rint(block.times_us / (exp.sample_dt_ns * 1e-3)).astype(int) - 1
         x_tgt = qcore.expand_many(block.rho_hat, basis)
         sq = np.einsum("sk,k->s", (x_pred[idx] - x_tgt) ** 2, weights)
         mask = block.times_us <= t_tr_us * (1.0 + 1e-12)

@@ -19,6 +19,7 @@ from qude import cli, dynamics, metrics, models, qcore, tomography, train
 
 import loop_oracle
 import states
+from conftest import within
 
 BASE_CONFIG = """\
 [device]
@@ -141,6 +142,11 @@ BAD_VALUES = {
                         "[training] dt_internal_ns"),
     "dt-internal-not-dividing": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = 3.0"),
                                  "[training] dt_internal_ns"),
+    # 2e301 substeps per sample, past dynamics.MAX_SUBSTEPS
+    "dt-internal-tiny-generate": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = 1e-300"),
+                                  "'[training] dt_internal_ns'"),
+    "dt-internal-tiny-train": ("train", ("dt_internal_ns = 4.0", "dt_internal_ns = 1e-300"),
+                               "'[training] dt_internal_ns'"),
     "sample-dt-not-dividing": ("generate", ("sample_dt_ns = 20.0", "sample_dt_ns = 30.0"),
                                "[experiments] sample_dt_ns"),
     "train-horizon-nan": ("train", ("train_horizon_us = 0.5", "train_horizon_us = nan"),
@@ -207,7 +213,8 @@ class TestConfig:
             extra = ["--dataset", tmp_path / "data" / "manifest.json"]
         bad = write_config(tmp_path, BASE_CONFIG.replace(*edit), "bad.cfg")
         capsys.readouterr()
-        assert run(verb, "--config", bad, "--out", tmp_path / "o", *extra) == 2
+        with within(10):
+            assert run(verb, "--config", bad, "--out", tmp_path / "o", *extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "bad.cfg" in err and key in err
         assert not (tmp_path / "o").exists()
@@ -623,8 +630,9 @@ class TestTrainEvaluate:
 
         def evaluate_base() -> tuple[int, str]:
             capsys.readouterr()
-            code = run("evaluate", "--model", "base", "--dataset", manifest,
-                       "--out", tmp_path / "eval")
+            with within(10):
+                code = run("evaluate", "--model", "base", "--dataset", manifest,
+                           "--out", tmp_path / "eval")
             return code, capsys.readouterr().err
 
         assert evaluate_base()[0] == 0
@@ -635,9 +643,10 @@ class TestTrainEvaluate:
             f"base,interpolation,{row.mean!r},{row.stddev!r},{row.count}")
 
         data = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps({**data, "dt_internal_ns": "soon"}))
-        code, err = evaluate_base()
-        assert code == 2 and "manifest.json" in err and "'dt_internal_ns'" in err, err
+        for step in ("soon", 1e-300):  # 1e-300: 2e300 substeps, past dynamics.MAX_SUBSTEPS
+            manifest.write_text(json.dumps({**data, "dt_internal_ns": step}))
+            code, err = evaluate_base()
+            assert code == 2 and "manifest.json" in err and "'dt_internal_ns'" in err, err
         del data["dt_internal_ns"]
         manifest.write_text(json.dumps(data))
         code, err = evaluate_base()
@@ -671,14 +680,21 @@ class TestTrainEvaluate:
         assert model["n_layers"] == 1
 
     def test_reported_losses_match_per_experiment_report(self, config_path, dataset_dir, tmp_path):
-        fit_dir = tmp_path / "fit"
+        """model.json's losses split each record by its own time, as the fit does:
+        a record moved 1e-10 us past T_Tr = 0.1 us lies on its grid point within
+        the gate's tolerance, and is a validation record all the same."""
         manifest = dataset_dir / "manifest.json"
-        assert run("train", "--config", config_path, "--dataset", manifest, "--out", fit_dir) == 0
-        source, data = cli.load_model(fit_dir / "model.json")
-        dataset, dev, _ = cli.load_dataset(manifest, train_horizon_us=0.5)
-        ref = loop_oracle.loss_by_split(dev, source, dataset.experiments, 0.5, 4.0)
-        got = (data["final_train_loss"], data["final_validation_loss"])
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        for horizon, moved in ((0.5, None), (0.1, 0.1000000001)):
+            if moved is not None:
+                rewrite_line(dataset_dir / "exp-000.jsonl", 5, set_fields(time_us=moved))
+            fit_dir = tmp_path / f"fit-{horizon}"
+            assert run("train", "--config", config_path, "--dataset", manifest, "--out", fit_dir,
+                       "--train-horizon-us", horizon) == 0
+            source, data = cli.load_model(fit_dir / "model.json")
+            dataset, dev, _ = cli.load_dataset(manifest, train_horizon_us=horizon)
+            ref = loop_oracle.loss_by_split(dev, source, dataset.experiments, horizon, 4.0)
+            got = (data["final_train_loss"], data["final_validation_loss"])
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_exp_spec_mode(self, config_path, dataset_dir, tmp_path):
         fit_dir = tmp_path / "fit-spec"
@@ -893,6 +909,9 @@ RECORD_FAULTS = {
     "time-past-floats": (set_fields(time_us=PAST_FLOATS), "'time_us'"),
     "shots-past-2**53": (set_fields(shots=2**53 + 2), "'shots'"),
     "truncated-row": (lambda line, _: line[: len(line) // 2], "malformed JSON"),
+    # the decoder's position counts within the line: '{"exp_id": "exp-001"' is 20 chars
+    "cut-after-a-value": (lambda line, _: line[: line.index(",")],
+                          "malformed JSON: Expecting ',' delimiter: line 1 column 21 (char 20)"),
     "missing-field": (set_fields(ky=None), "'ky'"),
     "not-a-number": (set_fields(time_us="0.06"), "'time_us'"),
     "non-finite": (set_fields(kz=float("nan")), "'kz'"),
@@ -964,6 +983,7 @@ MODEL_FIELD_FAULTS = {
     "params-one-short": ("sp", {"params": [0.0] * 5}, "'params'"),
     "params-one-long": ("affine", {"params": [0.0] * 21}, "'params'"),
     "n-layers-one-short": ("nonlinear", {"n_layers": 2}, "'n_layers'"),
+    "dt-internal-tiny": ("sp", {"dt_internal_ns": 1e-300}, "'dt_internal_ns'"),
 }
 
 
@@ -1187,6 +1207,22 @@ class TestDataValidation:
         assert f"manifest.json: bad device: {key} must be finite" in err, err
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    def test_base_flag_fault_names_the_manifest(self, verb, config_path, dataset_dir, tmp_path,
+                                                capsys):
+        """--base lindblad on an LvN manifest with T1 = 0 names the manifest, whether
+        the verb trains against the base model or evaluates it."""
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["device"].update(base_model="lvn", T1_us=0.0)
+        manifest.write_text(json.dumps(data))
+        inputs = ("--config", config_path) if verb == "train" else ("--model", "base")
+        assert run(verb, *inputs, "--base", "lindblad", "--dataset", manifest,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (f"config error: {manifest}: bad device: Lindblad "
+                                           "base model requires T1 > 0 and T2 > 0\n")
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_of_a_qutrit_is_rejected(self, dataset_dir, tmp_path, capsys):
         """kx, ky and kz are a qubit's counts, whatever the device says."""
         manifest = dataset_dir / "manifest.json"
@@ -1285,8 +1321,9 @@ class TestDataValidation:
         dev = dynamics.DeviceModel(3.448, 214.0, 32.0, "lindblad")
         cli.save_model(model, models.make_source(kind), dev, "exp-gen", 0.5, 4.0, 0)
         model.write_text(json.dumps({**json.loads(model.read_text()), **changes}))
-        assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
-                   "--out", tmp_path / "eval") == 2
+        with within(10):
+            assert run("evaluate", "--model", model, "--dataset", dataset_dir / "manifest.json",
+                       "--out", tmp_path / "eval") == 2
         err = capsys.readouterr().err
         assert "model.json" in err and name in err, err
         assert not (tmp_path / "eval").exists()
@@ -1464,6 +1501,27 @@ class TestEntryPoint:
         assert outputs["c"].keys() == outputs["utf8"].keys()
         for path, raw in outputs["utf8"].items():
             assert outputs["c"][path] == raw, path
+
+    def test_evaluate_predicts_only_the_recorded_samples(self, tmp_path):
+        """Ten 20 ns records evaluate to the same bytes under a 1e6 us duration as
+        under their own 0.2 us, in a child held to 1 GiB of address space:
+        evaluate predicts the samples the records hold, not the grid's 5e7."""
+        short = BASE_CONFIG.replace("duration_us = 1.0", "duration_us = 0.2")
+        assert run("generate", "--config", write_config(tmp_path, short), "--out",
+                   tmp_path / "data") == 0
+        manifest = tmp_path / "data" / "manifest.json"
+        limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                   "from qude import cli; sys.exit(cli.main(sys.argv[1:]))")
+        for duration, out in ((0.2, "own"), (1e6, "long")):
+            data = json.loads(manifest.read_text())
+            for entry in data["experiments"]:
+                entry["duration_us"] = duration
+            manifest.write_text(json.dumps(data))
+            proc = self.python("-c", limited, "evaluate", "--model", "base", "--dataset", manifest,
+                               "--out", tmp_path / out, OPENBLAS_NUM_THREADS="1")
+            assert proc.returncode == 0, proc.stderr
+        for name in ("moments.csv", "histogram.csv", "energy.csv", "expected_trace_distance.csv"):
+            assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "long" / name).read_bytes()
 
     def test_module_run_does_not_warn(self):
         proc = self.python("-m", "qude.cli", "--help")

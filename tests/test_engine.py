@@ -139,6 +139,20 @@ class TestBatchedPrediction:
             assert relative(xs, loop_oracle.integrate(DEV1, exp, src, 4.0)) <= TOL
 
     @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
+    def test_sample_counts_cut_the_grid(self, kind):
+        """``n_samples`` predicts the first samples of each grid and no more: the
+        same states as the whole grid's, to the loop oracle's tolerance."""
+        exps = self.experiments([(4.0, 1.5)])  # 375 samples each
+        counts = [375, 130, 7]
+        src = make_case(kind)
+        basis = qcore.hermitian_basis(2)
+        trajectories = dynamics.integrate_many(DEV1, exps, src, 4.0, counts)
+        for exp, n, traj in zip(exps, counts, trajectories):
+            np.testing.assert_array_equal(traj.times_us, exp.times_us()[:n])
+            xs = qcore.expand_many(traj.states, basis)
+            assert relative(xs, loop_oracle.integrate(DEV1, exp, src, 4.0)[:n]) <= TOL
+
+    @pytest.mark.parametrize("kind", ["base", "sp", "affine", "nonlinear"])
     def test_mixed_grids_are_grouped(self, kind):
         exps = self.experiments([(4.0, 1.0), (20.0, 2.0)])
         groups = dynamics.grid_groups(DEV1, exps, 4.0)

@@ -181,13 +181,17 @@ class TestProblem:
         assert problem.evaluate(net.pack(), net, subset, bound=0.5 * full) == (np.inf, None)
 
     def test_each_call_builds_one_problem(self, monkeypatch):
+        """Each call compiles one Problem from the dataset it is handed, and gates
+        none of its records again (no second Dataset)."""
         ds = make_twin_dataset(seed=18, n_experiments=2, duration_us=0.4,
                                sample_dt_ns=20.0, shots=0, train_horizon_us=0.2)
         tmpl = models.make_source("sp")
-        built = []
-        init = train.Problem.__init__
+        built, gated = [], []
+        init, gate = train.Problem.__init__, train.Dataset.__post_init__
         monkeypatch.setattr(train.Problem, "__init__",
                             lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(train.Dataset, "__post_init__",
+                            lambda self: gated.append(1) or gate(self))
         config = train.TrainConfig(adam_epochs=1, lbfgs_max_iters=2)
         for call in (lambda: train.fit(ds, DEV1, tmpl, config),
                      lambda: train.loss(tmpl.pack(), ds, DEV1, tmpl),
@@ -195,7 +199,7 @@ class TestProblem:
                      lambda: train.split_losses(ds, DEV1, tmpl)):
             built.clear()
             call()
-            assert len(built) == 1
+            assert len(built) == 1 and not gated
 
     def test_split_losses_match_the_problem_loss(self):
         ds = make_twin_dataset(seed=19, n_experiments=3, duration_us=0.8,
