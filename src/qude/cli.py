@@ -4,11 +4,14 @@ Verbs: ``generate`` (synthetic twin datasets), ``train``, ``evaluate``,
 ``characterize`` (structure-preserving readout), and ``report`` (evaluate
 plus characterize into one directory).
 
-Formats are diff-able and locale-free, every file UTF-8: INI-style run
+Formats are diff-able and locale-free, every text file UTF-8: INI-style run
 configs, JSON for models and dataset manifests, JSON Lines for records with fields
 {exp_id, amplitude_MHz, time_us, shots, kx, ky, kz} (``shots == 0`` marks a
 noiseless record whose counts hold exact probabilities), and RFC-4180 CSV
-with '.' decimals for tables. Everything is deterministic under a fixed
+with '.' decimals for tables. Beside the record files ``generate`` writes one
+binary record table (``RECORD_TABLE``): their values as float64, keyed by the
+SHA-256 of each file's bytes, which loaders take in place of decoding a file
+it vouches for and otherwise ignore. Everything is deterministic under a fixed
 seed; manifests record the seed, the config hash, and the toolkit version.
 
 Exit codes: 0 success, 2 configuration or data error (a malformed or
@@ -28,9 +31,11 @@ import io
 import json
 import re
 import reprlib
+import struct
 import sys
 from dataclasses import fields
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +178,17 @@ def _int_in(least: int, most: float = np.inf, parse=int):
 # would never finish drawing its amplitudes.
 MAX_EXPERIMENTS = 10**4
 MAX_SHOTS = 2**53  # counts are held as floats, which are integers exactly up to here
+# generate holds about 130 B per sample, summed over experiments, until it writes:
+# a (2, 2) complex state of 64 B and a record block of 56 B (shots, counts, probs)
+# and its time, past the 40 B augmented state each is integrated from. Writing a
+# record file takes about 250 B per row more: the Python values of its rows and the
+# record table's 40 B. So 10**7 samples take about 1.3 GB, 4 GB in one experiment,
+# and 160 times the largest benchmark dataset (5 x 12,500).
+MAX_SAMPLES = 10**7
+# A nonlinear latent source is integrated one step at a time, 1-3 us per step and
+# experiment on a 2-core host, so samples x substeps bounds generate's time: 10**8
+# steps take a few minutes.
+MAX_NETWORK_STEPS = 10**8
 
 
 class RunConfig:
@@ -218,11 +234,32 @@ class RunConfig:
                 key = declared[key]
                 raw[key] = text
                 _field(raw, key, path, self.SCHEMA[section][key][0], f"[{section}] ")
+        self._check_work()
+
+    def _check_work(self) -> None:
+        """The cross-field bounds on the samples generate allocates, and on the
+        steps it integrates for a nonlinear latent, checked once every key is cast."""
+        if "duration_us" not in self._raw.get("experiments", {}):
+            return  # no grid: generate exits 2 on the missing key
+        keys = ("n_experiments", "duration_us", "sample_dt_ns")
+        n_exp, duration, sample_dt = (self.get("experiments", key) for key in keys)
+        named = "', '".join(f"[experiments] {key}" for key in keys)
+        samples = n_exp * duration / (sample_dt * 1e-3)  # inf past the floats
+        if not samples <= MAX_SAMPLES:
+            raise ConfigError(f"{self.path}: '{named}' ask for {samples:.4g} samples, more "
+                              f"than cli.MAX_SAMPLES = {MAX_SAMPLES:,}")
+        if self.get("latent", "ansatz") != models.KIND_NONLINEAR:
+            return
+        steps = samples * sample_dt / self.get("training", "dt_internal_ns")
+        if not steps <= MAX_NETWORK_STEPS:
+            raise ConfigError(f"{self.path}: '{named}', '[training] dt_internal_ns' ask for "
+                              f"{steps:.4g} steps of the nonlinear latent source, more than "
+                              f"cli.MAX_NETWORK_STEPS = {MAX_NETWORK_STEPS:,}")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        text = _read_input(path, "config file")
+        text = _decode_utf8(_read_bytes(path, "config file"), path)
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
             # the lines of a text-mode read (universal newlines), named as the file
@@ -295,13 +332,17 @@ class RunConfig:
 # -- helpers ------------------------------------------------------------------------
 
 
-def _read_input(path: Path, what: str) -> str:
-    """The text of the input file ``path`` (a config, manifest, model or record
-    file): its bytes read once and decoded as strict UTF-8, whatever the locale.
-    A missing file, or a byte that is not UTF-8 (named by its line), is a data error."""
+def _read_bytes(path: Path, what: str) -> bytes:
+    """The bytes of the input file ``path`` (a config, manifest, model or record
+    file, or the record table), read once; a missing file is a data error."""
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
-    raw = path.read_bytes()
+    return path.read_bytes()
+
+
+def _decode_utf8(raw: bytes, path: Path) -> str:
+    """The text of the bytes ``raw`` of the file ``path``, decoded as strict UTF-8
+    whatever the locale; a byte that is not UTF-8 is a data error naming its line."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -403,7 +444,8 @@ def _read_json(path: Path, table: dict, what: str) -> dict:
     """The JSON object in the file ``path`` with the keys of ``table`` read; a
     missing file, bytes not UTF-8, malformed JSON or a key that does not read is
     a data error."""
-    return _read_table(_decode_json(_read_input(path, what), path), table, path)
+    return _read_table(_decode_json(_decode_utf8(_read_bytes(path, what), path), path), table,
+                       path)
 
 
 def _device(values: dict, path: Path, block: str, base_override: str | None = None) -> DeviceModel:
@@ -499,6 +541,85 @@ def _row_prefix(exp: Experiment) -> str:
                                                       json.dumps(exp.amplitude_p_MHz))
 
 
+# The record table write_dataset writes beside the record files: the RECORD_FIELDS
+# columns of each file as float64, keyed by the SHA-256 of the file's bytes, so that
+# a loader takes them in place of decoding that text. Little-endian, 40 B per row:
+#   RECORD_TABLE_MAGIC (8 B) | version (u64) | file count F (u64)
+#   F x [SHA-256 of a record file's bytes (32 B) | its row count (u64)]
+#   the F files' (rows, 5) float64 blocks, row-major, in index order
+#   the SHA-256 of every byte above (32 B)
+# It is never the data, only a copy of what the record files decode to: a table that
+# is missing, of another magic or version, of another length or digest is ignored.
+RECORD_TABLE = "records.bin"
+RECORD_TABLE_MAGIC, RECORD_TABLE_VERSION = b"qude-col", 1
+CHUNK_ROWS = 1024  # rows formed, hashed and written at a time, so no file's whole text is held
+
+
+def _write_record_table(path: Path, index: list[bytes], blocks: list[RecordBlock]) -> None:
+    """The record table of the record files with the packed (SHA-256, row count)
+    entries ``index`` and the record blocks ``blocks``, formed CHUNK_ROWS rows at
+    a time and hashed as it is written."""
+    chunks = (block.take(slice(start, start + CHUNK_ROWS))
+              for block in blocks for start in range(0, len(block), CHUNK_ROWS))
+    # the values of the rows as their text decodes: counts of rows with shots are
+    # written as integers, exact probabilities as floats
+    columns = (np.column_stack([rows.times_us, rows.shots,
+                                np.where((rows.shots == 0)[:, None], rows.counts,
+                                         rows.counts.astype(np.int64))]).astype("<f8", copy=False)
+               for rows in chunks)
+    sha256 = hashlib.sha256()
+    with path.open("wb") as fh:
+        for part in (RECORD_TABLE_MAGIC, struct.pack("<QQ", RECORD_TABLE_VERSION, len(index)),
+                     *index, *columns):
+            sha256.update(part)
+            fh.write(part)
+        fh.write(sha256.digest())
+
+
+def _read_record_table(path: Path) -> dict[bytes, np.ndarray]:
+    """The (rows, 5) blocks of the record table ``path``, views of its bytes, by
+    the SHA-256 of the record file each stands for; no blocks for a table that is
+    missing, of another magic or version, or whose length or digest does not check."""
+    if not path.is_file():
+        return {}
+    raw = _read_bytes(path, "record table")
+    start = len(RECORD_TABLE_MAGIC) + 16
+    if len(raw) < start + 32 or not raw.startswith(RECORD_TABLE_MAGIC):
+        return {}
+    version, n_files = struct.unpack_from("<QQ", raw, len(RECORD_TABLE_MAGIC))
+    end = start + 40 * n_files
+    if version != RECORD_TABLE_VERSION or end + 32 > len(raw):
+        return {}
+    index = list(struct.iter_unpack("<32sQ", raw[start:end]))
+    if (len(raw) != end + 40 * sum(rows for _, rows in index) + 32
+            or hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]):
+        return {}
+    blocks = {}
+    for key, rows in index:
+        blocks[key] = np.frombuffer(raw, "<f8", 5 * rows, end).reshape(rows, 5)
+        end += 40 * rows
+    return blocks
+
+
+def _write_records(path: Path, exp: Experiment, block: RecordBlock) -> bytes:
+    """Write the record file of ``exp`` CHUNK_ROWS rows at a time; its record
+    table entry, (SHA-256, row count), packed."""
+    # The bytes json.dumps gives for each row's dict: Python ints and floats
+    # written by repr, the exp_id and amplitude prefix encoded once per file.
+    counts = block.counts.astype(np.int64).astype(object)
+    noiseless = block.shots == 0
+    counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
+    row = (_row_prefix(exp).replace("%", "%%")
+           + ", ".join(f'"{field}": %r' for field in RECORD_FIELDS) + "}\n")
+    rows = zip(block.times_us.tolist(), block.shots.tolist(), *counts.T.tolist())
+    sha256 = hashlib.sha256()
+    with path.open("wb") as fh:
+        while chunk := "".join(map(row.__mod__, islice(rows, CHUNK_ROWS))).encode():
+            sha256.update(chunk)
+            fh.write(chunk)
+    return sha256.digest() + struct.pack("<Q", len(block))
+
+
 def write_dataset(
     out_dir: Path,
     dev: DeviceModel,
@@ -517,21 +638,13 @@ def write_dataset(
             raise ValueError(f"experiment {exp.id} row {row}: counts {block.counts[row]} "
                              f"of {block.shots[row]} shots are not integers")
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_entries = []
+    manifest_entries, index = [], []
     for exp, block in experiments:
         fname = f"{exp.id}.jsonl"
-        # The bytes json.dumps gives for each row's dict: Python ints and floats
-        # written by repr, the exp_id and amplitude prefix encoded once per file.
-        counts = block.counts.astype(np.int64).astype(object)
-        noiseless = block.shots == 0
-        counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
-        row = (_row_prefix(exp).replace("%", "%%")
-               + ", ".join(f'"{field}": %r' for field in RECORD_FIELDS) + "}\n")
-        with (out_dir / fname).open("w", encoding="utf-8") as fh:
-            fh.writelines(map(row.__mod__, zip(block.times_us.tolist(), block.shots.tolist(),
-                                               *counts.T.tolist())))
+        index.append(_write_records(out_dir / fname, exp, block))
         manifest_entries.append({**{key: getattr(exp, key) for key in EXPERIMENT_FIELDS},
                                  "file": fname, "n_records": len(block)})
+    _write_record_table(out_dir / RECORD_TABLE, index, [block for _, block in experiments])
     manifest = {
         "schema": DATASET_SCHEMA,
         "toolkit_version": __version__,
@@ -555,15 +668,23 @@ CANONICAL_ROW = re.compile(r'^\{"exp_id": "[^"\\{\n]*", "amplitude_MHz": %s, %s\
     _NUMBER, ", ".join(f'"{field}": ({_NUMBER})' for field in RECORD_FIELDS)), re.MULTILINE)
 
 
+def _prefixed_rows(text: str, exp: Experiment) -> int | None:
+    """The line count of a record file's text that ends in '\n' and holds
+    ``_row_prefix(exp)`` as often as it has lines, else None. A row write_dataset
+    wrote holds '"exp_id": "' once, after its opening '{' (JSON escapes each quote
+    in a string), so there the count holds exactly when every row begins with the
+    manifest entry's exp_id and amplitude."""
+    n = text.count("\n")
+    return n if text.endswith("\n") and text.count(_row_prefix(exp)) == n else None
+
+
 def _canonical_table(text: str, exp: Experiment) -> tuple[np.ndarray, range] | None:
     """The (n, 5) RECORD_FIELDS columns and line numbers of a record file's text
-    whose every line is the row write_dataset writes for ``exp``, or None (a line
-    off CANONICAL_ROW, no final newline, a value past the floats).
-    ``_row_prefix(exp)`` begins with '{' and holds no newline, so it is found
-    once per line exactly when it begins every line: the exp_id and amplitude."""
-    n = text.count("\n")
-    if not (text.endswith("\n") and text.count(_row_prefix(exp)) == n
-            and CANONICAL_ROW.match(text)):  # a first line off the form declines at once
+    whose every line is the row write_dataset writes for ``exp``, or None (a row
+    prefix missing, a line off CANONICAL_ROW, no final newline, a value past the
+    floats)."""
+    n = _prefixed_rows(text, exp)
+    if n is None or not CANONICAL_ROW.match(text):  # a first line off the form declines at once
         return None
     rows = CANONICAL_ROW.findall(text)
     table = np.array(rows, dtype=float)  # correctly rounded, as float() of what json reads
@@ -621,15 +742,24 @@ def _line_table(path: Path, text: str, exp: Experiment) -> tuple[np.ndarray, lis
     return np.stack(columns, axis=1), line_numbers
 
 
-def _read_records(path: Path, exp: Experiment) -> RecordBlock:
+def _read_records(path: Path, exp: Experiment, vouched: dict[bytes, np.ndarray]) -> RecordBlock:
     """The record block of one JSON Lines file, every row checked against
-    itself and against the manifest entry ``exp``: by ``_canonical_table`` when
-    the file is in write_dataset's row form, else by ``_line_table``, then on
-    whole columns against the sample grid, the shot range and the counts."""
-    text = _read_input(path, "record file")
-    table, line_numbers = _canonical_table(text, exp) or _line_table(path, text, exp)
+    itself and against the manifest entry ``exp``: taken from ``vouched`` (the
+    record table's blocks) when it holds finite columns for the file's bytes and
+    every row begins with the entry's exp_id and amplitude, else decoded by
+    ``_canonical_table`` when the file is in write_dataset's row form, else by
+    ``_line_table``; then checked on whole columns against the sample grid, the
+    shot range and the counts."""
+    raw = _read_bytes(path, "record file")
+    text = _decode_utf8(raw, path)
+    block = vouched.get(hashlib.sha256(raw).digest()) if vouched else None
+    if block is not None and len(block) == _prefixed_rows(text, exp) and np.isfinite(block).all():
+        table, line_numbers = block, range(1, len(block) + 1)
+    else:
+        table, line_numbers = _canonical_table(text, exp) or _line_table(path, text, exp)
     reject = partial(_reject, path, line_numbers)
-    # copies, so that the block holds no view of the table
+    # copies (RecordBlock casts the shots), so that the block holds no view of the
+    # table, nor of the record table's bytes
     times, shots, counts = table[:, 0].copy(), table[:, 1], table[:, 2:].copy()
     # tested as train.Dataset tests it, with total = duration
     reject(exp.off_grid(times) | ~train.in_train_split(times, exp.duration_us), "time_us",
@@ -653,6 +783,7 @@ def load_dataset(manifest_path: str | Path, train_horizon_us: float | None = Non
         raise ConfigError(f"{manifest_path}: 'device.dim' is {manifest['device']['dim']}, "
                           "not a qubit's 2")
     dev = _device(manifest["device"], manifest_path, "device", base_override)
+    vouched = _read_record_table(manifest_path.parent / RECORD_TABLE)
     experiments, first_of = [], {}
     total = 0.0
     for n, entry in enumerate(manifest["experiments"]):
@@ -668,7 +799,7 @@ def load_dataset(manifest_path: str | Path, train_horizon_us: float | None = Non
         if not data_file.is_file():
             raise ConfigError(f"{manifest_path}: bad value for 'experiments[{n}].file': "
                               f"{_SHOWN.repr(entry['file'])} (no such file: {data_file})")
-        block = _read_records(data_file, exp)
+        block = _read_records(data_file, exp, vouched)
         if len(block) != entry["n_records"]:
             raise ConfigError(f"{data_file}: {len(block)} rows, not experiments[{n}].n_records = "
                               f"{entry['n_records']}")

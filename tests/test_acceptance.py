@@ -377,6 +377,7 @@ def test_criterion_10_determinism(tmp_path):
         files = {}
         for rel in (
             "data/manifest.json", "data/exp-000.jsonl", "data/exp-001.jsonl",
+            f"data/{cli.RECORD_TABLE}",
             "fit/model.json",
             "eval/moments.csv", "eval/histogram.csv", "eval/energy.csv",
             "eval/expected_trace_distance.csv",

@@ -1,12 +1,15 @@
 import builtins
 import csv
+import hashlib
 import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -254,6 +257,16 @@ class TestConfig:
             assert time.perf_counter() - start < 0.5
             assert "'[experiments] n_experiments'" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    def test_sample_bound_leaves_room(self, tmp_path):
+        """A config of a hundred times the 5 x 12,500 samples of criterion 09 and the
+        chain-twin50 benchmark, the largest the criteria and the benchmark
+        generate, passes cli.MAX_SAMPLES."""
+        text = (BASE_CONFIG.replace("n_experiments = 2", "n_experiments = 5")
+                .replace("duration_us = 1.0", "duration_us = 5000.0")
+                .replace("sample_dt_ns = 20.0", "sample_dt_ns = 4.0"))
+        assert cli.RunConfig.load(write_config(tmp_path, text)).get("experiments",
+                                                                    "duration_us") == 5000.0
 
     def test_readme_library_block_runs(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -520,10 +533,15 @@ class TestDatasetRoundTrip:
         manifest = cli.write_dataset(tmp_path / "data", dev, list(zip(exps, blocks)), seed=0,
                                      config_sha="0" * 64, shots=shots, shot_mode="per-axis",
                                      dt_internal_ns=4.0, latent_info={"ansatz": "none"})
-        dataset, _, _ = cli.load_dataset(manifest)
-        for block, (exp, loaded) in zip(blocks, dataset.experiments):
-            for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
-                np.testing.assert_array_equal(getattr(loaded, column), getattr(block, column))
+        with_table, _, _ = cli.load_dataset(manifest)
+        (manifest.parent / cli.RECORD_TABLE).unlink()
+        without_table, _, _ = cli.load_dataset(manifest)
+        for dataset in (with_table, without_table):
+            for block, (exp, loaded) in zip(blocks, dataset.experiments):
+                for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
+                    original, back = getattr(block, column), getattr(loaded, column)
+                    assert back.dtype == original.dtype, column
+                    assert back.tobytes() == original.tobytes(), column
 
     def test_non_integral_count_is_rejected(self, config_path, tmp_path):
         """A count of a row with shots is written as an int, so 50.5 must not pass as 50."""
@@ -942,9 +960,13 @@ JOIN_ONLY_FAULTS = {
 }
 
 
+@contextmanager
 def per_line_parse():
-    """Record files decoded line by line, as when the column decode declines."""
-    return mock.patch.object(cli, "_canonical_table", lambda text, exp: None)
+    """Record files decoded line by line, as when the record table vouches for
+    none of them and the column decode declines."""
+    with mock.patch.object(cli, "_read_record_table", lambda path: {}), \
+            mock.patch.object(cli, "_canonical_table", lambda text, exp: None):
+        yield
 
 
 # fault -> (verb, model-file changes, extra arguments, texts the message must name)
@@ -1002,7 +1024,10 @@ class TestDataValidation:
 
     @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
     def test_corrupt_record_is_rejected(self, fault, config_path, dataset_dir, tmp_path, capsys):
+        """A record file edited after generate, beside the record table generate
+        wrote, fails as it does when decoded line by line, naming its line."""
         edit, names = RECORD_FAULTS[fault]
+        assert (dataset_dir / cli.RECORD_TABLE).is_file()
         rewrite_line(dataset_dir / "exp-001.jsonl", 3, edit)
         assert self.train(config_path, dataset_dir, tmp_path) == 2
         err = capsys.readouterr().err
@@ -1340,6 +1365,184 @@ class TestDataValidation:
         assert f"{model}: " in err and f"'device.dim' of {dataset_dir / 'manifest.json'}" in err, err
 
 
+def redigested(raw: bytes) -> bytes:
+    """Record table bytes with their closing SHA-256 computed again, so that a
+    loader meets the edit before it, not a digest that fails."""
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+
+
+def one_row_short(raw: bytes) -> bytes:
+    """The table of a two-file dataset whose entry for the second file counts one
+    row less and whose block lacks its last row, with a digest that checks."""
+    rows = struct.unpack_from("<Q", raw, 24 + 40 + 32)[0]
+    return redigested(raw[:24 + 40 + 32] + struct.pack("<Q", rows - 1) + raw[24 + 80:-32 - 40]
+                      + raw[-32:])
+
+
+# fault -> (edit of the record table's bytes, the experiments whose record text is
+# then decoded): the whole table is ignored, or its entry for one file
+TABLE_FAULTS = {
+    "empty": (lambda raw: b"", ["exp-000", "exp-001"]),
+    "truncated": (lambda raw: raw[: len(raw) // 2], ["exp-000", "exp-001"]),
+    "payload-byte-flipped": (lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:],
+                             ["exp-000", "exp-001"]),
+    "one-row-short": (one_row_short, ["exp-001"]),
+    "unknown-magic": (lambda raw: redigested(b"qude-xxx" + raw[8:]), ["exp-000", "exp-001"]),
+    "unknown-version": (lambda raw: redigested(raw[:8] + struct.pack("<Q", 2) + raw[16:]),
+                        ["exp-000", "exp-001"]),
+    "file-count-past-the-bytes": (
+        lambda raw: redigested(raw[:16] + struct.pack("<Q", 2**63) + raw[24:]),
+        ["exp-000", "exp-001"]),
+    "stale": (None, ["exp-000", "exp-001"]),  # the table of a dataset of another seed
+}
+
+# manifest edit of experiments[1] -> what the message must name, as without a table
+MANIFEST_EDITS = {
+    "id": ({"id": "exp-009"}, "exp-001.jsonl:1: field 'exp_id' does not match"),
+    "amplitude": ({"amplitude_p_MHz": 0.125}, "exp-001.jsonl:1: field 'amplitude_MHz' does not"),
+    "n-records": ({"n_records": 49}, "50 rows, not experiments[1].n_records = 49"),
+    "duration": ({"duration_us": 0.5}, "exp-001.jsonl:26: field 'time_us' is off"),
+}
+
+
+class TestRecordTable:
+    """The record table generate writes beside the record files stands in for the
+    decode of a file only where it vouches for the file's very bytes."""
+
+    @pytest.fixture()
+    def dataset_dir(self, config_path, tmp_path) -> Path:
+        out = tmp_path / "data"
+        assert run("generate", "--config", config_path, "--out", out) == 0
+        return out
+
+    @staticmethod
+    def decoded(monkeypatch) -> list[str]:
+        """The ids of the experiments whose record text is decoded from now on."""
+        ids, canonical_table = [], cli._canonical_table
+        monkeypatch.setattr(cli, "_canonical_table",
+                            lambda text, exp: ids.append(exp.id) or canonical_table(text, exp))
+        return ids
+
+    @staticmethod
+    def assert_same(dataset, expected) -> None:
+        for (_, block), (_, other) in zip(dataset.experiments, expected.experiments, strict=True):
+            for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
+                assert getattr(block, column).tobytes() == getattr(other, column).tobytes()
+
+    def test_generated_records_load_from_the_table(self, dataset_dir, monkeypatch):
+        """No record text of a generated dataset is decoded, and the blocks are
+        those the line-by-line decode gives."""
+        with per_line_parse():
+            expected = cli.load_dataset(dataset_dir / "manifest.json")[0]
+        decoded = self.decoded(monkeypatch)
+        self.assert_same(cli.load_dataset(dataset_dir / "manifest.json")[0], expected)
+        assert decoded == []
+
+    def test_edited_record_file_loads_its_edited_value(self, dataset_dir, monkeypatch):
+        """A record file edited after generate is decoded from its text, so the
+        edited count loads; the table still vouches for the other file."""
+        records = dataset_dir / "exp-001.jsonl"
+        rewrite_line(records, 3, set_fields(kx=lambda row: 1 if row["kx"] == 0 else 0))
+        kx = json.loads(records.read_text().splitlines()[2])["kx"]
+        decoded = self.decoded(monkeypatch)
+        dataset = cli.load_dataset(dataset_dir / "manifest.json")[0]
+        assert decoded == ["exp-001"]
+        assert dataset.experiments[1][1].counts[2, 0] == kx
+        with per_line_parse():
+            self.assert_same(dataset, cli.load_dataset(dataset_dir / "manifest.json")[0])
+
+    @pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+    def test_table_that_does_not_check_is_ignored(self, fault, config_path, dataset_dir, tmp_path,
+                                                  capsys, monkeypatch):
+        """A table that is cut, flipped, of another magic, version or file count, or
+        written for another dataset is ignored, and so is an entry short of a row:
+        those record texts are decoded, to the same blocks, and evaluate exits 0
+        quietly."""
+        edit, expected_decoded = TABLE_FAULTS[fault]
+        manifest, table = dataset_dir / "manifest.json", dataset_dir / cli.RECORD_TABLE
+        with per_line_parse():
+            expected = cli.load_dataset(manifest)[0]
+        if edit is None:
+            assert run("generate", "--config", config_path, "--out", tmp_path / "other",
+                       "--seed", 12) == 0
+            shutil.copy(tmp_path / "other" / cli.RECORD_TABLE, table)
+        else:
+            table.write_bytes(edit(table.read_bytes()))
+        decoded = self.decoded(monkeypatch)
+        self.assert_same(cli.load_dataset(manifest)[0], expected)
+        assert decoded == expected_decoded
+        capsys.readouterr()
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_record_fails_as_without_a_table(self, time, config_path, tmp_path):
+        """write_dataset writes a non-finite time as text no JSON decoder reads; the
+        table, which holds the value, is passed over, and the load fails as the
+        text decode does."""
+        dev = cli.RunConfig.load(config_path).device()
+        exp = dynamics.Experiment("exp-000", 1.0, duration_us=0.06, sample_dt_ns=20.0)
+        block = tomography.RecordBlock.from_counts([0.02, time, 0.06], [0, 0, 0],
+                                                   np.full((3, 3), 0.5))
+        manifest = cli.write_dataset(tmp_path / "data", dev, [(exp, block)], seed=0,
+                                     config_sha="0" * 64, shots=0, shot_mode="per-axis",
+                                     dt_internal_ns=4.0, latent_info={"ansatz": "none"})
+        with pytest.raises(cli.ConfigError) as loaded:
+            cli.load_dataset(manifest)
+        with per_line_parse(), pytest.raises(cli.ConfigError) as decoded:
+            cli.load_dataset(manifest)
+        assert str(loaded.value) == str(decoded.value)
+        assert "exp-000.jsonl:2: malformed JSON" in str(loaded.value)
+
+    @pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+    def test_manifest_edit_gives_the_message_without_a_table(self, edit, dataset_dir, tmp_path,
+                                                             capsys):
+        """A manifest entry edited after generate (its id, amplitude, n_records or
+        duration) exits 2 with the message the dataset gives without its table."""
+        changes, names = MANIFEST_EDITS[edit]
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["experiments"][1].update(changes)
+        manifest.write_text(json.dumps(data))
+        errors = []
+        for _ in ("with the table", "without it"):
+            capsys.readouterr()
+            assert run("evaluate", "--model", "base", "--dataset", manifest,
+                       "--out", tmp_path / "eval") == 2
+            errors.append(capsys.readouterr().err)
+            (dataset_dir / cli.RECORD_TABLE).unlink(missing_ok=True)
+        assert errors[0] == errors[1] and names in errors[0], errors
+        assert not (tmp_path / "eval").exists()
+
+    def test_chain_without_the_table_writes_the_same_bytes(self, config_path, tmp_path,
+                                                           monkeypatch):
+        """generate -> train -> evaluate -> characterize with the table deleted after
+        generate writes the files the chain writes with it (training_log.csv's
+        last column is wall time)."""
+        outputs = {}
+        manifest, model = Path("data/manifest.json"), Path("fit/model.json")
+        for name in ("table", "none"):
+            root = tmp_path / name
+            root.mkdir()
+            monkeypatch.chdir(root)  # characterization.json names the model file
+            assert run("generate", "--config", config_path, "--out", "data") == 0
+            if name == "none":
+                (root / "data" / cli.RECORD_TABLE).unlink()
+            assert run("train", "--config", config_path, "--dataset", manifest,
+                       "--out", "fit") == 0
+            assert run("evaluate", "--model", model, "--dataset", manifest, "--out", "eval") == 0
+            assert run("characterize", "--model", model, "--out", "char") == 0
+            outputs[name] = {path.relative_to(root): path.read_bytes()
+                             for path in root.rglob("*")
+                             if path.is_file() and path.name != cli.RECORD_TABLE}
+            log = Path("fit/training_log.csv")
+            outputs[name][log] = b"".join(line.rsplit(b",", 1)[0]
+                                          for line in outputs[name][log].splitlines())
+        assert len(outputs["table"]) == 11
+        assert outputs["table"] == outputs["none"]
+
+
 # fault -> (verb, config edit (old, new), extra train arguments, record line to delete)
 INCONSISTENT_INPUTS = {
     "internal-step-not-dividing": (
@@ -1375,13 +1578,14 @@ def test_inconsistent_input_is_config_error(fault, config_path, tmp_path, capsys
 
 def test_each_verb_reads_each_input_once(config_path, tmp_path, monkeypatch):
     """generate, train, evaluate, characterize and report open each input file
-    once: the config, the manifest, model.json and both record files, one of them
-    in a layout (CRLF endings) that the column decode declines."""
+    once: the config, the manifest, model.json, the record table and both record
+    files, one of them in a layout (CRLF endings) that the table does not vouch
+    for and the column decode declines."""
     data, model = tmp_path / "data", tmp_path / "fit" / "model.json"
     manifest, declined = data / "manifest.json", data / "exp-001.jsonl"
     assert run("generate", "--config", config_path, "--out", data) == 0
     declined.write_bytes(declined.read_bytes().replace(b"\n", b"\r\n"))
-    records = [data / "exp-000.jsonl", declined]
+    records = [data / "exp-000.jsonl", declined, data / cli.RECORD_TABLE]
     experiments = [exp for exp, _ in cli.load_dataset(manifest)[0].experiments]
     assert [cli._canonical_table(path.read_bytes().decode(), exp) is None
             for path, exp in zip(records, experiments)] == [False, True]
@@ -1522,6 +1726,35 @@ class TestEntryPoint:
             assert proc.returncode == 0, proc.stderr
         for name in ("moments.csv", "histogram.csv", "energy.csv", "expected_trace_distance.csv"):
             assert (tmp_path / "own" / name).read_bytes() == (tmp_path / "long" / name).read_bytes()
+
+    @pytest.mark.parametrize("edits, bound", [
+        ([("duration_us = 1.0", "duration_us = 1e6")], "cli.MAX_SAMPLES"),
+        ([("duration_us = 1.0", "duration_us = 1e6"),
+          ("sample_dt_ns = 20.0", "sample_dt_ns = 2000.0"),
+          ("ansatz = sp\nalpha", "ansatz = nonlinear\nmodel_file = net.json\nalpha")],
+         "cli.MAX_NETWORK_STEPS"),
+    ])
+    def test_generate_bounds_its_work(self, edits, bound, tmp_path):
+        """1e6 us at 20 ns asks for 1e8 samples, 9 GiB of states alone; at 2 us, with
+        a nonlinear latent, for 5e8 network steps. generate exits 2 naming the keys
+        within a second, in a child held to 1 GiB of address space, and writes nothing."""
+        text = BASE_CONFIG
+        for edit in edits:
+            text = text.replace(*edit)
+        dev = dynamics.DeviceModel(3.448, 214.0, 32.0)
+        cli.save_model(tmp_path / "net.json", models.make_source("nonlinear"), dev, "exp-gen",
+                       0.5, 4.0, 0)
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                 "from conftest import within\nfrom qude import cli\n"
+                 "with within(1.0):\n    code = cli.main(sys.argv[1:])\nsys.exit(code)")
+        proc = self.python("-c", child, "generate", "--config", write_config(tmp_path, text),
+                           "--out", tmp_path / "out", cwd=Path(__file__).parent,
+                           OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and bound in proc.stderr, proc.stderr
+        for key in ("n_experiments", "duration_us", "sample_dt_ns"):
+            assert f"'[experiments] {key}'" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_module_run_does_not_warn(self):
         proc = self.python("-m", "qude.cli", "--help")

@@ -187,8 +187,9 @@ def accepts(check) -> bool:
 @hypothesis.given(data=st.data())
 def test_record_gate_and_load_check_agree(data):
     """One row of a valid block repeated, shifted or dropped: train.Dataset, with
-    the duration as total horizon, and cli._read_records on the written file
-    accept or reject it together."""
+    the duration as total horizon, and cli._read_records on the written file,
+    decoded from its text or taken from the record table, accept or reject it
+    together."""
     n_samples = data.draw(st.integers(1, 12))
     sample_dt_ns = data.draw(st.floats(1e-3, 1e3))
     exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=1.0,
@@ -220,13 +221,15 @@ def test_record_gate_and_load_check_agree(data):
         cli.write_dataset(Path(tmp), DEV1, [(exp, block)], seed=0, config_sha="", shots=0,
                           shot_mode="per-axis", dt_internal_ns=4.0,
                           latent_info={"ansatz": "none"})
-        loaded = accepts(lambda: cli._read_records(Path(tmp) / "exp-000.jsonl", exp))
-    assert gate_accepts(block) == loaded, (edit, row, block.times_us)
+        loaded = {accepts(lambda: cli._read_records(Path(tmp) / "exp-000.jsonl", exp, vouched))
+                  for vouched in ({}, cli._read_record_table(Path(tmp) / cli.RECORD_TABLE))}
+    assert loaded == {gate_accepts(block)}, (edit, row, block.times_us)
 
 
 @pytest.fixture(scope="module")
 def chain_files(tmp_path_factory) -> dict[str, bytes]:
-    """The criterion-10 (chain-tiny) config, its dataset and its trained model, as bytes."""
+    """The criterion-10 (chain-tiny) config, its dataset (record table included)
+    and its trained model, as bytes."""
     root = tmp_path_factory.mktemp("chain")
     config = root / "run.cfg"
     config.write_text(DETERMINISM_CONFIG)
@@ -235,7 +238,7 @@ def chain_files(tmp_path_factory) -> dict[str, bytes]:
                      "--dataset", str(root / "data" / "manifest.json")]) == 0
     return {name: (root / name).read_bytes() for name in (
         "run.cfg", "data/manifest.json", "data/exp-000.jsonl", "data/exp-001.jsonl",
-        "fit/model.json")}
+        f"data/{cli.RECORD_TABLE}", "fit/model.json")}
 
 
 def edit_bytes(data, raw: bytes) -> bytes:
@@ -259,7 +262,8 @@ def edit_bytes(data, raw: bytes) -> bytes:
 @hypothesis.given(data=st.data())
 def test_corrupt_input_exits_cleanly(chain_files, data):
     """One edit (``edit_bytes``) of any input of the chain exits 0 (the edit left
-    valid data), 2, 3 or 4, with no traceback: every byte is checked at the boundary."""
+    valid data), 2, 3 or 4, with no traceback: every byte is checked at the boundary.
+    An edited record table is ignored, so evaluate exits 0."""
     name = data.draw(st.sampled_from(sorted(chain_files)))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -274,7 +278,8 @@ def test_corrupt_input_exits_cleanly(chain_files, data):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv)
-    assert code in (0, 2, 3, 4), (name, code, err.getvalue())
+    assert code in ((0,) if name.endswith(cli.RECORD_TABLE) else (0, 2, 3, 4)), (
+        name, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 
