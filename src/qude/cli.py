@@ -34,8 +34,7 @@ import reprlib
 import struct
 import sys
 from dataclasses import fields
-from functools import partial
-from itertools import islice
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -178,12 +177,13 @@ def _int_in(least: int, most: float = np.inf, parse=int):
 # would never finish drawing its amplitudes.
 MAX_EXPERIMENTS = 10**4
 MAX_SHOTS = 2**53  # counts are held as floats, which are integers exactly up to here
-# generate holds about 130 B per sample, summed over experiments, until it writes:
-# a (2, 2) complex state of 64 B and a record block of 56 B (shots, counts, probs)
-# and its time, past the 40 B augmented state each is integrated from. Writing a
-# record file takes about 250 B per row more: the Python values of its rows and the
-# record table's 40 B. So 10**7 samples take about 1.3 GB, 4 GB in one experiment,
-# and 160 times the largest benchmark dataset (5 x 12,500).
+# generate holds about 100 B per sample, summed over experiments, at its peak: a
+# (2, 2) complex state of 64 B, past the 32 B coefficients of its group it is formed
+# from. Each experiment's states are freed once its records are drawn, which hold
+# 56 B (shots, counts, probs) and the time. Drawing takes about 100 B per sample of
+# one experiment more; the record files and table are written CHUNK_ROWS rows at a
+# time. So 10**7 samples take about 1 GB, 2 GB in one experiment (10**6 samples raised
+# ru_maxrss by 100 and 180 MB), and 160 times the largest benchmark dataset (5 x 12,500).
 MAX_SAMPLES = 10**7
 # A nonlinear latent source is integrated one step at a time, 1-3 us per step and
 # experiment on a 2-core host, so samples x substeps bounds generate's time: 10**8
@@ -552,7 +552,7 @@ def _row_prefix(exp: Experiment) -> str:
 # is missing, of another magic or version, of another length or digest is ignored.
 RECORD_TABLE = "records.bin"
 RECORD_TABLE_MAGIC, RECORD_TABLE_VERSION = b"qude-col", 1
-CHUNK_ROWS = 1024  # rows formed, hashed and written at a time, so no file's whole text is held
+CHUNK_ROWS = 1024  # rows formed, hashed and written at a time, so no file's rows are held whole
 
 
 def _write_record_table(path: Path, index: list[bytes], blocks: list[RecordBlock]) -> None:
@@ -606,15 +606,17 @@ def _write_records(path: Path, exp: Experiment, block: RecordBlock) -> bytes:
     table entry, (SHA-256, row count), packed."""
     # The bytes json.dumps gives for each row's dict: Python ints and floats
     # written by repr, the exp_id and amplitude prefix encoded once per file.
-    counts = block.counts.astype(np.int64).astype(object)
-    noiseless = block.shots == 0
-    counts[noiseless] = block.counts[noiseless]  # exact probabilities stay floats
     row = (_row_prefix(exp).replace("%", "%%")
            + ", ".join(f'"{field}": %r' for field in RECORD_FIELDS) + "}\n")
-    rows = zip(block.times_us.tolist(), block.shots.tolist(), *counts.T.tolist())
     sha256 = hashlib.sha256()
     with path.open("wb") as fh:
-        while chunk := "".join(map(row.__mod__, islice(rows, CHUNK_ROWS))).encode():
+        for start in range(0, len(block), CHUNK_ROWS):
+            rows = block.take(slice(start, start + CHUNK_ROWS))
+            counts = rows.counts.astype(np.int64).astype(object)
+            noiseless = rows.shots == 0
+            counts[noiseless] = rows.counts[noiseless]  # exact probabilities stay floats
+            chunk = "".join(map(row.__mod__, zip(rows.times_us.tolist(), rows.shots.tolist(),
+                                                 *counts.T.tolist()))).encode()
             sha256.update(chunk)
             fh.write(chunk)
     return sha256.digest() + struct.pack("<Q", len(block))
@@ -845,11 +847,12 @@ def cmd_generate(args) -> int:
                           f"'[experiments] duration_us': {err}") from None
     _check_internal_step(dt_internal, exps, cfg.path, "[training] dt_internal_ns")
 
-    trajectories = dynamics.integrate_many(dev, exps, latent, dt_internal)
+    # popped in experiment order, so each trajectory is freed once its records are drawn
+    trajectories = dynamics.integrate_many(dev, exps, latent, dt_internal)[::-1]
     results = [
-        (exp, tomography.simulate_records(traj, shots, np.random.default_rng([seed, 1 + i]),
-                                          shot_mode))
-        for i, (exp, traj) in enumerate(zip(exps, trajectories))
+        (exp, tomography.simulate_records(trajectories.pop(), shots,
+                                          np.random.default_rng([seed, 1 + i]), shot_mode))
+        for i, exp in enumerate(exps)
     ]
 
     if latent is None:
@@ -1054,6 +1057,7 @@ def cmd_report(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+@cache  # built on first use, then reused by every main call in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qude",
@@ -1065,7 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="fit a source term to a dataset")
     p_train.add_argument("--config", required=True)
@@ -1076,7 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--mode", choices=train.MODES, default=None)
     p_train.add_argument("--train-horizon-us", type=float, default=None)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.set_defaults(func=cmd_train)
 
     scoring = argparse.ArgumentParser(add_help=False)  # what evaluate and report share
     scoring.add_argument("--model", required=True, help="model file or 'base'")
@@ -1084,20 +1086,16 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--out", required=True)
     scoring.add_argument("--base", choices=dynamics.BASE_KINDS, default=None)
     scoring.add_argument("--train-horizon-us", type=float, default=None)
-    p_eval = sub.add_parser("evaluate", parents=[scoring],
-                            help="evaluate a model against a dataset")
-    p_eval.set_defaults(func=cmd_evaluate)
+    sub.add_parser("evaluate", parents=[scoring], help="evaluate a model against a dataset")
 
     p_char = sub.add_parser("characterize", help="interpret a structure-preserving model")
     p_char.add_argument("--model", required=True)
     p_char.add_argument("--config", default=None, help="optional device config override")
     p_char.add_argument("--out", default=None)
-    p_char.set_defaults(func=cmd_characterize)
 
     p_rep = sub.add_parser("report", parents=[scoring],
                            help="evaluate and characterize into one directory")
     p_rep.add_argument("--config", default=None)
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 
@@ -1111,7 +1109,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--train-horizon-us must be positive and finite, got {horizon!r}")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a replaced verb runs
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

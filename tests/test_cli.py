@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import csv
 import hashlib
@@ -519,6 +520,20 @@ class TestLatent:
         assert not out.exists()
 
 
+def dumped_rows(exp: dynamics.Experiment, block: tomography.RecordBlock) -> bytes:
+    """The json.dumps of each record's dict, one line each: counts of a row with
+    shots as ints, the exact probabilities of a noiseless row as floats."""
+    return "".join(
+        json.dumps({"exp_id": exp.id, "amplitude_MHz": exp.amplitude_p_MHz,
+                    "time_us": t, "shots": n, "kx": kx, "ky": ky, "kz": kz}) + "\n"
+        for t, n, (kx, ky, kz) in zip(
+            block.times_us.tolist(), block.shots.tolist(),
+            [row if n == 0 else [int(k) for k in row]
+             for n, row in zip(block.shots.tolist(), block.counts.tolist())],
+        )
+    ).encode()
+
+
 class TestDatasetRoundTrip:
     @pytest.mark.parametrize("shots", [500, 0])
     def test_load_returns_the_simulated_arrays(self, config_path, tmp_path, shots):
@@ -564,15 +579,40 @@ class TestDatasetRoundTrip:
         cli.write_dataset(tmp_path / "data", dev, [(exp, block)], seed=0, config_sha="0" * 64,
                           shots=shots, shot_mode="per-axis", dt_internal_ns=4.0,
                           latent_info={"ansatz": "none"})
-        expected = "".join(
-            json.dumps({"exp_id": exp.id, "amplitude_MHz": exp.amplitude_p_MHz,
-                        "time_us": t, "shots": n, "kx": kx, "ky": ky, "kz": kz}) + "\n"
-            for t, n, (kx, ky, kz) in zip(
-                block.times_us.tolist(), block.shots.tolist(),
-                (block.counts if shots == 0 else block.counts.astype(np.int64)).tolist(),
-            )
-        )
-        assert (tmp_path / "data" / "exp-007.jsonl").read_bytes() == expected.encode()
+        assert (tmp_path / "data" / "exp-007.jsonl").read_bytes() == dumped_rows(exp, block)
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli.CHUNK_ROWS])
+    def test_rows_across_chunks_are_json_dumps_of_each_record(self, config_path, tmp_path,
+                                                              monkeypatch, chunk_rows):
+        """1250 rows, noiseless (shots == 0) in runs of 3 among runs of 4 with shots, so
+        that chunks of 3 rows are all noiseless, all shots or mixed, and the 1024-row
+        boundary falls inside a noiseless run: the file holds the json.dumps of each
+        row, and the rows load back with and without the record table."""
+        boundary = cli.CHUNK_ROWS
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        dev = cli.RunConfig.load(config_path).device()
+        exp = dynamics.Experiment("exp-007", 1.0 / 3.0, duration_us=5.0, sample_dt_ns=4.0)
+        traj = dynamics.integrate_rk4(dev, exp)
+        drawn = tomography.simulate_records(traj, 500, np.random.default_rng(3))
+        exact = tomography.simulate_records(traj, 0, np.random.default_rng(3))
+        noiseless = np.arange(len(traj)) % 7 < 3
+        assert noiseless[boundary - 1 : boundary + 1].all()
+        block = tomography.RecordBlock.from_counts(
+            traj.times_us, np.where(noiseless, 0, drawn.shots),
+            np.where(noiseless[:, None], exact.counts, drawn.counts))
+        manifest = cli.write_dataset(tmp_path / "data", dev, [(exp, block)], seed=0,
+                                     config_sha="0" * 64, shots=500, shot_mode="per-axis",
+                                     dt_internal_ns=4.0, latent_info={"ansatz": "none"})
+        assert (tmp_path / "data" / "exp-007.jsonl").read_bytes() == dumped_rows(exp, block)
+        with_table, _, _ = cli.load_dataset(manifest)
+        (manifest.parent / cli.RECORD_TABLE).unlink()
+        without_table, _, _ = cli.load_dataset(manifest)
+        for dataset in (with_table, without_table):
+            (_, loaded), = dataset.experiments
+            for column in ("times_us", "shots", "counts", "probs"):
+                original, back = getattr(block, column), getattr(loaded, column)
+                assert back.dtype == original.dtype, column
+                assert back.tobytes() == original.tobytes(), column
 
 
 class TestTrainEvaluate:
@@ -1656,6 +1696,79 @@ class TestIOErrors:
         assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 4
         err = capsys.readouterr().err
         assert err == f"i/o error: [Errno 13] Permission denied: '{config_path}'\n", err
+
+
+class TestParser:
+    """main builds its parser once per process and looks each verb up by name."""
+
+    VERBS = ("generate", "train", "evaluate", "characterize", "report")
+
+    def test_parser_is_built_once(self, config_path, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        cli.build_parser.cache_clear()
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        assert built  # the first call builds it
+        n_built = len(built)
+        assert run("generate", "--config", config_path, "--out", tmp_path / "again") == 0
+        assert run("train", "--config", config_path, "--dataset",
+                   tmp_path / "data" / "manifest.json", "--out", tmp_path / "fit") == 0
+        assert run("evaluate", "--model", "base", "--dataset", tmp_path / "data" / "manifest.json",
+                   "--out", tmp_path / "eval") == 0
+        assert len(built) == n_built
+
+    def test_replaced_verb_runs(self, config_path, tmp_path, monkeypatch):
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: calls.append(args) or 7)
+        assert run("generate", "--config", config_path, "--out", tmp_path / "other") == 7
+        assert [args.out for args in calls] == [str(tmp_path / "other")]
+        assert not (tmp_path / "other").exists()
+
+    def test_no_flag_carries_over(self, config_path, tmp_path):
+        """train --seed 8, then train without --seed, writes the model a freshly
+        built parser writes with the config's seed 3."""
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        manifest = tmp_path / "data" / "manifest.json"
+        for out, flags in (("seeded", ("--seed", 8)), ("unseeded", ()), ("fresh", ())):
+            if out == "fresh":
+                cli.build_parser.cache_clear()
+            assert run("train", "--config", config_path, "--dataset", manifest,
+                       "--out", tmp_path / out, *flags) == 0
+        models_ = {out: (tmp_path / out / "model.json").read_bytes()
+                   for out in ("seeded", "unseeded", "fresh")}
+        assert json.loads(models_["seeded"])["seed"] == 8
+        assert json.loads(models_["unseeded"])["seed"] == 3
+        assert models_["unseeded"] == models_["fresh"]
+
+    def test_usage_error_leaves_the_parser_working(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("generate", "--config", config_path, "--bogus")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        assert (tmp_path / "data" / "manifest.json").is_file()
+
+    def test_help_after_a_parse(self, config_path, tmp_path, capsys):
+        """qude --help and qude <verb> --help print what they print from a fresh
+        parser, after the parser has parsed a verb."""
+
+        def help_text(*argv) -> str:
+            with pytest.raises(SystemExit) as exit_:
+                run(*argv, "--help")
+            assert exit_.value.code == 0
+            return capsys.readouterr().out
+
+        argvs = [(), *((verb,) for verb in self.VERBS)]
+        cli.build_parser.cache_clear()
+        fresh = [help_text(*argv) for argv in argvs]
+        assert run("generate", "--config", config_path, "--out", tmp_path / "data") == 0
+        capsys.readouterr()
+        for argv, text in zip(argvs, fresh):
+            assert text.startswith(" ".join(("usage: qude", *argv))), text
+            assert help_text(*argv) == text, argv
 
 
 class TestEntryPoint:
