@@ -11,8 +11,9 @@ noiseless record whose counts hold exact probabilities), and RFC-4180 CSV
 with '.' decimals for tables. Beside the record files ``generate`` writes one
 binary record table (``RECORD_TABLE``): their values as float64, keyed by the
 SHA-256 of each file's bytes, which loaders take in place of decoding a file
-it vouches for and otherwise ignore. Everything is deterministic under a fixed
-seed; manifests record the seed, the config hash, and the toolkit version.
+it vouches for and otherwise ignore; every other record file is decoded line
+by line. Everything is deterministic under a fixed seed; manifests record the
+seed, the config hash, and the toolkit version.
 
 Exit codes: 0 success, 2 configuration or data error (a malformed or
 inconsistent config, manifest, model or record file; faults found while
@@ -29,7 +30,6 @@ import csv
 import hashlib
 import io
 import json
-import re
 import reprlib
 import struct
 import sys
@@ -259,14 +259,14 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        text = _decode_utf8(_read_bytes(path, "config file"), path)
+        raw = _read_bytes(path, "config file")
+        text = _decode_utf8(raw, path)
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
             # the lines of a text-mode read (universal newlines), named as the file
             parser.read_file(io.StringIO(text, newline=None), source=str(path))
-            # reading a value can raise an interpolation error; the text re-encodes
-            # to the bytes read, as a strict UTF-8 decode loses none
-            return cls(parser, path, hashlib.sha256(text.encode()).hexdigest())
+            # reading a value can raise an interpolation error
+            return cls(parser, path, hashlib.sha256(raw).hexdigest())
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {path}: {err}") from err
 
@@ -664,12 +664,6 @@ def write_dataset(
     return manifest_path
 
 
-_NUMBER = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"  # unsigned JSON, ASCII digits
-# one whole line of the row form write_dataset writes: its only '{' is its first character
-CANONICAL_ROW = re.compile(r'^\{"exp_id": "[^"\\{\n]*", "amplitude_MHz": %s, %s\}\n' % (
-    _NUMBER, ", ".join(f'"{field}": ({_NUMBER})' for field in RECORD_FIELDS)), re.MULTILINE)
-
-
 def _prefixed_rows(text: str, exp: Experiment) -> int | None:
     """The line count of a record file's text that ends in '\n' and holds
     ``_row_prefix(exp)`` as often as it has lines, else None. A row write_dataset
@@ -678,19 +672,6 @@ def _prefixed_rows(text: str, exp: Experiment) -> int | None:
     manifest entry's exp_id and amplitude."""
     n = text.count("\n")
     return n if text.endswith("\n") and text.count(_row_prefix(exp)) == n else None
-
-
-def _canonical_table(text: str, exp: Experiment) -> tuple[np.ndarray, range] | None:
-    """The (n, 5) RECORD_FIELDS columns and line numbers of a record file's text
-    whose every line is the row write_dataset writes for ``exp``, or None (a row
-    prefix missing, a line off CANONICAL_ROW, no final newline, a value past the
-    floats)."""
-    n = _prefixed_rows(text, exp)
-    if n is None or not CANONICAL_ROW.match(text):  # a first line off the form declines at once
-        return None
-    rows = CANONICAL_ROW.findall(text)
-    table = np.array(rows, dtype=float)  # correctly rounded, as float() of what json reads
-    return (table, range(1, n + 1)) if len(rows) == n and np.isfinite(table).all() else None
 
 
 def _overflows(value) -> bool:
@@ -709,10 +690,10 @@ def _reject(path: Path, line_numbers, bad, field: str, problem: str) -> None:
 
 
 def _line_table(path: Path, text: str, exp: Experiment) -> tuple[np.ndarray, list[int]]:
-    """``_canonical_table`` for any JSON Lines layout of the text of the record
-    file ``path``: each non-blank line decoded on its own, every fault a data
-    error naming its line (and field). The checks run on whole columns; the row
-    comprehensions run only to locate a bad row."""
+    """The (n, 5) RECORD_FIELDS columns and line numbers of the text of the record
+    file ``path``, in any JSON Lines layout: each non-blank line decoded on its
+    own, every fault a data error naming its line (and field). The checks run on
+    whole columns; the row comprehensions run only to locate a bad row."""
     # the lines text-mode iteration gives: universal newlines, then split after each
     # '\n' (str.splitlines would also split on '\x0c', '\x85', '\u2028' and others)
     lines = io.StringIO(text, newline=None).readlines()
@@ -748,17 +729,16 @@ def _read_records(path: Path, exp: Experiment, vouched: dict[bytes, np.ndarray])
     """The record block of one JSON Lines file, every row checked against
     itself and against the manifest entry ``exp``: taken from ``vouched`` (the
     record table's blocks) when it holds finite columns for the file's bytes and
-    every row begins with the entry's exp_id and amplitude, else decoded by
-    ``_canonical_table`` when the file is in write_dataset's row form, else by
-    ``_line_table``; then checked on whole columns against the sample grid, the
-    shot range and the counts."""
+    every row begins with the entry's exp_id and amplitude, else decoded from its
+    text line by line (``_line_table``); then checked on whole columns against the
+    sample grid, the shot range and the counts."""
     raw = _read_bytes(path, "record file")
     text = _decode_utf8(raw, path)
     block = vouched.get(hashlib.sha256(raw).digest()) if vouched else None
     if block is not None and len(block) == _prefixed_rows(text, exp) and np.isfinite(block).all():
         table, line_numbers = block, range(1, len(block) + 1)
     else:
-        table, line_numbers = _canonical_table(text, exp) or _line_table(path, text, exp)
+        table, line_numbers = _line_table(path, text, exp)
     reject = partial(_reject, path, line_numbers)
     # copies (RecordBlock casts the shots), so that the block holds no view of the
     # table, nor of the record table's bytes

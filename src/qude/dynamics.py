@@ -165,7 +165,14 @@ class Experiment:
         for name in ("duration_us", "sample_dt_ns"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        ratio = self.duration_us / (self.sample_dt_ns * 1e-3)
+        step_us = self.sample_dt_ns * 1e-3
+        if step_us == 0.0:
+            raise ValueError(f"sample_dt_ns must be a step of more than 0 us, got "
+                             f"{self.sample_dt_ns}")
+        ratio = self.duration_us / step_us
+        if ratio == np.inf:
+            raise ValueError(f"duration_us must be a finite number of {self.sample_dt_ns} ns "
+                             f"samples, got {self.duration_us}")
         if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
             raise ValueError(
                 f"duration ({self.duration_us} us) is not a positive integer number of "

@@ -1003,9 +1003,8 @@ JOIN_ONLY_FAULTS = {
 @contextmanager
 def per_line_parse():
     """Record files decoded line by line, as when the record table vouches for
-    none of them and the column decode declines."""
-    with mock.patch.object(cli, "_read_record_table", lambda path: {}), \
-            mock.patch.object(cli, "_canonical_table", lambda text, exp: None):
+    none of them."""
+    with mock.patch.object(cli, "_read_record_table", lambda path: {}):
         yield
 
 
@@ -1102,8 +1101,8 @@ class TestDataValidation:
             cli.load_dataset(dataset_dir / "manifest.json")
 
     def test_record_files_take_no_json_decode(self, dataset_dir, monkeypatch):
-        """A generated dataset's record files take the column decode: the one
-        json.loads is the manifest's."""
+        """A generated dataset's record files take their columns from the record
+        table: the one json.loads is the manifest's."""
         decodes, loads = [], json.loads
         monkeypatch.setattr(json, "loads", lambda text, **kw: decodes.append(text) or loads(text, **kw))
         cli.load_dataset(dataset_dir / "manifest.json")
@@ -1115,14 +1114,12 @@ class TestDataValidation:
         block of the file write_dataset wrote."""
         manifest = dataset_dir / "manifest.json"
         records = dataset_dir / "exp-001.jsonl"
-        exp, before = cli.load_dataset(manifest)[0].experiments[1]
-        assert cli._canonical_table(records.read_text(), exp) is not None
+        before = cli.load_dataset(manifest)[0].experiments[1][1]
         rows = [json.loads(line) for line in records.read_text().splitlines()]
         lines = [json.dumps(dict(reversed(row.items())), separators=(" , ", ":  "))
                  for row in rows]
         lines.insert(7, "")
         records.write_bytes("\r\n".join(lines).encode())
-        assert cli._canonical_table(records.read_text(), exp) is None
         after = cli.load_dataset(manifest)[0].experiments[1][1]
         for column in ("times_us", "shots", "counts", "probs", "rho_hat"):
             assert getattr(after, column).tobytes() == getattr(before, column).tobytes(), column
@@ -1236,6 +1233,21 @@ class TestDataValidation:
         data["experiments"][1][key] = value
         manifest.write_text(json.dumps(data))
         assert self.train(config_path, dataset_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json: bad experiments[1]" in err and f"{key} must be" in err, err
+
+    @pytest.mark.parametrize("key, value", [("duration_us", 1e308), ("sample_dt_ns", 5e-324)])
+    def test_overflowing_manifest_grid_is_rejected(self, key, value, dataset_dir, tmp_path,
+                                                   capsys):
+        """A duration whose sample count overflows the floats, or a step that is
+        0 us once converted, exits 2 naming the entry, not with a traceback."""
+        manifest = dataset_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["experiments"][1][key] = value
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("evaluate", "--model", "base", "--dataset", manifest,
+                   "--out", tmp_path / "eval") == 2
         err = capsys.readouterr().err
         assert "manifest.json: bad experiments[1]" in err and f"{key} must be" in err, err
 
@@ -1458,9 +1470,9 @@ class TestRecordTable:
     @staticmethod
     def decoded(monkeypatch) -> list[str]:
         """The ids of the experiments whose record text is decoded from now on."""
-        ids, canonical_table = [], cli._canonical_table
-        monkeypatch.setattr(cli, "_canonical_table",
-                            lambda text, exp: ids.append(exp.id) or canonical_table(text, exp))
+        ids, line_table = [], cli._line_table
+        monkeypatch.setattr(cli, "_line_table", lambda path, text, exp: ids.append(exp.id)
+                            or line_table(path, text, exp))
         return ids
 
     @staticmethod
@@ -1477,6 +1489,26 @@ class TestRecordTable:
         decoded = self.decoded(monkeypatch)
         self.assert_same(cli.load_dataset(dataset_dir / "manifest.json")[0], expected)
         assert decoded == []
+
+    def test_verbs_decode_record_text_only_without_the_table(self, config_path, dataset_dir,
+                                                             tmp_path, monkeypatch):
+        """train, evaluate and report on a generated dataset decode no record text;
+        with the table deleted, each decodes each record file once."""
+        manifest, model = dataset_dir / "manifest.json", tmp_path / "fit" / "model.json"
+        assert run("train", "--config", config_path, "--dataset", manifest,
+                   "--out", model.parent) == 0
+        verbs = [("train", "--config", config_path, "--dataset", manifest,
+                  "--out", tmp_path / "fit2"),
+                 ("evaluate", "--model", model, "--dataset", manifest, "--out", tmp_path / "eval"),
+                 ("report", "--model", model, "--dataset", manifest, "--out", tmp_path / "rep")]
+        decoded = self.decoded(monkeypatch)
+        for expected in ([], ["exp-000", "exp-001"]):
+            if expected:
+                (dataset_dir / cli.RECORD_TABLE).unlink()
+            for argv in verbs:
+                decoded.clear()
+                assert run(*argv) == 0, argv[0]
+                assert decoded == expected, argv[0]
 
     def test_edited_record_file_loads_its_edited_value(self, dataset_dir, monkeypatch):
         """A record file edited after generate is decoded from its text, so the
@@ -1620,15 +1652,12 @@ def test_each_verb_reads_each_input_once(config_path, tmp_path, monkeypatch):
     """generate, train, evaluate, characterize and report open each input file
     once: the config, the manifest, model.json, the record table and both record
     files, one of them in a layout (CRLF endings) that the table does not vouch
-    for and the column decode declines."""
+    for, so it is decoded line by line."""
     data, model = tmp_path / "data", tmp_path / "fit" / "model.json"
     manifest, declined = data / "manifest.json", data / "exp-001.jsonl"
     assert run("generate", "--config", config_path, "--out", data) == 0
     declined.write_bytes(declined.read_bytes().replace(b"\n", b"\r\n"))
     records = [data / "exp-000.jsonl", declined, data / cli.RECORD_TABLE]
-    experiments = [exp for exp, _ in cli.load_dataset(manifest)[0].experiments]
-    assert [cli._canonical_table(path.read_bytes().decode(), exp) is None
-            for path, exp in zip(records, experiments)] == [False, True]
     assert run("train", "--config", config_path, "--dataset", manifest,
                "--out", model.parent) == 0
     opened, real_open = [], io.open

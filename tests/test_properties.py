@@ -2,8 +2,8 @@
 over random parameter scales, grid lengths, substep counts and depths, the
 exact round trips of the coefficient expansion, the parameter packing and
 the record files, one verdict from the in-memory record gate and the
-record-file check, the column decode of record files against the line-by-line
-decode, clean exits on corrupted input files, and a data error for a value of
+record-file check, the line-by-line decode of odd number texts in a record
+file, clean exits on corrupted input files, and a data error for a value of
 another JSON type at any node of a manifest or a model."""
 
 import contextlib
@@ -81,7 +81,7 @@ def test_pack_round_trip(kind, data):
 def test_record_write_load_round_trip(data):
     """write_dataset -> load_dataset returns times, shots and counts bit for bit,
     on counted rows and on noiseless (shots == 0) rows of exact probabilities,
-    and the line-by-line decode gives the same block as the joined one.
+    and the line-by-line decode gives the same block as the record table.
     The times are the first n points of a grid of arbitrary spacing, so each
     is an arbitrary double that the load check accepts."""
     n = data.draw(st.integers(1, 30))
@@ -110,69 +110,35 @@ def test_record_write_load_round_trip(data):
         assert getattr(slow, column).tobytes() == getattr(loaded, column).tobytes(), column
 
 
-# number texts of a record row: repr of finite floats (subnormals included), integers
-# up to and past 2**53, and exponent forms
-NUMBER_TEXTS = st.one_of(
-    st.floats(min_value=0.0, allow_infinity=False).map(repr),
-    st.integers(0, 2**64).map(str),
-    st.builds("{}{}{}{}".format, st.integers(0, 10**6), st.sampled_from(["", ".5", ".0625"]),
-              st.sampled_from(["e", "E"]), st.sampled_from(["-05", "+5", "5", "-320"])),
-    st.sampled_from(["1e-05", "1E+5", "0.0", "0"]),
-)
-# texts past every float, signed, or that JSON reads otherwise than float() does or not at all
+# number texts that JSON reads otherwise than float() does or not at all, past every
+# float, or signed
 ODD_TEXTS = [str(PAST_FLOATS), "1e400", "-0", "-1.5", "01", "00", ".5", "1.", "+1", "1e", "NaN",
              "Infinity", "1_0", "1\u0661", "0x1"]
 
 
-def reads_as_float(text: str) -> bool:
-    """Whether JSON reads ``text`` as a finite number whose float is float(text)'s."""
-    try:
-        value = float(json.loads(text))
-    except (ValueError, OverflowError):
-        return False
-    return bool(np.isfinite(value)) and np.float64(value).tobytes() == np.float64(
-        float(text)).tobytes()
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(rows=st.lists(st.lists(NUMBER_TEXTS, min_size=5, max_size=5), min_size=1,
-                                max_size=4),
-                  odd=st.one_of(st.none(), st.tuples(st.integers(0, 19), st.one_of(
-                      st.floats(max_value=-0.0, allow_infinity=False).map(repr),
-                      st.sampled_from(ODD_TEXTS)))),
-                  amplitude=st.floats(0.0, 10.0))
-def test_column_decode_declines_or_matches_line_decode(rows, odd, amplitude):
-    """Rows in write_dataset's form with arbitrary number texts, one of them
-    perhaps odd: the column decode declines, or its (n, 5) table is the
-    line-by-line decode's bit for bit. It declines every text that JSON reads
-    otherwise than float() does ('-0', '01') or not at all ('.5', '1.')."""
-    if odd is not None:
-        at, text = odd
-        rows[at // 5 % len(rows)][at % 5] = text
-    exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=amplitude, duration_us=1.0,
-                              sample_dt_ns=4.0)
-    content = "".join(cli._row_prefix(exp) + ", ".join(
-        f'"{field}": {text}' for field, text in zip(cli.RECORD_FIELDS, row)) + "}\n"
-        for row in rows)
-    decoded = cli._canonical_table(content, exp)
-    if not all(map(reads_as_float, (text for row in rows for text in row))):
-        assert decoded is None
-    if decoded is not None:
-        (table, numbers), (lines, line_numbers) = decoded, cli._line_table(
-            Path("exp-000.jsonl"), content, exp)
-        assert table.shape == (len(rows), 5) and list(numbers) == line_numbers
-        assert table.tobytes() == lines.tobytes()
-
-
 @pytest.mark.parametrize("text", ODD_TEXTS)
 @pytest.mark.parametrize("field", cli.RECORD_FIELDS)
-def test_column_decode_declines_odd_number_texts(text, field):
-    """Each odd text in any field leaves the file to the line-by-line decode."""
+def test_column_decode_declines_odd_number_texts(text, field, tmp_path):
+    """Each odd text in any field of a record file without a record table loads,
+    line by line, to the float of what JSON reads, or fails naming the line."""
     exp = dynamics.Experiment(id="exp-000", amplitude_p_MHz=1.0, duration_us=1.0,
                               sample_dt_ns=4.0)
+    block = tomography.RecordBlock.from_counts([0.004], [5000], [[2, 3, 4]])
+    manifest = cli.write_dataset(tmp_path, DEV1, [(exp, block)], seed=0, config_sha="", shots=0,
+                                 shot_mode="per-axis", dt_internal_ns=4.0,
+                                 latent_info={"ansatz": "none"})
+    (tmp_path / cli.RECORD_TABLE).unlink()
     values = dict(zip(cli.RECORD_FIELDS, ["0.004", "5000", "2", "3", "4"]), **{field: text})
-    content = cli._row_prefix(exp) + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}\n"
-    assert cli._canonical_table(content, exp) is None
+    (tmp_path / "exp-000.jsonl").write_text(
+        cli._row_prefix(exp) + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}\n")
+    try:
+        ((_, loaded),) = cli.load_dataset(manifest)[0].experiments
+    except cli.ConfigError as err:
+        assert str(err).startswith(f"{tmp_path / 'exp-000.jsonl'}:1: "), err
+        return
+    column = np.column_stack([loaded.times_us, loaded.shots, loaded.counts])[0]
+    value = column[cli.RECORD_FIELDS.index(field)]
+    assert np.float64(value).tobytes() == np.float64(float(json.loads(text))).tobytes()
 
 
 def accepts(check) -> bool:
