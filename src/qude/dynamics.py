@@ -61,12 +61,24 @@ x_{s-1}^T. S is a matrix polynomial of the generator M, whose derivative
 at X in direction E is the upper-right block of S([[X, E], [0, X]])
 (Mathias, SIAM J. Matrix Anal. Appl. 17, 1996): the forward's polynomial of
 [[M^T, dL/dS], [0, M^T]] gives dL/dM, and ``coeff_affine_vjp`` the
-parameters. ``network_pullback`` needs each step's own Jacobian, so it
-walks back over the forward's windows, rebuilding each window's stages
-(``rk4_stages``) and D_n (``rk4_increment``) from its states; lam runs
-back step by step (``tangent_recurrence`` with D_n^T, plus g on sample
-steps), and the stage adjoints go back through the network (its ``slope``)
-into views of the packed gradient (``NetworkSource.unpacked``).
+parameters. ``network_pullback`` needs each step's own Jacobian D_n. A
+forward that may be pulled back (``GroupForward`` with ``keep_stages``)
+keeps, for every window Newton solved, the stages of its last evaluation,
+which were formed at exactly the states it returns, up to
+MAX_KEPT_STAGE_BYTES; the pullback rebuilds the stages of any other window
+(``rk4_stages``). It walks back over spans of consecutive windows
+(``adjoint_spans``), and in each solves lam_{n-1} = (I + D_n^T) lam_n + g_{n-1}
+as the forward solves its corrections (Lim et al., ICLR 2024; Blelloch,
+CMU-CS-90-190): a scan over powers of the forward's window-mean D_bar
+(``adjoint_scan``), refined by sweeps that each take D_n^T lam at every
+step at once, by a vector-Jacobian product back through the stages
+(``rk4_vjp``), and scan the residual (``window_adjoint``). Where the sweeps
+do not contract fast enough, away from the near-linear regime, the span
+forms its D_n (``rk4_increment``) and walks back step by step
+(``tangent_recurrence``, which also takes the forward's chord corrections).
+The stage adjoints of the last sweep go back through the network (its
+``slope``) into views of the packed gradient (``layer_gradients``,
+``NetworkSource.unpacked``).
 """
 
 from __future__ import annotations
@@ -494,6 +506,49 @@ def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray
     return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (2, 0, 3, 1))
 
 
+def rk4_vjp(a_base: np.ndarray, source, h_us: float, slopes, lam: np.ndarray):
+    """D_n^T lam_n at every step of ``rk4_stages``, without forming D_n.
+
+    ``lam`` (E, C, k) holds dL/dx_n for the steps' outputs and ``slopes`` the
+    activation derivatives ``source.slope`` of each stage's hidden layer
+    inputs. The stage adjoints run back through the RK4 update, last stage
+    first, with dk_s/dc_s = J_s (``rk4_increment``); returns the sum of their
+    state adjoints, (E, C, k), and per stage, last first, the gradient at
+    each layer's output, which ``layer_gradients`` contracts with its input.
+    """
+    last = len(source.weights) - 1
+    sixth, third = (h_us / 6.0) * lam, (h_us / 3.0) * lam
+    total, q, deltas = None, None, []
+    for s in range(3, -1, -1):
+        u = sixth if s == 3 else (_RK4_STAGE_STEPS[s] * h_us) * q
+        if s < 3:
+            u += sixth if s == 0 else third
+        delta, layer = u, [None] * (last + 1)
+        for l in range(last, -1, -1):
+            if l < last:  # through the tanh whose output is layer l + 1's input
+                delta = delta * slopes[s][l]
+            layer[l] = delta
+            delta = delta @ source.weights[l]
+        q = delta + u @ a_base  # A^T u, row-wise
+        total = q if total is None else total + q
+        deltas.append(layer)
+    return total, deltas
+
+
+def layer_gradients(source, stages, deltas, grad: np.ndarray) -> None:
+    """Add each layer's weight and bias gradient over a window into the packed
+    ``grad``: the output gradients ``deltas`` of ``rk4_vjp`` contracted with
+    the layer inputs ``stages`` of ``rk4_stages``."""
+    grad_w, grad_b = source.unpacked(grad)
+    k = grad_b[0].shape[-1]
+    ones = np.ones(stages[0][0].size // k)  # a product sums the rows faster than sum()
+    for ins, layer in zip(reversed(stages), deltas):
+        for l in range(len(layer) - 1, -1, -1):
+            rows = layer[l].reshape(-1, k)
+            grad_w[l] += rows.T @ ins[l].reshape(-1, k)
+            grad_b[l] += ones @ rows
+
+
 def tangent_recurrence(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """y_0 = r_0 and y_i = (I + d_{i-1}) y_{i-1} + r_i, step-major.
 
@@ -535,8 +590,11 @@ def newton_window(
     a_base: np.ndarray, source, x0: np.ndarray, h_us: float, guess: np.ndarray, jac=None
 ):
     """The states (E, L + 1, k) of ``propagate_network`` over one window, by
-    Newton's method in time from ``guess`` (E, L, k), and the Jacobian for
-    the next window: (states, or None if it does not converge; jac).
+    Newton's method in time from ``guess`` (E, L, k), the stages of its last
+    evaluation and the Jacobian for the next window: (states, stages, jac),
+    with states and stages None if it does not converge. The stages are those
+    of ``rk4_stages`` at the returned states, without stage 0's first layer
+    input, which is the states themselves (None in its place).
 
     Each iteration evaluates every step x_n = F(x_{n-1}) of the current
     iterate at once (``rk4_stages``) and stops when, for every experiment,
@@ -569,10 +627,11 @@ def newton_window(
             residual = f - xs[:, 1:]
             err = np.max(np.abs(residual), axis=(1, 2))
             if not np.all(np.isfinite(err)):
-                return None, jac
+                return None, None, jac
             open_ = err > tol * np.max(np.abs(xs), axis=(1, 2))
             if not open_.any():
-                return xs, jac
+                stages[0][0] = None
+                return xs, stages, jac
             if evaluations == NEWTON_MAX_ITERS:  # no evaluation left to check a correction
                 break
             slow = last is not None and np.any(open_ & (err * NEWTON_MIN_SHRINK > last))
@@ -587,10 +646,71 @@ def newton_window(
             else:
                 delta = tangent_recurrence(d, np.ascontiguousarray(np.moveaxis(residual, 1, 0)))
                 xs[:, 1:] += np.moveaxis(delta, 0, 1)
-    return None, jac
+    return None, None, jac
 
 
-FORWARD_CHUNK_SAMPLES = 128  # samples per Newton window, forward and reverse
+def window_adjoint(a_base: np.ndarray, source, h_us: float, stages, g: np.ndarray,
+                   increments: list[np.ndarray]):
+    """The adjoint of C steps, one or more windows': lam (E, C, k) with
+    lam_C = g_C and lam_{n-1} = (I + D_n^T) lam_n + g_{n-1}, the D_n of
+    ``rk4_stages`` at ``stages``; with it ``rk4_vjp`` of lam, (D^T lam, deltas).
+
+    ``adjoint_scan`` solves the recurrence with one D_bar per experiment,
+    given as the ``increments`` of the powers of I + D_bar, and sweeps refine
+    it: each takes D_n^T lam at every step at once (``rk4_vjp``), and the scan
+    of the residual lam_{n-1} - (I + D_n^T) lam_n - g_{n-1} corrects lam. It
+    stops when, for every experiment, the residual is within NEWTON_TOL_ULPS
+    ulp of max |lam|, as ``newton_window`` does, after at most NEWTON_MAX_ITERS
+    residuals. The sweeps converge linearly, so where the shrink of the last
+    one, repeated over the sweeps left, would not bring an open experiment
+    within that bound (the sweeps do not contract, away from the near-linear
+    regime), it forms the D_n (``rk4_increment``) and walks back step by step
+    (``tangent_recurrence``).
+    """
+    slopes = [[source.slope(a) for a in ins[1:]] for ins in stages]
+    tol = NEWTON_TOL_ULPS * np.finfo(float).eps
+    lam = adjoint_scan(increments, g.copy())
+    last = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sweeps_left in range(NEWTON_MAX_ITERS - 1, -1, -1):
+            product = rk4_vjp(a_base, source, h_us, slopes, lam)
+            residual = g - lam
+            residual[:, :-1] += lam[:, 1:] + product[0][:, 1:]
+            err = np.max(np.abs(residual), axis=(1, 2))
+            if not np.all(np.isfinite(err)):
+                break
+            bound = tol * np.max(np.abs(lam), axis=(1, 2))
+            open_ = err > bound
+            if not open_.any():
+                return lam, product
+            # each sweep shrinks the residual by about the same factor: the last
+            # one's must bring every open experiment within bound in time
+            if last is not None and np.any(open_ & ~(err * (err / last) ** sweeps_left <= bound)):
+                break
+            last, product = err, None  # the next sweep's deltas take the place of these
+            lam += adjoint_scan(increments, residual)
+    d_t = np.swapaxes(rk4_increment(a_base, source, h_us, stages), -1, -2)[::-1]
+    lams = tangent_recurrence(np.ascontiguousarray(d_t[:-1]),
+                              np.ascontiguousarray(np.moveaxis(g, 1, 0)[::-1]))
+    lam = np.moveaxis(lams[::-1], 0, 1)
+    return lam, rk4_vjp(a_base, source, h_us, slopes, lam)
+
+
+FORWARD_CHUNK_SAMPLES = 128  # samples per Newton window
+# Bytes of converged stages a network forward keeps for its pullback: 4
+# stages x layer inputs x E x C x k floats, less stage 0's first input (the
+# states), so 11 x 5 x 128 x 4 x 8 B = 225 KB per 128-sample window of the
+# criterion-07 network (3 layers, 5 experiments, qubit), 4.4 MB for the 2500
+# one-step samples (20 windows) it trains on. Past the cap the pullback
+# rebuilds a window's stages from its states.
+MAX_KEPT_STAGE_BYTES = 8 * 2**20
+# Bytes of stages the pullback joins into one adjoint solve, a span of
+# windows: 4 stages x layer inputs x E x C x k floats, so 2 windows of the
+# criterion-07 network (12 x 5 x 128 x 4 x 8 B = 240 KiB each). Fewer, longer
+# solves cost fewer numpy calls per step, but their working set (the joined
+# stages, the activation slopes and one set of stage adjoints) grows with the
+# span, and the sweeps converge more slowly over a longer span.
+ADJOINT_SPAN_BYTES = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,36 +799,44 @@ def linear_forward(group: GridGroup, source=None):
 def network_chunks(group: GridGroup, source):
     """The forward of a nonlinear source over a group, one Newton window at a time.
 
-    Yields (lo, hi, states) for samples lo..hi-1, FORWARD_CHUNK_SAMPLES at a
-    time: ``states`` (E, (hi - lo) n_sub + 1, k) holds the window's start
-    state, the last of the window before, and the state after every step.
-    A window is solved by ``newton_window`` or, if that does not converge,
-    by ``propagate_network``. The window-mean Jacobian D_bar passes from
-    window to window, so a forward usually forms it once. Each window's first
-    iterate follows an affine step x -> (I + D) x + c from its start state,
-    propagated by doubling: the base model's step in the first window, then
-    D_bar with the mean step residual c of the window before. Each window's
-    samples ``states[:, n_sub::n_sub]`` are checked before it is yielded.
+    Yields (lo, hi, states, stages, d_bar) for samples lo..hi-1,
+    FORWARD_CHUNK_SAMPLES at a time: ``states`` (E, (hi - lo) n_sub + 1, k)
+    holds the window's start state, the last of the window before, and the
+    state after every step. A window is solved by ``newton_window``, whose
+    converged ``stages`` it passes on, or, if that does not converge, by
+    ``propagate_network``, with ``stages`` None. The window-mean Jacobian
+    D_bar passes from window to window, so a forward usually forms it once;
+    ``d_bar`` is the one carried out of the window (the base model's step
+    increment until one is formed), the same object for every window that
+    shares it. Each window's first iterate follows an affine step
+    x -> (I + D) x + c from its start state, propagated by doubling: the base
+    model's step in the first window, then D_bar with the mean step residual
+    c of the window before. Each window's samples ``states[:, n_sub::n_sub]``
+    are checked before it is yielded.
     """
     e, k = group.x0.shape
+    d_bar = rk4_step_increment(group.a_base, group.h_us)
     step = np.zeros((e, k + 1, k + 1))  # [[D, c], [0, 0]] on the augmented state [x; 1]
-    step[:, :k, :k] = rk4_step_increment(group.a_base, group.h_us)
+    step[:, :k, :k] = d_bar
     x, jac = group.x0, None
     for lo in range(0, group.n_samples, FORWARD_CHUNK_SAMPLES):
         hi = min(lo + FORWARD_CHUNK_SAMPLES, group.n_samples)
         n_steps = (hi - lo) * group.n_sub
         guess = propagate_linear(power_increments(step, 1, n_steps),
                                  np.concatenate([x, np.ones((e, 1))], axis=1), n_steps)
-        states, jac = newton_window(group.a_base, source, x, group.h_us, guess[..., :k], jac)
+        states, stages, jac = newton_window(group.a_base, source, x, group.h_us, guess[..., :k],
+                                            jac)
         if states is None:
             states = propagate_network(group.a_base, source, x, group.h_us, n_steps)
         check_finite(states[:, group.n_sub :: group.n_sub], group, first=lo)
         if jac is not None:  # c = mean_n (x_n - (I + D_bar) x_{n-1}) over this window
-            step[:, :k, :k] = jac[0]
+            d_bar = jac[0]
+            step[:, :k, :k] = d_bar
             step[:, :k, k] = ((states[:, -1] - x) / n_steps
-                              - (jac[0] @ states[:, :-1].mean(axis=1)[..., None])[..., 0])
+                              - (d_bar @ states[:, :-1].mean(axis=1)[..., None])[..., 0])
         x = states[:, -1]
-        yield lo, hi, states
+        yield lo, hi, states, stages, d_bar
+        del stages  # not held while the next window is solved: prediction keeps none
 
 
 def linear_pullback(group: GridGroup, source, forward, g: np.ndarray) -> np.ndarray:
@@ -737,49 +865,52 @@ def linear_pullback(group: GridGroup, source, forward, g: np.ndarray) -> np.ndar
     return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
 
 
+def adjoint_spans(windows: list, n_layers: int) -> list[list]:
+    """The forward windows (lo, hi, states, stages, d_bar) cut into runs of
+    consecutive windows that share one ``d_bar`` and whose stages, joined,
+    take at most ADJOINT_SPAN_BYTES (at least one window each)."""
+    spans, size = [], 0
+    for window in windows:
+        window_size = 4 * n_layers * window[2][:, :-1].nbytes
+        if spans and window[4] is spans[-1][0][4] and size + window_size <= ADJOINT_SPAN_BYTES:
+            spans[-1].append(window)
+            size += window_size
+        else:
+            spans.append([window])
+            size = window_size
+    return spans
+
+
 def network_pullback(group: GridGroup, source, windows: list, g: np.ndarray) -> np.ndarray:
     """The packed-parameter gradient of a network from g = dl/dx (E, S, k) at
-    every sample, walking back over the windows (lo, hi, states) of its
-    ``network_chunks``."""
-    h, n_sub = group.h_us, group.n_sub
-    last, k = source.n_layers - 1, group.x0.shape[-1]
+    every sample, walking back over the windows (lo, hi, states, stages, d_bar)
+    of its ``network_chunks`` one ``adjoint_spans`` span at a time; a window
+    without ``stages`` has them rebuilt from its own states."""
+    n_sub = group.n_sub
     grad = np.zeros_like(source.pack())
-    grad_w, grad_b = source.unpacked(grad)
-    lam = np.zeros_like(group.x0)
-    for lo, hi, states in reversed(windows):
-        _, stages = rk4_stages(group.a_base, source, h, states[:, :-1])
-        d_step = rk4_increment(group.a_base, source, h, stages)
-        # D_n^T of the window's steps, last step first.
-        d_t = np.ascontiguousarray(np.swapaxes(d_step, -1, -2)[::-1])
+    lam = np.zeros_like(group.x0)  # (I + D^T) lam of the first step of the span after
+    for span in reversed(adjoint_spans(windows, source.n_layers)):
+        parts = []
+        for _, _, states, kept, _ in span:
+            x = states[:, :-1]
+            if kept is None:
+                parts.append(rk4_stages(group.a_base, source, group.h_us, x)[1])
+            else:  # stage 0's first layer input is the states themselves
+                parts.append([[x, *kept[0][1:]], *kept[1:]])
+        stages = parts[0] if len(parts) == 1 else [
+            [np.concatenate(ins, axis=1) for ins in zip(*stage)] for stage in zip(*parts)]
+        x = stages[0][0]
 
-        # dl/dx_n of the window's steps, nonzero on sample steps, step-major.
-        g_steps = np.zeros((states.shape[1] - 1,) + group.x0.shape)
-        g_steps[n_sub - 1 :: n_sub] = np.swapaxes(g[:, lo:hi], 0, 1)
-
-        # lam_n = dL/dx_n for the window's steps, walking back by
-        # lam_{n-1} = (I + D_n^T) lam_n + dl/dx_{n-1}; lam carries
-        # (I + D^T) lam in from the first step of the window after.
-        r = g_steps[::-1]
-        r[0] += lam
-        lams = tangent_recurrence(d_t[:-1], r)
-        lam = lams[-1] + (d_t[-1] @ lams[-1][..., None])[..., 0]
-        lams = np.swapaxes(lams[::-1], 0, 1)  # (E, C, k), the window's steps in order
-
-        # Stage adjoints of the RK4 update, last stage first, and each layer's
-        # output gradient contracted with its inputs over the whole window.
-        q = None
-        for ins, c_lam, c_q in zip(
-            reversed(stages), (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (None, h, 0.5 * h, 0.5 * h)
-        ):
-            u = c_lam * lams if q is None else c_lam * lams + c_q * q
-            delta = u
-            for l in range(last, -1, -1):
-                if l < last:  # through the tanh whose output is layer l + 1's input
-                    delta = delta * source.slope(ins[l + 1])
-                grad_w[l] += delta.reshape(-1, k).T @ ins[l].reshape(-1, k)
-                grad_b[l] += delta.sum(axis=(0, 1))
-                delta = delta @ source.weights[l]
-            q = delta + u @ group.a_base  # A^T u, row-wise
+        # dl/dx_n of the span's steps, nonzero on sample steps; the last step
+        # also takes (I + D^T) lam in from the span after.
+        g_steps = np.zeros(x.shape)
+        g_steps[:, n_sub - 1 :: n_sub] = g[:, span[0][0] : span[-1][1]]
+        g_steps[:, -1] += lam
+        increments = power_increments(span[0][4], 1, x.shape[1])
+        lams, (d_t_lam, deltas) = window_adjoint(group.a_base, source, group.h_us, stages,
+                                                 g_steps, increments)
+        lam = lams[:, 0] + d_t_lam[:, 0]
+        layer_gradients(source, stages, deltas, grad)
     return grad
 
 
@@ -787,11 +918,16 @@ class GroupForward:
     """A grid group's forward under ``source`` (None: the base model) and its
     pullback. Iterating yields (lo, hi, samples), the checked states
     (E, hi - lo, k) at samples lo..hi-1, window by window; then ``pullback(g)``
-    takes g (E, n_samples, k) to the gradient of the packed parameters."""
+    takes g (E, n_samples, k) to the gradient of the packed parameters.
 
-    def __init__(self, group: GridGroup, source=None):
+    With ``keep_stages`` (a gradient may follow) the network engine keeps each
+    converged window's stages for the pullback, up to MAX_KEPT_STAGE_BYTES per
+    forward; the pullback rebuilds those of any other window."""
+
+    def __init__(self, group: GridGroup, source=None, keep_stages: bool = False):
         self.group, self.source = group, source
         self.linear = source is None or source.is_linear
+        self.keep_stages = keep_stages
 
     def __iter__(self):
         group, self._kept = self.group, []  # the linear forward, or the network's windows
@@ -799,8 +935,12 @@ class GroupForward:
             self._kept.append(linear_forward(group, self.source))
             yield 0, group.n_samples, self._kept[0][-1][..., :-1]
             return
-        for lo, hi, states in network_chunks(group, self.source):
-            self._kept.append((lo, hi, states))
+        room = MAX_KEPT_STAGE_BYTES if self.keep_stages else -1
+        for lo, hi, states, stages, d_bar in network_chunks(group, self.source):
+            if stages is not None:
+                size = sum(a.nbytes for ins in stages for a in ins if a is not None)
+                room, stages = (room - size, stages) if size <= room else (room, None)
+            self._kept.append((lo, hi, states, stages, d_bar))
             yield lo, hi, states[:, group.n_sub :: group.n_sub]
 
     def pullback(self, g: np.ndarray) -> np.ndarray:

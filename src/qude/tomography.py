@@ -104,9 +104,15 @@ def measurement_probs_many(states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     if states.shape[-2:] != (2, 2):
         raise ValueError(f"tomography measures qubits (dim 2), got dim {states.shape[-1]}")
+    # Re (M v)_{1..3} from the real and imaginary parts of v = (rho00, rho01,
+    # rho10, rho11): -(v1 + v2), i (v1 - v2) and v3 - v0, the sums M v makes.
     vecs = states.reshape(-1, 4)
-    p = vecs @ M_MATRIX.T
-    probs = (p[:, 1:].real + 1.0) / 2.0
+    re, im = vecs.real, vecs.imag
+    p = np.empty((len(vecs), 3))
+    np.subtract(-re[:, 1], re[:, 2], out=p[:, 0])
+    np.subtract(im[:, 2], im[:, 1], out=p[:, 1])
+    np.subtract(re[:, 3], re[:, 0], out=p[:, 2])
+    probs = (p + 1.0) / 2.0
     if np.any(probs < -PROB_TOL) or np.any(probs > 1.0 + PROB_TOL):
         bad = int(np.argmax(np.any((probs < -PROB_TOL) | (probs > 1.0 + PROB_TOL), axis=1)))
         raise ValueError(f"probabilities outside [0, 1] at sample {bad}")

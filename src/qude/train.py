@@ -239,7 +239,7 @@ class Problem:
             sub = _group_subset(group, subset)
             if sub is None:
                 continue
-            forward = dynamics.GroupForward(sub, source)
+            forward = dynamics.GroupForward(sub, source, keep_stages=want_grad)
             delta = np.empty(sub.targets.shape)
             value = 0.0
             for lo, hi, samples in forward:  # the weighted squared Frobenius distance

@@ -100,9 +100,10 @@ class Window(NamedTuple):
 def newton_windows(monkeypatch) -> list[Window]:
     """Record every Newton window as a ``Window``.
 
-    The step loop and the reverse sweep also call ``rk4_stages`` and
-    ``rk4_increment``, but only outside a window, and each window starts its
-    counts from zero."""
+    The step loop calls ``rk4_stages``, and the pullback calls it for a window
+    whose stages the forward did not keep, and ``rk4_increment`` for a span
+    whose adjoint falls back to the step loop; but only outside a window, and
+    each window starts its counts from zero."""
     windows, counts = [], {"evaluations": 0, "jacobians": 0}
     window, stages, increment = dynamics.newton_window, dynamics.rk4_stages, dynamics.rk4_increment
 
@@ -124,6 +125,44 @@ def newton_windows(monkeypatch) -> list[Window]:
     monkeypatch.setattr(dynamics, "rk4_increment", counted_increment)
     monkeypatch.setattr(dynamics, "newton_window", counted_window)
     return windows
+
+
+class Adjoint(NamedTuple):
+    """One adjoint solve of a network pullback (``dynamics.window_adjoint``),
+    over the steps of a span of forward windows: whether it fell back to the
+    step loop (``tangent_recurrence``), its refinement sweeps (the
+    ``adjoint_scan`` calls after the first) and its number of steps."""
+
+    fell_back: bool
+    sweeps: int
+    steps: int
+
+
+def adjoint_solves(monkeypatch) -> list[Adjoint]:
+    """Record every adjoint solve of every network pullback as an ``Adjoint``.
+    The Newton windows of the forward also scan and walk step by step, but
+    outside a solve, and each solve starts its counts from zero."""
+    adjoints, counts = [], {"scans": 0, "loops": 0}
+    adjoint, scan, loop = dynamics.window_adjoint, dynamics.adjoint_scan, dynamics.tangent_recurrence
+
+    def counted_scan(*args):
+        counts["scans"] += 1
+        return scan(*args)
+
+    def counted_loop(*args):
+        counts["loops"] += 1
+        return loop(*args)
+
+    def counted_adjoint(a_base, source, h_us, stages, g, increments):
+        counts.update(scans=0, loops=0)
+        result = adjoint(a_base, source, h_us, stages, g, increments)
+        adjoints.append(Adjoint(counts["loops"] > 0, counts["scans"] - 1, g.shape[1]))
+        return result
+
+    monkeypatch.setattr(dynamics, "adjoint_scan", counted_scan)
+    monkeypatch.setattr(dynamics, "tangent_recurrence", counted_loop)
+    monkeypatch.setattr(dynamics, "window_adjoint", counted_adjoint)
+    return adjoints
 
 
 @pytest.fixture(scope="session")

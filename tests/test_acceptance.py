@@ -19,6 +19,7 @@ from conftest import (
     DEV2,
     PLANT_ALPHA,
     PLANT_GAMMA,
+    adjoint_solves,
     make_twin_dataset,
     newton_windows,
     planted_source,
@@ -224,12 +225,16 @@ def test_criterion_07_model_ranking(twin_noisy_20us, monkeypatch):
     stats["base"] = model_moments(ds, "base", None)
     assert_ranking(stats)
 
-    # the network forward at the fitted weights: no window falls back
-    windows = newton_windows(monkeypatch)
-    train.loss(fitted["nonlinear"].pack(), ds, DEV1, fitted["nonlinear"])
+    # the network forward and its pullback at the fitted weights: no window
+    # falls back to the step loop
+    windows, adjoints = newton_windows(monkeypatch), adjoint_solves(monkeypatch)
+    train.gradient(fitted["nonlinear"].pack(), ds, DEV1, fitted["nonlinear"])
     assert windows and not any(w.fell_back for w in windows), windows
     per_window = np.mean([w.evaluations for w in windows])
-    jacobians = sum(w.jacobians for w in windows)  # one forward: train.loss takes no gradient
+    jacobians = sum(w.jacobians for w in windows)  # one forward
+    assert adjoints
+    sweeps = np.mean([a.sweeps for a in adjoints])
+    fallbacks = sum(a.fell_back for a in adjoints)
 
     elapsed = time.perf_counter() - t0
     detail = ", ".join(
@@ -237,7 +242,8 @@ def test_criterion_07_model_ranking(twin_noisy_20us, monkeypatch):
     )
     check(7, elapsed < 1800.0,
           f"{detail}, {per_window:.2f} evaluations per window and {jacobians} Jacobians per "
-          f"forward at the nonlinear fit, {elapsed:.0f}s")
+          f"forward, {sweeps:.2f} adjoint sweeps per span of {len(windows) / len(adjoints):.0f} "
+          f"windows and {fallbacks} fallbacks per pullback at the nonlinear fit, {elapsed:.0f}s")
 
 
 @pytest.mark.slow

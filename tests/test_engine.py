@@ -5,6 +5,7 @@ floating-point work, so states, losses and gradients must agree with the
 loops to 1e-12 relative (max-norm), not bit for bit.
 """
 
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -14,7 +15,7 @@ import pytest
 from qude import dynamics, models, qcore, train
 
 import loop_oracle
-from conftest import DEV1, make_twin_dataset, newton_windows, planted_source
+from conftest import DEV1, adjoint_solves, make_twin_dataset, newton_windows, planted_source
 
 TOL = 1e-12
 N_SUB_CASES = {1: (4.0, 4.0), 5: (20.0, 4.0)}  # n_sub -> (sample dt, internal dt) in ns
@@ -43,7 +44,7 @@ def group_loss_grad(group, src, weights, linear: bool):
     else:
         windows = list(dynamics.network_chunks(group, src))
         samples = np.concatenate([states[:, group.n_sub :: group.n_sub]
-                                  for _, _, states in windows], axis=1)
+                                  for _, _, states, *_ in windows], axis=1)
         pullback = partial(dynamics.network_pullback, group, src, windows)
     delta = samples - group.targets
     return float(np.einsum("esk,k->", delta * delta, weights)), pullback(2.0 * weights * delta)
@@ -302,9 +303,11 @@ class TestTrainingEngine:
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
 
-    def test_reverse_sweep_walks_the_forward_windows(self, monkeypatch):
-        """One loss-and-gradient evaluation rebuilds the stages once per Newton
-        window, last window first, from that window's own states."""
+    def test_pullback_takes_the_forward_stages(self, monkeypatch):
+        """Under the cap a loss-and-gradient evaluation calls ``rk4_stages`` only
+        in its forward. With the cap at 0 the pullback rebuilds each window's
+        stages once, from that window's own states, and the gradient keeps its
+        bits. No sample and no gradient shares memory with a kept stage."""
         ds, dt_internal = twin(5, 3)
         problem = train.Problem(ds, DEV1, dt_internal)
         src = make_case("nonlinear")
@@ -314,7 +317,7 @@ class TestTrainingEngine:
 
         def recorded_chunks(*args):
             for window in chunks(*args):
-                windows.append(window[2])
+                windows.append(window)
                 yield window
             calls.clear()  # the calls so far were the forward's
 
@@ -324,11 +327,83 @@ class TestTrainingEngine:
 
         monkeypatch.setattr(dynamics, "network_chunks", recorded_chunks)
         monkeypatch.setattr(dynamics, "rk4_stages", recorded_stages)
-        problem.evaluate(src.pack(), src)
+        kept = problem.evaluate(src.pack(), src)[1]
+        assert len(windows) == 10 and calls == []
+
+        windows.clear()
+        forward = dynamics.GroupForward(problem.groups[0], src, keep_stages=True)
+        given = [samples for _, _, samples in forward]
+        given.append(forward.pullback(np.ones(problem.groups[0].targets.shape)))
+        arrays = [a for *_, stages, _ in windows for ins in stages for a in ins if a is not None]
+        assert len(arrays) == 10 * 4 * src.n_layers - 10  # stage 0's first input is the states
+        assert not any(np.shares_memory(a, b) for a in arrays for b in given)
+
+        windows.clear()
+        monkeypatch.setattr(dynamics, "MAX_KEPT_STAGE_BYTES", 0)
+        rebuilt = problem.evaluate(src.pack(), src)[1]
         assert len(windows) == 10 and len(calls) == len(windows)
-        for x, states in zip(calls, reversed(windows)):
-            assert np.shares_memory(x, states)
-            np.testing.assert_array_equal(x, states[:, :-1])
+        owners = [[i for i, w in enumerate(windows) if np.shares_memory(x, w[2])] for x in calls]
+        assert sorted(owners) == [[i] for i in range(10)]
+        for x, (i,) in zip(calls, owners):
+            np.testing.assert_array_equal(x, windows[i][2][:, :-1])
+        np.testing.assert_array_equal(rebuilt, kept)
+
+    @pytest.mark.parametrize("windows_per_span", [1, 3, 5])
+    def test_spans_carry_lam_across_their_boundaries(self, windows_per_span, monkeypatch):
+        """12 windows (11 of 16 samples and one of 9) solved by the adjoint in
+        spans of 1, 3 or 5 windows, the last span short for 5: the gradient is
+        the step loop's."""
+        ds, dt_internal = twin(1, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
+        src = scaled_template(10.0)
+        ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
+        )[1]
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 16)
+        window_bytes = 4 * src.n_layers * group.x0.nbytes * 16
+        monkeypatch.setattr(dynamics, "ADJOINT_SPAN_BYTES", windows_per_span * window_bytes)
+        adjoints = adjoint_solves(monkeypatch)
+        assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
+        spans = [min(windows_per_span, 12 - i) for i in range(0, 12, windows_per_span)]
+        assert [a.steps for a in reversed(adjoints)] == [16 * n - 7 * (i == len(spans) - 1)
+                                                         for i, n in enumerate(spans)]
+        assert not any(a.fell_back for a in adjoints)
+
+    def test_prediction_keeps_no_stages(self, monkeypatch):
+        """``group_samples`` and ``integrate_many`` hold no earlier window's
+        stages while a window is solved; a forward that may be pulled back
+        holds them all."""
+        ds, dt_internal = twin(5, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
+        src = make_case("nonlinear")
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
+        yielded, alive = [], []  # the yielded stages; per window solved, which are held
+        chunks, window = dynamics.network_chunks, dynamics.newton_window
+
+        def watched_chunks(*args):
+            for w in chunks(*args):
+                yielded.extend(weakref.ref(a) for ins in w[3] for a in ins if a is not None)
+                yield w
+                del w  # held past the yield, it would keep the stages alive
+
+        def watched_window(*args):
+            alive.append([ref() is not None for ref in yielded])
+            return window(*args)
+
+        monkeypatch.setattr(dynamics, "network_chunks", watched_chunks)
+        monkeypatch.setattr(dynamics, "newton_window", watched_window)
+        exps = [exp for exp, _ in ds.experiments]
+        for predict in (lambda: dynamics.group_samples(problem.groups[0], src),
+                        lambda: dynamics.integrate_many(DEV1, exps, src, dt_internal)):
+            yielded.clear()
+            alive.clear()
+            predict()
+            assert len(alive) == 10 and not any(any(held) for held in alive)
+        yielded.clear()
+        alive.clear()
+        problem.evaluate(src.pack(), src)
+        assert len(alive) == 10 and all(all(held) for held in alive)
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_affine_matches_network_path(self, n_sub):
@@ -423,7 +498,7 @@ class TestNewtonForward:
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * n_sub)
         monkeypatch.setattr(dynamics, "NEWTON_MAX_ITERS", 0)
-        for lo, hi, states in dynamics.network_chunks(group, src):
+        for lo, hi, states, *_ in dynamics.network_chunks(group, src):
             np.testing.assert_array_equal(states, ref[:, lo * n_sub : hi * n_sub + 1])
 
     def test_unconverged_window_is_the_step_loop(self, monkeypatch):
@@ -434,11 +509,11 @@ class TestNewtonForward:
         src = scaled_template(1000.0)
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
                                          group.n_samples * group.n_sub)
-        (states,) = [states for _, _, states in dynamics.network_chunks(group, src)]
+        (states,) = [states for _, _, states, *_ in dynamics.network_chunks(group, src)]
         np.testing.assert_array_equal(states, ref)
-        states, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0, group.h_us,
-                                                    base_guess(group))
-        assert states is None and d_bar.shape == group.a_base.shape
+        states, stages, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0,
+                                                            group.h_us, base_guess(group))
+        assert states is None and stages is None and d_bar.shape == group.a_base.shape
         windows = newton_windows(monkeypatch)
         np.testing.assert_array_equal(dynamics.group_samples(group, src), ref[:, 5::5])
         # every evaluation of the window, and none of the step loop's rk4_stages calls
@@ -512,24 +587,29 @@ class TestNewtonForward:
 
     def test_no_window_falls_back_on_the_rank_twin(self, twin_noisy_20us, monkeypatch):
         """The fit-rank20 twin (criterion 07's) over its 2500 train samples, at the
-        template and at the benchmark's fitted weights (one L-BFGS iteration). At
-        the template the forward forms its Jacobian once, in the first window, and
-        every window converges in 2 evaluations."""
+        template and at the benchmark's fitted weights (one L-BFGS iteration),
+        forward and pullback. At the template the forward forms its Jacobian once,
+        in the first window, every window converges in 2 evaluations, and the
+        adjoint of every span of 2 windows (ADJOINT_SPAN_BYTES) in one sweep."""
         problem = train.Problem(twin_noisy_20us, DEV1)
         template = models.make_source("nonlinear", seed=1)
         fitted = train.fit(twin_noisy_20us, DEV1, template,
                            train.TrainConfig(adam_epochs=0, lbfgs_max_iters=1)).theta_star
-        windows = newton_windows(monkeypatch)
+        windows, adjoints = newton_windows(monkeypatch), adjoint_solves(monkeypatch)
         for name, theta in (("template", template.pack()), ("fitted", fitted)):
             windows.clear()
-            problem.evaluate(theta, template, want_grad=False)
-            assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES)
+            adjoints.clear()
+            problem.evaluate(theta, template)
+            assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES) == 2 * len(adjoints)
             assert not any(w.fell_back for w in windows)
+            assert not any(a.fell_back for a in adjoints)
             jacobians = sum(w.jacobians for w in windows)
             if name == "template":
                 assert jacobians == 1 and all(w.evaluations == 2 for w in windows), windows
+                assert all(a.sweeps == 1 for a in adjoints), adjoints
             print(f"\n{name}: {np.mean([w.evaluations for w in windows]):.2f} evaluations per "
-                  f"window, {jacobians} Jacobians per forward")
+                  f"window, {jacobians} Jacobians per forward, "
+                  f"{np.mean([a.sweeps for a in adjoints]):.2f} adjoint sweeps per span")
 
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""
@@ -575,7 +655,7 @@ class TestScanWindow:
                                          group.n_samples * n_sub)
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 16)
         windows = newton_windows(monkeypatch)
-        for lo, hi, states in dynamics.network_chunks(group, src):
+        for lo, hi, states, *_ in dynamics.network_chunks(group, src):
             assert relative(states, ref[:, lo * n_sub : hi * n_sub + 1]) <= TOL
         assert len(windows) == -(-group.n_samples // 16)
         assert not any(w.fell_back for w in windows)
@@ -593,12 +673,64 @@ class TestScanWindow:
         ref = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us, n_steps)
         stale = dynamics.window_jacobian(np.zeros_like(group.a_base), n_steps)
         windows = newton_windows(monkeypatch)
-        states, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0, group.h_us,
-                                                    base_guess(group), stale)
+        states, _, (d_bar, _) = dynamics.newton_window(group.a_base, src, group.x0, group.h_us,
+                                                       base_guess(group), stale)
         ((fell_back, _, jacobians),) = windows
         assert not fell_back and jacobians == 1
         assert relative(states, ref) <= TOL
         assert np.max(np.abs(d_bar)) > 0.0
+
+
+def step_loop_adjoint(group, src, stages, g) -> np.ndarray:
+    """One window's adjoint walked back step by step (``tangent_recurrence``)
+    with the window's own D_n, the path ``window_adjoint`` refines a scan to."""
+    d_t = np.swapaxes(dynamics.rk4_increment(group.a_base, src, group.h_us, stages), -1, -2)
+    lams = dynamics.tangent_recurrence(np.ascontiguousarray(d_t[::-1][:-1]),
+                                       np.ascontiguousarray(np.moveaxis(g, 1, 0)[::-1]))
+    return np.moveaxis(lams[::-1], 0, 1)
+
+
+class TestWindowAdjoint:
+    """The scan-and-sweep adjoint of a window against the step-by-step walk."""
+
+    @staticmethod
+    def adjoints(group, src, seed: int = 4):
+        """(window_adjoint, step loop) of each forward window for seeded g."""
+        rng = np.random.default_rng(seed)
+        for _, _, states, _, d_bar in dynamics.network_chunks(group, src):
+            _, stages = dynamics.rk4_stages(group.a_base, src, group.h_us, states[:, :-1])
+            g = rng.standard_normal(states[:, 1:].shape)
+            increments = dynamics.power_increments(d_bar, 1, g.shape[1])
+            lam, (d_t_lam, _) = dynamics.window_adjoint(group.a_base, src, group.h_us, stages, g,
+                                                        increments)
+            ref = step_loop_adjoint(group, src, stages, g)
+            d_step = dynamics.rk4_increment(group.a_base, src, group.h_us, stages)
+            product = np.einsum("cekj,eck->ecj", d_step, lam)  # D_n^T lam_n
+            yield lam, ref, d_t_lam, product
+
+    @pytest.mark.parametrize("perturbation", [0.0, 0.3])
+    def test_matches_the_step_loop_on_the_rank_twin(self, twin_noisy_20us, perturbation,
+                                                    monkeypatch):
+        """At the template and away from it the sweeps converge in every window."""
+        (group,) = train.Problem(twin_noisy_20us, DEV1).groups
+        adjoints = adjoint_solves(monkeypatch)
+        for lam, ref, d_t_lam, product in self.adjoints(group, perturbed_template(perturbation)):
+            assert relative(lam, ref) <= TOL
+            assert relative(d_t_lam, product) <= TOL
+        assert len(adjoints) == 20 and not any(a.fell_back for a in adjoints), adjoints
+        if perturbation == 0.0:
+            assert {a.sweeps for a in adjoints} == {1}
+
+    def test_falls_back_where_the_sweeps_do_not_contract(self, monkeypatch):
+        """At 1000 times the template the sweeps do not settle, and the window
+        walks back step by step: the step loop's lam, bit for bit."""
+        ds, dt_internal = twin(5, 3)
+        (group,) = train.Problem(ds, DEV1, dt_internal).groups
+        adjoints = adjoint_solves(monkeypatch)
+        ((lam, ref, d_t_lam, product),) = self.adjoints(group, scaled_template(1000.0))
+        assert [a.fell_back for a in adjoints] == [True]
+        np.testing.assert_array_equal(lam, ref)
+        assert relative(d_t_lam, product) <= TOL
 
 
 class TestDivergenceTime:

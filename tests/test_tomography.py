@@ -64,6 +64,25 @@ class TestMeasurementProbs:
         with pytest.raises(ValueError, match="outside"):
             probs(np.diag([1.6, -0.6]).astype(complex))
 
+    def test_equals_the_product_form(self):
+        """The real and imaginary parts give the probabilities of the product
+        M v bit for bit, on states inside PROB_TOL of a density matrix."""
+        rng = np.random.default_rng(9)
+        rhos = np.stack([states.random_density_matrix(2, rng) for _ in range(2000)])
+        rhos += 1e-12 * (rng.standard_normal(rhos.shape) + 1j * rng.standard_normal(rhos.shape))
+        rhos[:3] = [qcore.ground_state(2), qcore.basis_projector(2, 1), states.maximally_mixed(2)]
+        product = (rhos.reshape(-1, 4) @ tomography.M_MATRIX.T)[:, 1:].real
+        expected = np.clip((product + 1.0) / 2.0, 0.0, 1.0)
+        np.testing.assert_array_equal(tomography.measurement_probs_many(rhos), expected)
+        bad = rhos.copy()
+        bad[7] = np.diag([1.0 + 3e-10, -3e-10])
+        with pytest.raises(ValueError, match="outside \\[0, 1\\] at sample 7"):
+            tomography.measurement_probs_many(bad)
+        bad[7] = np.diag([1.0 + 1e-11, -1e-11])
+        assert tomography.measurement_probs_many(bad)[7, 2] == 0.0
+        with pytest.raises(ValueError, match="dim 3"):
+            tomography.measurement_probs_many(np.eye(3, dtype=complex)[None] / 3)
+
 
 class TestSampleCounts:
     def test_degenerate_probabilities(self):
