@@ -370,29 +370,47 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _csv_field(value: str) -> str:
-    """``value`` as csv.writer writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[: -len(",\r\n")]
+CHUNK_ROWS = 1024  # rows formed, hashed and written at a time, so no file's rows are held whole
+INT_TEXTS = 10**4  # ints in [0, INT_TEXTS) take their text from one table, formed once
+
+
+@cache
+def _int_table() -> np.ndarray:
+    return np.array([repr(i) for i in range(INT_TEXTS)], dtype=object)  # about 0.6 MB
+
+
+def _joined(seps: list[str], cells: list[list[str]]) -> str:
+    """The rows of field texts ``cells[j]``, seps[j] before field j and seps[-1] last."""
+    parts = [""] * (len(seps) + len(cells))
+    parts[::2] = seps
+    parts *= len(cells[0])
+    for j, texts in enumerate(cells):
+        parts[2 * j + 1 :: len(seps) + len(cells)] = texts
+    return "".join(parts)
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """A table given column by column: the bytes csv.writer gives for its rows,
-    with numbers written as their repr. A column holds strings, quoted once per
-    distinct value, or Python ints and floats. Lines are formatted as they are
-    written, so the text of a whole table is never held."""
+    """Columns (sequences or numpy arrays) as the bytes csv.writer gives for their
+    rows, numbers as their repr and each distinct string quoted once, CHUNK_ROWS rows
+    at a time; unequal lengths raise ValueError before the file is created."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {[len(c) for c in columns]}")
 
-    def cells(column):
-        if column and isinstance(column[0], str):
-            quoted = {value: _csv_field(value) for value in set(column)}
-            return map(quoted.__getitem__, column)
-        return map(repr, column)
+    @cache
+    def quote(value: str) -> str:  # as csv.writer writes it in a row of several fields
+        buf = io.StringIO()
+        csv.writer(buf).writerow([value, ""])
+        return buf.getvalue()[: -len(",\r\n")]
 
-    rows = map(",".join, zip(*map(cells, columns), strict=True))
+    def texts(values) -> list[str]:
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        return list(map(quote if values and isinstance(values[0], str) else repr, values))
+
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(cells(header)) + "\r\n")
-        fh.writelines(map("%s\r\n".__mod__, rows))
+        fh.write(",".join(texts(header)) + "\r\n")
+        for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+            fh.write(_joined(["", *[","] * (len(columns) - 1), "\r\n"],
+                             [texts(column[start : start + CHUNK_ROWS]) for column in columns]))
 
 
 # The keys read from the JSON files, in RunConfig.SCHEMA's (cast, default) rows: a
@@ -552,7 +570,6 @@ def _row_prefix(exp: Experiment) -> str:
 # is missing, of another magic or version, of another length or digest is ignored.
 RECORD_TABLE = "records.bin"
 RECORD_TABLE_MAGIC, RECORD_TABLE_VERSION = b"qude-col", 1
-CHUNK_ROWS = 1024  # rows formed, hashed and written at a time, so no file's rows are held whole
 
 
 def _write_record_table(path: Path, index: list[bytes], blocks: list[RecordBlock]) -> None:
@@ -606,17 +623,18 @@ def _write_records(path: Path, exp: Experiment, block: RecordBlock) -> bytes:
     table entry, (SHA-256, row count), packed."""
     # The bytes json.dumps gives for each row's dict: Python ints and floats
     # written by repr, the exp_id and amplitude prefix encoded once per file.
-    row = (_row_prefix(exp).replace("%", "%%")
-           + ", ".join(f'"{field}": %r' for field in RECORD_FIELDS) + "}\n")
+    seps = [_row_prefix(exp) + '"time_us": ',
+            *(f', "{field}": ' for field in RECORD_FIELDS[1:]), "}\n"]
     sha256 = hashlib.sha256()
     with path.open("wb") as fh:
         for start in range(0, len(block), CHUNK_ROWS):
             rows = block.take(slice(start, start + CHUNK_ROWS))
-            counts = rows.counts.astype(np.int64).astype(object)
-            noiseless = rows.shots == 0
-            counts[noiseless] = rows.counts[noiseless]  # exact probabilities stay floats
-            chunk = "".join(map(row.__mod__, zip(rows.times_us.tolist(), rows.shots.tolist(),
-                                                 *counts.T.tolist()))).encode()
+            ints = np.column_stack([rows.shots, rows.counts.astype(np.int64)]).T
+            texts = (_int_table()[ints].tolist() if 0 <= ints.min() and ints.max() < INT_TEXTS
+                     else [list(map(repr, column)) for column in ints.tolist()])
+            for i in np.flatnonzero(rows.shots == 0).tolist():  # exact probabilities stay floats
+                texts[1][i], texts[2][i], texts[3][i] = map(repr, rows.counts[i].tolist())
+            chunk = _joined(seps, [list(map(repr, rows.times_us.tolist())), *texts]).encode()
             sha256.update(chunk)
             fh.write(chunk)
     return sha256.digest() + struct.pack("<Q", len(block))
@@ -953,12 +971,13 @@ def _evaluate(args) -> tuple:
                list(zip(*histogram)))
     experiments = dataset.experiments
     energy = [
-        [exp.id for exp, block in experiments for _ in range(len(block))],
-        np.concatenate([block.times_us for _, block in experiments]).tolist(),
+        np.repeat(np.array([exp.id for exp, _ in experiments], dtype=object),
+                  [len(block) for _, block in experiments]),
+        np.concatenate([block.times_us for _, block in experiments]),
         np.concatenate([tomography.expected_energy_many(predictions[exp.id].states)
-                        for exp, _ in experiments]).tolist(),
+                        for exp, _ in experiments]),
         np.concatenate([tomography.expected_energy_many(block.rho_hat)
-                        for _, block in experiments]).tolist(),
+                        for _, block in experiments]),
     ]
     _write_csv(out_dir / "energy.csv", ["exp_id", "time_us", "energy_pred", "energy_target"], energy)
     etd = [(model_name, split_tag, mean, se, n)

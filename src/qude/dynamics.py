@@ -889,7 +889,13 @@ def network_pullback(group: GridGroup, source, windows: list, g: np.ndarray) -> 
     n_sub = group.n_sub
     grad = np.zeros_like(source.pack())
     lam = np.zeros_like(group.x0)  # (I + D^T) lam of the first step of the span after
-    for span in reversed(adjoint_spans(windows, source.n_layers)):
+    spans = adjoint_spans(windows, source.n_layers)
+    powers = {}  # one power_increments per distinct D_bar, for the longest span that takes it
+    for span in sorted(spans, key=lambda span: span[0][0] - span[-1][1]):  # longest first
+        if id(span[0][4]) not in powers:  # adjoint_scan stops at a shorter span's length
+            steps = n_sub * (span[-1][1] - span[0][0])
+            powers[id(span[0][4])] = power_increments(span[0][4], 1, steps)
+    for span in reversed(spans):
         parts = []
         for _, _, states, kept, _ in span:
             x = states[:, :-1]
@@ -906,9 +912,8 @@ def network_pullback(group: GridGroup, source, windows: list, g: np.ndarray) -> 
         g_steps = np.zeros(x.shape)
         g_steps[:, n_sub - 1 :: n_sub] = g[:, span[0][0] : span[-1][1]]
         g_steps[:, -1] += lam
-        increments = power_increments(span[0][4], 1, x.shape[1])
         lams, (d_t_lam, deltas) = window_adjoint(group.a_base, source, group.h_us, stages,
-                                                 g_steps, increments)
+                                                 g_steps, powers[id(span[0][4])])
         lam = lams[:, 0] + d_t_lam[:, 0]
         layer_gradients(source, stages, deltas, grad)
     return grad

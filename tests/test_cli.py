@@ -1704,6 +1704,77 @@ def test_columnar_csv_is_csv_writer_output(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b'exp_id,"count, total","a ""b"""\r\n'
 
 
+def edge_block(n: int) -> tomography.RecordBlock:
+    """n rows whose ints lie at the text table's bound less one, at the bound and
+    at MAX_SHOTS, among rows of 500 shots, with noiseless rows (shots == 0) in
+    runs of 3 (rows 2-4 mod 7) and in rows 1020-1027, across the 1024-row chunk
+    boundary."""
+    rng = np.random.default_rng(5)
+    cycle = [500, 500, 500, 500, cli.INT_TEXTS - 1, cli.INT_TEXTS, cli.MAX_SHOTS, 500]
+    index = np.arange(n)
+    noiseless = (index % 7 >= 2) & (index % 7 <= 4) | (index >= 1020) & (index < 1028)
+    shots = np.where(noiseless, 0, np.array(cycle)[index % len(cycle)])
+    low = np.stack([np.zeros(n), np.minimum(shots, cli.INT_TEXTS - 1),
+                    np.minimum(shots, cli.INT_TEXTS)], axis=1)
+    high = np.stack([shots, np.maximum(shots - 1, 0), shots // 2], axis=1)
+    counts = np.where((index // len(cycle) % 2 == 0)[:, None], low, high).astype(float)
+    counts[noiseless] = rng.random((noiseless.sum(), 3))
+    return tomography.RecordBlock.from_counts(0.004 * (index + 1), shots, counts)
+
+
+class TestChunkWriters:
+    """_write_records and _write_csv, which form their rows CHUNK_ROWS at a time
+    through one join, against json.dumps of each record and csv.writer."""
+
+    @pytest.mark.parametrize("n", [1030, 0])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+    def test_records_are_json_dumps_of_each_row(self, n, chunk_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        exp = dynamics.Experiment('exp "7"', 1.0 / 3.0, duration_us=5.0, sample_dt_ns=4.0)
+        block = edge_block(n)
+        entry = cli._write_records(tmp_path / "records.jsonl", exp, block)
+        written = (tmp_path / "records.jsonl").read_bytes()
+        assert written == dumped_rows(exp, block)
+        assert entry == hashlib.sha256(written).digest() + struct.pack("<Q", n)
+        if n:
+            for text in (b'"shots": 9999, "kx": 0, "ky": 9999, "kz": 9999}',
+                         b'"shots": 10000, "kx": 0, "ky": 9999, "kz": 10000}',
+                         b'"shots": 9007199254740992, "kx": 9007199254740992, '
+                         b'"ky": 9007199254740991, "kz": 4503599627370496}'):
+                assert text in written
+
+    @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+    def test_csv_is_csv_writer_rows(self, chunk_rows, arrays, tmp_path, monkeypatch):
+        """1030 rows of strings that need quoting or not, negative ints, ints past
+        2**63 and floats, from lists or (strings, floats) numpy arrays."""
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(9)
+        texts = ["a,b", 'say "hi"', "x\ny", "plain", "", " lead", "50%", "é"]
+        ints = [-3, 0, 2**63 + 1, 10**20, -(2**70), cli.INT_TEXTS, 7]
+        floats = [*rng.standard_normal(1024).tolist(), -0.0, float("inf"), 1e-300, 0.1, 2.5, 1.0]
+        columns = [[texts[i % len(texts)] for i in range(1030)],
+                   [ints[i % len(ints)] for i in range(1030)], floats]
+        with (tmp_path / "reference.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "n, total", "x"])
+            writer.writerows([s, n, repr(x)] for s, n, x in zip(*columns))
+        if arrays:
+            columns = [np.array(columns[0], dtype=object), columns[1], np.array(floats)]
+        cli._write_csv(tmp_path / "columns.csv", ["id", "n, total", "x"], columns)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_of_no_rows_is_its_header(self, tmp_path):
+        cli._write_csv(tmp_path / "empty.csv", ["a", "b c"], [np.zeros(0), []])
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b c\r\n"
+
+    def test_csv_columns_of_unequal_lengths_write_no_file(self, tmp_path):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match=r"short.csv: columns of unequal lengths \[2, 3\]"):
+            cli._write_csv(path, ["a", "b"], [["x", "y"], np.arange(3.0)])
+        assert not path.exists()
+
+
 class TestIOErrors:
     def test_output_path_collides_with_file(self, config_path, tmp_path):
         blocker = tmp_path / "blocked"

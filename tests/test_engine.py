@@ -370,6 +370,44 @@ class TestTrainingEngine:
                                                          for i, n in enumerate(spans)]
         assert not any(a.fell_back for a in adjoints)
 
+    @pytest.mark.parametrize("perturbation, d_bars", [(0.0, 1), (0.6, 10)])
+    def test_powers_are_formed_once_per_d_bar(self, perturbation, d_bars, monkeypatch):
+        """47 windows of 4 samples (the last of 1) in spans of at most 2 windows,
+        all sharing one D_bar, or with a D_bar formed again in 10 of them: the
+        pullback forms the powers of each distinct D_bar once, for the longest
+        span that carries it, and the gradient is the step loop's."""
+        ds, dt_internal = twin(1, 3)
+        problem = train.Problem(ds, DEV1, dt_internal)
+        (group,) = problem.groups
+        src = perturbed_template(perturbation)
+        ref_grad = loop_oracle.network_group_loss_grad(
+            group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
+        )[1]
+        monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
+        monkeypatch.setattr(dynamics, "ADJOINT_SPAN_BYTES", 8 * 4 * src.n_layers * group.x0.nbytes)
+        windows, formed = [], []
+        chunks, powers = dynamics.network_chunks, dynamics.power_increments
+
+        def recorded_chunks(*args):
+            for window in chunks(*args):
+                windows.append(window)
+                yield window
+            formed.clear()  # the forward's own
+
+        def recorded_powers(d_step, n_sub, n_samples):
+            formed.append((id(d_step), n_samples))
+            return powers(d_step, n_sub, n_samples)
+
+        monkeypatch.setattr(dynamics, "network_chunks", recorded_chunks)
+        monkeypatch.setattr(dynamics, "power_increments", recorded_powers)
+        assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
+        longest = {}
+        for span in dynamics.adjoint_spans(windows, src.n_layers):
+            steps = span[-1][1] - span[0][0]
+            longest[id(span[0][4])] = max(longest.get(id(span[0][4]), 0), steps)
+        assert len(windows) == 47 and len({id(w[4]) for w in windows}) == d_bars
+        assert sorted(formed) == sorted(longest.items()) and len(formed) == d_bars
+
     def test_prediction_keeps_no_stages(self, monkeypatch):
         """``group_samples`` and ``integrate_many`` hold no earlier window's
         stages while a window is solved; a forward that may be pulled back
