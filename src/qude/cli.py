@@ -822,6 +822,9 @@ def cmd_generate(args) -> int:
     # --seed is the experiments' seed, so no flag reaches the TrainConfig
     dt_internal = cfg.train_config(argparse.Namespace()).dt_internal_ns
     dev = cfg.device()
+    if dev.dim != 2:  # kx, ky, kz: every record is a qubit's tomography
+        raise ConfigError(f"{cfg.path}: '[device] dim' = {dev.dim}: tomography measures "
+                          f"qubits (dim 2), not dim {dev.dim}")
     latent = cfg.latent_source()
     seed = cfg.get("experiments", "seed", args.seed)
     n_exp = cfg.get("experiments", "n_experiments")

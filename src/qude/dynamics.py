@@ -66,15 +66,15 @@ forward that may be pulled back (``GroupForward`` with ``keep_stages``)
 keeps, for every window Newton solved, the stages of its last evaluation,
 which were formed at exactly the states it returns, up to
 MAX_KEPT_STAGE_BYTES; the pullback rebuilds the stages of any other window
-(``rk4_stages``). It walks back over spans of consecutive windows
-(``adjoint_spans``), and in each solves lam_{n-1} = (I + D_n^T) lam_n + g_{n-1}
-as the forward solves its corrections (Lim et al., ICLR 2024; Blelloch,
-CMU-CS-90-190): a scan over powers of the forward's window-mean D_bar
-(``adjoint_scan``), refined by sweeps that each take D_n^T lam at every
-step at once, by a vector-Jacobian product back through the stages
-(``rk4_vjp``), and scan the residual (``window_adjoint``). Where the sweeps
-do not contract fast enough, away from the near-linear regime, the span
-forms its D_n (``rk4_increment``) and walks back step by step
+(``rk4_stages``). It walks back over the windows, one adjoint solve each,
+and solves lam_{n-1} = (I + D_n^T) lam_n + g_{n-1} as the forward solves
+its corrections (Lim et al., ICLR 2024; Blelloch, CMU-CS-90-190): a scan
+over powers of the forward's window-mean D_bar (``adjoint_scan``), formed
+once per run of windows that share it, refined by sweeps that each take
+D_n^T lam at every step at once, by a vector-Jacobian product back through
+the stages (``rk4_vjp``), and scan the residual (``window_adjoint``). Where
+the sweeps do not contract fast enough, away from the near-linear regime,
+the window forms its D_n (``rk4_increment``) and walks back step by step
 (``tangent_recurrence``, which also takes the forward's chord corrections).
 The stage adjoints of the last sweep go back through the network (its
 ``slope``) into views of the packed gradient (``layer_gradients``,
@@ -651,7 +651,7 @@ def newton_window(
 
 def window_adjoint(a_base: np.ndarray, source, h_us: float, stages, g: np.ndarray,
                    increments: list[np.ndarray]):
-    """The adjoint of C steps, one or more windows': lam (E, C, k) with
+    """The adjoint of a window's C steps: lam (E, C, k) with
     lam_C = g_C and lam_{n-1} = (I + D_n^T) lam_n + g_{n-1}, the D_n of
     ``rk4_stages`` at ``stages``; with it ``rk4_vjp`` of lam, (D^T lam, deltas).
 
@@ -704,13 +704,6 @@ FORWARD_CHUNK_SAMPLES = 128  # samples per Newton window
 # one-step samples (20 windows) it trains on. Past the cap the pullback
 # rebuilds a window's stages from its states.
 MAX_KEPT_STAGE_BYTES = 8 * 2**20
-# Bytes of stages the pullback joins into one adjoint solve, a span of
-# windows: 4 stages x layer inputs x E x C x k floats, so 2 windows of the
-# criterion-07 network (12 x 5 x 128 x 4 x 8 B = 240 KiB each). Fewer, longer
-# solves cost fewer numpy calls per step, but their working set (the joined
-# stages, the activation slopes and one set of stage adjoints) grows with the
-# span, and the sweeps converge more slowly over a longer span.
-ADJOINT_SPAN_BYTES = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -865,55 +858,33 @@ def linear_pullback(group: GridGroup, source, forward, g: np.ndarray) -> np.ndar
     return source.coeff_affine_vjp(q[:-1, :-1], q[:-1, -1])
 
 
-def adjoint_spans(windows: list, n_layers: int) -> list[list]:
-    """The forward windows (lo, hi, states, stages, d_bar) cut into runs of
-    consecutive windows that share one ``d_bar`` and whose stages, joined,
-    take at most ADJOINT_SPAN_BYTES (at least one window each)."""
-    spans, size = [], 0
-    for window in windows:
-        window_size = 4 * n_layers * window[2][:, :-1].nbytes
-        if spans and window[4] is spans[-1][0][4] and size + window_size <= ADJOINT_SPAN_BYTES:
-            spans[-1].append(window)
-            size += window_size
-        else:
-            spans.append([window])
-            size = window_size
-    return spans
-
-
 def network_pullback(group: GridGroup, source, windows: list, g: np.ndarray) -> np.ndarray:
     """The packed-parameter gradient of a network from g = dl/dx (E, S, k) at
     every sample, walking back over the windows (lo, hi, states, stages, d_bar)
-    of its ``network_chunks`` one ``adjoint_spans`` span at a time; a window
-    without ``stages`` has them rebuilt from its own states."""
+    of its ``network_chunks``, one ``window_adjoint`` each; a window without
+    ``stages`` has them rebuilt from its own states."""
     n_sub = group.n_sub
     grad = np.zeros_like(source.pack())
-    lam = np.zeros_like(group.x0)  # (I + D^T) lam of the first step of the span after
-    spans = adjoint_spans(windows, source.n_layers)
-    powers = {}  # one power_increments per distinct D_bar, for the longest span that takes it
-    for span in sorted(spans, key=lambda span: span[0][0] - span[-1][1]):  # longest first
-        if id(span[0][4]) not in powers:  # adjoint_scan stops at a shorter span's length
-            steps = n_sub * (span[-1][1] - span[0][0])
-            powers[id(span[0][4])] = power_increments(span[0][4], 1, steps)
-    for span in reversed(spans):
-        parts = []
-        for _, _, states, kept, _ in span:
-            x = states[:, :-1]
-            if kept is None:
-                parts.append(rk4_stages(group.a_base, source, group.h_us, x)[1])
-            else:  # stage 0's first layer input is the states themselves
-                parts.append([[x, *kept[0][1:]], *kept[1:]])
-        stages = parts[0] if len(parts) == 1 else [
-            [np.concatenate(ins, axis=1) for ins in zip(*stage)] for stage in zip(*parts)]
-        x = stages[0][0]
+    lam = np.zeros_like(group.x0)  # (I + D^T) lam of the first step of the window after
+    # powers for a whole window's steps; adjoint_scan stops at a shorter window's
+    steps = n_sub * min(FORWARD_CHUNK_SAMPLES, group.n_samples)
+    d_bar = powers = None
+    for lo, hi, states, kept, window_d_bar in reversed(windows):
+        x = states[:, :-1]
+        if kept is None:
+            stages = rk4_stages(group.a_base, source, group.h_us, x)[1]
+        else:  # stage 0's first layer input is the states themselves
+            stages = [[x, *kept[0][1:]], *kept[1:]]
+        if window_d_bar is not d_bar:  # windows that share a D_bar are consecutive
+            d_bar, powers = window_d_bar, power_increments(window_d_bar, 1, steps)
 
-        # dl/dx_n of the span's steps, nonzero on sample steps; the last step
-        # also takes (I + D^T) lam in from the span after.
+        # dl/dx_n of the window's steps, nonzero on sample steps; the last step
+        # also takes (I + D^T) lam in from the window after.
         g_steps = np.zeros(x.shape)
-        g_steps[:, n_sub - 1 :: n_sub] = g[:, span[0][0] : span[-1][1]]
+        g_steps[:, n_sub - 1 :: n_sub] = g[:, lo:hi]
         g_steps[:, -1] += lam
         lams, (d_t_lam, deltas) = window_adjoint(group.a_base, source, group.h_us, stages,
-                                                 g_steps, powers[id(span[0][4])])
+                                                 g_steps, powers)
         lam = lams[:, 0] + d_t_lam[:, 0]
         layer_gradients(source, stages, deltas, grad)
     return grad

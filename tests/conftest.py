@@ -101,7 +101,7 @@ def newton_windows(monkeypatch) -> list[Window]:
     """Record every Newton window as a ``Window``.
 
     The step loop calls ``rk4_stages``, and the pullback calls it for a window
-    whose stages the forward did not keep, and ``rk4_increment`` for a span
+    whose stages the forward did not keep, and ``rk4_increment`` for a window
     whose adjoint falls back to the step loop; but only outside a window, and
     each window starts its counts from zero."""
     windows, counts = [], {"evaluations": 0, "jacobians": 0}
@@ -129,7 +129,7 @@ def newton_windows(monkeypatch) -> list[Window]:
 
 class Adjoint(NamedTuple):
     """One adjoint solve of a network pullback (``dynamics.window_adjoint``),
-    over the steps of a span of forward windows: whether it fell back to the
+    over the steps of one forward window: whether it fell back to the
     step loop (``tangent_recurrence``), its refinement sweeps (the
     ``adjoint_scan`` calls after the first) and its number of steps."""
 
@@ -139,9 +139,10 @@ class Adjoint(NamedTuple):
 
 
 def adjoint_solves(monkeypatch) -> list[Adjoint]:
-    """Record every adjoint solve of every network pullback as an ``Adjoint``.
-    The Newton windows of the forward also scan and walk step by step, but
-    outside a solve, and each solve starts its counts from zero."""
+    """Record every adjoint solve of every network pullback, one per forward
+    window, as an ``Adjoint``. The Newton windows of the forward also scan
+    and walk step by step, but outside a solve, and each solve starts its
+    counts from zero."""
     adjoints, counts = [], {"scans": 0, "loops": 0}
     adjoint, scan, loop = dynamics.window_adjoint, dynamics.adjoint_scan, dynamics.tangent_recurrence
 

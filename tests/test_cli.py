@@ -396,6 +396,20 @@ class TestGenerate:
         assert "dim 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_large_device_dim_is_rejected_before_integrating(self, tmp_path, capsys):
+        """dim = 60 at the base sizes would integrate 3600 coefficients per state
+        for every experiment before tomography could refuse them: the config is
+        refused first, naming the file and the key."""
+        text = (BASE_CONFIG.replace("base_model = lindblad", "base_model = lindblad\ndim = 60")
+                .replace("ansatz = sp\nalpha_kHz", "ansatz = none\nalpha_kHz"))
+        config = write_config(tmp_path, text)
+        out = tmp_path / "data"
+        with within(1):
+            assert run("generate", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "'[device] dim'" in err and "dim 60" in err
+        assert not out.exists()
+
     def test_grid_past_the_duration_is_rejected(self, tmp_path, capsys):
         """50 samples of 20.00000001 ns end 5e-10 us past 1 us, which no loader accepts."""
         text = (BASE_CONFIG.replace("sample_dt_ns = 20.0", "sample_dt_ns = 20.00000001")

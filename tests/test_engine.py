@@ -348,11 +348,9 @@ class TestTrainingEngine:
             np.testing.assert_array_equal(x, windows[i][2][:, :-1])
         np.testing.assert_array_equal(rebuilt, kept)
 
-    @pytest.mark.parametrize("windows_per_span", [1, 3, 5])
-    def test_spans_carry_lam_across_their_boundaries(self, windows_per_span, monkeypatch):
-        """12 windows (11 of 16 samples and one of 9) solved by the adjoint in
-        spans of 1, 3 or 5 windows, the last span short for 5: the gradient is
-        the step loop's."""
+    def test_windows_carry_lam_across_their_boundaries(self, monkeypatch):
+        """12 windows (11 of 16 samples and one of 9), one adjoint solve each:
+        the gradient is the step loop's."""
         ds, dt_internal = twin(1, 3)
         problem = train.Problem(ds, DEV1, dt_internal)
         (group,) = problem.groups
@@ -361,21 +359,17 @@ class TestTrainingEngine:
             group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
         )[1]
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 16)
-        window_bytes = 4 * src.n_layers * group.x0.nbytes * 16
-        monkeypatch.setattr(dynamics, "ADJOINT_SPAN_BYTES", windows_per_span * window_bytes)
         adjoints = adjoint_solves(monkeypatch)
         assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
-        spans = [min(windows_per_span, 12 - i) for i in range(0, 12, windows_per_span)]
-        assert [a.steps for a in reversed(adjoints)] == [16 * n - 7 * (i == len(spans) - 1)
-                                                         for i, n in enumerate(spans)]
+        assert [a.steps for a in reversed(adjoints)] == [16] * 11 + [9]
         assert not any(a.fell_back for a in adjoints)
 
     @pytest.mark.parametrize("perturbation, d_bars", [(0.0, 1), (0.6, 10)])
     def test_powers_are_formed_once_per_d_bar(self, perturbation, d_bars, monkeypatch):
-        """47 windows of 4 samples (the last of 1) in spans of at most 2 windows,
-        all sharing one D_bar, or with a D_bar formed again in 10 of them: the
-        pullback forms the powers of each distinct D_bar once, for the longest
-        span that carries it, and the gradient is the step loop's."""
+        """47 windows of 4 samples (the last of 1), all sharing one D_bar, or
+        with a D_bar formed again in 10 of them: the pullback forms the powers
+        of each distinct D_bar once, at a whole window's steps, and the
+        gradient is the step loop's."""
         ds, dt_internal = twin(1, 3)
         problem = train.Problem(ds, DEV1, dt_internal)
         (group,) = problem.groups
@@ -384,7 +378,6 @@ class TestTrainingEngine:
             group.a_base, group.x0, group.targets, group.n_sub, group.h_us, src, problem.weights
         )[1]
         monkeypatch.setattr(dynamics, "FORWARD_CHUNK_SAMPLES", 4)
-        monkeypatch.setattr(dynamics, "ADJOINT_SPAN_BYTES", 8 * 4 * src.n_layers * group.x0.nbytes)
         windows, formed = [], []
         chunks, powers = dynamics.network_chunks, dynamics.power_increments
 
@@ -395,18 +388,15 @@ class TestTrainingEngine:
             formed.clear()  # the forward's own
 
         def recorded_powers(d_step, n_sub, n_samples):
-            formed.append((id(d_step), n_samples))
+            formed.append((id(d_step), n_sub, n_samples))
             return powers(d_step, n_sub, n_samples)
 
         monkeypatch.setattr(dynamics, "network_chunks", recorded_chunks)
         monkeypatch.setattr(dynamics, "power_increments", recorded_powers)
         assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
-        longest = {}
-        for span in dynamics.adjoint_spans(windows, src.n_layers):
-            steps = span[-1][1] - span[0][0]
-            longest[id(span[0][4])] = max(longest.get(id(span[0][4]), 0), steps)
-        assert len(windows) == 47 and len({id(w[4]) for w in windows}) == d_bars
-        assert sorted(formed) == sorted(longest.items()) and len(formed) == d_bars
+        d_bar_ids = {id(w[4]) for w in windows}
+        assert len(windows) == 47 and len(d_bar_ids) == d_bars
+        assert sorted(formed) == sorted((i, 1, 4 * group.n_sub) for i in d_bar_ids)
 
     def test_prediction_keeps_no_stages(self, monkeypatch):
         """``group_samples`` and ``integrate_many`` hold no earlier window's
@@ -628,7 +618,7 @@ class TestNewtonForward:
         template and at the benchmark's fitted weights (one L-BFGS iteration),
         forward and pullback. At the template the forward forms its Jacobian once,
         in the first window, every window converges in 2 evaluations, and the
-        adjoint of every span of 2 windows (ADJOINT_SPAN_BYTES) in one sweep."""
+        pullback solves the adjoint of each window once, in one sweep."""
         problem = train.Problem(twin_noisy_20us, DEV1)
         template = models.make_source("nonlinear", seed=1)
         fitted = train.fit(twin_noisy_20us, DEV1, template,
@@ -638,7 +628,7 @@ class TestNewtonForward:
             windows.clear()
             adjoints.clear()
             problem.evaluate(theta, template)
-            assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES) == 2 * len(adjoints)
+            assert len(windows) == -(-2500 // dynamics.FORWARD_CHUNK_SAMPLES) == len(adjoints)
             assert not any(w.fell_back for w in windows)
             assert not any(a.fell_back for a in adjoints)
             jacobians = sum(w.jacobians for w in windows)
@@ -647,7 +637,7 @@ class TestNewtonForward:
                 assert all(a.sweeps == 1 for a in adjoints), adjoints
             print(f"\n{name}: {np.mean([w.evaluations for w in windows]):.2f} evaluations per "
                   f"window, {jacobians} Jacobians per forward, "
-                  f"{np.mean([a.sweeps for a in adjoints]):.2f} adjoint sweeps per span")
+                  f"{np.mean([a.sweeps for a in adjoints]):.2f} adjoint sweeps per window")
 
     def test_loss_is_a_function_of_theta(self):
         """No state is carried between evaluations: the same theta, the same bits."""
