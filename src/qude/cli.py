@@ -189,6 +189,10 @@ MAX_SAMPLES = 10**7
 # experiment on a 2-core host, so samples x substeps bounds generate's time: 10**8
 # steps take a few minutes.
 MAX_NETWORK_STEPS = 10**8
+# The paper's networks and every test have at most 3 hidden layers, so 100 leaves a
+# thirtyfold margin; train builds every layer's weights before its first step, and
+# 10**9 layers would never finish allocating them.
+MAX_HIDDEN_LAYERS = 100
 
 
 class RunConfig:
@@ -211,7 +215,8 @@ class RunConfig:
                         "shot_mode": _choices(SHOT_MODE_PER_AXIS, SHOT_MODE_SPLIT)},
         "training": {
             "ansatz": _choices(*models.KINDS),
-            "train_horizon_us": (_positive, None), "hidden_layers": (_int_in(0), 2),
+            "train_horizon_us": (_positive, None),
+            "hidden_layers": (_int_in(0, MAX_HIDDEN_LAYERS), 2),
             "gamma_mode": _choices("squared", "signed"),
             **{f.name: (type(f.default) if isinstance(f.default, (int, float)) else str, f.default)
                for f in fields(TrainConfig)},

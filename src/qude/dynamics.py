@@ -31,8 +31,9 @@ D_n = dF/dx - I barely move along a window, so the corrections take one
 window-mean D_bar per experiment, carried from window to window, and the
 recurrence becomes a scan over powers of one matrix: ``adjoint_scan`` on
 the time-reversed residual (Blelloch, CMU-CS-90-190). The step increments
-(``rk4_increment``, dearer than an evaluation) are formed in the first
-window, and again only where a correction shrinks the residual less than
+(``rk4_increment``, dearer than an evaluation: row i of each D_n is
+``rk4_vjp`` of the unit vector e_i) are formed in the first window, and
+again only where a correction shrinks the residual less than
 NEWTON_MIN_SHRINK times; that window then corrects with them step by step
 (``tangent_recurrence``, a chord method) and D_bar becomes their mean. The
 first window starts from the base-model trajectory of its start state,
@@ -44,8 +45,9 @@ NEWTON_MAX_ITERS evaluations, or whose iterate is not finite, is run again
 by the step loop ``propagate_network`` from the same start state, so a
 diverging trajectory is reported at the loop's sample. The loop applies the
 same F (``rk4_stages``) one step at a time, so the network has one layer
-loop (``NetworkSource.layers``) and its RK4 step one implementation. The
-converged states agree with the step loop to rounding, not bit for bit.
+loop (``NetworkSource.layers``), its RK4 step one implementation and that
+step one derivative (``rk4_vjp``). The converged states agree with the step
+loop to rounding, not bit for bit.
 
 Both engines are batched over experiments: ``grid_groups`` stacks the base
 generators and initial states of the experiments that share a sample grid.
@@ -429,11 +431,6 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
-def _rows(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """z @ w for the last axis of z, as one 2-D product over all leading axes."""
-    return (z.reshape(-1, z.shape[-1]) @ w).reshape(z.shape[:-1] + w.shape[-1:])
-
-
 _RK4_STAGE_STEPS = (0.5, 0.5, 1.0)  # stage input c_{s+1} = x + step_s h k_s
 
 
@@ -441,8 +438,8 @@ def rk4_stages(a_base: np.ndarray, source, h_us: float, x: np.ndarray):
     """One RK4 step of x' = A x + net(x) from every state of x (E, C, k) at once.
 
     Returns F(x), the state after each step, and per stage the layer inputs
-    of ``source.layers``; ``rk4_increment`` takes the stages to the step
-    Jacobians.
+    of ``source.layers``, which ``rk4_vjp`` takes back through the step to
+    D^T lam, and of the unit vectors to D (``rk4_increment``).
     """
     a_t = _transposed(a_base)
     stages, slopes = [], []
@@ -478,41 +475,16 @@ def propagate_network(
     return out
 
 
-def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray:
-    """D = dF/dx - I of every step of ``rk4_stages``, step-major (C, E, k, k).
-
-    Stage s has the Jacobian J_s = A + W_L diag(d_{L-1}) W_{L-1} ... diag(d_0) W_0
-    and dk_s/dx = J_s P_s, with P_0 = I and P_s = I + step_s h dk_{s-1}/dx;
-    d_l = ``source.slope(a)``, with a the input of layer l + 1 (the tanh output
-    of layer l).
-    They are formed transposed, P^T J^T, and laid out (E, k_in, C, k_out):
-    each shared weight then multiplies the rows of one 2-D array over all
-    steps, and each diag(d) scales contiguous (C, k_out) blocks.
-    """
-    a_t = _transposed(a_base)
-    w_t = source.weights_t
-    e, c, k = stages[0][0].shape  # the first stage's first layer input is x
-    eye = np.zeros((e, k, c, k))
-    diag = np.arange(k)
-    eye[:, diag, :, diag] = 1.0
-    slopes = []
-    for s, ins in enumerate(stages):
-        p = eye if s == 0 else (_RK4_STAGE_STEPS[s - 1] * h_us) * slopes[-1] + eye
-        q = _rows(p, w_t[0])
-        for l in range(1, len(w_t)):
-            q = _rows(q * source.slope(ins[l][:, None]), w_t[l])
-        slopes.append(q + (p.reshape(e, -1, k) @ a_t).reshape(q.shape))
-    k1, k2, k3, k4 = slopes
-    return np.transpose((h_us / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (2, 0, 3, 1))
-
-
 def rk4_vjp(a_base: np.ndarray, source, h_us: float, slopes, lam: np.ndarray):
-    """D_n^T lam_n at every step of ``rk4_stages``, without forming D_n.
+    """D_n^T lam_n at every step of ``rk4_stages``, without forming D_n; of
+    the unit vectors e_i, row i of every D_n (``rk4_increment``).
 
-    ``lam`` (E, C, k) holds dL/dx_n for the steps' outputs and ``slopes`` the
-    activation derivatives ``source.slope`` of each stage's hidden layer
-    inputs. The stage adjoints run back through the RK4 update, last stage
-    first, with dk_s/dc_s = J_s (``rk4_increment``); returns the sum of their
+    ``lam`` (E, C, k) holds dL/dx_n for the steps' outputs and ``slopes``, per
+    stage, d_l = ``source.slope(a)`` at each hidden layer input a, the tanh
+    output of layer l. Stage s has the Jacobian J_s = A + W_L diag(d_{L-1})
+    W_{L-1} ... diag(d_0) W_0 and dk_s/dx = J_s P_s, with P_0 = I and
+    P_s = I + step_s h dk_{s-1}/dx. The stage adjoints run back through the
+    RK4 update, last stage first, each by J_s^T; returns the sum of their
     state adjoints, (E, C, k), and per stage, last first, the gradient at
     each layer's output, which ``layer_gradients`` contracts with its input.
     """
@@ -526,13 +498,25 @@ def rk4_vjp(a_base: np.ndarray, source, h_us: float, slopes, lam: np.ndarray):
         delta, layer = u, [None] * (last + 1)
         for l in range(last, -1, -1):
             if l < last:  # through the tanh whose output is layer l + 1's input
-                delta = delta * slopes[s][l]
+                delta *= slopes[s][l]  # in place: the product of the layer above
             layer[l] = delta
             delta = delta @ source.weights[l]
-        q = delta + u @ a_base  # A^T u, row-wise
-        total = q if total is None else total + q
+        q = np.add(delta, u @ a_base, out=delta)  # A^T u, row-wise
+        total = q if total is None else np.add(total, q, out=total)  # into the first q, used
         deltas.append(layer)
     return total, deltas
+
+
+def rk4_increment(a_base: np.ndarray, source, h_us: float, stages) -> np.ndarray:
+    """D = dF/dx - I of every step of ``rk4_stages``, step-major (C, E, k, k),
+    by k vector-Jacobian products: row i of each D_n is ``rk4_vjp`` of e_i."""
+    slopes = [[source.slope(a) for a in ins[1:]] for ins in stages]
+    e, c, k = stages[0][0].shape  # the first stage's first layer input is x
+    d, unit = np.empty((c, e, k, k)), np.zeros((e, c, k))
+    for i in range(k):  # unit holds e_i at every step; a broadcast view is slower
+        unit[..., i - 1], unit[..., i] = 0.0, 1.0
+        d[:, :, i] = np.swapaxes(rk4_vjp(a_base, source, h_us, slopes, unit)[0], 0, 1)
+    return d
 
 
 def layer_gradients(source, stages, deltas, grad: np.ndarray) -> None:

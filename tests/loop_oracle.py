@@ -12,9 +12,10 @@ stage-by-stage step loop of one experiment, with its own layer loop
 (``_net_acts``); for their training loss and gradient, a forward loop
 storing every internal state and the per-step reverse sweep that recomputes
 the network at each stage and backpropagates through it
-(``network_group_loss_grad``). ``loss_by_split`` is the per-experiment
-train/validation loss report the CLI's ``train`` verb gave before it used
-the training engine. ``finite_difference_gradient`` is the other gradient
+(``network_group_loss_grad``), whose stage walk of the unit vectors also
+gives the step Jacobians (``step_increments``). ``loss_by_split`` is the
+per-experiment train/validation loss report the CLI's ``train`` verb gave
+before it used the training engine. ``finite_difference_gradient`` is the other gradient
 oracle: central differences of the engine's own loss, so it checks each
 engine's adjoint against its forward.
 
@@ -221,6 +222,48 @@ def _net_vjp(source, acts, delta, grad_w, grad_b) -> np.ndarray:
     return delta
 
 
+def _net_rhs(a_base: np.ndarray, source, c: np.ndarray) -> np.ndarray:
+    """A c + net(c) for batched states c (E, k) and generators A (E, k, k)."""
+    return np.einsum("eij,ej->ei", a_base, c) + _net_acts(source, c)[-1]
+
+
+def _stage_adjoints(a_base, source, h: float, x, lam, grad_w, grad_b) -> tuple:
+    """The stage adjoints (q1, q2, q3, q4) of one RK4 step from x (E, k),
+    whose sum is D^T lam: the four stage inputs are recomputed, and each
+    stage adjoint is backpropagated through the network, adding its
+    parameter gradients into grad_w and grad_b."""
+    a_t = np.swapaxes(a_base, -2, -1)
+
+    def f_vjp(c, u):
+        gx = np.einsum("eij,ej->ei", a_t, u)
+        return gx + _net_vjp(source, _net_acts(source, c), u, grad_w, grad_b)
+
+    c2 = x + 0.5 * h * _net_rhs(a_base, source, x)
+    c3 = x + 0.5 * h * _net_rhs(a_base, source, c2)
+    c4 = x + h * _net_rhs(a_base, source, c3)
+    q4 = f_vjp(c4, (h / 6.0) * lam)
+    q3 = f_vjp(c3, (h / 3.0) * lam + h * q4)
+    q2 = f_vjp(c2, (h / 3.0) * lam + 0.5 * h * q3)
+    q1 = f_vjp(x, (h / 6.0) * lam + 0.5 * h * q2)
+    return q1, q2, q3, q4
+
+
+def step_increments(a_base: np.ndarray, source, h_us: float, x: np.ndarray) -> np.ndarray:
+    """D = dF/dx - I of the RK4 step from every state of x (E, C, k), step-major
+    (C, E, k, k): row i is D^T e_i, the reverse sweep's stage walk
+    (``_stage_adjoints``) of the unit vector e_i, with every step a row of
+    one batch."""
+    e_count, c, k = x.shape
+    a_rows = np.repeat(a_base, c, axis=0)  # row e C + n is step n of experiment e
+    unused = [np.zeros_like(w) for w in source.weights], [np.zeros_like(b) for b in source.biases]
+    d = np.empty((e_count * c, k, k))
+    for i in range(k):
+        unit = np.zeros((e_count * c, k))
+        unit[:, i] = 1.0
+        d[:, i] = sum(_stage_adjoints(a_rows, source, h_us, x.reshape(-1, k), unit, *unused))
+    return np.swapaxes(d.reshape(e_count, c, k, k), 0, 1)
+
+
 def network_group_loss_grad(
     a_base: np.ndarray,
     x0: np.ndarray,
@@ -238,10 +281,9 @@ def network_group_loss_grad(
     """
     e_count, k = x0.shape
     n_steps = targets.shape[1] * n_sub
-    a_t = np.swapaxes(a_base, -2, -1)
 
     def f(c):
-        return np.einsum("eij,ej->ei", a_base, c) + _net_acts(source, c)[-1]
+        return _net_rhs(a_base, source, c)
 
     xs = np.empty((n_steps + 1, e_count, k))
     xs[0] = x = x0
@@ -256,24 +298,11 @@ def network_group_loss_grad(
 
     grad_w = [np.zeros_like(w) for w in source.weights]
     grad_b = [np.zeros_like(b) for b in source.biases]
-
-    def f_vjp(c, u):
-        gx = np.einsum("eij,ej->ei", a_t, u)
-        return gx + _net_vjp(source, _net_acts(source, c), u, grad_w, grad_b)
-
-    h = h_us
     lam = np.zeros((e_count, k))
     for n in range(n_steps, 0, -1):
         if n % n_sub == 0:
             lam = lam + 2.0 * weights * deltas[n // n_sub - 1]
-        x = xs[n - 1]
-        c2 = x + 0.5 * h * f(x)
-        c3 = x + 0.5 * h * f(c2)
-        c4 = x + h * f(c3)
-        q4 = f_vjp(c4, (h / 6.0) * lam)
-        q3 = f_vjp(c3, (h / 3.0) * lam + h * q4)
-        q2 = f_vjp(c2, (h / 3.0) * lam + 0.5 * h * q3)
-        q1 = f_vjp(x, (h / 6.0) * lam + 0.5 * h * q2)
+        q1, q2, q3, q4 = _stage_adjoints(a_base, source, h_us, xs[n - 1], lam, grad_w, grad_b)
         lam = lam + q1 + q2 + q3 + q4
 
     parts = []

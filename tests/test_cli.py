@@ -142,6 +142,10 @@ BAD_VALUES = {
                         "[device] base_model"),
     "hidden-layers-negative": ("train", ("mode = exp-gen", "mode = exp-gen\nhidden_layers = -1"),
                                "[training] hidden_layers"),
+    # past cli.MAX_HIDDEN_LAYERS; read (and bounded) whatever the ansatz
+    "hidden-layers-huge": ("train", ("mode = exp-gen",
+                                     "mode = exp-gen\nhidden_layers = 1000000000"),
+                           "[training] hidden_layers"),
     "dt-internal-nan": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = nan"),
                         "[training] dt_internal_ns"),
     "dt-internal-not-dividing": ("generate", ("dt_internal_ns = 4.0", "dt_internal_ns = 3.0"),

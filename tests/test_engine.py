@@ -458,6 +458,16 @@ def scaled_template(scale: float) -> models.NetworkSource:
     return tmpl.with_params(scale * tmpl.pack())
 
 
+def step_jacobian_error(group, src) -> float:
+    """The relative error of ``rk4_increment`` along the step loop's trajectory
+    over a group's horizon, against the loop oracle's stage walk."""
+    x = dynamics.propagate_network(group.a_base, src, group.x0, group.h_us,
+                                   group.n_samples * group.n_sub)[:, :-1]
+    _, stages = dynamics.rk4_stages(group.a_base, src, group.h_us, x)
+    return relative(dynamics.rk4_increment(group.a_base, src, group.h_us, stages),
+                    loop_oracle.step_increments(group.a_base, src, group.h_us, x))
+
+
 def loop_samples(group, src) -> np.ndarray:
     return np.stack([
         loop_oracle.network_step_loop(group.a_base[e], src, group.x0[e], group.h_us,
@@ -517,6 +527,7 @@ class TestNewtonForward:
         assert relative(loss, ref_loss) <= TOL
         assert relative(grad, ref_grad) <= TOL
         assert [w.fell_back for w in windows] == [False, False]
+        assert step_jacobian_error(group, src) <= TOL
 
     @pytest.mark.parametrize("n_sub", [1, 5])
     def test_no_iterations_is_the_step_loop(self, n_sub, monkeypatch):
@@ -723,7 +734,9 @@ class TestWindowAdjoint:
 
     @staticmethod
     def adjoints(group, src, seed: int = 4):
-        """(window_adjoint, step loop) of each forward window for seeded g."""
+        """(window_adjoint, step loop) of each forward window for seeded g, with
+        D_n^T lam_n and the relative error of D_n, both against the loop
+        oracle's D_n."""
         rng = np.random.default_rng(seed)
         for _, _, states, _, d_bar in dynamics.network_chunks(group, src):
             _, stages = dynamics.rk4_stages(group.a_base, src, group.h_us, states[:, :-1])
@@ -732,19 +745,24 @@ class TestWindowAdjoint:
             lam, (d_t_lam, _) = dynamics.window_adjoint(group.a_base, src, group.h_us, stages, g,
                                                         increments)
             ref = step_loop_adjoint(group, src, stages, g)
+            d_ref = loop_oracle.step_increments(group.a_base, src, group.h_us, states[:, :-1])
             d_step = dynamics.rk4_increment(group.a_base, src, group.h_us, stages)
-            product = np.einsum("cekj,eck->ecj", d_step, lam)  # D_n^T lam_n
-            yield lam, ref, d_t_lam, product
+            d_error = relative(d_step, d_ref)
+            product = np.einsum("cekj,eck->ecj", d_ref, lam)  # D_n^T lam_n
+            yield lam, ref, d_t_lam, product, d_error
 
     @pytest.mark.parametrize("perturbation", [0.0, 0.3])
     def test_matches_the_step_loop_on_the_rank_twin(self, twin_noisy_20us, perturbation,
                                                     monkeypatch):
-        """At the template and away from it the sweeps converge in every window."""
+        """At the template and away from it the sweeps converge in every window,
+        and the step Jacobians are the oracle's."""
         (group,) = train.Problem(twin_noisy_20us, DEV1).groups
         adjoints = adjoint_solves(monkeypatch)
-        for lam, ref, d_t_lam, product in self.adjoints(group, perturbed_template(perturbation)):
+        for lam, ref, d_t_lam, product, d_error in self.adjoints(group,
+                                                                perturbed_template(perturbation)):
             assert relative(lam, ref) <= TOL
             assert relative(d_t_lam, product) <= TOL
+            assert d_error <= TOL
         assert len(adjoints) == 20 and not any(a.fell_back for a in adjoints), adjoints
         if perturbation == 0.0:
             assert {a.sweeps for a in adjoints} == {1}
@@ -755,10 +773,11 @@ class TestWindowAdjoint:
         ds, dt_internal = twin(5, 3)
         (group,) = train.Problem(ds, DEV1, dt_internal).groups
         adjoints = adjoint_solves(monkeypatch)
-        ((lam, ref, d_t_lam, product),) = self.adjoints(group, scaled_template(1000.0))
+        ((lam, ref, d_t_lam, product, d_error),) = self.adjoints(group, scaled_template(1000.0))
         assert [a.fell_back for a in adjoints] == [True]
         np.testing.assert_array_equal(lam, ref)
         assert relative(d_t_lam, product) <= TOL
+        assert d_error <= TOL
 
 
 class TestDivergenceTime:

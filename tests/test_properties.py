@@ -1,10 +1,11 @@
-"""Property tests: the Newton-in-time network forward against the step loop
-over random parameter scales, grid lengths, substep counts and depths, the
-exact round trips of the coefficient expansion, the parameter packing and
-the record files, one verdict from the in-memory record gate and the
-record-file check, the line-by-line decode of odd number texts in a record
-file, clean exits on corrupted input files, and a data error for a value of
-another JSON type at any node of a manifest or a model."""
+"""Property tests: the Newton-in-time network forward, its gradient and its
+step Jacobians against the loop oracle over random parameter scales, grid
+lengths, substep counts and depths, the exact round trips of the
+coefficient expansion, the parameter packing and the record files, one
+verdict from the in-memory record gate and the record-file check, the
+line-by-line decode of odd number texts in a record file, clean exits on
+corrupted input files, and a data error for a value of another JSON type at
+any node of a manifest or a model."""
 
 import contextlib
 import io
@@ -24,7 +25,7 @@ import loop_oracle
 from conftest import DEV1, make_twin_dataset
 from test_acceptance import DETERMINISM_CONFIG
 from test_cli import PAST_FLOATS, per_line_parse
-from test_engine import TOL, loop_samples, relative
+from test_engine import TOL, loop_samples, relative, step_jacobian_error
 
 
 @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -49,6 +50,7 @@ def test_network_engine_matches_loop(scale, n_samples, n_sub, hidden_layers, see
     assert relative(problem.evaluate(src.pack(), src, want_grad=False)[0], ref_loss) <= TOL
     assert relative(problem.evaluate(src.pack(), src)[1], ref_grad) <= TOL
     assert relative(dynamics.group_samples(group, src), loop_samples(group, src)) <= TOL
+    assert step_jacobian_error(group, src) <= TOL
 
 
 ROUND_TRIP = hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
